@@ -376,14 +376,9 @@ void AsyncSession::repartition_loop() {
       // session runs step 1 eagerly), so n_old == num_vertices and the
       // backend's in-place entry point rebalances off the snapshot's
       // maintained state and this thread's own pooled workspace.
-      BackendResult result = rear_backend_->repartition(
-          job->graph, job->partitioning, job->graph.num_vertices(),
-          job->state, rear_ws_);
-      if (!result.state_maintained) {
-        // Backend without the in-place path: its answer replaces the
-        // snapshot assignment wholesale.
-        job->partitioning = std::move(result.partitioning);
-      }
+      (void)rear_backend_->repartition(job->graph, job->partitioning,
+                                       job->graph.num_vertices(), job->state,
+                                       rear_ws_);
       commit.success = true;
     } catch (...) {
       commit.success = false;
@@ -399,12 +394,9 @@ void AsyncSession::repartition_loop() {
           job->partitioning.part.assign(fallback_rollback_.begin(),
                                         fallback_rollback_.end());
           job->state.rebuild(job->graph, job->partitioning);
-          BackendResult fb = fallback_backend_->repartition(
+          (void)fallback_backend_->repartition(
               job->graph, job->partitioning, job->graph.num_vertices(),
               job->state, fallback_ws_);
-          if (!fb.state_maintained) {
-            job->partitioning = std::move(fb.partitioning);
-          }
           commit.success = true;
           commit.used_fallback = true;
         } catch (...) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "api/errors.hpp"
+#include "core/assign.hpp"
 #include "core/multilevel.hpp"
 #include "core/spmd_igp.hpp"
 #include "core/workspace.hpp"
@@ -33,6 +34,18 @@ BackendResult from_igp_result(core::IgpResult result) {
   return out;
 }
 
+/// The in-place overload of a batch-style backend: \p out carries a fresh
+/// partitioning of \p g_new.  Validate it (O(V) — these backends are off
+/// the streaming hot path) and fold it into the caller's partitioning and
+/// state by moving exactly the vertices whose assignment changed.
+void fold_fresh_result(const graph::Graph& g_new,
+                       graph::Partitioning& partitioning,
+                       graph::PartitionState& state, BackendResult& out) {
+  out.partitioning.validate(g_new);
+  state.transition(g_new, partitioning, out.partitioning);
+  out.partitioning = {};
+}
+
 /// "igp" / "igpr": the paper's flat four-step pipeline.
 class FlatBackend final : public Backend {
  public:
@@ -48,19 +61,11 @@ class FlatBackend final : public Backend {
   }
 
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    return from_igp_result(driver_.repartition(g_new, old_partitioning, n_old));
-  }
-
-  [[nodiscard]] BackendResult repartition(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
       core::Workspace& ws) override {
-    BackendResult out = from_igp_result(
+    return from_igp_result(
         driver_.repartition_in_place(g_new, partitioning, n_old, state, ws));
-    out.state_maintained = true;
-    return out;
   }
 
  private:
@@ -74,17 +79,18 @@ class MultilevelBackend final : public Backend {
   explicit MultilevelBackend(const ResolvedConfig& config)
       : options_(config.multilevel) {}
 
-  using Backend::repartition;  // keep the default state-threaded overload
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "multilevel";
   }
 
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    return from_igp_result(
-        core::multilevel_repartition(g_new, old_partitioning, n_old, options_));
+      const graph::Graph& g_new, graph::Partitioning& partitioning,
+      graph::VertexId n_old, graph::PartitionState& state,
+      core::Workspace& /*ws*/) override {
+    BackendResult out = from_igp_result(
+        core::multilevel_repartition(g_new, partitioning, n_old, options_));
+    fold_fresh_result(g_new, partitioning, state, out);
+    return out;
   }
 
  private:
@@ -141,26 +147,6 @@ class SpmdBackend final : public Backend {
   }
 
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    const runtime::WallTimer timer;
-    RetryBudget budget = make_budget();
-    for (;;) {
-      try {
-        // This overload mutates no caller state (the engine copies the old
-        // partitioning and seeds its own state), so retry is a plain
-        // re-invocation.
-        BackendResult out = from_igp_result(core::spmd_repartition(
-            executor(), g_new, old_partitioning, n_old, options_));
-        out.timings.total = timer.seconds();
-        return out;
-      } catch (const net::TransportError& e) {
-        if (!backoff_or_give_up(e, budget)) throw;
-      }
-    }
-  }
-
-  [[nodiscard]] BackendResult repartition(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
       core::Workspace& ws) override {
@@ -185,7 +171,6 @@ class SpmdBackend final : public Backend {
             executor(), g_new, partitioning, n_old, options_, state, ws,
             rank_ws_));
         out.timings.total = timer.seconds();
-        out.state_maintained = true;
         state.end_rollback_mark(mark);
         return out;
       } catch (const net::TransportError& e) {
@@ -275,8 +260,6 @@ class ScratchBackend final : public Backend {
  public:
   explicit ScratchBackend(const ResolvedConfig& config) : config_(config) {}
 
-  using Backend::repartition;  // keep the default state-threaded overload
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "scratch";
   }
@@ -284,15 +267,16 @@ class ScratchBackend final : public Backend {
   [[nodiscard]] bool incremental() const noexcept override { return false; }
 
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new,
-      const graph::Partitioning& /*old_partitioning*/,
-      graph::VertexId /*n_old*/) override {
+      const graph::Graph& g_new, graph::Partitioning& partitioning,
+      graph::VertexId /*n_old*/, graph::PartitionState& state,
+      core::Workspace& /*ws*/) override {
     const runtime::WallTimer timer;
     BackendResult out;
     out.partitioning = partition_from_scratch(g_new, config_);
     out.timings.total = timer.seconds();
     out.balanced = graph::is_balanced(g_new, out.partitioning,
                                       config_.igp.balance.tolerance + 0.5);
+    fold_fresh_result(g_new, partitioning, state, out);
     return out;
   }
 
@@ -301,6 +285,18 @@ class ScratchBackend final : public Backend {
 };
 
 }  // namespace
+
+BackendResult Backend::repartition(const graph::Graph& g_new,
+                                   const graph::Partitioning& old_partitioning,
+                                   graph::VertexId n_old) {
+  graph::Partitioning working = old_partitioning;
+  graph::PartitionState state;
+  core::seed_extension_state(g_new, working, state);
+  core::Workspace ws;
+  BackendResult out = repartition(g_new, working, n_old, state, ws);
+  out.partitioning = std::move(working);
+  return out;
+}
 
 graph::Partitioning partition_from_scratch(const graph::Graph& g,
                                            const ResolvedConfig& config) {

@@ -32,20 +32,15 @@ namespace pigp {
 /// flat driver reports (backends without a given phase leave its stats at
 /// their defaults).
 struct BackendResult {
-  /// The new partitioning — empty when state_maintained is true (the
-  /// in-place entry point already wrote the answer into the partitioning
-  /// it was handed).
+  /// The new partitioning — filled by the plain overload only; the
+  /// in-place overload leaves it empty (the answer IS the partitioning it
+  /// was handed).
   graph::Partitioning partitioning;
   bool balanced = false;
   int stages = 0;  ///< balance stages used (the paper's IGP(k))
   core::BalanceResult balance;
   core::RefineStats refine;
   core::IgpTimings timings;
-  /// True when the state-threaded entry point ran in place on the
-  /// session's partitioning and PartitionState: on return both already
-  /// describe the result (result.partitioning stays empty), so the caller
-  /// must not transition the state again.
-  bool state_maintained = false;
 };
 
 /// Strategy interface implemented by every repartitioning driver.
@@ -65,32 +60,29 @@ class Backend {
   virtual void trim_memory() {}
 
   /// Repartition \p g_new given \p old_partitioning over its first
-  /// \p n_old vertices (ids preserved).
+  /// \p n_old vertices (ids preserved); result.partitioning holds the
+  /// answer.  The base implementation adapts the in-place overload: it
+  /// copies the old partitioning, seeds a PartitionState over it with one
+  /// O(V+E) rescan, and runs the in-place overload on the copy.
   [[nodiscard]] virtual BackendResult repartition(
       const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) = 0;
+      graph::VertexId n_old);
 
-  /// State-threaded, in-place variant — the streaming hot path.
-  /// \p partitioning covers [0, n_old) on entry and \p state describes
-  /// (g_new, partitioning) with the appended tail unassigned.  Boundary-
-  /// local backends run the whole pipeline in place off the maintained
-  /// boundary index and the session-owned \p ws buffers, leaving
-  /// partitioning/state describing the result (result.state_maintained
-  /// true, result.partitioning empty) with zero per-call O(V) allocations
-  /// once \p ws is warm.  The default forwards to the plain overload and
-  /// touches neither \p partitioning, \p state nor \p ws; the session then
-  /// folds result.partitioning in via transition().  On exception
-  /// partitioning/state may be mid-run; the session restores them from its
-  /// rollback snapshot.
+  /// The in-place repartition every backend implements — the streaming
+  /// hot path.  \p partitioning covers [0, n_old) on entry and \p state
+  /// describes (g_new, partitioning) with the appended tail unassigned; on
+  /// return both describe the result (result.partitioning stays empty).
+  /// Boundary-local backends run the whole pipeline in place off the
+  /// maintained boundary index and the caller's \p ws buffers, with zero
+  /// per-call O(V) allocations once \p ws is warm.  Batch-style backends
+  /// compute a fresh partitioning and fold it in with
+  /// PartitionState::transition (moving exactly the vertices whose
+  /// assignment changed).  On exception partitioning/state may be mid-run;
+  /// the session restores them from its rollback snapshot.
   [[nodiscard]] virtual BackendResult repartition(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
-      core::Workspace& ws) {
-    (void)state;
-    (void)ws;
-    return repartition(
-        g_new, static_cast<const graph::Partitioning&>(partitioning), n_old);
-  }
+      core::Workspace& ws) = 0;
 };
 
 using BackendFactory =

@@ -377,14 +377,7 @@ void Session::run_backend(SessionReport& report, graph::Partitioning old,
   try {
     result = backend_->repartition(graph_, partitioning_, n_old, state_,
                                    workspace_);
-    if (!result.state_maintained) {
-      // Backend without the in-place path (multilevel, scratch, external
-      // registrations): fold its answer into the state by moving exactly
-      // the vertices whose assignment changed; partitioning_ ends equal
-      // to result.partitioning.
-      state_.transition(graph_, partitioning_, result.partitioning);
-    }
-    check_backend_invariants(result.state_maintained, n_old);
+    check_backend_invariants(n_old);
     state_.end_rollback_mark(mark);
   } catch (...) {
     // A wire failure that reaches this frame already spent the SPMD
@@ -434,24 +427,16 @@ void Session::run_backend(SessionReport& report, graph::Partitioning old,
   pending_vertex_changes_ = 0;
 }
 
-void Session::check_backend_invariants(bool state_maintained,
-                                       graph::VertexId n_old) const {
+void Session::check_backend_invariants(graph::VertexId n_old) const {
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
   // Debug / PIGP_VALIDATE=ON builds keep the historical full validate —
   // an O(V) scan of every assignment.
-  (void)state_maintained;
   (void)n_old;
   partitioning_.validate(graph_);
 #else
-  if (!state_maintained) {
-    // Backends that return a fresh partitioning (multilevel, scratch,
-    // external registrations) are off the streaming hot path and get the
-    // full check.
-    partitioning_.validate(graph_);
-    return;
-  }
-  // Streaming path: O(Δ + boundary + P) invariant check instead of the
-  // O(V) sweep.  The vertices below n_old were validated when they
+  // O(Δ + boundary + P) invariant check instead of the O(V) sweep (the
+  // batch-style backends already validated their fresh answer before
+  // folding it in).  The vertices below n_old were validated when they
   // entered; the in-place pipeline only ever rewrites assignments through
   // PartitionState::move_vertex, which rejects out-of-range destinations —
   // so checking sizes, the appended tail, the weight conservation law and

@@ -265,12 +265,11 @@ class Session {
   /// (the implementation behind compact() and the automatic triggers).
   void compact_now();
   /// Post-backend sanity: a full Partitioning::validate in Debug and
-  /// PIGP_VALIDATE builds (and always for backends without the in-place
-  /// path); in Release an O(Δ + boundary + P) incremental invariant check
-  /// — appended assignments in range, maintained weights summing to the
-  /// graph total, boundary buckets consistent with the assignment.
-  void check_backend_invariants(bool state_maintained,
-                                graph::VertexId n_old) const;
+  /// PIGP_VALIDATE builds; in Release an O(Δ + boundary + P) incremental
+  /// invariant check — appended assignments in range, maintained weights
+  /// summing to the graph total, boundary buckets consistent with the
+  /// assignment.
+  void check_backend_invariants(graph::VertexId n_old) const;
   /// Rethrow the sticky wire failure, if any (top of every mutating call).
   void throw_if_failed() const;
 

@@ -76,6 +76,17 @@ graph::Partitioning extend_assignment(
   return result;
 }
 
+void seed_extension_state(const graph::Graph& g_new, graph::Partitioning& p,
+                          graph::PartitionState& state) {
+  const std::size_t n_old = p.part.size();
+  PIGP_CHECK(static_cast<graph::VertexId>(n_old) <= g_new.num_vertices(),
+             "partitioning covers more vertices than the graph");
+  p.part.resize(static_cast<std::size_t>(g_new.num_vertices()),
+                graph::kUnassigned);
+  state.rebuild(g_new, p);
+  p.part.resize(n_old);
+}
+
 void extend_assignment_state(const graph::Graph& g_new, graph::Partitioning& p,
                              graph::VertexId n_old,
                              graph::PartitionState& state, Workspace& ws,

@@ -31,6 +31,14 @@ struct AssignOptions {
     const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
     graph::VertexId n_old, const AssignOptions& options = {});
 
+/// Seed \p state in the shape extend_assignment_state expects: \p p
+/// covers [0, n_old) of \p g_new, and the state describes it with the
+/// appended tail unassigned.  One O(V+E) rescan — for the entry points
+/// that hold no maintained state (the plain Backend::repartition adapter,
+/// spmd_repartition).
+void seed_extension_state(const graph::Graph& g_new, graph::Partitioning& p,
+                          graph::PartitionState& state);
+
 /// In-place, state-maintained variant of extend_assignment for the
 /// streaming hot path: \p p covers [0, n_old) and grows to cover \p g_new,
 /// every placement goes through \p state (move_vertex) so the aggregates

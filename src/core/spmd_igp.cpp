@@ -7,7 +7,9 @@
 #include "core/layering.hpp"
 #include "core/transfer.hpp"
 #include "core/workspace.hpp"
+#include "graph/shard.hpp"
 #include "support/check.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace pigp::core {
 namespace {
@@ -16,26 +18,117 @@ using graph::PartId;
 using graph::VertexId;
 using net::Packet;
 
-/// Rank that owns partition q.
-int owner_of(PartId q, int num_ranks) {
-  return static_cast<int>(q) % num_ranks;
+}  // namespace
+
+SpmdStageOutcome spmd_balance_handshake(
+    net::Transport& transport, BoundaryLayering& layering,
+    const std::vector<PartId>& owned, const std::vector<double>& excess,
+    const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
+    std::vector<std::int64_t>& moves_flat) {
+  const std::size_t parts = excess.size();
+  const int cap = options.max_layers;
+  int depth_budget = cap == 0 ? -1 : cap;
+  layering.grow(depth_budget, 1);
+  int grow_step = cap;
+
+  // Allgather (exhausted flag, owned eps rows); rank 0 runs the α ladder
+  // on the assembled capacities and broadcasts either "deepen" (everyone
+  // grows and the loop repeats) or the final move matrix — exactly the
+  // lazy-deepening loop of the shared-memory driver, with communication
+  // in the middle.
+  StageDecision decision;
+  while (true) {
+    Packet mine;
+    mine.pack(layering.exhausted() ? 1 : 0);
+    eps_rows.assign(owned.size() * parts, 0);
+    for (std::size_t k = 0; k < owned.size(); ++k) {
+      const auto row = layering.eps().row(static_cast<std::size_t>(owned[k]));
+      std::copy(row.begin(), row.end(), eps_rows.begin() + k * parts);
+    }
+    mine.pack_vector(eps_rows);
+    const std::vector<Packet> gathered = transport.allgather(std::move(mine));
+
+    int action = 0;  // 0 = moves ready, 1 = deepen
+    Packet decision_packet;
+    if (transport.rank() == 0) {
+      bool all_exhausted = true;
+      pigp::DenseMatrix<std::int64_t> eps(parts, parts, 0);
+      for (int r = 0; r < transport.num_ranks(); ++r) {
+        Packet p = gathered[static_cast<std::size_t>(r)];
+        const bool rank_exhausted = p.unpack<int>() != 0;
+        all_exhausted = all_exhausted && rank_exhausted;
+        const std::vector<std::int64_t> rows = p.unpack_vector<std::int64_t>();
+        std::size_t k = 0;
+        for (PartId q = 0; q < static_cast<PartId>(parts); ++q) {
+          if (graph::shard_owner(q, transport.num_ranks()) != r) continue;
+          for (std::size_t j = 0; j < parts; ++j) {
+            eps(static_cast<std::size_t>(q), j) = rows[k * parts + j];
+          }
+          ++k;
+        }
+      }
+      // Same acceptance rule as the shared-memory driver: take α = 1 at
+      // any depth, anything else only at exhaustion — so before exhaustion
+      // only the α = 1 rung of the ladder is solved.
+      BalanceOptions ladder = options;
+      if (!all_exhausted) ladder.alpha_max = 1.0;
+      decision = decide_stage_moves_alpha(eps, excess, ladder);
+      if (!all_exhausted && !decision.lp_feasible) {
+        action = 1;
+      } else {
+        if (!decision.lp_feasible) {
+          decision = best_effort_stage_moves(eps, excess, options);
+        }
+        decision.stats.layer_depth = all_exhausted ? -1 : depth_budget;
+      }
+      decision_packet.pack(action);
+      if (action == 0) {
+        decision_packet.pack(decision.progress ? 1 : 0);
+        moves_flat.resize(parts * parts);
+        for (std::size_t i = 0; i < parts; ++i) {
+          for (std::size_t j = 0; j < parts; ++j) {
+            moves_flat[i * parts + j] = decision.moves(i, j);
+          }
+        }
+        decision_packet.pack_vector(moves_flat);
+      }
+    }
+    Packet received = transport.broadcast(0, std::move(decision_packet));
+    action = received.unpack<int>();
+    if (action == 1) {
+      layering.grow(grow_step, 1);
+      depth_budget += grow_step;
+      grow_step *= 2;  // double the total depth per retry
+      continue;
+    }
+    SpmdStageOutcome outcome;
+    outcome.progress = received.unpack<int>() != 0;
+    if (outcome.progress) {
+      moves_flat = received.unpack_vector<std::int64_t>();
+    }
+    outcome.stage = decision.stats;
+    return outcome;
+  }
 }
 
-/// Balance stages + refinement on an already-extended (g_new, shared,
-/// state) triple — the SPMD engine shared by the compat and in-place entry
-/// points.  \p rank_ws holds one persistent Workspace per rank (resumable
-/// layering + gather/pack staging); \p refine_ws is the caller's workspace
-/// for the refinement pass (null = call-local buffers).
-IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
-                          graph::Partitioning& shared,
-                          const IgpOptions& options,
-                          graph::PartitionState& state,
-                          std::vector<Workspace>& rank_ws,
-                          Workspace* refine_ws) {
+IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
+                                    const graph::Graph& g_new,
+                                    graph::Partitioning& partitioning,
+                                    VertexId n_old, const IgpOptions& options,
+                                    graph::PartitionState& state,
+                                    Workspace& ws,
+                                    std::vector<Workspace>& rank_ws) {
+  // Step 1: seeded in-place assignment through the maintained state (the
+  // SPMD engine replicates the graph, so step 1 is a single global pass).
+  AssignOptions assign_options;
+  assign_options.num_threads = 1;
+  extend_assignment_state(g_new, partitioning, n_old, state, ws,
+                          assign_options);
+
   rank_ws.resize(static_cast<std::size_t>(executor.num_ranks()));
-  const auto parts = static_cast<std::size_t>(shared.num_parts);
-  const std::vector<double> targets =
-      graph::balance_targets(g_new.total_vertex_weight(), shared.num_parts);
+  const auto parts = static_cast<std::size_t>(partitioning.num_parts);
+  const std::vector<double> targets = graph::balance_targets(
+      g_new.total_vertex_weight(), partitioning.num_parts);
 
   IgpResult result;
 
@@ -47,13 +140,14 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
     // id remap or a shrink, so steady-state stages reset in O(labeled).
     Workspace& mine_ws = rank_ws[static_cast<std::size_t>(ctx.rank())];
     std::vector<PartId> owned;
-    for (PartId q = 0; q < shared.num_parts; ++q) {
-      if (owner_of(q, ctx.num_ranks()) == ctx.rank()) owned.push_back(q);
+    for (PartId q = 0; q < partitioning.num_parts; ++q) {
+      if (graph::shard_owner(q, ctx.num_ranks()) == ctx.rank()) {
+        owned.push_back(q);
+      }
     }
     bool layering_bound = false;
     std::vector<double> excess(parts, 0.0);
     std::vector<std::int64_t>& moves_flat = mine_ws.spmd_moves_flat;
-    moves_flat.assign(parts * parts, 0);
 
     for (int stage = 0; stage < options.balance.max_stages; ++stage) {
       // Every rank reads the excess off the shared state's maintained
@@ -69,111 +163,32 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
         break;
       }
 
-      // Boundary-seeded, depth-capped layering of the owned partitions.
+      // Boundary-seeded, depth-capped layering of the owned partitions,
+      // then the shared deepen-vs-decide handshake.
       BoundaryLayering& layering = mine_ws.layering;
       if (!layering_bound) {
-        layering.bind(g_new, shared);
+        layering.bind(g_new, partitioning);
         layering_bound = true;
       }
       layering.reseed(state, 1, &owned);
-      const int cap = options.balance.max_layers;
-      int depth_budget = cap == 0 ? -1 : cap;
-      layering.grow(depth_budget, 1);
-      int grow_step = cap;
-
-      // Deepen-vs-decide handshake: allgather (exhausted flag, owned eps
-      // rows); rank 0 runs the α ladder on the assembled capacities and
-      // broadcasts either "deepen" (everyone grows and the loop repeats)
-      // or the final move matrix — exactly the lazy-deepening loop of the
-      // shared-memory driver, with communication in the middle.
-      StageDecision decision;
-      bool progress = false;
-      while (true) {
-        Packet mine;
-        mine.pack(layering.exhausted() ? 1 : 0);
-        std::vector<std::int64_t>& eps_rows = mine_ws.spmd_eps_rows;
-        eps_rows.assign(owned.size() * parts, 0);
-        for (std::size_t k = 0; k < owned.size(); ++k) {
-          const auto row =
-              layering.eps().row(static_cast<std::size_t>(owned[k]));
-          std::copy(row.begin(), row.end(), eps_rows.begin() + k * parts);
-        }
-        mine.pack_vector(eps_rows);
-        const std::vector<Packet> gathered = ctx.allgather(std::move(mine));
-
-        int action = 0;  // 0 = moves ready, 1 = deepen
-        Packet decision_packet;
-        if (ctx.rank() == 0) {
-          bool all_exhausted = true;
-          pigp::DenseMatrix<std::int64_t> eps(parts, parts, 0);
-          for (int r = 0; r < ctx.num_ranks(); ++r) {
-            Packet p = gathered[static_cast<std::size_t>(r)];
-            const bool rank_exhausted = p.unpack<int>() != 0;
-            all_exhausted = all_exhausted && rank_exhausted;
-            const std::vector<std::int64_t> rows =
-                p.unpack_vector<std::int64_t>();
-            std::size_t k = 0;
-            for (PartId q = 0; q < shared.num_parts; ++q) {
-              if (owner_of(q, ctx.num_ranks()) != r) continue;
-              for (std::size_t j = 0; j < parts; ++j) {
-                eps(static_cast<std::size_t>(q), j) = rows[k * parts + j];
-              }
-              ++k;
-            }
-          }
-          // Same acceptance rule as the shared-memory driver: take α = 1
-          // at any depth, anything else only at exhaustion — so before
-          // exhaustion only the α = 1 rung of the ladder is solved.
-          BalanceOptions ladder = options.balance;
-          if (!all_exhausted) ladder.alpha_max = 1.0;
-          decision = decide_stage_moves_alpha(eps, excess, ladder);
-          if (!all_exhausted && !decision.lp_feasible) {
-            action = 1;
-          } else {
-            if (!decision.lp_feasible) {
-              decision =
-                  best_effort_stage_moves(eps, excess, options.balance);
-            }
-            decision.stats.layer_depth = all_exhausted ? -1 : depth_budget;
-          }
-          decision_packet.pack(action);
-          if (action == 0) {
-            decision_packet.pack(decision.progress ? 1 : 0);
-            for (std::size_t i = 0; i < parts; ++i) {
-              for (std::size_t j = 0; j < parts; ++j) {
-                moves_flat[i * parts + j] = decision.moves(i, j);
-              }
-            }
-            decision_packet.pack_vector(moves_flat);
-          }
-        }
-        Packet received = ctx.broadcast(0, std::move(decision_packet));
-        action = received.unpack<int>();
-        if (action == 1) {
-          layering.grow(grow_step, 1);
-          depth_budget += grow_step;
-          grow_step *= 2;  // double the total depth per retry
-          continue;
-        }
-        progress = received.unpack<int>() != 0;
-        if (progress) moves_flat = received.unpack_vector<std::int64_t>();
-        break;
-      }
-      if (!progress) break;
+      const SpmdStageOutcome outcome = spmd_balance_handshake(
+          ctx, layering, owned, excess, options.balance, mine_ws.spmd_eps_rows,
+          moves_flat);
+      if (!outcome.progress) break;
       if (ctx.rank() == 0) {
-        result.balance_result.stages.push_back(decision.stats);
+        result.balance_result.stages.push_back(outcome.stage);
       }
 
       // Each rank selects the transfers out of its owned partitions with
       // the same ordering as the shared-memory driver (selection reads the
-      // pre-move `shared` state).  The selections are then gathered and
-      // rank 0 applies every move through the state in the flat driver's
-      // order (source asc, dest asc, selection order) so the aggregates
-      // and the boundary index evolve bit-identically.
+      // pre-move `partitioning` state).  The selections are then gathered
+      // and rank 0 applies every move through the state in the flat
+      // driver's order (source asc, dest asc, selection order) so the
+      // aggregates and the boundary index evolve bit-identically.
       Packet sel_packet;
       for (const PartId q : owned) {
         const auto selections = select_partition_transfers(
-            g_new, shared, layering.label(), layering.layer(),
+            g_new, partitioning, layering.label(), layering.layer(),
             layering.labeled(q), q,
             moves_flat.data() + static_cast<std::size_t>(q) * parts);
         for (std::size_t j = 0; j < parts; ++j) {
@@ -186,8 +201,8 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
         std::vector<std::vector<std::vector<VertexId>>> by_source(parts);
         for (int r = 0; r < ctx.num_ranks(); ++r) {
           Packet p = all_selections[static_cast<std::size_t>(r)];
-          for (PartId q = 0; q < shared.num_parts; ++q) {
-            if (owner_of(q, ctx.num_ranks()) != r) continue;
+          for (PartId q = 0; q < partitioning.num_parts; ++q) {
+            if (graph::shard_owner(q, ctx.num_ranks()) != r) continue;
             auto& rows = by_source[static_cast<std::size_t>(q)];
             rows.resize(parts);
             for (std::size_t j = 0; j < parts; ++j) {
@@ -199,7 +214,7 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
           if (by_source[i].empty()) continue;
           for (std::size_t j = 0; j < parts; ++j) {
             for (const VertexId v : by_source[i][j]) {
-              state.move_vertex(g_new, shared, v,
+              state.move_vertex(g_new, partitioning, v,
                                 static_cast<PartId>(j));
             }
           }
@@ -226,80 +241,28 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
   // The refinement LP is identical to the shared-memory path; candidate
   // gathering is the parallel part and reuses the OpenMP implementation.
   if (options.refine) {
-    result.refine_stats = refine_partitioning(g_new, shared, state,
-                                              options.refinement, refine_ws);
+    result.refine_stats = refine_partitioning(g_new, partitioning, state,
+                                              options.refinement, &ws);
   }
   return result;
 }
 
-}  // namespace
-
-IgpResult spmd_repartition(SpmdExecutor& executor,
-                           const graph::Graph& g_new,
+IgpResult spmd_repartition(SpmdExecutor& executor, const graph::Graph& g_new,
                            const graph::Partitioning& old_partitioning,
                            VertexId n_old, const IgpOptions& options,
                            graph::PartitionState* state) {
-  std::vector<Workspace> rank_ws;
-  if (state != nullptr) {
-    Workspace ws;
-    graph::Partitioning working = old_partitioning;
-    IgpResult result = spmd_repartition_in_place(
-        executor, g_new, working, n_old, options, *state, ws, rank_ws);
-    result.partitioning = std::move(working);
-    return result;
-  }
-
-  // Step 1 runs once up front (multi-source BFS is a global operation; the
-  // CM-5 version distributes the frontier, which the OpenMP path models).
-  AssignOptions assign_options;
-  assign_options.num_threads = 1;
-  graph::Partitioning working =
-      extend_assignment(g_new, old_partitioning, n_old, assign_options);
+  graph::Partitioning working = old_partitioning;
   graph::PartitionState local_state;
-  local_state.rebuild(g_new, working);
-  IgpResult result = run_spmd_engine(executor, g_new, working, options,
-                                     local_state, rank_ws, nullptr);
+  if (state == nullptr) {
+    seed_extension_state(g_new, working, local_state);
+    state = &local_state;
+  }
+  Workspace ws;
+  std::vector<Workspace> rank_ws;
+  IgpResult result = spmd_repartition_in_place(
+      executor, g_new, working, n_old, options, *state, ws, rank_ws);
   result.partitioning = std::move(working);
   return result;
-}
-
-IgpResult spmd_repartition(runtime::Machine& machine,
-                           const graph::Graph& g_new,
-                           const graph::Partitioning& old_partitioning,
-                           VertexId n_old, const IgpOptions& options,
-                           graph::PartitionState* state) {
-  MachineExecutor executor(machine);
-  return spmd_repartition(executor, g_new, old_partitioning, n_old, options,
-                          state);
-}
-
-IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
-                                    const graph::Graph& g_new,
-                                    graph::Partitioning& partitioning,
-                                    VertexId n_old, const IgpOptions& options,
-                                    graph::PartitionState& state,
-                                    Workspace& ws,
-                                    std::vector<Workspace>& rank_ws) {
-  // Step 1: seeded in-place assignment through the maintained state (the
-  // SPMD engine replicates the graph, so step 1 is a single global pass).
-  AssignOptions assign_options;
-  assign_options.num_threads = 1;
-  extend_assignment_state(g_new, partitioning, n_old, state, ws,
-                          assign_options);
-  return run_spmd_engine(executor, g_new, partitioning, options, state,
-                         rank_ws, &ws);
-}
-
-IgpResult spmd_repartition_in_place(runtime::Machine& machine,
-                                    const graph::Graph& g_new,
-                                    graph::Partitioning& partitioning,
-                                    VertexId n_old, const IgpOptions& options,
-                                    graph::PartitionState& state,
-                                    Workspace& ws,
-                                    std::vector<Workspace>& rank_ws) {
-  MachineExecutor executor(machine);
-  return spmd_repartition_in_place(executor, g_new, partitioning, n_old,
-                                   options, state, ws, rank_ws);
 }
 
 }  // namespace pigp::core

@@ -11,7 +11,10 @@
 /// and broadcasts the movement matrix, and each rank applies the transfers
 /// out of its owned partitions.  Results are bit-identical to the
 /// shared-memory driver — test_spmd_igp asserts it — so the communication
-/// structure is exercised without changing semantics.
+/// structure is exercised without changing semantics.  The per-stage
+/// deepen-vs-decide exchange is spmd_balance_handshake, which the sharded
+/// engine in core/spmd_worker.hpp calls too, so both engines speak one
+/// protocol.
 ///
 /// An SpmdExecutor decides what carries the messages: MachineExecutor runs
 /// the ranks as threads over the runtime::Machine mailboxes (the original
@@ -21,6 +24,7 @@
 /// one-process-per-rank shape lives in core/spmd_worker.hpp, which shards
 /// the graph instead of replicating it.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -36,6 +40,7 @@
 namespace pigp::core {
 
 struct Workspace;
+class BoundaryLayering;
 
 /// How the SPMD ranks run and talk: an executor owns the rank threads and
 /// hands each one a net::Transport.  The engine is written against this
@@ -53,25 +58,20 @@ class SpmdExecutor {
 /// oracle and the default backend shape.
 class MachineExecutor final : public SpmdExecutor {
  public:
-  explicit MachineExecutor(int num_ranks)
-      : owned_(std::make_unique<runtime::Machine>(num_ranks)),
-        machine_(owned_.get()) {}
-  /// Borrow an existing machine (the Machine& compatibility entry points).
-  explicit MachineExecutor(runtime::Machine& machine) : machine_(&machine) {}
+  explicit MachineExecutor(int num_ranks) : machine_(num_ranks) {}
 
   [[nodiscard]] int num_ranks() const noexcept override {
-    return machine_->num_ranks();
+    return machine_.num_ranks();
   }
   void run(const std::function<void(net::Transport&)>& body) override {
-    machine_->run([&body](runtime::RankContext& ctx) {
+    machine_.run([&body](runtime::RankContext& ctx) {
       net::InProcessTransport transport(ctx);
       body(transport);
     });
   }
 
  private:
-  std::unique_ptr<runtime::Machine> owned_;
-  runtime::Machine* machine_;
+  runtime::Machine machine_;
 };
 
 /// Ranks as threads speaking real TCP over loopback sockets — the whole
@@ -121,19 +121,66 @@ class FaultInjectingExecutor final : public SpmdExecutor {
   std::shared_ptr<net::FaultScript> script_;
 };
 
-/// Run the full IGP/IGPR pipeline on \p executor's ranks.  The graph is
-/// replicated (the CM-5 implementation also kept the small meshes resident
-/// per node); partition ownership is round-robin: rank r owns partitions q
-/// with q % num_ranks == r.
+/// What one rank learns from a stage's spmd_balance_handshake.
+struct SpmdStageOutcome {
+  /// Identical on every rank: false = the decided stage moves nothing, so
+  /// balancing stops.
+  bool progress = false;
+  /// The decided stage's LP statistics and layering depth — filled on
+  /// rank 0 only (the rank that solved the LP).
+  BalanceStage stage;
+};
+
+/// One balance stage's deepen-vs-decide handshake — the single copy of the
+/// protocol both SPMD engines (spmd_repartition_in_place and
+/// spmd_worker_rebalance) run.  \p layering is this rank's layering of its
+/// \p owned partitions, reseeded for the stage; the handshake grows it to
+/// options.max_layers, then loops: allgather (exhausted flag, owned ε
+/// rows); rank 0 assembles ε (partition q from rank graph::shard_owner),
+/// runs the α ladder — α = 1 only until every rank's layering is
+/// exhausted, the shared-memory driver's acceptance rule — and broadcasts
+/// either "deepen" (every rank doubles its depth and the loop repeats) or
+/// the stage's move matrix.  \p excess is the per-partition excess, the
+/// same on every rank.  \p eps_rows and \p moves_flat are caller-owned
+/// buffers; on return with progress, \p moves_flat holds the row-major
+/// P×P move matrix on every rank.
+[[nodiscard]] SpmdStageOutcome spmd_balance_handshake(
+    net::Transport& transport, BoundaryLayering& layering,
+    const std::vector<graph::PartId>& owned, const std::vector<double>& excess,
+    const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
+    std::vector<std::int64_t>& moves_flat);
+
+/// The streaming entry point, mirroring
+/// IncrementalPartitioner::repartition_in_place: run the full IGP/IGPR
+/// pipeline on \p executor's ranks, in place on \p partitioning (covering
+/// [0, n_old) on entry) and \p state (describing it with the appended tail
+/// unassigned).  The graph is replicated (the CM-5 implementation also
+/// kept the small meshes resident per node); partition ownership is
+/// round-robin (graph::shard_owner): rank r owns partitions q with
+/// q % num_ranks == r.
 ///
 /// Boundary-local like the flat driver: each rank seeds its owned
 /// partitions' layering from the shared PartitionState's boundary index
-/// and grows it depth-capped; the deepen-vs-decide handshake is a
-/// broadcast from rank 0, so every rank retries the α ladder on the same
-/// lazily-deepened ε capacities and the decisions stay bit-identical to
-/// the shared-memory pipeline.  Selected transfers are gathered and
-/// applied by rank 0 through the state (the writes were always trivial —
-/// layering and selection are the parallel work).  \p state follows the
+/// and runs spmd_balance_handshake, so every rank retries the α ladder on
+/// the same lazily-deepened ε capacities and the decisions stay
+/// bit-identical to the shared-memory pipeline.  Selected transfers are
+/// gathered and applied by rank 0 through the state (the writes were
+/// always trivial — layering and selection are the parallel work).  Step 1
+/// and refinement draw from the caller's \p ws; \p rank_ws (resized to the
+/// executor's rank count) holds one persistent Workspace per rank for the
+/// resumable layering and the gather/pack staging buffers — so a
+/// steady-state SPMD repartition reuses all per-vertex storage instead of
+/// reallocating it every call.  result.partitioning is left empty — the
+/// answer IS \p partitioning.
+[[nodiscard]] IgpResult spmd_repartition_in_place(
+    SpmdExecutor& executor, const graph::Graph& g_new,
+    graph::Partitioning& partitioning, graph::VertexId n_old,
+    const IgpOptions& options, graph::PartitionState& state, Workspace& ws,
+    std::vector<Workspace>& rank_ws);
+
+/// Copying adapter over spmd_repartition_in_place: copies
+/// \p old_partitioning and runs the in-place pipeline on the copy, which
+/// result.partitioning returns.  \p state follows the
 /// IncrementalPartitioner::repartition contract: non-null = maintained by
 /// the caller and left describing the result; null = seeded internally
 /// with one O(V+E) rescan.
@@ -141,34 +188,5 @@ class FaultInjectingExecutor final : public SpmdExecutor {
     SpmdExecutor& executor, const graph::Graph& g_new,
     const graph::Partitioning& old_partitioning, graph::VertexId n_old,
     const IgpOptions& options = {}, graph::PartitionState* state = nullptr);
-
-/// Compatibility: run on a caller-owned Machine (wrapped in a
-/// MachineExecutor).
-[[nodiscard]] IgpResult spmd_repartition(
-    runtime::Machine& machine, const graph::Graph& g_new,
-    const graph::Partitioning& old_partitioning, graph::VertexId n_old,
-    const IgpOptions& options = {}, graph::PartitionState* state = nullptr);
-
-/// The streaming hot path, mirroring
-/// IncrementalPartitioner::repartition_in_place: the pipeline runs in
-/// place on \p partitioning / \p state with the session's \p ws for the
-/// assignment step and one persistent Workspace per rank (\p rank_ws,
-/// resized to the executor's rank count) for the per-rank resumable
-/// layering and the gather/pack staging buffers — so a steady-state SPMD
-/// repartition reuses all per-vertex storage instead of reallocating it
-/// every call.  Decisions stay bit-identical to the flat driver.
-/// result.partitioning is left empty — the answer IS \p partitioning.
-[[nodiscard]] IgpResult spmd_repartition_in_place(
-    SpmdExecutor& executor, const graph::Graph& g_new,
-    graph::Partitioning& partitioning, graph::VertexId n_old,
-    const IgpOptions& options, graph::PartitionState& state, Workspace& ws,
-    std::vector<Workspace>& rank_ws);
-
-/// Compatibility: the in-place hot path on a caller-owned Machine.
-[[nodiscard]] IgpResult spmd_repartition_in_place(
-    runtime::Machine& machine, const graph::Graph& g_new,
-    graph::Partitioning& partitioning, graph::VertexId n_old,
-    const IgpOptions& options, graph::PartitionState& state, Workspace& ws,
-    std::vector<Workspace>& rank_ws);
 
 }  // namespace pigp::core

@@ -7,11 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/balance.hpp"
 #include "core/layering.hpp"
+#include "core/spmd_igp.hpp"
 #include "core/transfer.hpp"
 #include "support/check.hpp"
-#include "support/dense_matrix.hpp"
 
 namespace pigp::core {
 namespace {
@@ -117,7 +116,7 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
 
   BoundaryLayering layering;
   std::vector<double> excess(parts, 0.0);
-  std::vector<std::int64_t> moves_flat(parts * parts, 0);
+  std::vector<std::int64_t> moves_flat;
   std::vector<std::int64_t> eps_rows;
   std::vector<std::vector<VertexId>> buckets(owned.size());
   std::unordered_map<VertexId, OverlayRow> overlays;
@@ -164,81 +163,13 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
       }
     }
     layering.reseed_from_buckets(buckets, owned, 1);
-    const int cap = options.balance.max_layers;
-    int depth_budget = cap == 0 ? -1 : cap;
-    layering.grow(depth_budget, 1);
-    int grow_step = cap;
 
-    // Deepen-vs-decide handshake — the exact protocol of run_spmd_engine:
-    // allgather (exhausted flag, owned eps rows); rank 0 runs the α ladder
-    // and broadcasts deepen or the move matrix.
-    bool progress = false;
-    while (true) {
-      Packet mine;
-      mine.pack(layering.exhausted() ? 1 : 0);
-      eps_rows.assign(owned.size() * parts, 0);
-      for (std::size_t k = 0; k < owned.size(); ++k) {
-        const auto row =
-            layering.eps().row(static_cast<std::size_t>(owned[k]));
-        std::copy(row.begin(), row.end(), eps_rows.begin() + k * parts);
-      }
-      mine.pack_vector(eps_rows);
-      const std::vector<Packet> gathered =
-          transport.allgather(std::move(mine));
-
-      int action = 0;  // 0 = moves ready, 1 = deepen
-      Packet decision_packet;
-      if (transport.rank() == 0) {
-        bool all_exhausted = true;
-        pigp::DenseMatrix<std::int64_t> eps(parts, parts, 0);
-        for (int r = 0; r < transport.num_ranks(); ++r) {
-          Packet pk = gathered[static_cast<std::size_t>(r)];
-          const bool rank_exhausted = pk.unpack<int>() != 0;
-          all_exhausted = all_exhausted && rank_exhausted;
-          const std::vector<std::int64_t> rows =
-              pk.unpack_vector<std::int64_t>();
-          std::size_t k = 0;
-          for (PartId q = 0; q < p.num_parts; ++q) {
-            if (graph::shard_owner(q, transport.num_ranks()) != r) continue;
-            for (std::size_t j = 0; j < parts; ++j) {
-              eps(static_cast<std::size_t>(q), j) = rows[k * parts + j];
-            }
-            ++k;
-          }
-        }
-        BalanceOptions ladder = options.balance;
-        if (!all_exhausted) ladder.alpha_max = 1.0;
-        StageDecision decision =
-            decide_stage_moves_alpha(eps, excess, ladder);
-        if (!all_exhausted && !decision.lp_feasible) {
-          action = 1;
-        } else if (!decision.lp_feasible) {
-          decision = best_effort_stage_moves(eps, excess, options.balance);
-        }
-        decision_packet.pack(action);
-        if (action == 0) {
-          decision_packet.pack(decision.progress ? 1 : 0);
-          for (std::size_t i = 0; i < parts; ++i) {
-            for (std::size_t j = 0; j < parts; ++j) {
-              moves_flat[i * parts + j] = decision.moves(i, j);
-            }
-          }
-          decision_packet.pack_vector(moves_flat);
-        }
-      }
-      Packet received = transport.broadcast(0, std::move(decision_packet));
-      action = received.unpack<int>();
-      if (action == 1) {
-        layering.grow(grow_step, 1);
-        depth_budget += grow_step;
-        grow_step *= 2;
-        continue;
-      }
-      progress = received.unpack<int>() != 0;
-      if (progress) moves_flat = received.unpack_vector<std::int64_t>();
-      break;
-    }
-    if (!progress) break;
+    // The deepen-vs-decide handshake the in-process engine runs; this
+    // engine needs only the agreed moves, not rank 0's stage statistics.
+    const SpmdStageOutcome outcome = spmd_balance_handshake(
+        transport, layering, owned, excess, options.balance, eps_rows,
+        moves_flat);
+    if (!outcome.progress) break;
     ++stats.stages;
 
     // Select the transfers out of our owned partitions (same ordering as

@@ -6,13 +6,14 @@
 /// core/spmd_igp runs the paper's protocol with the graph replicated and a
 /// shared PartitionState — fine for threads, impossible across processes.
 /// This engine runs the SAME per-stage protocol (boundary-seeded
-/// depth-capped layering of owned partitions, allgathered ε capacities,
-/// rank-0 α-ladder LP, broadcast deepen-vs-decide, per-rank selection)
-/// against a graph::GraphShard: each rank holds full adjacency rows only
-/// for vertices in its owned partitions (plus halo), the partition-id and
-/// vertex-weight vectors are replicated, and every rank applies the
-/// decided moves to its replica in the same global order so the replicas
-/// never diverge.
+/// depth-capped layering of owned partitions, then the one
+/// core::spmd_balance_handshake both engines call — allgathered ε
+/// capacities, rank-0 α-ladder LP, broadcast deepen-vs-decide — then
+/// per-rank selection) against a graph::GraphShard: each rank holds full
+/// adjacency rows only for vertices in its owned partitions (plus halo),
+/// the partition-id and vertex-weight vectors are replicated, and every
+/// rank applies the decided moves to its replica in the same global order
+/// so the replicas never diverge.
 ///
 /// When the balancer moves a vertex into a partition owned by another
 /// rank, the selection message carries the vertex's full adjacency row and

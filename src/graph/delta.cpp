@@ -1,130 +1,12 @@
 #include "graph/delta.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "graph/builder.hpp"
 #include "graph/partition.hpp"
 #include "support/check.hpp"
 
 namespace pigp::graph {
-namespace {
-
-/// Append-only fast path: with no removals the old CSR survives verbatim,
-/// so instead of rebuilding (and re-sorting) the whole graph through
-/// GraphBuilder — O(E log E), the dominant cost of absorbing a small delta
-/// into a large graph — merge the delta's O(Δ) new half-edges into the
-/// existing sorted adjacency in one linear copy pass.  Output, validation
-/// semantics and duplicate-merge (weight-sum) behavior are identical to
-/// the general path.
-DeltaResult apply_append_only(const Graph& g, const GraphDelta& delta) {
-  const VertexId n_old = g.num_vertices();
-  const auto added = static_cast<VertexId>(delta.added_vertices.size());
-  const VertexId n_new = n_old + added;
-
-  DeltaResult result;
-  result.old_to_new.resize(static_cast<std::size_t>(n_old));
-  std::iota(result.old_to_new.begin(), result.old_to_new.end(), 0);
-  result.new_vertex_ids.resize(static_cast<std::size_t>(added));
-  std::iota(result.new_vertex_ids.begin(), result.new_vertex_ids.end(),
-            n_old);
-  result.first_new_vertex = n_old;
-
-  // Collect and validate the new half-edges (both directions), exactly as
-  // GraphBuilder would.
-  struct Half {
-    VertexId from;
-    VertexId to;
-    double weight;
-  };
-  std::vector<Half> extra;
-  for (std::size_t i = 0; i < delta.added_vertices.size(); ++i) {
-    const VertexAddition& add = delta.added_vertices[i];
-    PIGP_CHECK(add.weight >= 0.0, "vertex weight must be non-negative");
-    const VertexId self = n_old + static_cast<VertexId>(i);
-    for (const auto& [endpoint, weight] : add.edges) {
-      PIGP_CHECK(endpoint < self + 1,
-                 "vertex addition references a later vertex");
-      PIGP_CHECK(endpoint >= 0, "delta vertex id out of range");
-      PIGP_CHECK(endpoint != self, "self-loop in vertex addition");
-      PIGP_CHECK(weight >= 0.0, "edge weight must be non-negative");
-      extra.push_back({self, endpoint, weight});
-      extra.push_back({endpoint, self, weight});
-    }
-  }
-  PIGP_CHECK(delta.added_edges.size() == delta.added_edge_weights.size() ||
-                 delta.added_edge_weights.empty(),
-             "added edge weights must be empty or parallel to added_edges");
-  for (std::size_t i = 0; i < delta.added_edges.size(); ++i) {
-    const auto [u, v] = delta.added_edges[i];
-    PIGP_CHECK(u >= 0 && u < n_new && v >= 0 && v < n_new,
-               "delta vertex id out of range");
-    PIGP_CHECK(u != v, "self-loops are not allowed");
-    const double w =
-        delta.added_edge_weights.empty() ? 1.0 : delta.added_edge_weights[i];
-    PIGP_CHECK(w >= 0.0, "edge weight must be non-negative");
-    extra.push_back({u, v, w});
-    extra.push_back({v, u, w});
-  }
-  std::stable_sort(extra.begin(), extra.end(),
-                   [](const Half& a, const Half& b) {
-                     return a.from != b.from ? a.from < b.from : a.to < b.to;
-                   });
-
-  std::vector<double> vertex_weights = g.vertex_weights();
-  vertex_weights.reserve(static_cast<std::size_t>(n_new));
-  for (const VertexAddition& add : delta.added_vertices) {
-    vertex_weights.push_back(add.weight);
-  }
-
-  std::vector<EdgeIndex> xadj;
-  std::vector<VertexId> adjncy;
-  std::vector<double> edge_weights;
-  xadj.reserve(static_cast<std::size_t>(n_new) + 1);
-  adjncy.reserve(static_cast<std::size_t>(g.num_half_edges()) + extra.size());
-  edge_weights.reserve(adjncy.capacity());
-  xadj.push_back(0);
-
-  std::size_t e = 0;
-  const auto extra_for = [&](VertexId v) {
-    return e < extra.size() && extra[e].from == v;
-  };
-  for (VertexId v = 0; v < n_new; ++v) {
-    const auto nbrs = v < n_old ? g.neighbors(v) : std::span<const VertexId>{};
-    const auto ws =
-        v < n_old ? g.incident_edge_weights(v) : std::span<const double>{};
-    std::size_t i = 0;
-    while (i < nbrs.size() || extra_for(v)) {
-      if (!extra_for(v) || (i < nbrs.size() && nbrs[i] < extra[e].to)) {
-        adjncy.push_back(nbrs[i]);
-        edge_weights.push_back(ws[i]);
-        ++i;
-      } else {
-        // One or more new half-edges toward extra[e].to; duplicates merge
-        // by weight sum, onto the existing edge if there is one.
-        const VertexId to = extra[e].to;
-        double w = 0.0;
-        if (i < nbrs.size() && nbrs[i] == to) {
-          w = ws[i];
-          ++i;
-        }
-        while (extra_for(v) && extra[e].to == to) {
-          w += extra[e].weight;
-          ++e;
-        }
-        adjncy.push_back(to);
-        edge_weights.push_back(w);
-      }
-    }
-    xadj.push_back(static_cast<EdgeIndex>(adjncy.size()));
-  }
-
-  result.graph = Graph(std::move(xadj), std::move(adjncy),
-                       std::move(vertex_weights), std::move(edge_weights));
-  return result;
-}
-
-}  // namespace
 
 void validate_delta(const Graph& g, const GraphDelta& delta) {
   const VertexId n_old = g.num_vertices();
@@ -185,7 +67,6 @@ DeltaResult apply_delta(const Graph& g, const GraphDelta& delta) {
   PIGP_CHECK(g.num_dead_vertices() == 0,
              "apply_delta requires a compacted graph (no dead vertices)");
   validate_delta(g, delta);
-  if (!delta.has_removals()) return apply_append_only(g, delta);
   const VertexId n_old = g.num_vertices();
 
   std::vector<bool> removed(static_cast<std::size_t>(n_old), false);

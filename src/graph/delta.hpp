@@ -73,11 +73,8 @@ void validate_delta(const Graph& g, const GraphDelta& delta);
 /// validate_delta() and additionally requires \p g to have no dead
 /// (tombstoned) vertices — compact first.  Adding an edge that already
 /// exists merges the weights (sum), mirroring GraphBuilder semantics.
-///
-/// Append-only deltas (no removals — the paper's refinement-front case)
-/// take a fast path that merges the O(Δ) new half-edges into the existing
-/// sorted adjacency in one linear copy, instead of re-sorting the whole
-/// graph through GraphBuilder; the resulting graph is identical.
+/// Every result is one GraphBuilder rebuild — O(E log E) — so this is the
+/// single oracle the in-place mutators are compared against.
 [[nodiscard]] DeltaResult apply_delta(const Graph& g, const GraphDelta& delta);
 
 // Forward declaration (partition.hpp includes graph.hpp only).

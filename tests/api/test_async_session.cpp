@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "api/errors.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "spectral/partitioners.hpp"
 #include "support/check.hpp"
@@ -337,6 +338,73 @@ TEST(AsyncSession, BackpressureBlocksInsteadOfDropping) {
   EXPECT_EQ(session.view()->num_vertices(), vertices);
   EXPECT_LE(session.stats().queue_high_watermark, 1u);
   session.close();
+}
+
+/// One AsyncSession run on a batch-style backend — a fresh partitioning
+/// folded into the rebalance thread's snapshot state with
+/// PartitionState::transition — with the final graph replayed through the
+/// apply_delta oracle alongside.
+struct BatchBackendRun {
+  Graph graph;
+  std::shared_ptr<const PartitionView> view;
+  AsyncStats stats;
+  AsyncHealth health;
+};
+
+BatchBackendRun run_batch_backend(const std::string& backend) {
+  const Graph g = graph::random_geometric_graph(300, 0.1, 7);
+  SessionConfig config = async_config(4);
+  config.backend = backend;
+  config.scratch_method = "rgb";
+  AsyncSession session(config, g, spectral::recursive_graph_bisection(g, 4));
+  BatchBackendRun run;
+  run.graph = g;
+  for (int step = 0; step < 6; ++step) {
+    GraphDelta delta = append_delta(run.graph.num_vertices(), 3, step);
+    run.graph = graph::apply_delta(run.graph, delta).graph;
+    session.submit(std::move(delta));
+  }
+  session.flush();
+  run.view = session.view();
+  run.stats = session.stats();
+  run.health = session.health();
+  session.close();
+  return run;
+}
+
+/// The flushed view is a valid partitioning of the final graph, and the
+/// summary published with it (the front session's maintained metrics)
+/// describes exactly that assignment; every tick committed cleanly.
+void expect_clean_committed_view(const BatchBackendRun& run) {
+  Partitioning published;
+  published.num_parts = run.view->num_parts();
+  published.part = run.view->assignment();
+  published.validate(run.graph);
+  const graph::PartitionMetrics fresh =
+      graph::compute_metrics(run.graph, published);
+  EXPECT_EQ(run.view->summary().cut_total, fresh.cut_total);
+  EXPECT_EQ(run.view->summary().max_weight, fresh.max_weight);
+  EXPECT_EQ(run.view->summary().min_weight, fresh.min_weight);
+  EXPECT_GE(run.stats.rebalances_committed, 1);
+  EXPECT_EQ(run.stats.rebalance_failures, 0);
+  EXPECT_EQ(run.health.rebalance_failures, 0);
+  EXPECT_EQ(run.health.consecutive_failures, 0);
+  EXPECT_FALSE(run.health.error_latched);
+}
+
+TEST(AsyncSession, MultilevelBackendCommitsThroughTheRebalanceThread) {
+  const BatchBackendRun run = run_batch_backend("multilevel");
+  expect_clean_committed_view(run);
+}
+
+TEST(AsyncSession, ScratchBackendCommitsThroughTheRebalanceThread) {
+  const BatchBackendRun run = run_batch_backend("scratch");
+  expect_clean_committed_view(run);
+  // flush() leaves the view rebalanced over every delta, and the scratch
+  // backend ignores history: the view is the from-scratch partitioning of
+  // the final graph.
+  EXPECT_EQ(run.view->assignment(),
+            spectral::recursive_graph_bisection(run.graph, 4).part);
 }
 
 }  // namespace

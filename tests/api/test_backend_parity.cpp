@@ -2,15 +2,21 @@
 // delta stream through identical Session configurations and must agree —
 // exactly for flat vs SPMD (the message-passing driver is bit-identical to
 // the shared-memory pipeline by construction), and up to quality bounds for
-// the multilevel V-cycle (same balance guarantee, comparable cut).
+// the multilevel V-cycle (same balance guarantee, comparable cut).  Every
+// built-in backend's plain overload (the base-class copy-and-seed adapter)
+// also returns exactly what its in-place overload leaves behind.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "api/backend.hpp"
 #include "api/session.hpp"
+#include "core/workspace.hpp"
 #include "graph/generators.hpp"
+#include "graph/partition_state.hpp"
 #include "mesh/paper_meshes.hpp"
 #include "spectral/partitioners.hpp"
 
@@ -139,6 +145,57 @@ TEST(BackendParity, ScratchBackendRepartitionsIndependentlyOfHistory) {
   const Partitioning fresh =
       spectral::recursive_graph_bisection(session.graph(), kParts);
   EXPECT_EQ(session.partitioning().part, fresh.part);
+}
+
+TEST(BackendParity, PlainAdapterMatchesInPlaceOverloadForEveryBuiltIn) {
+  const mesh::MeshSequence seq =
+      mesh::make_small_mesh_sequence(500, {60}, 43);
+  const Graph& after = seq.graphs[1];
+  const graph::VertexId n_old = seq.graphs[0].num_vertices();
+  const graph::VertexId n = after.num_vertices();
+  ASSERT_LT(n_old, n);  // step 1 has vertices to place
+  const Partitioning initial =
+      spectral::recursive_spectral_bisection(seq.graphs[0], kParts);
+
+  SessionConfig config;
+  config.num_parts = kParts;
+  config.spmd_ranks = 3;
+  config.scratch_method = "rgb";
+  for (const std::string name :
+       {"igp", "igpr", "multilevel", "spmd", "scratch"}) {
+    config.backend = name;
+    const ResolvedConfig resolved = config.resolve();
+
+    const std::unique_ptr<Backend> plain =
+        BackendRegistry::global().create(name, resolved);
+    const BackendResult copied = plain->repartition(after, initial, n_old);
+
+    // The in-place overload on the shape Session hands it: the old prefix
+    // assigned, the appended tail unassigned in the state.
+    Partitioning working = initial;
+    working.part.resize(static_cast<std::size_t>(n), 0);
+    graph::PartitionState state(after, working);
+    for (graph::VertexId v = n_old; v < n; ++v) {
+      state.move_vertex(after, working, v, graph::kUnassigned);
+    }
+    working.part.resize(static_cast<std::size_t>(n_old));
+    core::Workspace ws;
+    const std::unique_ptr<Backend> in_place =
+        BackendRegistry::global().create(name, resolved);
+    const BackendResult direct =
+        in_place->repartition(after, working, n_old, state, ws);
+
+    EXPECT_TRUE(direct.partitioning.part.empty()) << name;
+    EXPECT_EQ(copied.partitioning.num_parts, working.num_parts) << name;
+    EXPECT_EQ(copied.partitioning.part, working.part) << name;
+    EXPECT_EQ(copied.stages, direct.stages) << name;
+    EXPECT_EQ(copied.balanced, direct.balanced) << name;
+    // The in-place run left the state describing its answer.
+    const graph::PartitionMetrics fresh =
+        graph::compute_metrics(after, working);
+    EXPECT_EQ(state.snapshot().weight, fresh.weight) << name;
+    EXPECT_EQ(state.cut_total(), fresh.cut_total) << name;
+  }
 }
 
 }  // namespace

@@ -37,11 +37,9 @@ class NetFaultBackend final : public Backend {
   }
 
   [[nodiscard]] BackendResult repartition(
-      const Graph& g_new, const Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    (void)g_new;
-    (void)old_partitioning;
-    (void)n_old;
+      const Graph& /*g_new*/, Partitioning& /*partitioning*/,
+      graph::VertexId /*n_old*/, graph::PartitionState& /*state*/,
+      core::Workspace& /*ws*/) override {
     ++g_fault_runs;
     net::TcpOptions options;
     options.recv_timeout_ms = 100;

@@ -33,9 +33,9 @@ TEST_P(SpmdEquivalence, MatchesSharedMemoryDriver) {
   const IgpResult expected = serial.repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices());
 
-  runtime::Machine machine(param.ranks);
+  MachineExecutor executor(param.ranks);
   const IgpResult actual = spmd_repartition(
-      machine, seq.graphs[1], initial, seq.graphs[0].num_vertices());
+      executor, seq.graphs[1], initial, seq.graphs[0].num_vertices());
 
   EXPECT_EQ(expected.partitioning.part, actual.partitioning.part);
   EXPECT_EQ(expected.balanced, actual.balanced);
@@ -58,9 +58,9 @@ TEST(SpmdIgp, WithoutRefinement) {
   const IgpResult expected = serial.repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices());
 
-  runtime::Machine machine(4);
+  MachineExecutor executor(4);
   const IgpResult actual =
-      spmd_repartition(machine, seq.graphs[1], initial,
+      spmd_repartition(executor, seq.graphs[1], initial,
                        seq.graphs[0].num_vertices(), options);
   EXPECT_EQ(expected.partitioning.part, actual.partitioning.part);
 }
@@ -71,10 +71,10 @@ TEST(SpmdIgp, MachineIsReusable) {
   Partitioning current =
       spectral::recursive_spectral_bisection(seq.graphs[0], 8);
 
-  runtime::Machine machine(4);
+  MachineExecutor executor(4);
   for (std::size_t step = 0; step + 1 < seq.graphs.size(); ++step) {
     const IgpResult result =
-        spmd_repartition(machine, seq.graphs[step + 1], current,
+        spmd_repartition(executor, seq.graphs[step + 1], current,
                          seq.graphs[step].num_vertices());
     EXPECT_TRUE(graph::is_balanced(seq.graphs[step + 1],
                                    result.partitioning, 1.0))
