@@ -148,6 +148,8 @@ std::vector<std::vector<graph::VertexId>> partition_members(
   std::vector<std::vector<graph::VertexId>> members(
       static_cast<std::size_t>(p.num_parts));
   for (std::size_t v = 0; v < p.part.size(); ++v) {
+    // Dead ids awaiting deferred compaction are unassigned: no member.
+    if (p.part[v] == graph::kUnassigned) continue;
     members[static_cast<std::size_t>(p.part[v])].push_back(
         static_cast<graph::VertexId>(v));
   }
@@ -294,6 +296,20 @@ void BoundaryLayering::reseed(const graph::PartitionState& state,
                               const std::vector<graph::PartId>* owned_parts) {
   begin_stage(owned_parts);
 
+  // One ascending walk of the whole boundary hands every seeded partition
+  // its seeds already sorted (the batch member scan's order).  The
+  // previous stage's undo left every labeled list empty.
+  seeded_mask_.assign(static_cast<std::size_t>(p_->num_parts), 0);
+  for (const graph::PartId q : seeded_) {
+    seeded_mask_[static_cast<std::size_t>(q)] = 1;
+  }
+  state.boundary_ascending(boundary_);
+  for (const graph::VertexId v : boundary_) {
+    const auto q =
+        static_cast<std::size_t>(p_->part[static_cast<std::size_t>(v)]);
+    if (seeded_mask_[q] != 0) labeled_[q].push_back(v);
+  }
+
   const bool parallel = num_threads > 1 && seeded_.size() > 1;
   scratch_.resize(static_cast<std::size_t>(
       std::max(1, parallel ? num_threads : 1)));
@@ -306,12 +322,7 @@ void BoundaryLayering::reseed(const graph::PartitionState& state,
       const graph::PartId q = seeded_[k];
       const auto qi = static_cast<std::size_t>(q);
       scratch.tally.assign(static_cast<std::size_t>(p_->num_parts), 0.0);
-      // Bucket order is unspecified (swap-remove); sort so seeds match the
-      // batch member scan and stay deterministic.
-      auto& seeds = labeled_[qi];
-      seeds.assign(state.boundary_vertices(q).begin(),
-                   state.boundary_vertices(q).end());
-      std::sort(seeds.begin(), seeds.end());
+      const auto& seeds = labeled_[qi];
       for (const graph::VertexId v : seeds) {
         const bool boundary =
             seed_vertex(*g_, *p_, q, v, scratch.tally, label_, layer_,
@@ -368,6 +379,8 @@ void BoundaryLayering::release() {
   std::vector<std::vector<graph::VertexId>>().swap(labeled_);
   std::vector<std::int32_t>().swap(depth_);
   std::vector<graph::PartId>().swap(seeded_);
+  std::vector<std::uint8_t>().swap(seeded_mask_);
+  std::vector<graph::VertexId>().swap(boundary_);
   std::vector<LayerScratch>().swap(scratch_);
   dirty_ = true;
 }

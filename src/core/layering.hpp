@@ -132,7 +132,9 @@ class BoundaryLayering {
 
   /// Reset the previous stage (O(labeled)) and seed layer 0 of every
   /// partition — or only of \p owned_parts when non-null (the SPMD driver
-  /// owns a subset per rank) — from \p state's boundary buckets.
+  /// owns a subset per rank) — from one ascending walk of \p state's
+  /// boundary (PartitionState::boundary_ascending), so every partition's
+  /// seeds arrive in id order without a sort.
   void reseed(const graph::PartitionState& state, int num_threads = 1,
               const std::vector<graph::PartId>* owned_parts = nullptr);
 
@@ -195,6 +197,8 @@ class BoundaryLayering {
   std::vector<std::vector<graph::VertexId>> labeled_;
   std::vector<std::int32_t> depth_;
   std::vector<graph::PartId> seeded_;  ///< partitions seeded this stage
+  std::vector<std::uint8_t> seeded_mask_;  ///< [q] = 1 iff q is seeded
+  std::vector<graph::VertexId> boundary_;  ///< ascending boundary walk
   std::vector<LayerScratch> scratch_;  ///< per OpenMP thread
 };
 

@@ -15,19 +15,87 @@
 namespace pigp::core {
 namespace {
 
-/// Candidate analysis for one round, restricted to the vertices of
-/// \p boundary (every candidate is a boundary vertex by definition, so
-/// scanning the maintained index instead of [0, V) yields the identical
-/// candidate set).  \p boundary must be sorted ascending — bucket order
-/// within each (i, j) list feeds a floating-point gain sum in the LP
-/// objective, so it must match the historical full-scan order.  Results
-/// land in \p candidates (cells cleared, capacity reused) with per-thread
-/// tallies from \p scratch, so a warm call allocates nothing.
-void collect_candidates(
-    const graph::Graph& g, const graph::Partitioning& p,
-    const std::vector<graph::VertexId>& boundary, bool strict,
-    int num_threads,
-    std::vector<Workspace::RefineThreadScratch>& scratch,
+using MoveAnalysis = Workspace::MoveAnalysis;
+
+/// Best move of boundary vertex \p v: the destination with the largest cut
+/// gain out(v, j) - in(v), ties to the smaller partition id (best = -1 when
+/// v has no external edge weight).  Reads only the assignments of v and
+/// its neighbours — the cache invalidation rule rests on exactly that.
+/// \p out is a per-part tally buffer (size num_parts).
+MoveAnalysis analyze_vertex(const graph::Graph& g,
+                            const graph::Partitioning& p, graph::VertexId v,
+                            std::vector<double>& out) {
+  const graph::PartId from = p.part[static_cast<std::size_t>(v)];
+  const auto nbrs = g.neighbors(v);
+  const auto weights = g.incident_edge_weights(v);
+  double in = 0.0;
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
+    if (q == from) {
+      in += weights[i];
+    } else {
+      out[static_cast<std::size_t>(q)] += weights[i];
+    }
+  }
+  MoveAnalysis best;
+  for (std::size_t q = 0; q < out.size(); ++q) {
+    if (out[q] <= 0.0) continue;
+    const double gain = out[q] - in;
+    if (best.best < 0 || gain > best.gain) {
+      best.best = static_cast<graph::PartId>(q);
+      best.gain = gain;
+    }
+  }
+  return best;
+}
+
+/// Analyse every vertex of the ascending \p boundary that has no live
+/// cache entry — all of it on the first round, afterwards only what the
+/// last kept round invalidated.  Each vertex writes only its own slot, so
+/// the re-analysis runs in parallel for large stale sets with results
+/// independent of the thread count.  Returns the number analysed.
+std::int64_t refresh_analysis(const graph::Graph& g,
+                              const graph::Partitioning& p,
+                              const std::vector<graph::VertexId>& boundary,
+                              int num_threads, Workspace& ws) {
+  auto& cache = ws.refine_analysis;
+  auto& stale = ws.refine_stale;
+  stale.clear();
+  for (const graph::VertexId v : boundary) {
+    if (!cache.contains(static_cast<std::size_t>(v))) stale.push_back(v);
+  }
+  const bool parallel = num_threads > 1 && stale.size() > 4096;
+  ws.refine_tallies.resize(static_cast<std::size_t>(std::max(1, num_threads)));
+
+#pragma omp parallel num_threads(num_threads) if (parallel)
+  {
+#ifdef _OPENMP
+    const int tid = parallel ? omp_get_thread_num() : 0;
+#else
+    const int tid = 0;
+#endif
+    auto& out = ws.refine_tallies[static_cast<std::size_t>(tid)];
+    out.assign(static_cast<std::size_t>(p.num_parts), 0.0);
+#pragma omp for schedule(static)
+    for (std::size_t b = 0; b < stale.size(); ++b) {
+      const graph::VertexId v = stale[b];
+      cache.set(static_cast<std::size_t>(v), analyze_vertex(g, p, v, out));
+    }
+  }
+  return static_cast<std::int64_t>(stale.size());
+}
+
+/// Fill the (i, j) candidate buckets from the cached analyses with one walk
+/// of the ascending boundary, keeping vertices whose best gain passes the
+/// round's condition (> 0 when \p strict, >= 0 otherwise).  Each bucket is
+/// ascending by vertex id — its order feeds a floating-point gain sum in
+/// the LP objective.  Cells are cleared, capacity reused.
+// pigp:steady-state
+void assemble_candidates(
+    const graph::Partitioning& p,
+    const std::vector<graph::VertexId>& boundary,
+    const EpochArray<MoveAnalysis>& cache, bool strict,
     pigp::DenseMatrix<std::vector<GainCandidate>>& candidates) {
   const auto parts = static_cast<std::size_t>(p.num_parts);
   if (candidates.rows() != parts || candidates.cols() != parts) {
@@ -37,78 +105,33 @@ void collect_candidates(
       for (std::size_t j = 0; j < parts; ++j) candidates(i, j).clear();
     }
   }
-  scratch.resize(static_cast<std::size_t>(std::max(1, num_threads)));
-  for (auto& s : scratch) s.found.clear();
-  const bool parallel = num_threads > 1 && boundary.size() > 4096;
+  for (const graph::VertexId v : boundary) {
+    const MoveAnalysis a = cache.get(static_cast<std::size_t>(v));
+    if (a.best < 0) continue;
+    if (strict ? a.gain > 0.0 : a.gain >= 0.0) {
+      candidates(static_cast<std::size_t>(p.part[static_cast<std::size_t>(v)]),
+                 static_cast<std::size_t>(a.best))
+          .push_back(GainCandidate{v, a.gain});
+    }
+  }
+}
 
-#pragma omp parallel num_threads(num_threads) if (parallel)
-  {
-#ifdef _OPENMP
-    const int tid = parallel ? omp_get_thread_num() : 0;
-#else
-    const int tid = 0;
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+/// Debug / PIGP_VALIDATE auditor: every boundary vertex's cached analysis
+/// must equal a from-scratch one, which pins the invalidation rule.
+void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
+                    const std::vector<graph::VertexId>& boundary,
+                    const EpochArray<MoveAnalysis>& cache) {
+  std::vector<double> out(static_cast<std::size_t>(p.num_parts), 0.0);
+  for (const graph::VertexId v : boundary) {
+    const auto vi = static_cast<std::size_t>(v);
+    const MoveAnalysis fresh = analyze_vertex(g, p, v, out);
+    PIGP_CHECK(cache.contains(vi) && cache.get(vi).best == fresh.best &&
+                   cache.get(vi).gain == fresh.gain,
+               "refine move-analysis cache is out of date");
+  }
+}
 #endif
-    auto& mine = scratch[static_cast<std::size_t>(tid)].found;
-    auto& out = scratch[static_cast<std::size_t>(tid)].out;
-    out.assign(parts, 0.0);
-#pragma omp for schedule(static)
-    for (std::size_t b = 0; b < boundary.size(); ++b) {
-      const graph::VertexId v = boundary[b];
-      const graph::PartId from = p.part[static_cast<std::size_t>(v)];
-      const auto nbrs = g.neighbors(v);
-      const auto weights = g.incident_edge_weights(v);
-      // out(v, j) per partition and in(v).
-      double in = 0.0;
-      std::fill(out.begin(), out.end(), 0.0);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
-        if (q == from) {
-          in += weights[i];
-        } else {
-          out[static_cast<std::size_t>(q)] += weights[i];
-        }
-      }
-      // Best destination by gain, ties to the smaller partition id.
-      graph::PartId best = -1;
-      double best_gain = 0.0;
-      for (std::size_t q = 0; q < parts; ++q) {
-        if (out[q] <= 0.0) continue;
-        const double gain = out[q] - in;
-        if (best < 0 || gain > best_gain) {
-          best = static_cast<graph::PartId>(q);
-          best_gain = gain;
-        }
-      }
-      if (best < 0) continue;
-      if (strict ? best_gain > 0.0 : best_gain >= 0.0) {
-        mine.emplace_back(
-            static_cast<std::size_t>(from) * parts +
-                static_cast<std::size_t>(best),
-            GainCandidate{v, best_gain});
-      }
-    }
-  }
-  // Static scheduling hands thread t a contiguous ascending chunk, so
-  // concatenating in tid order keeps each bucket ascending by vertex id —
-  // the same order the historical 0..V scan produced.
-  for (const auto& chunk : scratch) {
-    for (const auto& [slot, cand] : chunk.found) {
-      candidates(slot / parts, slot % parts).push_back(cand);
-    }
-  }
-}
-
-/// Sorted union of all partitions' boundary buckets, into \p boundary
-/// (capacity reused).
-void sorted_boundary(const graph::PartitionState& state,
-                     std::vector<graph::VertexId>& boundary) {
-  boundary.clear();
-  for (graph::PartId q = 0; q < state.num_parts(); ++q) {
-    const auto& bucket = state.boundary_vertices(q);
-    boundary.insert(boundary.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(boundary.begin(), boundary.end());
-}
 
 /// The refinement LP (eqs. 14–16) with a gain-aware objective.  The paper
 /// maximizes raw movement Σ l_ij; taken literally that lets zero-gain
@@ -200,22 +223,26 @@ RefineStats refine_partitioning(const graph::Graph& g,
   double cap_scale = 1.0;
   // Working storage: pooled in the session workspace when given, call-local
   // otherwise — identical decisions either way.
-  std::vector<std::pair<graph::VertexId, graph::PartId>> local_journal;
-  std::vector<graph::VertexId> local_boundary;
-  pigp::DenseMatrix<std::vector<GainCandidate>> local_candidates;
-  std::vector<Workspace::RefineThreadScratch> local_scratch;
-  auto& journal = ws ? ws->refine_journal : local_journal;
-  auto& boundary = ws ? ws->refine_boundary : local_boundary;
-  auto& candidates = ws ? ws->refine_candidates : local_candidates;
-  auto& scratch = ws ? ws->refine_scratch : local_scratch;
+  Workspace local_ws;
+  Workspace& w = ws != nullptr ? *ws : local_ws;
+  auto& journal = w.refine_journal;
+  auto& boundary = w.refine_boundary;
+  auto& candidates = w.refine_candidates;
+  w.refine_analysis.ensure(static_cast<std::size_t>(g.num_vertices()));
+  w.refine_analysis.clear();
 
-  // The sorted boundary only changes when a round's moves are kept; a
-  // reverted round restores the index exactly, so the retry reuses it.
-  sorted_boundary(state, boundary);
+  // The boundary only changes when a round's moves are kept; a reverted
+  // round restores the index exactly, so the retry reuses it.
+  state.boundary_ascending(boundary);
   for (int round = 0; round < options.max_rounds; ++round) {
     const bool strict = force_strict || round >= options.strict_after_round;
-    collect_candidates(g, partitioning, boundary, strict, options.num_threads,
-                       scratch, candidates);
+    stats.vertices_analyzed += refresh_analysis(g, partitioning, boundary,
+                                                options.num_threads, w);
+    assemble_candidates(partitioning, boundary, w.refine_analysis, strict,
+                        candidates);
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+    audit_analysis(g, partitioning, boundary, w.refine_analysis);
+#endif
     // No candidates at all: the LP would have zero variables — skip its
     // construction entirely (same terminal decision, no model churn).
     bool any_candidate = false;
@@ -265,14 +292,17 @@ RefineStats refine_partitioning(const graph::Graph& g,
     const graph::PartitionState::AggregateSnapshot saved =
         state.save_aggregates();
     journal.clear();
-    apply_gain_transfers(g, partitioning, candidates, moves, state, &journal);
+    apply_gain_transfers(g, partitioning, candidates, moves, state,
+                         w.refine_selection, &journal);
     ++stats.rounds;
 
     const double new_cut = state.cut_total();
     if (new_cut > cut && options.revert_on_regression) {
       // Batch interactions hurt (usually zero-gain vertices oscillating or
       // dense candidate clusters moving together); roll back and retry in
-      // strict mode first, then with progressively smaller batches.
+      // strict mode first, then with progressively smaller batches.  The
+      // replay restores every assignment, so every cached analysis stays
+      // exact.
       for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
         state.move_vertex(g, partitioning, it->first, it->second);
       }
@@ -287,12 +317,20 @@ RefineStats refine_partitioning(const graph::Graph& g,
       }
       break;
     }
+    // Moves kept: exactly the moved vertices and their neighbours saw an
+    // assignment change, so only their analyses go stale.
+    for (const auto& entry : journal) {
+      w.refine_analysis.invalidate(static_cast<std::size_t>(entry.first));
+      for (const graph::VertexId u : g.neighbors(entry.first)) {
+        w.refine_analysis.invalidate(static_cast<std::size_t>(u));
+      }
+    }
     stats.vertices_moved += moved;
     const double gain = cut - new_cut;
     cut = new_cut;
     stats.cut_after = cut;
     if (gain < options.min_gain) break;
-    sorted_boundary(state, boundary);  // moves kept: boundary changed
+    state.boundary_ascending(boundary);
   }
   return stats;
 }

@@ -51,6 +51,10 @@ struct RefineStats {
   double cut_after = 0.0;
   std::int64_t vertices_moved = 0;
   std::int64_t lp_iterations = 0;
+  /// Boundary vertices whose best move was (re)computed: the whole
+  /// boundary on the first round, then at most Σ (deg + 1) over the
+  /// previous kept round's moved vertices.
+  std::int64_t vertices_analyzed = 0;
 };
 
 /// Iteratively refine \p partitioning in place; returns statistics.  Load
@@ -61,16 +65,20 @@ struct RefineStats {
     const graph::Graph& g, graph::Partitioning& partitioning,
     const RefineOptions& options = {});
 
-/// Boundary-local refinement over a maintained state: candidates are
-/// gathered from the state's boundary index (O(boundary) per round, never
-/// a full vertex sweep), per-round cuts come from the O(deg)-per-move
-/// bookkeeping, and a regressing round is undone by replaying its move
-/// journal in reverse (O(moved)) instead of copying the partitioning.
-/// \p state must describe (g, partitioning) on entry and is left
-/// consistent with the refined partitioning.  A non-null \p ws supplies
-/// the boundary/candidate/journal buffers, so a converged call (no
-/// positive-gain candidates) allocates nothing; decisions are identical
-/// either way.
+/// Boundary-local refinement over a maintained state.  Each boundary
+/// vertex's best move (destination, gain) is cached per call: the first
+/// round analyses the whole boundary, and a round whose moves are kept
+/// re-analyses only the moved vertices and their neighbours (a reverted
+/// round restores every assignment and invalidates nothing), so a round
+/// costs O(Σ deg(moved)) plus one ordered walk of the state's boundary
+/// bitset that assembles the candidate buckets.  Per-round cuts come from
+/// the O(deg)-per-move bookkeeping, and a regressing round is undone by
+/// replaying its move journal in reverse (O(moved)).  \p state must
+/// describe (g, partitioning) on entry and is left consistent with the
+/// refined partitioning.  A non-null \p ws supplies the cache, boundary,
+/// candidate and journal buffers, so a converged call (no positive-gain
+/// candidates) allocates nothing; decisions are identical either way and
+/// for every num_threads.
 [[nodiscard]] RefineStats refine_partitioning(
     const graph::Graph& g, graph::Partitioning& partitioning,
     graph::PartitionState& state, const RefineOptions& options = {},

@@ -121,11 +121,12 @@ void apply_balance_transfers(const graph::Graph& g,
   }
 }
 
+// pigp:steady-state
 void apply_gain_transfers(
     const graph::Graph& g, graph::Partitioning& partitioning,
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
     const pigp::DenseMatrix<std::int64_t>& moves,
-    graph::PartitionState& state,
+    graph::PartitionState& state, std::vector<GainCandidate>& selection,
     std::vector<std::pair<graph::VertexId, graph::PartId>>* journal) {
   const auto parts = static_cast<std::size_t>(partitioning.num_parts);
   PIGP_CHECK(moves.rows() == parts && moves.cols() == parts,
@@ -134,21 +135,25 @@ void apply_gain_transfers(
     for (std::size_t j = 0; j < parts; ++j) {
       const std::int64_t count = moves(i, j);
       if (count <= 0) continue;
-      std::vector<GainCandidate> list = candidates(i, j);
+      const std::vector<GainCandidate>& list = candidates(i, j);
       PIGP_CHECK(static_cast<std::int64_t>(list.size()) >= count,
                  "LP requested more transfers than candidates");
-      std::sort(list.begin(), list.end(),
-                [](const GainCandidate& a, const GainCandidate& b) {
-                  if (a.gain != b.gain) return a.gain > b.gain;
-                  return a.vertex < b.vertex;
-                });
-      for (std::int64_t k = 0; k < count; ++k) {
-        const graph::VertexId v = list[static_cast<std::size_t>(k)].vertex;
+      // (gain desc, vertex asc) is a strict total order, so the first
+      // `count` are the same vertices in the same order as a full sort.
+      selection.resize(static_cast<std::size_t>(count));
+      std::partial_sort_copy(
+          list.begin(), list.end(), selection.begin(), selection.end(),
+          [](const GainCandidate& a, const GainCandidate& b) {
+            if (a.gain != b.gain) return a.gain > b.gain;
+            return a.vertex < b.vertex;
+          });
+      for (const GainCandidate& c : selection) {
         if (journal != nullptr) {
           journal->emplace_back(
-              v, partitioning.part[static_cast<std::size_t>(v)]);
+              c.vertex, partitioning.part[static_cast<std::size_t>(c.vertex)]);
         }
-        state.move_vertex(g, partitioning, v, static_cast<graph::PartId>(j));
+        state.move_vertex(g, partitioning, c.vertex,
+                          static_cast<graph::PartId>(j));
       }
     }
   }

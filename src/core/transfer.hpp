@@ -67,7 +67,9 @@ struct GainCandidate {
 /// refinement analysis, best gain first (ties on vertex id), routed
 /// through \p state so the cut is maintained incrementally in O(deg) per
 /// moved vertex — the refinement loop reads the post-round cut from the
-/// state instead of an O(V+E) recompute.  When \p journal is non-null,
+/// state instead of an O(V+E) recompute.  Each pair's movers are picked
+/// into \p selection (capacity reused) by a partial sort, without copying
+/// the whole list.  When \p journal is non-null,
 /// every applied move is recorded as (vertex, previous partition) so the
 /// caller can undo the batch in O(moved) — replay the journal in reverse
 /// through state.move_vertex, then PartitionState::restore_aggregates —
@@ -76,7 +78,7 @@ void apply_gain_transfers(
     const graph::Graph& g, graph::Partitioning& partitioning,
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
     const pigp::DenseMatrix<std::int64_t>& moves,
-    graph::PartitionState& state,
+    graph::PartitionState& state, std::vector<GainCandidate>& selection,
     std::vector<std::pair<graph::VertexId, graph::PartId>>* journal =
         nullptr);
 

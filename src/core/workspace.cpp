@@ -16,8 +16,11 @@ void Workspace::release_memory() {
   std::vector<double>().swap(balance_excess);
   layering.release();
   std::vector<graph::VertexId>().swap(refine_boundary);
+  refine_analysis.release();
+  std::vector<graph::VertexId>().swap(refine_stale);
+  std::vector<std::vector<double>>().swap(refine_tallies);
   refine_candidates = pigp::DenseMatrix<std::vector<GainCandidate>>();
-  std::vector<RefineThreadScratch>().swap(refine_scratch);
+  std::vector<GainCandidate>().swap(refine_selection);
   decltype(refine_journal)().swap(refine_journal);
   std::vector<double>().swap(rollback_aggregates.weight);
   std::vector<double>().swap(rollback_aggregates.boundary_cost);

@@ -79,6 +79,9 @@ class EpochArray {
     value_[i] = v;
     stamp_[i] = epoch_;  // marks the slot live in the current generation
   }
+  /// Make slot \p i stale without touching any other.  O(1); stamp 0 is
+  /// never a live generation.
+  void invalidate(std::size_t i) { stamp_[i] = 0; }
 
   /// Deallocate the backing storage (Workspace::release_memory); the
   /// array re-grows on the next ensure(), with all slots stale.
@@ -116,14 +119,25 @@ struct Workspace {
   BoundaryLayering layering;
 
   // --- step 4: refinement (core/refine.cpp) ---
-  std::vector<graph::VertexId> refine_boundary;  ///< sorted boundary union
-  pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
-  /// Per-OpenMP-thread candidate scan scratch.
-  struct RefineThreadScratch {
-    std::vector<double> out;  ///< out(v, j) tallies, one slot per part
-    std::vector<std::pair<std::size_t, GainCandidate>> found;
+  /// Boundary in ascending id order (PartitionState::boundary_ascending).
+  std::vector<graph::VertexId> refine_boundary;
+  /// A boundary vertex's best move: destination with the largest cut gain
+  /// (-1 when it has no external edge weight) and that gain.
+  struct MoveAnalysis {
+    graph::PartId best = -1;
+    double gain = 0.0;
   };
-  std::vector<RefineThreadScratch> refine_scratch;
+  /// Per-vertex move analysis cache, cleared per refine call.  A live slot
+  /// is exact for the current partitioning: a kept round invalidates the
+  /// moved vertices and their neighbours, a reverted round nothing.
+  EpochArray<MoveAnalysis> refine_analysis;
+  /// Boundary vertices without a live analysis, re-analysed this round.
+  std::vector<graph::VertexId> refine_stale;
+  /// Per-OpenMP-thread out(v, j) tallies, one slot per part.
+  std::vector<std::vector<double>> refine_tallies;
+  pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
+  /// apply_gain_transfers' per-pair best-first selection.
+  std::vector<GainCandidate> refine_selection;
   /// Move journal of the current refinement round (undo unit).
   std::vector<std::pair<graph::VertexId, graph::PartId>> refine_journal;
 

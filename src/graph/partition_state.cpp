@@ -1,11 +1,27 @@
 #include "graph/partition_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "support/check.hpp"
 
 namespace pigp::graph {
+namespace {
+
+std::size_t bit_words(std::size_t n) { return (n + 63) / 64; }
+
+void set_bit(std::vector<std::uint64_t>& bits, VertexId v) {
+  const auto vi = static_cast<std::size_t>(v);
+  bits[vi / 64] |= std::uint64_t{1} << (vi % 64);
+}
+
+void clear_bit(std::vector<std::uint64_t>& bits, VertexId v) {
+  const auto vi = static_cast<std::size_t>(v);
+  bits[vi / 64] &= ~(std::uint64_t{1} << (vi % 64));
+}
+
+}  // namespace
 
 PartitionState::PartitionState(const Graph& g, const Partitioning& p) {
   rebuild(g, p);
@@ -18,6 +34,7 @@ void PartitionState::update_bucket(PartId q, VertexId v) {
       auto& bucket = boundary_[static_cast<std::size_t>(q)];
       boundary_pos_[vi] = static_cast<std::int32_t>(bucket.size());
       bucket.push_back(v);
+      set_bit(boundary_bits_, v);
     }
   } else {
     bucket_erase(q, v);
@@ -34,6 +51,19 @@ void PartitionState::bucket_erase(PartId q, VertexId v) {
   boundary_pos_[static_cast<std::size_t>(last)] = pos;
   bucket.pop_back();
   boundary_pos_[vi] = -1;
+  clear_bit(boundary_bits_, v);
+}
+
+// pigp:steady-state
+void PartitionState::boundary_ascending(std::vector<VertexId>& out) const {
+  out.clear();
+  for (std::size_t w = 0; w < boundary_bits_.size(); ++w) {
+    for (std::uint64_t bits = boundary_bits_[w]; bits != 0;
+         bits &= bits - 1) {
+      out.push_back(static_cast<VertexId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  }
 }
 
 void PartitionState::rebuild(const Graph& g, const Partitioning& p) {
@@ -47,6 +77,8 @@ void PartitionState::rebuild(const Graph& g, const Partitioning& p) {
   cut_total_ = 0.0;
   ext_degree_.assign(static_cast<std::size_t>(g.num_vertices()), 0);
   boundary_pos_.assign(static_cast<std::size_t>(g.num_vertices()), -1);
+  boundary_bits_.assign(
+      bit_words(static_cast<std::size_t>(g.num_vertices())), 0);
   boundary_.assign(static_cast<std::size_t>(num_parts_), {});
 
   // Accumulation order matches the historical compute_metrics() loop so
@@ -75,6 +107,7 @@ void PartitionState::rebuild(const Graph& g, const Partitioning& p) {
       boundary_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(
           boundary_[static_cast<std::size_t>(pv)].size());
       boundary_[static_cast<std::size_t>(pv)].push_back(v);
+      set_bit(boundary_bits_, v);
     }
   }
 }
@@ -176,6 +209,7 @@ void PartitionState::grow_vertices(VertexId n) {
              "grow_vertices cannot shrink the vertex-id space");
   ext_degree_.resize(static_cast<std::size_t>(n), 0);
   boundary_pos_.resize(static_cast<std::size_t>(n), -1);
+  boundary_bits_.resize(bit_words(static_cast<std::size_t>(n)), 0);
 }
 
 void PartitionState::extend(const Graph& g, Partitioning& p,
@@ -200,6 +234,8 @@ void PartitionState::transition(const Graph& g, Partitioning& p,
   p.part.resize(static_cast<std::size_t>(g.num_vertices()), kUnassigned);
   ext_degree_.resize(static_cast<std::size_t>(g.num_vertices()), 0);
   boundary_pos_.resize(static_cast<std::size_t>(g.num_vertices()), -1);
+  boundary_bits_.resize(
+      bit_words(static_cast<std::size_t>(g.num_vertices())), 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const PartId want = target.part[static_cast<std::size_t>(v)];
     if (p.part[static_cast<std::size_t>(v)] != want) {
@@ -215,6 +251,8 @@ void PartitionState::remap_vertices(const std::vector<VertexId>& old_to_new,
                                 0);
   std::vector<std::int32_t> pos(static_cast<std::size_t>(new_num_vertices),
                                 -1);
+  std::vector<std::uint64_t> bits(
+      bit_words(static_cast<std::size_t>(new_num_vertices)), 0);
   // Only bucket members carry information: ext_degree > 0 iff in a bucket.
   for (auto& bucket : boundary_) {
     for (std::size_t slot = 0; slot < bucket.size(); ++slot) {
@@ -231,10 +269,12 @@ void PartitionState::remap_vertices(const std::vector<VertexId>& old_to_new,
           ext_degree_[static_cast<std::size_t>(old_v)];
       pos[static_cast<std::size_t>(new_v)] =
           static_cast<std::int32_t>(slot);
+      set_bit(bits, new_v);
     }
   }
   ext_degree_ = std::move(ext);
   boundary_pos_ = std::move(pos);
+  boundary_bits_ = std::move(bits);
 }
 
 PartitionState::EdgeDiff PartitionState::reconcile_extension(

@@ -44,8 +44,10 @@
 /// vertex scan.  Invariant: v ∈ boundary_vertices(p.part[v]) iff
 /// external_degree(v) > 0 iff v is assigned and has an assigned neighbor
 /// in a different partition.  Bucket *order* is unspecified (swap-remove);
-/// consumers that need determinism must sort — every in-tree consumer
-/// does.  Because the index counts edges (integers), it is exact for any
+/// consumers that need determinism walk boundary_ascending() instead,
+/// which reads a one-bit-per-id mirror of bucket membership and emits the
+/// whole boundary in ascending id order without sorting.  Because the
+/// index counts edges (integers), it is exact for any
 /// edge weights; the structural add_edge/remove_edge vs weight-only
 /// adjust_edge_weight split below exists so weight merges cannot
 /// double-count an edge.
@@ -174,6 +176,10 @@ class PartitionState {
   [[nodiscard]] bool is_boundary(VertexId v) const {
     return external_degree(v) > 0;
   }
+  /// Every boundary vertex of every partition, in ascending id order, into
+  /// \p out (cleared; capacity reused, so a warm call allocates nothing).
+  /// One pass over the membership bitset: O(V/64 + |boundary|), no sort.
+  void boundary_ascending(std::vector<VertexId>& out) const;
 
   /// O(P) copy of just the aggregates (weights, boundary costs, cut) — the
   /// cheap undo unit for speculative move batches: apply the inverse moves
@@ -267,6 +273,10 @@ class PartitionState {
   std::vector<std::vector<VertexId>> boundary_;
   /// Index of v inside its bucket, or -1.
   std::vector<std::int32_t> boundary_pos_;
+  /// Bit v set iff v is in some bucket (boundary_pos_[v] >= 0) — the
+  /// ordered view behind boundary_ascending().  Set and cleared exactly
+  /// where bucket membership changes.
+  std::vector<std::uint64_t> boundary_bits_;
 
   /// One undoable assignment change: v moved away from `from`.
   struct JournalEntry {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/transfer.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -46,6 +47,49 @@ TEST(Layering, ZeroWeightBoundaryEdgesLeaveVerticesUnlabeled) {
   EXPECT_EQ(boundary.label, r.label);
   EXPECT_EQ(boundary.layer, r.layer);
   EXPECT_EQ(boundary.eps, r.eps);
+}
+
+TEST(Layering, DeadIdsAwaitingCompactionAreNotMembers) {
+  // graph_compaction=deferred leaves removed vertices as dead ids assigned
+  // kUnassigned until the next compact(); Partitioning::validate accepts
+  // them.  The member scan behind layer_partitions and the batch
+  // apply_balance_transfers must skip them instead of indexing partition
+  // -1 (regression: heap overflow under ASan).
+  Graph g = graph::grid_graph(4, 4);
+  Partitioning p;
+  p.num_parts = 2;
+  p.part.resize(16);
+  for (VertexId v = 0; v < 16; ++v) {
+    p.part[static_cast<std::size_t>(v)] = (v % 4) < 2 ? 0 : 1;
+  }
+  for (const VertexId dead : {0, 7, 9}) {
+    g.remove_vertex(dead);
+    p.part[static_cast<std::size_t>(dead)] = graph::kUnassigned;
+  }
+  p.validate(g);
+
+  const auto members = partition_members(p);
+  ASSERT_EQ(members.size(), 2U);
+  EXPECT_EQ(members[0], (std::vector<VertexId>{1, 4, 5, 8, 12, 13}));
+  EXPECT_EQ(members[1], (std::vector<VertexId>{2, 3, 6, 10, 11, 14, 15}));
+
+  const LayeringResult r = layer_partitions(g, p);
+  for (const VertexId dead : {0, 7, 9}) {
+    EXPECT_EQ(r.label[static_cast<std::size_t>(dead)], -1);
+    EXPECT_EQ(r.layer[static_cast<std::size_t>(dead)], -1);
+  }
+  EXPECT_EQ(r.eps(1, 0), 7);  // every live vertex of 1 reaches 0
+
+  pigp::DenseMatrix<std::int64_t> moves(2, 2, 0);
+  moves(1, 0) = 1;
+  apply_balance_transfers(g, p, r, moves);
+  p.validate(g);
+  const auto after = partition_members(p);
+  EXPECT_EQ(after[0].size(), 7U);
+  EXPECT_EQ(after[1].size(), 6U);
+  for (const VertexId dead : {0, 7, 9}) {
+    EXPECT_EQ(p.part[static_cast<std::size_t>(dead)], graph::kUnassigned);
+  }
 }
 
 TEST(Layering, TwoBlockPathLabelsTowardTheOtherSide) {

@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
+#include "core/workspace.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "graph/partition_state.hpp"
 #include "support/rng.hpp"
 
 namespace pigp::core {
@@ -165,6 +172,237 @@ TEST(Refine, ParallelCandidateCollectionMatchesSerial) {
   (void)refine_partitioning(g, a, serial);
   (void)refine_partitioning(g, b, parallel);
   EXPECT_EQ(a.part, b.part);
+}
+
+// ---------------------------------------------------------------------------
+// Golden decisions.  The table below was captured from the full-rescan
+// implementation (every round re-analysed and re-sorted the whole boundary)
+// before the per-vertex move-analysis cache replaced it; the cached rounds
+// must reproduce every decision exactly.  grid_banded, hub and
+// hub_nonstrict take the revert path (non-strict regressions, and a strict
+// regression that halves the batch cap); geometric_large has a boundary
+// above the parallel-analysis threshold.
+
+std::uint64_t fnv1a(const std::vector<graph::PartId>& part) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const graph::PartId q : part) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(q));
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Preferential attachment (Barabási–Albert): every new vertex links to
+/// \p m distinct earlier endpoints drawn proportionally to degree, so a few
+/// early vertices become hubs.
+Graph hub_graph(int n, int m, std::uint64_t seed) {
+  pigp::SplitMix64 rng(seed);
+  graph::GraphBuilder b(n);
+  std::vector<VertexId> ends;
+  for (int v = 1; v <= m && v < n; ++v) {
+    b.add_edge(v, 0);
+    ends.push_back(v);
+    ends.push_back(0);
+  }
+  for (int v = m + 1; v < n; ++v) {
+    std::vector<VertexId> picked;
+    while (static_cast<int>(picked.size()) < m) {
+      const VertexId u = ends[rng.next_below(ends.size())];
+      if (std::find(picked.begin(), picked.end(), u) == picked.end()) {
+        picked.push_back(u);
+      }
+    }
+    for (const VertexId u : picked) {
+      b.add_edge(v, u);
+      ends.push_back(v);
+      ends.push_back(u);
+    }
+  }
+  return b.build();
+}
+
+/// Random balanced k-way assignment (shuffled stripes).
+Partitioning shuffled_partitioning(VertexId n, graph::PartId k,
+                                   std::uint64_t seed) {
+  pigp::SplitMix64 rng(seed);
+  std::vector<VertexId> order(static_cast<std::size_t>(n));
+  for (VertexId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  Partitioning p;
+  p.num_parts = k;
+  p.part.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    p.part[static_cast<std::size_t>(order[i])] =
+        static_cast<graph::PartId>(i) % k;
+  }
+  return p;
+}
+
+/// Vertical bands of a side x side grid with a zig-zag border.
+Partitioning banded_grid_partitioning(int side, graph::PartId k) {
+  Partitioning p;
+  p.num_parts = k;
+  p.part.resize(static_cast<std::size_t>(side * side));
+  for (int r = 0; r < side; ++r) {
+    for (int c = 0; c < side; ++c) {
+      const int jag = (r % 3) - 1;
+      const int band = std::clamp((c + jag) * k / side, 0, k - 1);
+      p.part[static_cast<std::size_t>(r * side + c)] =
+          static_cast<graph::PartId>(band);
+    }
+  }
+  return p;
+}
+
+struct GoldenCase {
+  const char* name;
+  int threads;
+  std::uint64_t part_hash;
+  int rounds;
+  std::int64_t vertices_moved;
+  std::int64_t lp_iterations;
+  double cut_before;
+  double cut_after;
+};
+
+struct GoldenInput {
+  Graph g;
+  Partitioning p;
+  RefineOptions opt;
+};
+
+GoldenInput golden_input(const std::string& name) {
+  GoldenInput in;
+  if (name == "grid_banded") {
+    in.g = graph::grid_graph(60, 60);
+    in.p = banded_grid_partitioning(60, 5);
+  } else if (name == "grid_shuffled") {
+    in.g = graph::grid_graph(48, 48);
+    in.p = shuffled_partitioning(48 * 48, 4, 3);
+    in.opt.max_rounds = 12;
+  } else if (name == "geometric") {
+    in.g = graph::random_geometric_graph(3000, 0.035, 21);
+    in.p = shuffled_partitioning(3000, 6, 22);
+    in.opt.max_rounds = 16;
+  } else if (name == "geometric_large") {
+    in.g = graph::random_geometric_graph(12000, 0.018, 31);
+    in.p = shuffled_partitioning(12000, 8, 32);
+  } else if (name == "hub") {
+    in.g = hub_graph(4000, 3, 41);
+    in.p = shuffled_partitioning(4000, 4, 42);
+    in.opt.max_rounds = 12;
+  } else if (name == "hub_nonstrict") {
+    in.g = hub_graph(3000, 2, 51);
+    in.p = shuffled_partitioning(3000, 3, 52);
+    in.opt.max_rounds = 12;
+    in.opt.strict_after_round = 6;
+  }
+  return in;
+}
+
+const GoldenCase kGolden[] = {
+    {"grid_banded", 1, 0x4ad63f9390bdc285ULL, 2, 160, 16, 552, 240},
+    {"grid_banded", 4, 0x4ad63f9390bdc285ULL, 2, 160, 16, 552, 240},
+    {"grid_shuffled", 1, 0xd80aba3ae3cc3aabULL, 12, 12880, 154, 3356, 1784},
+    {"grid_shuffled", 4, 0xd80aba3ae3cc3aabULL, 12, 12880, 154, 3356, 1784},
+    {"geometric", 1, 0xf282349ce6e5d1b9ULL, 8, 4865, 236, 13824, 3012},
+    {"geometric", 4, 0xf282349ce6e5d1b9ULL, 8, 4865, 236, 13824, 3012},
+    {"geometric_large", 1, 0x02f7b6a95586f805ULL, 8, 19680, 548, 63016, 13541},
+    {"geometric_large", 4, 0x02f7b6a95586f805ULL, 8, 19680, 548, 63016, 13541},
+    {"hub", 1, 0x9142f209403e0a87ULL, 12, 14966, 144, 9009, 5733},
+    {"hub", 4, 0x9142f209403e0a87ULL, 12, 14966, 144, 9009, 5733},
+    {"hub_nonstrict", 1, 0x69f6b1a1bedc9273ULL, 12, 5339, 59, 4008, 1988},
+    {"hub_nonstrict", 4, 0x69f6b1a1bedc9273ULL, 12, 5339, 59, 4008, 1988},
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.name << " with " << c.threads << " thread(s)";
+}
+
+std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
+  return std::string(info.param.name) + "_t" +
+         std::to_string(info.param.threads);
+}
+
+class RefineGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(RefineGolden, MatchesCapturedDecisions) {
+  const GoldenCase& want = GetParam();
+  GoldenInput in = golden_input(want.name);
+  ASSERT_GT(in.g.num_vertices(), 0) << want.name;
+  in.opt.num_threads = want.threads;
+
+  // Batch entry (call-local buffers) and the state-driven entry with a
+  // warm session workspace must both land on the captured result.
+  Partitioning batch = in.p;
+  const RefineStats s = refine_partitioning(in.g, batch, in.opt);
+  Workspace ws;
+  for (int pass = 0; pass < 2; ++pass) {
+    Partitioning p = in.p;
+    graph::PartitionState state(in.g, p);
+    const RefineStats t = refine_partitioning(in.g, p, state, in.opt, &ws);
+    EXPECT_EQ(p.part, batch.part);
+    EXPECT_EQ(t.vertices_analyzed, s.vertices_analyzed);
+    EXPECT_EQ(state.cut_total(), t.cut_after);
+  }
+
+  EXPECT_EQ(fnv1a(batch.part), want.part_hash);
+  EXPECT_EQ(s.rounds, want.rounds);
+  EXPECT_EQ(s.vertices_moved, want.vertices_moved);
+  EXPECT_EQ(s.lp_iterations, want.lp_iterations);
+  EXPECT_EQ(s.cut_before, want.cut_before);
+  EXPECT_EQ(s.cut_after, want.cut_after);
+  EXPECT_EQ(compute_metrics(in.g, batch).cut_total, want.cut_after);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, RefineGolden, ::testing::ValuesIn(kGolden),
+                         golden_name);
+
+TEST(Refine, RoundsAfterTheFirstAnalyseOnlyWhatTheLastRoundTouched) {
+  // Round r's moves are the diff between the results capped at r - 1 and
+  // r rounds; round r + 1 may re-analyse at most Σ (deg + 1) over them
+  // (nothing at all after a reverted round).  Round 1 analyses exactly the
+  // initial boundary.
+  for (const char* name : {"geometric", "hub"}) {
+    GoldenInput in = golden_input(name);
+    const auto capped = [&](int rounds, Partitioning& p) {
+      p = in.p;
+      RefineOptions opt = in.opt;
+      opt.max_rounds = rounds;
+      return refine_partitioning(in.g, p, opt);
+    };
+    const graph::PartitionState initial(in.g, in.p);
+    std::vector<VertexId> boundary;
+    initial.boundary_ascending(boundary);
+
+    Partitioning prev;
+    std::int64_t prev_analyzed = capped(1, prev).vertices_analyzed;
+    EXPECT_EQ(prev_analyzed, static_cast<std::int64_t>(boundary.size()))
+        << name;
+    for (int r = 2; r <= in.opt.max_rounds; ++r) {
+      Partitioning cur;
+      const std::int64_t analyzed = capped(r, cur).vertices_analyzed;
+      // Moves of round r - 1: compare the results capped at r - 2 and r - 1.
+      Partitioning before;
+      if (r >= 3) {
+        (void)capped(r - 2, before);
+      } else {
+        before = in.p;
+      }
+      std::int64_t bound = 0;
+      for (VertexId v = 0; v < in.g.num_vertices(); ++v) {
+        const auto vi = static_cast<std::size_t>(v);
+        if (before.part[vi] != prev.part[vi]) {
+          bound += static_cast<std::int64_t>(in.g.neighbors(v).size()) + 1;
+        }
+      }
+      EXPECT_LE(analyzed - prev_analyzed, bound) << name << " round " << r;
+      prev = std::move(cur);
+      prev_analyzed = analyzed;
+    }
+  }
 }
 
 }  // namespace

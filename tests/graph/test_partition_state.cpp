@@ -294,6 +294,20 @@ void expect_boundary_index_matches(const PartitionState& state,
   }
 }
 
+/// The ordered view must equal the sorted union of the buckets.
+void expect_ascending_matches_buckets(const PartitionState& state,
+                                      const char* where) {
+  std::vector<VertexId> expected;
+  for (PartId q = 0; q < state.num_parts(); ++q) {
+    expected.insert(expected.end(), state.boundary_vertices(q).begin(),
+                    state.boundary_vertices(q).end());
+  }
+  std::sort(expected.begin(), expected.end());
+  std::vector<VertexId> walked = {-7};  // stale content must be cleared
+  state.boundary_ascending(walked);
+  EXPECT_EQ(walked, expected) << where;
+}
+
 TEST(PartitionStateBoundaryIndex, RebuildMatchesBruteForce) {
   SplitMix64 rng(51);
   const Graph g = random_geometric_graph(200, 0.12, 17);
@@ -320,6 +334,82 @@ TEST(PartitionStateBoundaryIndex, SurvivesRandomMoveRetirePlaceSequences) {
     }
   }
   expect_boundary_index_matches(state, g, p, "after 600 moves");
+}
+
+TEST(PartitionStateBoundaryIndex, AscendingWalkTracksEveryKindOfEdit) {
+  // Random move / retire / place / add_edge / remove_edge / grow_vertices
+  // / remap_vertices sequences over a mutable graph: after every step the
+  // ordered boundary walk equals the sorted union of the buckets, and at
+  // checkpoints the buckets equal a brute-force recount.
+  SplitMix64 rng(71);
+  Graph g = random_geometric_graph(150, 0.13, 37);
+  Partitioning p = random_partitioning(g.num_vertices(), 4, rng);
+  PartitionState state(g, p);
+  expect_ascending_matches_buckets(state, "rebuild");
+
+  const auto random_live = [&]() {
+    for (;;) {
+      const auto v = static_cast<VertexId>(
+          rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
+      if (g.is_live(v)) return v;
+    }
+  };
+  int remaps = 0;
+  for (int step = 0; step < 1500; ++step) {
+    const std::uint64_t op = rng.next_below(16);
+    if (op < 6) {  // move or place
+      state.move_vertex(g, p, random_live(),
+                        static_cast<PartId>(rng.next_below(4)));
+    } else if (op < 8) {  // retire
+      state.move_vertex(g, p, random_live(), kUnassigned);
+    } else if (op < 10) {  // add a structurally new edge
+      const VertexId u = random_live();
+      const VertexId v = random_live();
+      if (u != v && g.insert_edge(u, v, 1.0)) state.add_edge(p, u, v, 1.0);
+    } else if (op < 12) {  // remove an existing edge
+      const VertexId u = random_live();
+      const auto nbrs = g.neighbors(u);
+      if (!nbrs.empty()) {
+        const VertexId v = nbrs[rng.next_below(nbrs.size())];
+        const double w = g.remove_edge(u, v);
+        state.remove_edge(p, u, v, w);
+      }
+    } else if (op < 14) {  // append a vertex wired to two live ones
+      const VertexId v = g.add_vertex(1.0);
+      p.part.push_back(kUnassigned);
+      state.grow_vertices(g.num_vertices());
+      for (int k = 0; k < 2; ++k) {
+        const VertexId u = random_live();
+        if (u != v && g.insert_edge(u, v, 1.0)) state.add_edge(p, u, v, 1.0);
+      }
+      state.move_vertex(g, p, v, static_cast<PartId>(rng.next_below(4)));
+    } else if (op < 15) {  // remove a vertex (retired first)
+      const VertexId v = random_live();
+      state.move_vertex(g, p, v, kUnassigned);
+      g.remove_vertex(v);
+    } else {  // compact the dead ids away
+      std::vector<VertexId> old_to_new;
+      const VertexId n = g.compact(old_to_new);
+      Partitioning carried;
+      carried.num_parts = p.num_parts;
+      carried.part.assign(static_cast<std::size_t>(n), kUnassigned);
+      for (std::size_t v = 0; v < old_to_new.size(); ++v) {
+        if (old_to_new[v] != kInvalidVertex) {
+          carried.part[static_cast<std::size_t>(old_to_new[v])] = p.part[v];
+        }
+      }
+      p = std::move(carried);
+      state.remap_vertices(old_to_new, n);
+      ++remaps;
+    }
+    expect_ascending_matches_buckets(state, "mid-sequence");
+    if (step % 101 == 0) {
+      expect_boundary_index_matches(state, g, p, "checkpoint");
+    }
+  }
+  EXPECT_GT(remaps, 0);
+  expect_boundary_index_matches(state, g, p, "after 1500 edits");
+  expect_ascending_matches_buckets(state, "after 1500 edits");
 }
 
 TEST(PartitionStateBoundaryIndex, StructuralEdgesCountWeightMergesDoNot) {
