@@ -118,11 +118,13 @@ void assemble_candidates(
 
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
 /// Debug / PIGP_VALIDATE auditor: every boundary vertex's cached analysis
-/// must equal a from-scratch one, which pins the invalidation rule.
+/// must equal a from-scratch one, which pins the invalidation rule.  \p out
+/// is a pooled tally buffer of size num_parts, so the audit allocates
+/// nothing and the steady-state zero-allocation tests hold in Debug too.
 void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
                     const std::vector<graph::VertexId>& boundary,
-                    const EpochArray<MoveAnalysis>& cache) {
-  std::vector<double> out(static_cast<std::size_t>(p.num_parts), 0.0);
+                    const EpochArray<MoveAnalysis>& cache,
+                    std::vector<double>& out) {
   for (const graph::VertexId v : boundary) {
     const auto vi = static_cast<std::size_t>(v);
     const MoveAnalysis fresh = analyze_vertex(g, p, v, out);
@@ -241,7 +243,9 @@ RefineStats refine_partitioning(const graph::Graph& g,
     assemble_candidates(partitioning, boundary, w.refine_analysis, strict,
                         candidates);
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
-    audit_analysis(g, partitioning, boundary, w.refine_analysis);
+    // refresh_analysis sized thread 0's tally buffer to num_parts.
+    audit_analysis(g, partitioning, boundary, w.refine_analysis,
+                   w.refine_tallies.front());
 #endif
     // No candidates at all: the LP would have zero variables — skip its
     // construction entirely (same terminal decision, no model churn).
