@@ -19,7 +19,9 @@ It also parses the SessionConfig field list out of src/api/config.hpp and
 fails when any knob is not documented (as a backticked name) in
 docs/CONFIG.md — the documented-contract half of the compile-time
 field-count guard in config.cpp: adding a knob without documenting it
-breaks CI.
+breaks CI.  The reverse holds too: a row of a CONFIG.md knob table (a
+table headed ``| knob |``) whose backticked first-column name is not a
+SessionConfig field fails, so a removed knob cannot leave a stale row.
 
 Usage: python3 ci/check_docs.py [repo_root]
 """
@@ -33,6 +35,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^()\s]+(?:\([^()]*\)[^()\s]*)*)\)")
 FENCE_RE = re.compile(r"^(```|~~~)")
 CODE_SPAN_RE = re.compile(r"`[^`]*`")
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s]*?\s([a-z_][a-z0-9_]*)\s*(?:=[^;]*)?;")
+KNOB_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
 def github_slug(heading, seen):
@@ -122,6 +125,21 @@ def session_config_fields(config_hpp):
     return fields
 
 
+def knob_rows(config_md):
+    """(line number, name) of every knob-table row's backticked first cell."""
+    rows, in_table = [], False
+    for lineno, line in enumerate(config_md.splitlines(), start=1):
+        if not line.startswith("|"):
+            in_table = False
+        elif re.match(r"^\|\s*knob\s*\|", line):
+            in_table = True
+        elif in_table:
+            match = KNOB_ROW_RE.match(line)
+            if match:
+                rows.append((lineno, match.group(1)))
+    return rows
+
+
 def main():
     repo = pathlib.Path(
         sys.argv[1] if len(sys.argv) > 1
@@ -137,7 +155,7 @@ def main():
         check_links(repo, doc, anchor_cache, failures)
 
     fields = session_config_fields(repo / "src" / "api" / "config.hpp")
-    if len(fields) < 20:  # the struct has 29 fields; a low count = bad parse
+    if len(fields) < 20:  # the struct has 28 fields; a low count = bad parse
         failures.append(
             f"src/api/config.hpp: parsed only {len(fields)} SessionConfig "
             "fields — check_docs' parser needs updating")
@@ -147,6 +165,11 @@ def main():
             failures.append(
                 f"docs/CONFIG.md: SessionConfig knob `{field}` is "
                 "undocumented")
+    for lineno, name in knob_rows(config_md):
+        if name not in fields:
+            failures.append(
+                f"docs/CONFIG.md:{lineno}: knob row `{name}` is not a "
+                "SessionConfig field (stale or misspelled)")
 
     checked = sum(1 for _ in docs)
     if failures:
@@ -156,7 +179,7 @@ def main():
             print(f"  - {failure}")
         return 1
     print(f"docs gate passed: {checked} markdown files, "
-          f"{len(fields)} SessionConfig knobs all documented")
+          f"{len(fields)} SessionConfig knobs all documented, no stale rows")
     return 0
 
 

@@ -52,7 +52,7 @@ static_assert(has_exactly_n_fields<core::IgpOptions, 4>,
               "IgpOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::MultilevelOptions, 3>,
               "MultilevelOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<SessionConfig, 29>,
+static_assert(has_exactly_n_fields<SessionConfig, 28>,
               "SessionConfig changed — update SessionConfig::resolve()");
 
 /// Batch backends rebuild from the whole graph every tick, so they cannot
@@ -80,9 +80,6 @@ ResolvedConfig SessionConfig::resolve() const {
   config_check(balance_tolerance > 0.0,
                "SessionConfig.balance_tolerance must be > 0 (got " +
                    std::to_string(balance_tolerance) + ")");
-  config_check(balance_max_layers >= 0,
-               "SessionConfig.balance_max_layers must be >= 0 (got " +
-                   std::to_string(balance_max_layers) + ")");
   config_check(max_refine_rounds >= 0,
                "SessionConfig.max_refine_rounds must be >= 0 (got " +
                    std::to_string(max_refine_rounds) + ")");
@@ -183,7 +180,6 @@ ResolvedConfig SessionConfig::resolve() const {
   igp.balance.alpha_max = alpha_max;
   igp.balance.max_stages = max_balance_stages;
   igp.balance.tolerance = balance_tolerance;
-  igp.balance.max_layers = balance_max_layers;
   igp.balance.solver = solver;
   igp.balance.num_threads = num_threads;
   igp.balance.simplex.num_threads = num_threads;

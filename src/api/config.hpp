@@ -79,10 +79,6 @@ struct SessionConfig {
   double alpha_max = 64.0;       ///< upper bound C on the relaxation factor
   int max_balance_stages = 12;
   double balance_tolerance = 0.5;
-  /// Initial depth cap for the boundary-seeded layering; deepened lazily
-  /// (doubling) while the staged LP is infeasible.  0 = unlimited, i.e.
-  /// always grow to exhaustion like the batch layering.
-  int balance_max_layers = 4;
 
   // --- refinement (step 4) knobs ---
   int max_refine_rounds = 8;

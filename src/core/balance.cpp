@@ -49,139 +49,167 @@ std::vector<double> staged_requirements(const std::vector<double>& excess,
   return rhs;
 }
 
-lp::LinearProgram build_balance_lp(
-    const pigp::DenseMatrix<std::int64_t>& eps, const std::vector<double>& rhs,
-    pigp::DenseMatrix<int>* pair_vars) {
-  const std::size_t parts = eps.rows();
-  PIGP_CHECK(eps.cols() == parts, "eps must be square");
-  PIGP_CHECK(rhs.size() == parts, "rhs size mismatch");
-
-  lp::LinearProgram program(lp::Sense::minimize);
-  pigp::DenseMatrix<int> vars(parts, parts, -1);
-  for (std::size_t i = 0; i < parts; ++i) {
-    for (std::size_t j = 0; j < parts; ++j) {
-      if (i == j || eps(i, j) <= 0) continue;
-      vars(i, j) = program.add_variable(
-          1.0, 0.0, static_cast<double>(eps(i, j)),
-          "l" + std::to_string(i) + "_" + std::to_string(j));
-    }
-  }
-  for (std::size_t q = 0; q < parts; ++q) {
-    std::vector<std::pair<int, double>> coeffs;
-    for (std::size_t k = 0; k < parts; ++k) {
-      if (vars(q, k) >= 0) coeffs.emplace_back(vars(q, k), 1.0);
-      if (vars(k, q) >= 0) coeffs.emplace_back(vars(k, q), -1.0);
-    }
-    program.add_row(lp::RowType::equal, std::move(coeffs), rhs[q],
-                    "balance" + std::to_string(q));
-  }
-  if (pair_vars != nullptr) *pair_vars = std::move(vars);
-  return program;
-}
-
 namespace {
 
-/// Read the LP solution back into a move matrix.
-void harvest_moves(const lp::Solution& solution,
-                   const pigp::DenseMatrix<int>& pair_vars,
-                   StageDecision& decision) {
-  const std::size_t parts = decision.moves.rows();
+/// Visit every arc lane in variable order: (i, j, lane) lexicographic.
+template <typename Visit>
+void for_each_arc(const QuotientFlow& flow, Visit&& visit) {
+  const std::size_t parts = flow.lanes.front().capacity.rows();
   for (std::size_t i = 0; i < parts; ++i) {
     for (std::size_t j = 0; j < parts; ++j) {
-      if (pair_vars(i, j) < 0) continue;
-      const double value =
-          solution.x[static_cast<std::size_t>(pair_vars(i, j))];
-      decision.moves(i, j) = std::llround(value);
-      decision.stats.vertices_moved += static_cast<double>(
-          decision.moves(i, j));
+      for (std::size_t l = 0; l < flow.lanes.size(); ++l) {
+        if (i != j && flow.lanes[l].capacity(i, j) > 0.0) visit(i, j, l);
+      }
     }
   }
 }
 
 }  // namespace
 
-StageDecision decide_stage_moves_alpha(
-    const pigp::DenseMatrix<std::int64_t>& eps,
-    const std::vector<double>& excess, const BalanceOptions& options) {
-  const std::size_t parts = eps.rows();
-  StageDecision decision;
-  decision.moves = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
-
-  // Paper staging: smallest feasible alpha in {1, 2, 4, ...}.
-  pigp::DenseMatrix<int> pair_vars;
-  for (double alpha = 1.0; alpha <= options.alpha_max; alpha *= 2.0) {
-    const std::vector<double> rhs = staged_requirements(excess, alpha);
-    if (std::all_of(rhs.begin(), rhs.end(),
-                    [](double r) { return r == 0.0; })) {
-      break;  // excess too small relative to alpha; nothing to request
-    }
-    const lp::LinearProgram program = build_balance_lp(eps, rhs, &pair_vars);
-    const lp::Solution solution =
-        solve_lp(program, options.solver, options.simplex);
-    if (solution.status == lp::SolveStatus::optimal) {
-      decision.lp_feasible = true;
-      decision.stats.alpha = alpha;
-      decision.stats.lp_variables = program.num_variables();
-      decision.stats.lp_rows = program.num_rows();
-      decision.stats.lp_iterations = solution.iterations;
-      harvest_moves(solution, pair_vars, decision);
-      decision.progress = decision.stats.vertices_moved > 0.5;
-      return decision;
-    }
-  }
-  return decision;
-}
-
-StageDecision best_effort_stage_moves(
-    const pigp::DenseMatrix<std::int64_t>& eps,
-    const std::vector<double>& excess, const BalanceOptions& options) {
-  const std::size_t parts = eps.rows();
-  StageDecision decision;
-  decision.moves = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
-
-  // Relax the balance rows with penalized slack and move whatever the
-  // epsilon capacities admit this stage; the next stage re-layers and
-  // continues.
-  const std::vector<double> rhs = staged_requirements(excess, 1.0);
-  lp::LinearProgram program(lp::Sense::minimize);
-  pigp::DenseMatrix<int> vars(parts, parts, -1);
-  for (std::size_t i = 0; i < parts; ++i) {
-    for (std::size_t j = 0; j < parts; ++j) {
-      if (i == j || eps(i, j) <= 0) continue;
-      // Light penalty keeps total movement minimal among max-progress
-      // solutions while leaving slack reduction dominant.
-      vars(i, j) = program.add_variable(
-          1e-3, 0.0, static_cast<double>(eps(i, j)));
-    }
-  }
+lp::LinearProgram to_linear_program(
+    const QuotientFlow& flow, std::vector<pigp::DenseMatrix<int>>* lane_vars) {
+  const std::size_t parts = flow.lanes.front().capacity.rows();
+  PIGP_CHECK((flow.supply.empty() || flow.supply.size() == parts) &&
+                 (flow.slack_cost.empty() || flow.slack_cost.size() == parts),
+             "supply / slack cost size mismatch");
+  lp::LinearProgram program(flow.sense);
+  std::vector<pigp::DenseMatrix<int>> vars(
+      flow.lanes.size(), pigp::DenseMatrix<int>(parts, parts, -1));
+  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t l) {
+    const QuotientFlow::Lane& lane = flow.lanes[l];
+    vars[l](i, j) = program.add_variable(lane.cost(i, j), 0.0,
+                                         lane.capacity(i, j));
+  });
   for (std::size_t q = 0; q < parts; ++q) {
     std::vector<std::pair<int, double>> coeffs;
     for (std::size_t k = 0; k < parts; ++k) {
-      if (vars(q, k) >= 0) coeffs.emplace_back(vars(q, k), 1.0);
-      if (vars(k, q) >= 0) coeffs.emplace_back(vars(k, q), -1.0);
+      for (const auto& v : vars) {
+        if (v(q, k) >= 0) coeffs.emplace_back(v(q, k), 1.0);
+      }
+      for (const auto& v : vars) {
+        if (v(k, q) >= 0) coeffs.emplace_back(v(k, q), -1.0);
+      }
     }
-    const int slack_pos = program.add_variable(1.0);
-    const int slack_neg = program.add_variable(1.0);
-    coeffs.emplace_back(slack_pos, 1.0);
-    coeffs.emplace_back(slack_neg, -1.0);
-    program.add_row(lp::RowType::equal, std::move(coeffs), rhs[q]);
+    if (!flow.slack_cost.empty()) {
+      coeffs.emplace_back(program.add_variable(flow.slack_cost[q]), 1.0);
+      coeffs.emplace_back(program.add_variable(flow.slack_cost[q]), -1.0);
+    }
+    if (flow.supply.empty() && coeffs.empty()) continue;
+    program.add_row(lp::RowType::equal, std::move(coeffs),
+                    flow.supply.empty() ? 0.0 : flow.supply[q]);
   }
-  const lp::Solution solution =
-      solve_lp(program, options.solver, options.simplex);
-  PIGP_CHECK(solution.status == lp::SolveStatus::optimal,
-             "relaxed balance LP is always feasible");
-  decision.stats.alpha = 0.0;  // flags the best-effort path
-  decision.stats.lp_variables = program.num_variables();
-  decision.stats.lp_rows = program.num_rows();
-  decision.stats.lp_iterations = solution.iterations;
-  harvest_moves(solution, vars, decision);
-  decision.progress = decision.stats.vertices_moved > 0.5;
-  return decision;
+  if (lane_vars != nullptr) *lane_vars = std::move(vars);
+  return program;
+}
+
+FlowResult solve_flow(const QuotientFlow& flow, LpSolverKind kind,
+                      const lp::SimplexOptions& options) {
+  const lp::LinearProgram program = to_linear_program(flow);
+  const lp::Solution solution = solve_lp(program, kind, options);
+  FlowResult result;
+  result.status = solution.status;
+  result.objective = solution.objective;
+  result.lp_variables = program.num_variables();
+  result.lp_rows = program.num_rows();
+  result.lp_iterations = solution.iterations;
+  if (solution.status != lp::SolveStatus::optimal) return result;
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+  for (const double value : solution.x) {
+    PIGP_CHECK(std::abs(value - std::round(value)) <= 1e-6,
+               "quotient-flow LP optimum is not integral");
+  }
+#endif
+  const std::size_t parts = flow.lanes.front().capacity.rows();
+  result.moves = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
+  std::size_t var = 0;  // arcs are the first variables, in visit order
+  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t) {
+    const std::int64_t count = std::llround(solution.x[var++]);
+    result.moves(i, j) += count;
+    result.moved += count;
+  });
+  return result;
+}
+
+QuotientFlow balance_flow(const pigp::DenseMatrix<std::int64_t>& eps,
+                          std::vector<double> rhs) {
+  const std::size_t parts = eps.rows();
+  PIGP_CHECK(eps.cols() == parts, "eps must be square");
+  PIGP_CHECK(rhs.size() == parts, "rhs size mismatch");
+  QuotientFlow flow(parts, lp::Sense::minimize);
+  QuotientFlow::Lane& lane = flow.lanes.front();
+  std::copy(eps.data(), eps.data() + parts * parts, lane.capacity.data());
+  lane.cost.fill(1.0);
+  flow.supply = std::move(rhs);
+  return flow;
+}
+
+QuotientFlow best_effort_flow(const pigp::DenseMatrix<std::int64_t>& eps,
+                              std::vector<double> rhs) {
+  QuotientFlow flow = balance_flow(eps, std::move(rhs));
+  flow.lanes.front().cost.fill(1e-3);
+  flow.slack_cost.assign(eps.rows(), 1.0);
+  return flow;
+}
+
+lp::LinearProgram build_balance_lp(
+    const pigp::DenseMatrix<std::int64_t>& eps, const std::vector<double>& rhs,
+    pigp::DenseMatrix<int>* pair_vars) {
+  std::vector<pigp::DenseMatrix<int>> lane_vars;
+  lp::LinearProgram program =
+      to_linear_program(balance_flow(eps, rhs), &lane_vars);
+  if (pair_vars != nullptr) *pair_vars = std::move(lane_vars.front());
+  return program;
 }
 
 namespace {
 
-/// W(q) − target_q per partition; returns the max |excess|.
+/// Record a solved stage flow as the stage's decision.
+StageDecision accept(FlowResult flow, double alpha, int layer_depth) {
+  return {.deepen = false,
+          .progress = flow.moved > 0,
+          .stats = {.alpha = alpha,
+                    .lp_variables = flow.lp_variables,
+                    .lp_rows = flow.lp_rows,
+                    .lp_iterations = flow.lp_iterations,
+                    .vertices_moved = static_cast<double>(flow.moved),
+                    .layer_depth = layer_depth},
+          .moves = std::move(flow.moves)};
+}
+
+}  // namespace
+
+StageDecision decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
+                           const std::vector<double>& excess, bool exhausted,
+                           int depth_budget, const BalanceOptions& options) {
+  const int layer_depth = exhausted ? -1 : depth_budget;
+  // Paper staging: smallest feasible alpha in {1, 2, 4, ...} — only
+  // α = 1 before exhaustion, since nothing else could be accepted there.
+  const double alpha_max = exhausted ? options.alpha_max : 1.0;
+  for (double alpha = 1.0; alpha <= alpha_max; alpha *= 2.0) {
+    std::vector<double> rhs = staged_requirements(excess, alpha);
+    if (std::all_of(rhs.begin(), rhs.end(),
+                    [](double r) { return r == 0.0; })) {
+      break;  // excess too small relative to alpha; nothing to request
+    }
+    FlowResult flow = solve_flow(balance_flow(eps, std::move(rhs)),
+                                 options.solver, options.simplex);
+    if (flow.status == lp::SolveStatus::optimal) {
+      return accept(std::move(flow), alpha, layer_depth);
+    }
+  }
+  if (!exhausted) {
+    return {.deepen = true, .progress = false, .stats = {}, .moves = {}};
+  }
+  // No α fits the full capacities: move whatever they admit this stage;
+  // the next stage re-layers and continues.
+  FlowResult flow =
+      solve_flow(best_effort_flow(eps, staged_requirements(excess, 1.0)),
+                 options.solver, options.simplex);
+  PIGP_CHECK(flow.status == lp::SolveStatus::optimal,
+             "relaxed balance LP is always feasible");
+  return accept(std::move(flow), 0.0, layer_depth);  // alpha 0: best effort
+}
+
 double compute_excess(const std::vector<double>& weight,
                       const std::vector<double>& targets,
                       std::vector<double>& excess) {
@@ -192,8 +220,6 @@ double compute_excess(const std::vector<double>& weight,
   }
   return max_dev;
 }
-
-}  // namespace
 
 BalanceResult balance_load(const graph::Graph& g,
                            graph::Partitioning& partitioning,
@@ -238,35 +264,18 @@ BalanceResult balance_load(const graph::Graph& g,
     if (ws != nullptr && stage == 0) ws->layering.bind(g, partitioning);
 
     // Boundary-seeded layering, depth-capped with lazy deepening: a mildly
-    // imbalanced stream labels a thin shell and stops as soon as the
-    // one-shot (α = 1) LP fits in it.  A relaxed α is only ever accepted
-    // at exhaustion — where the capacities equal the batch layering's — so
-    // the α this stage settles on is always exactly the α the batch
-    // pipeline would have picked, and the best-effort fallback likewise
-    // runs only on batch-equivalent capacities.
+    // imbalanced stream labels a thin shell and stops as soon as
+    // decide_stage accepts on it.
     layering.reseed(state, options.num_threads);
-    const int cap = options.max_layers;
-    int depth_budget = cap == 0 ? -1 : cap;
-    layering.grow(depth_budget, options.num_threads);
-    int grow_step = cap;
-    // Before exhaustion only an α = 1 result can be accepted, so don't
-    // waste α ≥ 2 LP solves on shells that would be deepened anyway.
-    BalanceOptions one_shot = options;
-    one_shot.alpha_max = 1.0;
-    StageDecision decision;
-    while (true) {
-      const bool full = layering.exhausted();
-      decision = decide_stage_moves_alpha(layering.eps(), excess,
-                                          full ? options : one_shot);
-      if (full || decision.lp_feasible) break;
-      layering.grow(grow_step, options.num_threads);
-      depth_budget += grow_step;
-      grow_step *= 2;  // double the total depth per retry
+    LayerDepth depth(options.max_layers);
+    layering.grow(depth.budget, options.num_threads);
+    StageDecision decision = decide_stage(
+        layering.eps(), excess, layering.exhausted(), depth.budget, options);
+    while (decision.deepen) {
+      layering.grow(depth.deepen(), options.num_threads);
+      decision = decide_stage(layering.eps(), excess, layering.exhausted(),
+                              depth.budget, options);
     }
-    if (!decision.lp_feasible) {
-      decision = best_effort_stage_moves(layering.eps(), excess, options);
-    }
-    decision.stats.layer_depth = layering.exhausted() ? -1 : depth_budget;
 
     if (!decision.progress) {
       // Nothing can move at all (e.g. a partition with no boundary);

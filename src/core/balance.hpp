@@ -15,6 +15,7 @@
 /// iterates; the paper reports 1–3 stages on its workloads.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/layering.hpp"
@@ -48,13 +49,9 @@ struct BalanceOptions {
   LpSolverKind solver = LpSolverKind::dense;
   lp::SimplexOptions simplex;
   int num_threads = 1;
-  /// Initial depth cap for the boundary-seeded layering (state-driven
-  /// path): each stage labels only this many BFS levels past the boundary
-  /// and deepens lazily — doubling the total depth — while the staged LP
-  /// is infeasible at the current depth; the best-effort fallback only
-  /// runs once layering is exhausted, so terminal decisions match the
-  /// batch pipeline.  0 = unlimited (always grow to exhaustion, exactly
-  /// the batch layering's labels and capacities).
+  /// Initial depth cap of the boundary-seeded layering, deepened lazily
+  /// per LayerDepth and decide_stage.  0 = unlimited: always grow to
+  /// exhaustion, exactly the batch layering's labels and capacities.
   int max_layers = 4;
 };
 
@@ -76,10 +73,72 @@ struct BalanceResult {
   double final_max_deviation = 0.0;
 };
 
-/// The movement LP for one stage.  \p rhs gives each partition's net
-/// outflow requirement; variables exist for ordered pairs with eps > 0.
-/// \p pair_vars receives the variable index per (i, j) pair (-1 when
-/// absent).  Exposed for tests and the SPMD driver.
+/// One flow problem on the P-node quotient graph: the shape all three of
+/// the paper's LPs share — balance (eqs. 10–13), its slack-relaxed
+/// best-effort fallback, and refinement (eqs. 14–16).  Each lane's arc
+/// (i, j), i ≠ j, with capacity > 0 is a variable l in [0, capacity] at
+/// the lane's cost; node q's row is Σ (out − in) [+ s⁺ − s⁻] = supply_q.
+struct QuotientFlow {
+  /// Parallel arcs per ordered pair (refinement's positive- and zero-gain
+  /// lanes); their flows add up in the move matrix.
+  struct Lane {
+    pigp::DenseMatrix<double> capacity;  ///< 0 = no arc
+    pigp::DenseMatrix<double> cost;
+  };
+  QuotientFlow(std::size_t parts, lp::Sense sense, std::size_t lanes = 1)
+      : sense(sense),
+        lanes(lanes, Lane{pigp::DenseMatrix<double>(parts, parts, 0.0),
+                          pigp::DenseMatrix<double>(parts, parts, 0.0)}) {}
+
+  lp::Sense sense;
+  std::vector<Lane> lanes;
+  /// Empty = a circulation: all-zero supply, and a node without arcs gets
+  /// no row.  Otherwise every node gets its row.
+  std::vector<double> supply;
+  /// Per-node cost of the slack pair s⁺_q, s⁻_q ≥ 0; empty = no slack.
+  std::vector<double> slack_cost;
+};
+
+/// A solved QuotientFlow; moves/moved are set only when optimal.
+struct FlowResult {
+  lp::SolveStatus status = lp::SolveStatus::infeasible;
+  double objective = 0.0;
+  pigp::DenseMatrix<std::int64_t> moves;  ///< flow per pair, lanes summed
+  std::int64_t moved = 0;
+  int lp_variables = 0;
+  int lp_rows = 0;
+  std::int64_t lp_iterations = 0;
+};
+
+/// The one translation of a flow into an LP.  Variables: the arcs in
+/// (i, j, lane) order, then each node's (s⁺, s⁻) when slack is priced.
+/// Row q lists, for each k, q's out-lanes to k (+1) then its in-lanes from
+/// k (−1), then its slack.  \p lane_vars receives each lane's variable
+/// index per pair (-1 when absent).
+[[nodiscard]] lp::LinearProgram to_linear_program(
+    const QuotientFlow& flow,
+    std::vector<pigp::DenseMatrix<int>>* lane_vars = nullptr);
+
+/// Solve \p flow and harvest the integer move matrix.  An optimal vertex
+/// of these network-matrix LPs is integral; Debug and PIGP_VALIDATE builds
+/// check every value is within 1e-6 of an integer before rounding.
+[[nodiscard]] FlowResult solve_flow(const QuotientFlow& flow,
+                                    LpSolverKind kind,
+                                    const lp::SimplexOptions& options);
+
+/// A balance stage's flow: arc (i, j) per eps_ij > 0 with capacity ε_ij
+/// and unit cost; supply = \p rhs, each partition's net outflow.
+[[nodiscard]] QuotientFlow balance_flow(
+    const pigp::DenseMatrix<std::int64_t>& eps, std::vector<double> rhs);
+
+/// The best-effort fallback: the balance arcs at a light cost (minimal
+/// movement among max-progress solutions) plus unit slack on every node,
+/// so it is always feasible and moves as far toward \p rhs as ε admits.
+[[nodiscard]] QuotientFlow best_effort_flow(
+    const pigp::DenseMatrix<std::int64_t>& eps, std::vector<double> rhs);
+
+/// The LP of balance_flow(eps, rhs); \p pair_vars receives the variable
+/// index per (i, j) pair (-1 when absent).  For tests and benchmarks.
 [[nodiscard]] lp::LinearProgram build_balance_lp(
     const pigp::DenseMatrix<std::int64_t>& eps, const std::vector<double>& rhs,
     pigp::DenseMatrix<int>* pair_vars);
@@ -89,34 +148,42 @@ struct BalanceResult {
 [[nodiscard]] std::vector<double> staged_requirements(
     const std::vector<double>& excess, double alpha);
 
-/// One per-stage movement decision, shared by the shared-memory and SPMD
-/// drivers.  `progress` is false when nothing can move.
+/// excess_q = W(q) − target_q, the per-stage input of every balance
+/// driver; returns the max |excess|.  \p excess must have weight.size().
+[[nodiscard]] double compute_excess(const std::vector<double>& weight,
+                                    const std::vector<double>& targets,
+                                    std::vector<double>& excess);
+
+/// The deepening schedule both balance drivers share: label max_layers
+/// levels past the boundary (0 = unlimited), then on each deepen grow by
+/// the current depth, doubling it.
+struct LayerDepth {
+  explicit LayerDepth(int max_layers)
+      : budget(max_layers == 0 ? -1 : max_layers) {}
+  /// Levels to grow by now (the current depth); doubles the budget.
+  int deepen() { return std::exchange(budget, 2 * budget); }
+  int budget;  ///< total depth labeled so far; -1 = unlimited
+};
+
+/// One balance stage's decision at the current layering depth.
 struct StageDecision {
-  bool progress = false;
-  /// True when the α ladder found an optimal LP at the given capacities
-  /// (false means the capacities were insufficient — the drivers react by
-  /// deepening the layering before falling back).
-  bool lp_feasible = false;
+  bool deepen = false;    ///< grow the layering and decide again
+  bool progress = false;  ///< false = the decided stage moves nothing
   BalanceStage stats;
   pigp::DenseMatrix<std::int64_t> moves;
 };
 
-/// The α ladder (the paper's staging): smallest feasible α by doubling,
-/// no fallback (lp_feasible == false when none works).  The drivers
-/// interleave this with lazy layering growth — before exhaustion they
-/// pass alpha_max = 1 since only an α = 1 result can be accepted there.
-[[nodiscard]] StageDecision decide_stage_moves_alpha(
+/// The stage rule both balance drivers (balance_load and the SPMD
+/// handshake) apply to the current ε.  α = 1 is accepted at any depth; the
+/// rest of the α ladder (smallest feasible α by doubling, up to
+/// alpha_max) and then the best-effort fallback run only once the layering
+/// is \p exhausted — capacities equal to the batch layering's, so the α
+/// chosen is the batch pipeline's.  Before that, an infeasible α = 1
+/// deepens.  stats.layer_depth is \p depth_budget, or -1 when exhausted.
+[[nodiscard]] StageDecision decide_stage(
     const pigp::DenseMatrix<std::int64_t>& eps,
-    const std::vector<double>& excess, const BalanceOptions& options);
-
-/// The best-effort fallback: when no α is feasible — the layering
-/// capacities are structurally insufficient this stage — a slack-relaxed
-/// LP moves as much toward balance as the capacities allow (slack
-/// penalized, movement lightly penalized).  Run it on exhausted (full)
-/// capacities only, so its decisions match the batch pipeline.
-[[nodiscard]] StageDecision best_effort_stage_moves(
-    const pigp::DenseMatrix<std::int64_t>& eps,
-    const std::vector<double>& excess, const BalanceOptions& options);
+    const std::vector<double>& excess, bool exhausted, int depth_budget,
+    const BalanceOptions& options);
 
 /// Run balance stages in place on \p partitioning until balanced or the
 /// stage limit is hit.  Layering is recomputed each stage.  This batch

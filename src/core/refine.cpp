@@ -7,7 +7,6 @@
 #include <omp.h>
 #endif
 
-#include "core/transfer.hpp"
 #include "core/workspace.hpp"
 #include "graph/partition_state.hpp"
 #include "support/check.hpp"
@@ -135,27 +134,19 @@ void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
 }
 #endif
 
-/// The refinement LP (eqs. 14–16) with a gain-aware objective.  The paper
-/// maximizes raw movement Σ l_ij; taken literally that lets zero-gain
-/// vertices (out == in, admitted by the non-strict inequality) dominate the
-/// solution and churn the boundary without improving the cut.  The paper's
-/// own justification for including them is that "these vertices can be
-/// moved to satisfy load balance constraints" — i.e. they exist to *route
-/// flow*, not to be goals in themselves.  We encode exactly that: each pair
-/// gets a positive-gain variable (capacity = number of gain>0 candidates,
-/// objective = their mean gain) and a zero-gain variable (capacity =
-/// remaining candidates, objective = tiny ε), so the simplex moves
-/// improving vertices and uses zero-gain ones only to close circulation.
-/// \p cap_scale < 1 shrinks batches after a regression (batch moves can
-/// interact; smaller batches interact less).
-lp::LinearProgram build_refinement_lp(
+}  // namespace
+
+QuotientFlow refinement_flow(
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
-    double cap_scale, pigp::DenseMatrix<int>* pos_vars,
-    pigp::DenseMatrix<int>* zero_vars) {
+    double cap_scale) {
   const std::size_t parts = candidates.rows();
-  lp::LinearProgram program(lp::Sense::maximize);
-  pigp::DenseMatrix<int> vp(parts, parts, -1);
-  pigp::DenseMatrix<int> vz(parts, parts, -1);
+  QuotientFlow flow(parts, lp::Sense::maximize, 2);
+  QuotientFlow::Lane& gain_lane = flow.lanes[0];
+  QuotientFlow::Lane& zero_lane = flow.lanes[1];
+  zero_lane.cost.fill(1e-3);
+  const auto scaled = [cap_scale](double count) {
+    return std::max(1.0, std::floor(count * cap_scale));
+  };
   for (std::size_t i = 0; i < parts; ++i) {
     for (std::size_t j = 0; j < parts; ++j) {
       const auto& bucket = candidates(i, j);
@@ -169,38 +160,15 @@ lp::LinearProgram build_refinement_lp(
         }
       }
       const double zero = static_cast<double>(bucket.size()) - positive;
-      const std::string tag =
-          std::to_string(i) + "_" + std::to_string(j);
       if (positive > 0.0) {
-        const double cap = std::max(1.0, std::floor(positive * cap_scale));
-        vp(i, j) = program.add_variable(gain_sum / positive, 0.0, cap,
-                                        "p" + tag);
+        gain_lane.capacity(i, j) = scaled(positive);
+        gain_lane.cost(i, j) = gain_sum / positive;
       }
-      if (zero > 0.0) {
-        const double cap = std::max(1.0, std::floor(zero * cap_scale));
-        vz(i, j) = program.add_variable(1e-3, 0.0, cap, "z" + tag);
-      }
+      if (zero > 0.0) zero_lane.capacity(i, j) = scaled(zero);
     }
   }
-  for (std::size_t q = 0; q < parts; ++q) {
-    std::vector<std::pair<int, double>> coeffs;
-    for (std::size_t k = 0; k < parts; ++k) {
-      if (vp(q, k) >= 0) coeffs.emplace_back(vp(q, k), 1.0);
-      if (vz(q, k) >= 0) coeffs.emplace_back(vz(q, k), 1.0);
-      if (vp(k, q) >= 0) coeffs.emplace_back(vp(k, q), -1.0);
-      if (vz(k, q) >= 0) coeffs.emplace_back(vz(k, q), -1.0);
-    }
-    if (!coeffs.empty()) {
-      program.add_row(lp::RowType::equal, std::move(coeffs), 0.0,
-                      "flow" + std::to_string(q));
-    }
-  }
-  if (pos_vars != nullptr) *pos_vars = std::move(vp);
-  if (zero_vars != nullptr) *zero_vars = std::move(vz);
-  return program;
+  return flow;
 }
-
-}  // namespace
 
 RefineStats refine_partitioning(const graph::Graph& g,
                                 graph::Partitioning& partitioning,
@@ -247,48 +215,23 @@ RefineStats refine_partitioning(const graph::Graph& g,
     audit_analysis(g, partitioning, boundary, w.refine_analysis,
                    w.refine_tallies.front());
 #endif
-    // No candidates at all: the LP would have zero variables — skip its
-    // construction entirely (same terminal decision, no model churn).
-    bool any_candidate = false;
-    for (std::size_t i = 0; i < parts && !any_candidate; ++i) {
-      for (std::size_t j = 0; j < parts && !any_candidate; ++j) {
-        any_candidate = !candidates(i, j).empty();
-      }
+    // No candidates at all: the flow would have no arcs — skip building
+    // it entirely (same terminal decision, and a converged call allocates
+    // nothing).
+    if (std::all_of(candidates.data(), candidates.data() + parts * parts,
+                    [](const auto& bucket) { return bucket.empty(); })) {
+      break;
     }
-    if (!any_candidate) break;
 
-    pigp::DenseMatrix<int> pos_vars;
-    pigp::DenseMatrix<int> zero_vars;
-    const lp::LinearProgram program =
-        build_refinement_lp(candidates, cap_scale, &pos_vars, &zero_vars);
-    if (program.num_variables() == 0) break;
-
-    const lp::Solution solution =
-        solve_lp(program, options.solver, options.simplex);
-    PIGP_CHECK(solution.status == lp::SolveStatus::optimal,
+    const FlowResult flow =
+        solve_flow(refinement_flow(candidates, cap_scale), options.solver,
+                   options.simplex);
+    PIGP_CHECK(flow.status == lp::SolveStatus::optimal,
                "refinement LP must be solvable (l = 0 is feasible)");
-    stats.lp_iterations += solution.iterations;
+    stats.lp_iterations += flow.lp_iterations;
     // Objective is gain-weighted; below this threshold only zero-gain
     // circulation remains.
-    if (solution.objective < 0.5) break;
-
-    pigp::DenseMatrix<std::int64_t> moves(parts, parts, 0);
-    std::int64_t moved = 0;
-    for (std::size_t i = 0; i < parts; ++i) {
-      for (std::size_t j = 0; j < parts; ++j) {
-        std::int64_t count = 0;
-        if (pos_vars(i, j) >= 0) {
-          count += std::llround(
-              solution.x[static_cast<std::size_t>(pos_vars(i, j))]);
-        }
-        if (zero_vars(i, j) >= 0) {
-          count += std::llround(
-              solution.x[static_cast<std::size_t>(zero_vars(i, j))]);
-        }
-        moves(i, j) = count;
-        moved += count;
-      }
-    }
+    if (flow.objective < 0.5) break;
 
     // Undo unit: the aggregate snapshot is O(P); the partitioning and the
     // (integer) boundary index are restored exactly by replaying the move
@@ -296,7 +239,7 @@ RefineStats refine_partitioning(const graph::Graph& g,
     const graph::PartitionState::AggregateSnapshot saved =
         state.save_aggregates();
     journal.clear();
-    apply_gain_transfers(g, partitioning, candidates, moves, state,
+    apply_gain_transfers(g, partitioning, candidates, flow.moves, state,
                          w.refine_selection, &journal);
     ++stats.rounds;
 
@@ -329,7 +272,7 @@ RefineStats refine_partitioning(const graph::Graph& g,
         w.refine_analysis.invalidate(static_cast<std::size_t>(u));
       }
     }
-    stats.vertices_moved += moved;
+    stats.vertices_moved += flow.moved;
     const double gain = cut - new_cut;
     cut = new_cut;
     stats.cut_after = cut;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/balance.hpp"
+#include "core/transfer.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
@@ -56,6 +57,18 @@ struct RefineStats {
   /// previous kept round's moved vertices.
   std::int64_t vertices_analyzed = 0;
 };
+
+/// The refinement LP (eqs. 14–16) as a quotient flow, with a gain-aware
+/// objective: the paper's raw Σ l_ij lets zero-gain candidates (admitted
+/// by the non-strict condition) churn the boundary without improving the
+/// cut.  Each pair gets a positive-gain lane (capacity = its gain > 0
+/// candidates, cost = their mean gain) and a zero-gain lane (the rest, at
+/// a tiny cost) that only routes flow to close circulation — the paper's
+/// own reason for admitting them.  \p cap_scale < 1 shrinks batches after
+/// a regression (smaller batches interact less).  Exposed for tests.
+[[nodiscard]] QuotientFlow refinement_flow(
+    const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
+    double cap_scale);
 
 /// Iteratively refine \p partitioning in place; returns statistics.  Load
 /// balance is preserved exactly (zero-net-flow constraints).  This batch

@@ -26,16 +26,13 @@ SpmdStageOutcome spmd_balance_handshake(
     const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
     std::vector<std::int64_t>& moves_flat) {
   const std::size_t parts = excess.size();
-  const int cap = options.max_layers;
-  int depth_budget = cap == 0 ? -1 : cap;
-  layering.grow(depth_budget, 1);
-  int grow_step = cap;
+  LayerDepth depth(options.max_layers);
+  layering.grow(depth.budget, 1);
 
-  // Allgather (exhausted flag, owned eps rows); rank 0 runs the α ladder
-  // on the assembled capacities and broadcasts either "deepen" (everyone
-  // grows and the loop repeats) or the final move matrix — exactly the
-  // lazy-deepening loop of the shared-memory driver, with communication
-  // in the middle.
+  // Allgather (exhausted flag, owned eps rows); rank 0 applies the stage
+  // rule to the assembled capacities and broadcasts either "deepen"
+  // (everyone grows and the loop repeats) or the final move matrix —
+  // balance_load's loop with communication in the middle.
   StageDecision decision;
   while (true) {
     Packet mine;
@@ -48,15 +45,13 @@ SpmdStageOutcome spmd_balance_handshake(
     mine.pack_vector(eps_rows);
     const std::vector<Packet> gathered = transport.allgather(std::move(mine));
 
-    int action = 0;  // 0 = moves ready, 1 = deepen
     Packet decision_packet;
     if (transport.rank() == 0) {
       bool all_exhausted = true;
       pigp::DenseMatrix<std::int64_t> eps(parts, parts, 0);
       for (int r = 0; r < transport.num_ranks(); ++r) {
         Packet p = gathered[static_cast<std::size_t>(r)];
-        const bool rank_exhausted = p.unpack<int>() != 0;
-        all_exhausted = all_exhausted && rank_exhausted;
+        all_exhausted &= p.unpack<int>() != 0;
         const std::vector<std::int64_t> rows = p.unpack_vector<std::int64_t>();
         std::size_t k = 0;
         for (PartId q = 0; q < static_cast<PartId>(parts); ++q) {
@@ -67,38 +62,19 @@ SpmdStageOutcome spmd_balance_handshake(
           ++k;
         }
       }
-      // Same acceptance rule as the shared-memory driver: take α = 1 at
-      // any depth, anything else only at exhaustion — so before exhaustion
-      // only the α = 1 rung of the ladder is solved.
-      BalanceOptions ladder = options;
-      if (!all_exhausted) ladder.alpha_max = 1.0;
-      decision = decide_stage_moves_alpha(eps, excess, ladder);
-      if (!all_exhausted && !decision.lp_feasible) {
-        action = 1;
-      } else {
-        if (!decision.lp_feasible) {
-          decision = best_effort_stage_moves(eps, excess, options);
-        }
-        decision.stats.layer_depth = all_exhausted ? -1 : depth_budget;
-      }
-      decision_packet.pack(action);
-      if (action == 0) {
+      decision = decide_stage(eps, excess, all_exhausted, depth.budget,
+                              options);
+      decision_packet.pack(decision.deepen ? 1 : 0);
+      if (!decision.deepen) {
         decision_packet.pack(decision.progress ? 1 : 0);
-        moves_flat.resize(parts * parts);
-        for (std::size_t i = 0; i < parts; ++i) {
-          for (std::size_t j = 0; j < parts; ++j) {
-            moves_flat[i * parts + j] = decision.moves(i, j);
-          }
-        }
+        moves_flat.assign(decision.moves.data(),
+                          decision.moves.data() + parts * parts);
         decision_packet.pack_vector(moves_flat);
       }
     }
     Packet received = transport.broadcast(0, std::move(decision_packet));
-    action = received.unpack<int>();
-    if (action == 1) {
-      layering.grow(grow_step, 1);
-      depth_budget += grow_step;
-      grow_step *= 2;  // double the total depth per retry
+    if (received.unpack<int>() != 0) {  // deepen
+      layering.grow(depth.deepen(), 1);
       continue;
     }
     SpmdStageOutcome outcome;
@@ -153,12 +129,8 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
       // Every rank reads the excess off the shared state's maintained
       // weights — O(P), identical on all ranks (rank 0 is the only writer
       // and the stage ends in a barrier).
-      double max_dev = 0.0;
-      for (std::size_t q = 0; q < parts; ++q) {
-        excess[q] = state.weights()[q] - targets[q];
-        max_dev = std::max(max_dev, std::abs(excess[q]));
-      }
-      if (max_dev <= options.balance.tolerance) {
+      if (compute_excess(state.weights(), targets, excess) <=
+          options.balance.tolerance) {
         if (ctx.rank() == 0) result.balance_result.balanced = true;
         break;
       }

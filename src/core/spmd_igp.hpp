@@ -134,16 +134,16 @@ struct SpmdStageOutcome {
 /// One balance stage's deepen-vs-decide handshake — the single copy of the
 /// protocol both SPMD engines (spmd_repartition_in_place and
 /// spmd_worker_rebalance) run.  \p layering is this rank's layering of its
-/// \p owned partitions, reseeded for the stage; the handshake grows it to
-/// options.max_layers, then loops: allgather (exhausted flag, owned ε
-/// rows); rank 0 assembles ε (partition q from rank graph::shard_owner),
-/// runs the α ladder — α = 1 only until every rank's layering is
-/// exhausted, the shared-memory driver's acceptance rule — and broadcasts
-/// either "deepen" (every rank doubles its depth and the loop repeats) or
-/// the stage's move matrix.  \p excess is the per-partition excess, the
-/// same on every rank.  \p eps_rows and \p moves_flat are caller-owned
-/// buffers; on return with progress, \p moves_flat holds the row-major
-/// P×P move matrix on every rank.
+/// \p owned partitions, reseeded for the stage; the handshake grows it per
+/// LayerDepth, then loops: allgather (exhausted flag, owned ε rows); rank
+/// 0 assembles ε (partition q from rank graph::shard_owner), applies
+/// decide_stage — the shared-memory driver's stage rule, exhausted only
+/// when every rank's layering is — and broadcasts either "deepen" (every
+/// rank grows per LayerDepth and the loop repeats) or the stage's move
+/// matrix.  \p excess is the per-partition excess, the same on every
+/// rank.  \p eps_rows and \p moves_flat are caller-owned buffers; on
+/// return with progress, \p moves_flat holds the row-major P×P move
+/// matrix on every rank.
 [[nodiscard]] SpmdStageOutcome spmd_balance_handshake(
     net::Transport& transport, BoundaryLayering& layering,
     const std::vector<graph::PartId>& owned, const std::vector<double>& excess,

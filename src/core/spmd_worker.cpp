@@ -124,12 +124,7 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
 
   for (int stage = 0; stage < options.balance.max_stages; ++stage) {
     // Excess off the replicated weights — identical on every rank.
-    double max_dev = 0.0;
-    for (std::size_t q = 0; q < parts; ++q) {
-      excess[q] = W[q] - targets[q];
-      max_dev = std::max(max_dev, std::abs(excess[q]));
-    }
-    if (max_dev <= options.balance.tolerance) {
+    if (compute_excess(W, targets, excess) <= options.balance.tolerance) {
       stats.balanced = true;
       break;
     }

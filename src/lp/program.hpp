@@ -3,14 +3,16 @@
 /// \file program.hpp
 /// Linear-program model shared by every solver in pigp::lp.
 ///
-/// The incremental partitioner builds two kinds of LPs (Ou & Ranka §2.3 and
-/// §2.4): the load-balancing program
+/// The incremental partitioner's LPs (Ou & Ranka §2.3 and §2.4) are flows
+/// on the partition quotient graph: the load-balancing program
 ///     minimize   Σ l_ij
 ///     subject to 0 ≤ l_ij ≤ ε_ij,   Σ_k (l_jk − l_kj) = |B'(j)| − μ,
-/// and the refinement program
+/// its slack-relaxed best-effort fallback, and the refinement program
 ///     maximize   Σ l_ij
 ///     subject to 0 ≤ l_ij ≤ b_ij,   Σ_k (l_jk − l_kj) = 0.
-/// Both are expressed through this class and handed to a simplex solver.
+/// All three are stated as a core::QuotientFlow, which
+/// core::to_linear_program translates into this class for a simplex
+/// solver.
 
 #include <limits>
 #include <string>

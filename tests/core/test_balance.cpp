@@ -58,6 +58,65 @@ TEST(BuildBalanceLp, OnlyPositiveEpsPairsGetVariables) {
   EXPECT_EQ(vars(2, 0), -1);
 }
 
+// The one stage rule both balance drivers apply (decide_stage), on
+// hand-built capacities: two partitions, partition 0 two units heavy.  One
+// unit of 0 -> 1 capacity fits α = 2 (rhs {1, -1}) but not α = 1.
+
+pigp::DenseMatrix<std::int64_t> two_part_eps(std::int64_t capacity) {
+  pigp::DenseMatrix<std::int64_t> eps(2, 2, 0);
+  eps(0, 1) = capacity;
+  return eps;
+}
+
+const std::vector<double> kTwoHeavy = {2.0, -2.0};
+
+TEST(DecideStage, AcceptsAlphaOneBeforeExhaustionAtTheBudgetDepth) {
+  const StageDecision d =
+      decide_stage(two_part_eps(5), kTwoHeavy, false, 4, BalanceOptions{});
+  EXPECT_FALSE(d.deepen);
+  EXPECT_TRUE(d.progress);
+  EXPECT_EQ(d.stats.alpha, 1.0);
+  EXPECT_EQ(d.stats.layer_depth, 4);
+  EXPECT_EQ(d.moves(0, 1), 2);
+}
+
+TEST(DecideStage, DeepensWhenOnlyARelaxedAlphaFitsBeforeExhaustion) {
+  const StageDecision d =
+      decide_stage(two_part_eps(1), kTwoHeavy, false, 4, BalanceOptions{});
+  EXPECT_TRUE(d.deepen);
+  EXPECT_FALSE(d.progress);
+}
+
+TEST(DecideStage, AcceptsRelaxedAlphaAtExhaustion) {
+  const StageDecision d =
+      decide_stage(two_part_eps(1), kTwoHeavy, true, 4, BalanceOptions{});
+  EXPECT_FALSE(d.deepen);
+  EXPECT_TRUE(d.progress);
+  EXPECT_EQ(d.stats.alpha, 2.0);
+  EXPECT_EQ(d.stats.layer_depth, -1);
+  EXPECT_EQ(d.moves(0, 1), 1);
+}
+
+TEST(DecideStage, FallsBackToBestEffortWhenNoAlphaFitsAtExhaustion) {
+  const StageDecision d =
+      decide_stage(two_part_eps(0), kTwoHeavy, true, 4, BalanceOptions{});
+  EXPECT_FALSE(d.deepen);
+  EXPECT_FALSE(d.progress);  // no arc: best effort moves nothing
+  EXPECT_EQ(d.stats.alpha, 0.0);
+  EXPECT_EQ(d.stats.layer_depth, -1);
+  EXPECT_EQ(d.stats.lp_variables, 4);  // two slack pairs, no arcs
+}
+
+TEST(LayerDepth, StartsAtTheCapThenDoublesTheTotalDepth) {
+  LayerDepth depth(4);
+  EXPECT_EQ(depth.budget, 4);
+  EXPECT_EQ(depth.deepen(), 4);
+  EXPECT_EQ(depth.budget, 8);
+  EXPECT_EQ(depth.deepen(), 8);
+  EXPECT_EQ(depth.budget, 16);
+  EXPECT_EQ(LayerDepth(0).budget, -1);  // unlimited
+}
+
 /// Build a path with a deliberately skewed partitioning.
 Partitioning skewed_path_partitioning(int n, int split, int parts) {
   Partitioning p;
