@@ -273,16 +273,8 @@ void AsyncSession::publish_view() {
 }
 
 bool AsyncSession::rebalance_due() const {
-  if (pending_updates_ <= 0) return false;
-  switch (config_.batch_policy) {
-    case BatchPolicy::every_delta:
-      return true;
-    case BatchPolicy::vertex_count:
-      return pending_vertex_changes_ >= config_.batch_vertex_limit;
-    case BatchPolicy::imbalance:
-      return front_->summary().imbalance > config_.batch_imbalance_limit;
-  }
-  return false;
+  return pending_updates_ > 0 && batch_due(config_, pending_vertex_changes_,
+                                           front_->partition_state());
 }
 
 void AsyncSession::dispatch_job() {
@@ -362,51 +354,43 @@ void AsyncSession::repartition_loop() {
       fallback_ws_.invalidate_vertex_ids();
       seen_remap_tag = job->remap_tag;
     }
-    // Entry-assignment snapshot for the fallback restore: a primary that
-    // dies mid-run leaves the job's partitioning/state half-mutated.
-    // Pooled, so at steady state this is one memcpy per tick — and only
-    // under FailurePolicy::degrade.
-    const graph::PartId entry_parts = job->partitioning.num_parts;
-    if (degrade) {
-      fallback_rollback_.assign(job->partitioning.part.begin(),
-                                job->partitioning.part.end());
-    }
-    try {
-      // Pure rebalance tick: the snapshot is fully placed (the ingest
-      // session runs step 1 eagerly), so n_old == num_vertices and the
-      // backend's in-place entry point rebalances off the snapshot's
-      // maintained state and this thread's own pooled workspace.
-      (void)rear_backend_->repartition(job->graph, job->partitioning,
-                                       job->graph.num_vertices(), job->state,
-                                       rear_ws_);
-      commit.success = true;
-    } catch (...) {
-      commit.success = false;
-      commit.error = std::current_exception();
-      if (degrade) {
-        try {
-          // Graceful degradation: restore the tick's entry assignment,
-          // rebuild the snapshot state over it (the error path is the one
-          // place that rescan is acceptable), and re-run locally so
-          // readers still get a fresh epoch.  The commit keeps the
-          // primary's error for the ledger.
-          job->partitioning.num_parts = entry_parts;
-          job->partitioning.part.assign(fallback_rollback_.begin(),
-                                        fallback_rollback_.end());
-          job->state.rebuild(job->graph, job->partitioning);
-          (void)fallback_backend_->repartition(
-              job->graph, job->partitioning, job->graph.num_vertices(),
-              job->state, fallback_ws_);
-          commit.success = true;
-          commit.used_fallback = true;
-        } catch (...) {
-          // Even the local fallback failed — the tick is lost; report the
-          // primary's error (the root cause) and let fail-fast handling
-          // latch it.
-          commit.success = false;
+    {
+      // A primary that dies mid-run leaves the job's partitioning/state
+      // half-mutated; the fallback restore undoes this window — O(moves),
+      // not an assignment copy per tick plus a rescan on failure.
+      graph::PartitionState::RollbackWindow window(job->state);
+      try {
+        // Pure rebalance tick: the snapshot is fully placed (the ingest
+        // session runs step 1 eagerly), so n_old == num_vertices and the
+        // backend's in-place entry point rebalances off the snapshot's
+        // maintained state and this thread's own pooled workspace.
+        (void)rear_backend_->repartition(job->graph, job->partitioning,
+                                         job->graph.num_vertices(), job->state,
+                                         rear_ws_);
+        commit.success = true;
+      } catch (...) {
+        commit.success = false;
+        commit.error = std::current_exception();
+        if (degrade) {
+          try {
+            // Graceful degradation: undo to the tick's entry assignment and
+            // state, and re-run locally so readers still get a fresh epoch.
+            // The commit keeps the primary's error for the ledger.
+            window.undo(job->graph, job->partitioning);
+            (void)fallback_backend_->repartition(
+                job->graph, job->partitioning, job->graph.num_vertices(),
+                job->state, fallback_ws_);
+            commit.success = true;
+            commit.used_fallback = true;
+          } catch (...) {
+            // Even the local fallback failed — the tick is lost; report the
+            // primary's error (the root cause) and let fail-fast handling
+            // latch it.
+            commit.success = false;
+          }
         }
       }
-    }
+    }  // the window closes before the job moves into the commit
     commit.job = std::move(*job);
     // false only when the ingest thread already shut the mailbox; the
     // result is moot then.

@@ -280,12 +280,10 @@ class AsyncSession {
   std::unique_ptr<Backend> rear_backend_;
   core::Workspace rear_ws_;
   /// FailurePolicy::degrade only: the local backend re-running a failed
-  /// tick, with its own pooled workspace and the entry-assignment snapshot
-  /// the restore needs (the primary may die mid-run).  All three are
-  /// repartition-thread-only after construction.
+  /// tick (after undoing the primary's moves), with its own pooled
+  /// workspace.  Both are repartition-thread-only after construction.
   std::unique_ptr<Backend> fallback_backend_;
   core::Workspace fallback_ws_;
-  std::vector<graph::PartId> fallback_rollback_;
 
   ViewChannel channel_;
   std::uint64_t next_epoch_ = 0;

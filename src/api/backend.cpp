@@ -108,11 +108,10 @@ class MultilevelBackend final : public Backend {
 /// transport in a chaos injector, and a *retryable* TransportError (see
 /// net::FaultClass) is retried up to rebalance_retry_limit times with
 /// exponential backoff under rebalance_retry_deadline_ms.  The in-place
-/// tick runs inside its own PartitionState rollback window: each retry
-/// replays the journal back to the tick's entry mark (O(moves), not
-/// O(V+E)), restores the entry aggregates from an O(P) snapshot, and
-/// full-resets the rank workspaces — so a retried tick starts from input
-/// bit-identical to a fault-free one.  Fatal errors and exhausted budgets
+/// tick runs inside its own PartitionState::RollbackWindow: each retry
+/// undoes it (O(moves + P), not O(V+E)) and full-resets the rank
+/// workspaces — so a retried tick starts from input bit-identical to a
+/// fault-free one.  Fatal errors and exhausted budgets
 /// propagate to the caller (the Session latches them, sticky) with the
 /// window closed but *not* undone — the Session's outer window performs
 /// the final rollback.
@@ -158,38 +157,30 @@ class SpmdBackend final : public Backend {
       seen_remap_generation_ = ws.remap_generation;
     }
     RetryBudget budget = make_budget();
-    // Entry mark: a failed attempt leaves partitioning/state mid-run, so
-    // each retry replays the undo journal back to this mark and restores
-    // the O(P) aggregate snapshot — rebuilding the exact entry conditions
-    // in O(moves undone) instead of the historical O(V+E) assignment copy
-    // + state rebuild.  The window nests inside the Session's outer one.
-    const std::size_t mark = state.begin_rollback_mark();
-    state.save_aggregates_into(aggregates_rollback_);
+    // A failed attempt leaves partitioning/state mid-run, so each retry
+    // undoes this window — rebuilding the exact entry conditions in
+    // O(moves undone + P) instead of an O(V+E) assignment copy + state
+    // rebuild.  The window nests inside the Session's outer one; giving up
+    // closes it without undoing, and the outer window owns the final
+    // rollback to the pre-tick state.
+    graph::PartitionState::RollbackWindow window(state);
     for (;;) {
       try {
         BackendResult out = from_igp_result(core::spmd_repartition_in_place(
             executor(), g_new, partitioning, n_old, options_, state, ws,
             rank_ws_));
         out.timings.total = timer.seconds();
-        state.end_rollback_mark(mark);
         return out;
       } catch (const net::TransportError& e) {
         // Aborted rank threads leave the persistent per-rank layerings
         // mid-stage; full-reset them whether or not we retry.
         for (core::Workspace& rank : rank_ws_) rank.invalidate_vertex_ids();
-        if (!backoff_or_give_up(e, budget)) {
-          // Give up: close our window without undoing — the Session's
-          // outer window owns the final rollback to the pre-tick state.
-          state.end_rollback_mark(mark);
-          throw;
-        }
-        // Undo to the entry mark: the pre-tick assignment over [0, n_old)
-        // returns exactly (the appended vertices end kUnassigned again —
-        // they were placed inside the window), and the aggregate snapshot
-        // erases float drift.  The retried engine run therefore starts
-        // from bit-identical input and performs its own step 1 afresh.
-        state.undo_to_mark(g_new, partitioning, mark);
-        state.restore_aggregates(aggregates_rollback_);
+        if (!backoff_or_give_up(e, budget)) throw;
+        // The pre-tick assignment over [0, n_old) returns exactly (the
+        // appended vertices end kUnassigned again — they were placed
+        // inside the window), so the retried engine run starts from
+        // bit-identical input and performs its own step 1 afresh.
+        window.undo(g_new, partitioning);
         partitioning.part.resize(static_cast<std::size_t>(n_old));
       }
     }
@@ -197,8 +188,6 @@ class SpmdBackend final : public Backend {
 
   void trim_memory() override {
     for (core::Workspace& rank : rank_ws_) rank.release_memory();
-    std::vector<double>().swap(aggregates_rollback_.weight);
-    std::vector<double>().swap(aggregates_rollback_.boundary_cost);
   }
 
  private:
@@ -248,9 +237,6 @@ class SpmdBackend final : public Backend {
   std::unique_ptr<core::FaultInjectingExecutor> chaos_;
   /// Persistent per-rank workspaces (resumable layering + pack buffers).
   std::vector<core::Workspace> rank_ws_;
-  /// Pooled pre-tick aggregate snapshot for the retry restore path (the
-  /// assignment itself rolls back through the undo journal).
-  graph::PartitionState::AggregateSnapshot aggregates_rollback_;
   std::uint64_t seen_remap_generation_ = 0;
 };
 

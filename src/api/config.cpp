@@ -197,4 +197,18 @@ ResolvedConfig SessionConfig::resolve() const {
   return resolved;
 }
 
+bool batch_due(const SessionConfig& config,
+               std::int64_t pending_vertex_changes,
+               const graph::PartitionState& state) {
+  switch (config.batch_policy) {
+    case BatchPolicy::every_delta:
+      return true;
+    case BatchPolicy::vertex_count:
+      return pending_vertex_changes >= config.batch_vertex_limit;
+    case BatchPolicy::imbalance:
+      return state.imbalance() > config.batch_imbalance_limit;
+  }
+  return false;
+}
+
 }  // namespace pigp

@@ -13,12 +13,14 @@
 /// field-count guards so adding a field to any of those structs forces an
 /// update here instead of being silently skipped.
 
+#include <cstdint>
 #include <string>
 
 #include "core/assign.hpp"
 #include "core/igp.hpp"
 #include "core/multilevel.hpp"
 #include "graph/partition.hpp"
+#include "graph/partition_state.hpp"
 
 namespace pigp {
 
@@ -164,6 +166,14 @@ struct SessionConfig {
   /// structs.  The one and only derivation path.
   [[nodiscard]] ResolvedConfig resolve() const;
 };
+
+/// The BatchPolicy rule, written once for Session and AsyncSession: is a
+/// repartition due with \p pending_vertex_changes absorbed since the last
+/// one and the partitioning described by \p state (whose imbalance() only
+/// BatchPolicy::imbalance reads)?  every_delta is always due.
+[[nodiscard]] bool batch_due(const SessionConfig& config,
+                             std::int64_t pending_vertex_changes,
+                             const graph::PartitionState& state);
 
 /// A validated SessionConfig plus the fully-propagated core options.
 struct ResolvedConfig {

@@ -329,12 +329,11 @@ SessionReport Session::finish_update(const runtime::WallTimer& started,
                                      graph::Partitioning old,
                                      graph::VertexId n_old) {
   SessionReport report;
-  const BatchPolicy policy = resolved_.session.batch_policy;
-  const bool trigger_now =
-      policy == BatchPolicy::every_delta ||
-      (policy == BatchPolicy::vertex_count &&
-       pending_vertex_changes_ >= resolved_.session.batch_vertex_limit);
-  if (trigger_now) {
+  const SessionConfig& config = resolved_.session;
+  // The imbalance rule judges the state with the new vertices placed, so
+  // only the count rules are decided before step 1.
+  if (config.batch_policy != BatchPolicy::imbalance &&
+      batch_due(config, pending_vertex_changes_, state_)) {
     // The backend runs step 1 (assignment of the new vertices) itself —
     // no point paying for an eager pass it would repeat.  run_backend
     // restores the graph/partitioning/state invariant itself if the
@@ -350,8 +349,7 @@ SessionReport Session::finish_update(const runtime::WallTimer& started,
                                   resolved_.assign);
     partitioning_ = std::move(old);
     counters_.update_seconds += assign_timer.seconds();
-    if (policy == BatchPolicy::imbalance &&
-        state_.imbalance() > resolved_.session.batch_imbalance_limit) {
+    if (batch_due(config, pending_vertex_changes_, state_)) {
       run_backend(report, std::move(partitioning_), graph_.num_vertices());
     }
   }
@@ -365,20 +363,16 @@ SessionReport Session::finish_update(const runtime::WallTimer& started,
 void Session::run_backend(SessionReport& report, graph::Partitioning old,
                           graph::VertexId n_old) {
   runtime::WallTimer timer;
-  // O(Δ) rollback protection: open a PartitionState journal window (every
-  // assignment change the backend makes is recorded as an undoable move)
-  // and park an O(P) aggregate snapshot in the workspace to erase float
-  // drift after an undo.  This replaces the historical O(V) assignment
-  // memcpy — exception rollback now costs what the failed run moved.
-  const std::size_t mark = state_.begin_rollback_mark();
-  state_.save_aggregates_into(workspace_.rollback_aggregates);
+  // O(Δ) rollback protection: every assignment change the backend makes
+  // is recorded in this window, so exception rollback costs what the
+  // failed run moved (plus an O(P) aggregate restore), not an O(V) copy.
+  graph::PartitionState::RollbackWindow window(state_);
   partitioning_ = std::move(old);
   BackendResult result;
   try {
     result = backend_->repartition(graph_, partitioning_, n_old, state_,
                                    workspace_);
     check_backend_invariants(n_old);
-    state_.end_rollback_mark(mark);
   } catch (...) {
     // A wire failure that reaches this frame already spent the SPMD
     // backend's retry budget (or was fatal-classified) — peer ranks may be
@@ -393,15 +387,10 @@ void Session::run_backend(SessionReport& report, graph::Partitioning old,
     } catch (...) {
     }
     // Keep the graph/partitioning/state invariant intact for the caller:
-    // replay the journal backwards to the pre-backend assignment (the
-    // appended vertices end kUnassigned again — they were placed inside
-    // the window), erase float drift from the snapshot, and re-run step 1
-    // so the session stays fully queryable.
-    PIGP_CHECK(!state_.journal_rebased(),
-               "backend rebuilt the state mid-run; rollback impossible");
-    state_.undo_to_mark(graph_, partitioning_, mark);
-    state_.end_rollback_mark(mark);
-    state_.restore_aggregates(workspace_.rollback_aggregates);
+    // undo to the pre-backend assignment (the appended vertices end
+    // kUnassigned again — they were placed inside the window) and re-run
+    // step 1 so the session stays fully queryable.
+    window.undo(graph_, partitioning_);
     partitioning_.part.resize(static_cast<std::size_t>(n_old));
     core::extend_assignment_state(graph_, partitioning_, n_old, state_,
                                   workspace_, resolved_.assign);

@@ -254,11 +254,10 @@ class Session {
   /// session partitioning and the backend's in-place overload extends/
   /// rebalances it against graph_/state_ without any O(V) allocation.
   /// Exception rollback is O(Δ): the whole run executes inside a
-  /// PartitionState rollback window (an undo journal of the moves) plus an
-  /// O(P) aggregate snapshot, so on backend exceptions the pre-backend
-  /// assignment is replayed back move-by-move, float drift is erased from
-  /// the snapshot, and step 1 re-places the appended vertices — the
-  /// graph/partitioning/state invariant holds for the caller either way.
+  /// PartitionState::RollbackWindow, so on backend exceptions the window
+  /// undoes the run's moves and restores the entry aggregates, and step 1
+  /// re-places the appended vertices — the graph/partitioning/state
+  /// invariant holds for the caller either way.
   void run_backend(SessionReport& report, graph::Partitioning old,
                    graph::VertexId n_old);
   /// Compact the graph and remap partitioning/state/workspace in lock-step

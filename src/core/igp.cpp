@@ -4,55 +4,24 @@
 
 #include "core/workspace.hpp"
 #include "runtime/timer.hpp"
-#include "support/check.hpp"
 
 namespace pigp::core {
 
 IgpResult IncrementalPartitioner::repartition(
     const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
     graph::VertexId n_old, graph::PartitionState* state, Workspace* ws) const {
-  if (state != nullptr) {
-    // Maintained state handed in by the caller: copy the old assignment
-    // and run the in-place pipeline on it (sessions skip even this copy by
-    // calling repartition_in_place on their own partitioning directly).
-    Workspace local_ws;
-    graph::Partitioning working = old_partitioning;
-    IgpResult result = repartition_in_place(g_new, working, n_old, *state,
-                                            ws ? *ws : local_ws);
-    result.partitioning = std::move(working);
-    return result;
-  }
-
-  const runtime::WallTimer total_timer;
-  IgpResult result;
-
-  // Step 1: initial assignment of the new vertices.
-  runtime::WallTimer timer;
-  AssignOptions assign_options;
-  assign_options.num_threads = options_.num_threads;
-  result.partitioning =
-      extend_assignment(g_new, old_partitioning, n_old, assign_options);
+  // Copying adapter over the in-place pipeline (sessions skip even the
+  // copy by calling repartition_in_place on their own partitioning).
+  graph::Partitioning working = old_partitioning;
   graph::PartitionState local_state;
-  local_state.rebuild(g_new, result.partitioning);
-  result.timings.assign = timer.seconds();
-
-  // Steps 2–3: layering + LP balancing (multi-stage, boundary-local).
-  timer.reset();
-  result.balance_result =
-      balance_load(g_new, result.partitioning, local_state, options_.balance);
-  result.balanced = result.balance_result.balanced;
-  result.stages = static_cast<int>(result.balance_result.stages.size());
-  result.timings.balance = timer.seconds();
-
-  // Step 4: refinement (IGPR).
-  if (options_.refine) {
-    timer.reset();
-    result.refine_stats = refine_partitioning(
-        g_new, result.partitioning, local_state, options_.refinement);
-    result.timings.refine = timer.seconds();
+  if (state == nullptr) {
+    seed_extension_state(g_new, working, local_state);
+    state = &local_state;
   }
-
-  result.timings.total = total_timer.seconds();
+  Workspace local_ws;
+  IgpResult result = repartition_in_place(g_new, working, n_old, *state,
+                                          ws != nullptr ? *ws : local_ws);
+  result.partitioning = std::move(working);
   return result;
 }
 

@@ -195,7 +195,6 @@ RefineStats refine_partitioning(const graph::Graph& g,
   // otherwise — identical decisions either way.
   Workspace local_ws;
   Workspace& w = ws != nullptr ? *ws : local_ws;
-  auto& journal = w.refine_journal;
   auto& boundary = w.refine_boundary;
   auto& candidates = w.refine_candidates;
   w.refine_analysis.ensure(static_cast<std::size_t>(g.num_vertices()));
@@ -233,14 +232,11 @@ RefineStats refine_partitioning(const graph::Graph& g,
     // circulation remains.
     if (flow.objective < 0.5) break;
 
-    // Undo unit: the aggregate snapshot is O(P); the partitioning and the
-    // (integer) boundary index are restored exactly by replaying the move
-    // journal in reverse — no O(V) copies per round.
-    const graph::PartitionState::AggregateSnapshot saved =
-        state.save_aggregates();
-    journal.clear();
+    // Undo unit: the round's rollback window — O(P) to open, and an undo
+    // replays just this round's moves — no O(V) copies per round.
+    graph::PartitionState::RollbackWindow window(state);
     apply_gain_transfers(g, partitioning, candidates, flow.moves, state,
-                         w.refine_selection, &journal);
+                         w.refine_selection);
     ++stats.rounds;
 
     const double new_cut = state.cut_total();
@@ -248,12 +244,9 @@ RefineStats refine_partitioning(const graph::Graph& g,
       // Batch interactions hurt (usually zero-gain vertices oscillating or
       // dense candidate clusters moving together); roll back and retry in
       // strict mode first, then with progressively smaller batches.  The
-      // replay restores every assignment, so every cached analysis stays
+      // undo restores every assignment, so every cached analysis stays
       // exact.
-      for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
-        state.move_vertex(g, partitioning, it->first, it->second);
-      }
-      state.restore_aggregates(saved);  // erase any floating-point drift
+      window.undo(g, partitioning);
       if (!strict) {
         force_strict = true;
         continue;
@@ -266,9 +259,9 @@ RefineStats refine_partitioning(const graph::Graph& g,
     }
     // Moves kept: exactly the moved vertices and their neighbours saw an
     // assignment change, so only their analyses go stale.
-    for (const auto& entry : journal) {
-      w.refine_analysis.invalidate(static_cast<std::size_t>(entry.first));
-      for (const graph::VertexId u : g.neighbors(entry.first)) {
+    for (const graph::PartitionState::JournalEntry& move : window.moves()) {
+      w.refine_analysis.invalidate(static_cast<std::size_t>(move.v));
+      for (const graph::VertexId u : g.neighbors(move.v)) {
         w.refine_analysis.invalidate(static_cast<std::size_t>(u));
       }
     }

@@ -85,11 +85,11 @@ struct RefineStats {
 /// round restores every assignment and invalidates nothing), so a round
 /// costs O(Σ deg(moved)) plus one ordered walk of the state's boundary
 /// bitset that assembles the candidate buckets.  Per-round cuts come from
-/// the O(deg)-per-move bookkeeping, and a regressing round is undone by
-/// replaying its move journal in reverse (O(moved)).  \p state must
-/// describe (g, partitioning) on entry and is left consistent with the
-/// refined partitioning.  A non-null \p ws supplies the cache, boundary,
-/// candidate and journal buffers, so a converged call (no positive-gain
+/// the O(deg)-per-move bookkeeping, and a regressing round is undone
+/// through its PartitionState::RollbackWindow (O(moved + P)).  \p state
+/// must describe (g, partitioning) on entry and is left consistent with
+/// the refined partitioning.  A non-null \p ws supplies the cache,
+/// boundary and candidate buffers, so a converged call (no positive-gain
 /// candidates) allocates nothing; decisions are identical either way and
 /// for every num_threads.
 [[nodiscard]] RefineStats refine_partitioning(

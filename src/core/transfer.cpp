@@ -126,8 +126,7 @@ void apply_gain_transfers(
     const graph::Graph& g, graph::Partitioning& partitioning,
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
     const pigp::DenseMatrix<std::int64_t>& moves,
-    graph::PartitionState& state, std::vector<GainCandidate>& selection,
-    std::vector<std::pair<graph::VertexId, graph::PartId>>* journal) {
+    graph::PartitionState& state, std::vector<GainCandidate>& selection) {
   const auto parts = static_cast<std::size_t>(partitioning.num_parts);
   PIGP_CHECK(moves.rows() == parts && moves.cols() == parts,
              "move matrix shape mismatch");
@@ -148,10 +147,6 @@ void apply_gain_transfers(
             return a.vertex < b.vertex;
           });
       for (const GainCandidate& c : selection) {
-        if (journal != nullptr) {
-          journal->emplace_back(
-              c.vertex, partitioning.part[static_cast<std::size_t>(c.vertex)]);
-        }
         state.move_vertex(g, partitioning, c.vertex,
                           static_cast<graph::PartId>(j));
       }

@@ -69,17 +69,13 @@ struct GainCandidate {
 /// moved vertex — the refinement loop reads the post-round cut from the
 /// state instead of an O(V+E) recompute.  Each pair's movers are picked
 /// into \p selection (capacity reused) by a partial sort, without copying
-/// the whole list.  When \p journal is non-null,
-/// every applied move is recorded as (vertex, previous partition) so the
-/// caller can undo the batch in O(moved) — replay the journal in reverse
-/// through state.move_vertex, then PartitionState::restore_aggregates —
-/// instead of copying partitioning + state up front.
+/// the whole list.  To undo the batch in O(moved), open a
+/// PartitionState::RollbackWindow before the call: every move goes through
+/// state.move_vertex, so the window's journal records it.
 void apply_gain_transfers(
     const graph::Graph& g, graph::Partitioning& partitioning,
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
     const pigp::DenseMatrix<std::int64_t>& moves,
-    graph::PartitionState& state, std::vector<GainCandidate>& selection,
-    std::vector<std::pair<graph::VertexId, graph::PartId>>* journal =
-        nullptr);
+    graph::PartitionState& state, std::vector<GainCandidate>& selection);
 
 }  // namespace pigp::core

@@ -21,9 +21,6 @@ void Workspace::release_memory() {
   std::vector<std::vector<double>>().swap(refine_tallies);
   refine_candidates = pigp::DenseMatrix<std::vector<GainCandidate>>();
   std::vector<GainCandidate>().swap(refine_selection);
-  decltype(refine_journal)().swap(refine_journal);
-  std::vector<double>().swap(rollback_aggregates.weight);
-  std::vector<double>().swap(rollback_aggregates.boundary_cost);
   std::vector<std::int64_t>().swap(spmd_eps_rows);
   std::vector<std::int64_t>().swap(spmd_moves_flat);
 }

@@ -32,7 +32,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/layering.hpp"
@@ -138,15 +137,10 @@ struct Workspace {
   pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
   /// apply_gain_transfers' per-pair best-first selection.
   std::vector<GainCandidate> refine_selection;
-  /// Move journal of the current refinement round (undo unit).
-  std::vector<std::pair<graph::VertexId, graph::PartId>> refine_journal;
-
-  // --- session plumbing (api/session.cpp) ---
-  /// Pre-backend aggregate snapshot (O(P)) paired with the PartitionState
-  /// undo journal for exception rollback: the journal replays the O(Δ)
-  /// inverse moves, this snapshot erases their floating-point drift.
-  /// Replaces the historical O(V) rollback_part assignment copy.
-  graph::PartitionState::AggregateSnapshot rollback_aggregates;
+  // Undo buffers live in the PartitionState, not here: a refine round, an
+  // SPMD retry, a Session backend run and an AsyncSession tick all undo
+  // through PartitionState::RollbackWindow (its journal and its pooled
+  // per-depth aggregate snapshots).
 
   // --- SPMD driver gather/pack staging (core/spmd_igp.cpp) ---
   std::vector<std::int64_t> spmd_eps_rows;    ///< owned eps rows, packed

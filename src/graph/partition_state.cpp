@@ -329,34 +329,45 @@ PartitionState::EdgeDiff PartitionState::reconcile_extension(
   return diff;
 }
 
-std::size_t PartitionState::begin_rollback_mark() {
-  ++journal_windows_;
-  return journal_.size();
+// pigp:steady-state
+PartitionState::RollbackWindow::RollbackWindow(PartitionState& state)
+    : state_(state),
+      mark_(state.journal_.size()),
+      depth_(static_cast<std::size_t>(state.journal_windows_)) {
+  if (state_.window_aggregates_.size() <= depth_) {
+    state_.window_aggregates_.resize(depth_ + 1);
+  }
+  // Vector assignment reuses the pooled capacity: no allocation once warm.
+  AggregateSnapshot& saved = state_.window_aggregates_[depth_];
+  saved.weight = state_.weight_;
+  saved.boundary_cost = state_.boundary_cost_;
+  saved.cut_total = state_.cut_total_;
+  ++state_.journal_windows_;
 }
 
-void PartitionState::undo_to_mark(const Graph& g, Partitioning& p,
-                                  std::size_t mark) {
-  PIGP_CHECK(!journal_rebased_,
+// pigp:steady-state
+PartitionState::RollbackWindow::~RollbackWindow() {
+  if (--state_.journal_windows_ == 0) {
+    state_.journal_.clear();
+    state_.journal_rebased_ = false;
+  }
+}
+
+// pigp:steady-state
+void PartitionState::RollbackWindow::undo(const Graph& g, Partitioning& p) {
+  PIGP_CHECK(!state_.journal_rebased_,
              "undo journal invalidated by a rebuild/remap inside the window");
-  PIGP_CHECK(mark <= journal_.size(), "journal mark out of range");
-  journal_replaying_ = true;
-  while (journal_.size() > mark) {
-    const JournalEntry e = journal_.back();
-    journal_.pop_back();
-    move_vertex(g, p, e.v, e.from);
+  state_.journal_replaying_ = true;
+  while (state_.journal_.size() > mark_) {
+    const JournalEntry e = state_.journal_.back();
+    state_.journal_.pop_back();
+    state_.move_vertex(g, p, e.v, e.from);
   }
-  journal_replaying_ = false;
-}
-
-void PartitionState::end_rollback_mark(std::size_t mark) {
-  PIGP_CHECK(journal_windows_ > 0, "no open rollback window");
-  PIGP_CHECK(mark <= journal_.size() || journal_rebased_,
-             "journal mark out of range");
-  --journal_windows_;
-  if (journal_windows_ == 0) {
-    journal_.clear();
-    journal_rebased_ = false;
-  }
+  state_.journal_replaying_ = false;
+  const AggregateSnapshot& saved = state_.window_aggregates_[depth_];
+  state_.weight_ = saved.weight;
+  state_.boundary_cost_ = saved.boundary_cost;
+  state_.cut_total_ = saved.cut_total;
 }
 
 PartitionMetrics PartitionState::snapshot() const {
@@ -386,8 +397,7 @@ PartitionSummary PartitionState::summary() const {
   s.min_weight = *std::min_element(weight_.begin(), weight_.end());
   s.avg_weight = std::accumulate(weight_.begin(), weight_.end(), 0.0) /
                  static_cast<double>(num_parts_);
-  // Zero-weight fallback: an empty load profile is "perfectly balanced".
-  s.imbalance = s.avg_weight > 0.0 ? s.max_weight / s.avg_weight : 1.0;
+  s.imbalance = imbalance();
   return s;
 }
 
@@ -399,6 +409,7 @@ double PartitionState::imbalance() const noexcept {
     total += w;
   }
   const double avg = total / static_cast<double>(num_parts_);
+  // Zero-weight fallback: an empty load profile is "perfectly balanced".
   return avg > 0.0 ? max_weight / avg : 1.0;
 }
 

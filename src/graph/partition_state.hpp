@@ -53,6 +53,7 @@
 /// double-count an edge.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -181,62 +182,60 @@ class PartitionState {
   /// One pass over the membership bitset: O(V/64 + |boundary|), no sort.
   void boundary_ascending(std::vector<VertexId>& out) const;
 
-  /// O(P) copy of just the aggregates (weights, boundary costs, cut) — the
-  /// cheap undo unit for speculative move batches: apply the inverse moves
-  /// to restore the partitioning and the (integer) boundary index exactly,
-  /// then restore_aggregates() to erase any floating-point drift.
-  struct AggregateSnapshot {
-    std::vector<double> weight;
-    std::vector<double> boundary_cost;
-    double cut_total = 0.0;
-  };
-  [[nodiscard]] AggregateSnapshot save_aggregates() const {
-    return {weight_, boundary_cost_, cut_total_};
-  }
-  /// save_aggregates() into a pooled snapshot (vector assignment reuses
-  /// its capacity — zero steady-state allocations).
-  void save_aggregates_into(AggregateSnapshot& out) const {
-    out.weight = weight_;
-    out.boundary_cost = boundary_cost_;
-    out.cut_total = cut_total_;
-  }
-  void restore_aggregates(const AggregateSnapshot& saved) {
-    weight_ = saved.weight;
-    boundary_cost_ = saved.boundary_cost;
-    cut_total_ = saved.cut_total;
-  }
-
   // --- O(Δ) undo journal ---
   //
-  // The O(Δ) replacement for snapshotting the whole assignment vector
-  // before a speculative phase.  Open a window with begin_rollback_mark();
-  // until the matching end_rollback_mark() every assignment change that
-  // flows through move_vertex is recorded as {vertex, previous part}.
-  // undo_to_mark() replays the tail in LIFO order through move_vertex
-  // itself, restoring the Partitioning and the (integer) boundary index
-  // *exactly*; the float aggregates are restored up to summation drift —
-  // pair the window with save/restore_aggregates (O(P)) to erase even
-  // that.  Windows nest: Session wraps a whole backend run, SpmdBackend
-  // opens an inner window around its retry loop.  Recording is active
-  // while any window is open; the journal is freed when the outermost
-  // window closes.
+  // The one undo mechanism for speculative moves (a refine round, an SPMD
+  // attempt, a Session backend run, an AsyncSession tick).  While any
+  // RollbackWindow is open, every assignment change that flows through
+  // move_vertex is recorded as {vertex, previous part}.  Opening a window
+  // also saves the O(P) aggregates into a per-depth snapshot pool the
+  // state owns; undo() replays the window's journal tail LIFO through
+  // move_vertex itself — restoring the Partitioning and the (integer)
+  // boundary index exactly — and then restores that snapshot, erasing
+  // the floating-point drift of the replay.  Windows nest (Session →
+  // SpmdBackend → refine round) and close in their destructors without
+  // undoing, so an inner window's kept moves stay in its parent's tail
+  // and every exception path leaves the windows balanced.  Closing the
+  // outermost window clears the journal; with no window open, moves are
+  // not recorded.
 
-  /// Open a rollback window and return the journal position to pass to
-  /// undo_to_mark()/end_rollback_mark().  O(1).
-  [[nodiscard]] std::size_t begin_rollback_mark();
-  /// Undo every move recorded after \p mark (LIFO).  O(Σ deg(moved)).
-  /// Throws pigp::CheckError if the journal was invalidated by a
-  /// rebuild/remap inside the window — check journal_rebased() first.
-  void undo_to_mark(const Graph& g, Partitioning& p, std::size_t mark);
-  /// Close the window opened at \p mark, committing (or having undone) its
-  /// tail.  Closing the outermost window clears the journal.  O(1).
-  void end_rollback_mark(std::size_t mark);
-  /// True when rebuild() or remap_vertices() ran inside an open window:
-  /// the recorded vertex ids no longer match the state, so undo_to_mark()
-  /// would be wrong and refuses to run.
-  [[nodiscard]] bool journal_rebased() const noexcept {
-    return journal_rebased_;
-  }
+  /// One recorded assignment change: v moved away from `from`.
+  struct JournalEntry {
+    VertexId v;
+    PartId from;
+  };
+
+  /// RAII rollback window over a PartitionState (see above).  Not
+  /// copyable; windows must close in LIFO order, which scoping gives.
+  class RollbackWindow {
+   public:
+    /// Open: record the journal mark and save the aggregates.  O(P), and
+    /// allocation-free once this nesting depth's snapshot is warm.
+    explicit RollbackWindow(PartitionState& state);
+    /// Close without undoing.  O(1).
+    ~RollbackWindow();
+    RollbackWindow(const RollbackWindow&) = delete;
+    RollbackWindow& operator=(const RollbackWindow&) = delete;
+
+    /// Undo every move recorded since the window opened (LIFO), then
+    /// restore the aggregates saved at open.  O(Σ deg(moved) + P).  The
+    /// window stays open, so it can be reused and undone again.  Throws
+    /// pigp::CheckError if rebuild() or remap_vertices() ran inside the
+    /// window: the recorded ids no longer match the state.
+    void undo(const Graph& g, Partitioning& p);
+
+    /// The moves recorded since the window opened and not undone, oldest
+    /// first (a closed inner window's kept moves included).
+    [[nodiscard]] std::span<const JournalEntry> moves() const noexcept {
+      return {state_.journal_.data() + mark_, state_.journal_.size() - mark_};
+    }
+
+   private:
+    PartitionState& state_;
+    std::size_t mark_;
+    std::size_t depth_;
+  };
+
   /// Recorded (not yet undone) moves across all open windows.
   [[nodiscard]] std::size_t journal_size() const noexcept {
     return journal_.size();
@@ -278,12 +277,15 @@ class PartitionState {
   /// where bucket membership changes.
   std::vector<std::uint64_t> boundary_bits_;
 
-  /// One undoable assignment change: v moved away from `from`.
-  struct JournalEntry {
-    VertexId v;
-    PartId from;
+  /// The O(P) undo unit a window saves at open: the aggregates only.
+  struct AggregateSnapshot {
+    std::vector<double> weight;
+    std::vector<double> boundary_cost;
+    double cut_total = 0.0;
   };
   std::vector<JournalEntry> journal_;
+  /// Snapshot of the window open at each nesting depth, pooled.
+  std::vector<AggregateSnapshot> window_aggregates_;
   std::int32_t journal_windows_ = 0;  ///< open rollback windows
   bool journal_replaying_ = false;    ///< suppress recording during undo
   bool journal_rebased_ = false;      ///< rebuild/remap inside a window

@@ -22,6 +22,8 @@
 
 #include "api/backend.hpp"
 #include "api/errors.hpp"
+#include "core/workspace.hpp"
+#include "graph/partition_state.hpp"
 #include "graph/generators.hpp"
 #include "spectral/partitioners.hpp"
 
@@ -76,6 +78,56 @@ void register_flaky_backend() {
   static const bool once = [] {
     BackendRegistry::global().add("flaky", [](const ResolvedConfig& config) {
       return std::make_unique<FlakyBackend>(
+          BackendRegistry::global().create("igpr", config));
+    });
+    return true;
+  }();
+  (void)once;
+}
+
+/// What the "midrun" backend saw on entry to its last tick, and whether
+/// its primary run moved anything before it threw.  Written on the
+/// repartition thread; read after flush() returns.
+struct MidRunEntry {
+  Graph graph;
+  Partitioning partitioning;
+  graph::PartitionState state;
+  bool moved = false;
+};
+MidRunEntry g_midrun_entry;
+
+/// Runs a real igpr tick in place — moving vertices through the snapshot's
+/// partitioning and state — and then dies, leaving them half-mutated.
+/// Registered once as "midrun".
+class MidRunFailBackend final : public Backend {
+ public:
+  explicit MidRunFailBackend(std::unique_ptr<Backend> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "midrun";
+  }
+
+  [[nodiscard]] BackendResult repartition(
+      const Graph& g_new, Partitioning& partitioning, graph::VertexId n_old,
+      graph::PartitionState& state, core::Workspace& ws) override {
+    g_midrun_entry.graph = g_new;
+    g_midrun_entry.partitioning = partitioning;
+    g_midrun_entry.state = state;
+    (void)inner_->repartition(g_new, partitioning, n_old, state, ws);
+    g_midrun_entry.moved =
+        partitioning.part != g_midrun_entry.partitioning.part;
+    throw TransportError("midrun backend: died after moving vertices");
+  }
+
+ private:
+  std::unique_ptr<Backend> inner_;
+};
+
+void register_midrun_backend() {
+  static const bool once = [] {
+    BackendRegistry::global().add("midrun", [](const ResolvedConfig& config) {
+      return std::make_unique<MidRunFailBackend>(
           BackendRegistry::global().create("igpr", config));
     });
     return true;
@@ -290,6 +342,36 @@ TEST(AsyncFailure, SpmdChaosTickDegradesThenPrimaryResumes) {
   expect_ledger_identity(stats);
   EXPECT_GE(stats.rebalance_fallbacks, 1);
   EXPECT_GT(stats.rebalances_committed, stats.rebalance_fallbacks);
+  session.close();
+}
+
+TEST(AsyncFailure, DegradeAfterAMidRunFailureMatchesTheFallbackOnTheSnapshot) {
+  // The primary moves vertices and then dies: the degrade path must undo
+  // those moves exactly, so the committed partitioning is what the
+  // fallback computes from an untouched copy of the same snapshot.
+  const Fixture fx;
+  register_midrun_backend();
+  SessionConfig config = fx.config(FailurePolicy::degrade);
+  config.backend = "midrun";
+  AsyncSession session(config, fx.g, fx.initial);
+
+  session.submit(append_delta(fx.g.num_vertices(), 0));
+  session.flush();
+  ASSERT_TRUE(g_midrun_entry.moved)
+      << "the primary must move vertices before it throws";
+
+  const std::unique_ptr<Backend> fallback =
+      BackendRegistry::global().create("igpr", config.resolve());
+  core::Workspace ws;
+  MidRunEntry& entry = g_midrun_entry;
+  (void)fallback->repartition(entry.graph, entry.partitioning,
+                              entry.graph.num_vertices(), entry.state, ws);
+  EXPECT_EQ(session.view()->assignment(), entry.partitioning.part);
+
+  const AsyncStats stats = session.stats();
+  expect_ledger_identity(stats);
+  EXPECT_EQ(stats.rebalance_fallbacks, 1);
+  EXPECT_EQ(stats.rebalances_committed, 1);
   session.close();
 }
 

@@ -26,6 +26,7 @@
 
 #include "api/session.hpp"
 #include "graph/builder.hpp"
+#include "graph/partition_state.hpp"
 #include "support/check.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -192,6 +193,45 @@ TEST(SessionAlloc, SteadyStateForcedRepartitionPerformsZeroHeapAllocations) {
                             << " touched the heap";
     EXPECT_TRUE(report.repartitioned);
   }
+#endif
+}
+
+/// One Session → backend → refine-round shaped cycle on \p state: an outer
+/// window, moves, a nested window whose moves are undone, more outer moves,
+/// and the outer undo.  Every vertex returns to its entry part.
+void nested_rollback_cycle(const graph::Graph& g, graph::Partitioning& p,
+                           graph::PartitionState& state) {
+  graph::PartitionState::RollbackWindow outer(state);
+  state.move_vertex(g, p, 0, 1);
+  state.move_vertex(g, p, 9, 2);
+  {
+    graph::PartitionState::RollbackWindow inner(state);
+    for (graph::VertexId v = 16; v < 24; ++v) state.move_vertex(g, p, v, 0);
+    inner.undo(g, p);
+  }
+  state.move_vertex(g, p, 25, 1);
+  outer.undo(g, p);
+}
+
+TEST(SessionAlloc, WarmNestedRollbackWindowPerformsZeroHeapAllocations) {
+#ifdef PIGP_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocator interposed by a sanitizer";
+#else
+  const graph::Graph g = clique_ring();
+  graph::Partitioning p = clique_partitioning();
+  graph::PartitionState state(g, p);
+  const graph::Partitioning entry = p;
+  nested_rollback_cycle(g, p, state);  // warm-up: journal + snapshot pool
+
+  for (int i = 0; i < 3; ++i) {
+    const long long before = allocation_count();
+    nested_rollback_cycle(g, p, state);
+    EXPECT_EQ(allocation_count() - before, 0)
+        << "warm nested rollback cycle #" << i << " touched the heap";
+  }
+  EXPECT_EQ(p.part, entry.part);
+  EXPECT_EQ(state.journal_size(), 0u);
+  EXPECT_DOUBLE_EQ(state.cut_total(), kParts);  // the bridges again
 #endif
 }
 

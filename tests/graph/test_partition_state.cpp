@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -511,26 +512,21 @@ TEST(PartitionStateBoundaryIndex, RemapRewritesIdsAfterCompaction) {
 }
 
 TEST(PartitionStateBoundaryIndex, InverseMoveReplayRestoresExactly) {
-  // The refine revert protocol: journal the moves, replay in reverse,
-  // restore the aggregate snapshot — everything must be bit-identical.
+  // The refine revert protocol: moves inside a rollback window, then
+  // undo() — everything must be bit-identical.
   SplitMix64 rng(61);
   const Graph g = random_geometric_graph(160, 0.13, 31);
   Partitioning p = random_partitioning(g.num_vertices(), 4, rng);
   PartitionState state(g, p);
   const Partitioning p_before = p;
-  const PartitionState::AggregateSnapshot saved = state.save_aggregates();
 
-  std::vector<std::pair<VertexId, PartId>> journal;
+  PartitionState::RollbackWindow window(state);
   for (int k = 0; k < 40; ++k) {
     const auto v = static_cast<VertexId>(
         rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
-    journal.emplace_back(v, p.part[static_cast<std::size_t>(v)]);
     state.move_vertex(g, p, v, static_cast<PartId>(rng.next_below(4)));
   }
-  for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
-    state.move_vertex(g, p, it->first, it->second);
-  }
-  state.restore_aggregates(saved);
+  window.undo(g, p);
 
   EXPECT_EQ(p.part, p_before.part);
   expect_boundary_index_matches(state, g, p, "after inverse replay");
@@ -538,6 +534,129 @@ TEST(PartitionStateBoundaryIndex, InverseMoveReplayRestoresExactly) {
   EXPECT_EQ(state.weights(), fresh.weights());
   EXPECT_EQ(state.boundary_costs(), fresh.boundary_costs());
   EXPECT_EQ(state.cut_total(), fresh.cut_total());
+}
+
+/// A 40-vertex ring with chords whose edge weights are not exactly
+/// representable (0.1 steps), so replaying moves forward and back drifts
+/// the floating-point aggregates unless the window restores them.
+Graph fractional_weight_graph() {
+  GraphBuilder b(40);
+  for (VertexId v = 0; v < 40; ++v) {
+    b.add_edge(v, (v + 1) % 40, 0.1 * static_cast<double>(1 + v % 7));
+    b.add_edge(v, (v + 7) % 40, 0.3 + 0.1 * static_cast<double>(v % 3));
+  }
+  return b.build();
+}
+
+TEST(PartitionStateRollbackWindow, UndoRestoresTheAggregatesBitForBit) {
+  const Graph g = fractional_weight_graph();
+  SplitMix64 rng(5);
+  Partitioning p = random_partitioning(g.num_vertices(), 3, rng);
+  PartitionState state(g, p);
+  const Partitioning p_before = p;
+  const std::vector<double> weights_before = state.weights();
+  const std::vector<double> costs_before = state.boundary_costs();
+  const double cut_before = state.cut_total();
+
+  for (int trial = 0; trial < 3; ++trial) {  // the window can undo again
+    PartitionState::RollbackWindow window(state);
+    for (int k = 0; k < 25; ++k) {
+      const auto v = static_cast<VertexId>(
+          rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
+      state.move_vertex(g, p, v, static_cast<PartId>(rng.next_below(3)));
+    }
+    EXPECT_EQ(window.moves().size(), state.journal_size());
+    window.undo(g, p);
+    EXPECT_TRUE(window.moves().empty());
+    window.undo(g, p);  // nothing recorded since: a no-op restore
+  }
+  EXPECT_EQ(p.part, p_before.part);
+  EXPECT_EQ(state.weights(), weights_before);
+  EXPECT_EQ(state.boundary_costs(), costs_before);
+  EXPECT_EQ(state.cut_total(), cut_before);
+  expect_boundary_index_matches(state, g, p, "after repeated undo");
+}
+
+TEST(PartitionStateRollbackWindow, NestedWindowsUndoOnlyTheirOwnTail) {
+  SplitMix64 rng(17);
+  const Graph g = random_geometric_graph(120, 0.15, 3);
+  Partitioning p = random_partitioning(g.num_vertices(), 4, rng);
+  PartitionState state(g, p);
+  const Partitioning p_entry = p;
+
+  PartitionState::RollbackWindow outer(state);
+  state.move_vertex(g, p, 0, (p.part[0] + 1) % 4);
+  state.move_vertex(g, p, 1, (p.part[1] + 1) % 4);
+  const Partitioning p_outer = p;
+  const double cut_outer = state.cut_total();
+  {
+    PartitionState::RollbackWindow inner(state);
+    state.move_vertex(g, p, 2, (p.part[2] + 1) % 4);
+    state.move_vertex(g, p, 0, (p.part[0] + 1) % 4);
+    ASSERT_EQ(inner.moves().size(), 2u);
+    EXPECT_EQ(inner.moves()[0].v, 2);
+    EXPECT_EQ(inner.moves()[1].from, p_outer.part[0]);
+    inner.undo(g, p);
+    EXPECT_EQ(p.part, p_outer.part);
+    EXPECT_EQ(state.cut_total(), cut_outer);
+
+    // A kept inner move (the inner window closes without undoing) joins
+    // the outer window's tail.
+    state.move_vertex(g, p, 3, (p.part[3] + 1) % 4);
+  }
+  ASSERT_EQ(outer.moves().size(), 3u);
+  EXPECT_EQ(outer.moves()[2].v, 3);
+  outer.undo(g, p);
+  EXPECT_EQ(p.part, p_entry.part);
+  expect_boundary_index_matches(state, g, p, "after nested undo");
+}
+
+TEST(PartitionStateRollbackWindow, WindowsLeftByAnExceptionCloseThemselves) {
+  SplitMix64 rng(23);
+  const Graph g = random_geometric_graph(100, 0.15, 9);
+  Partitioning p = random_partitioning(g.num_vertices(), 3, rng);
+  PartitionState state(g, p);
+  const Partitioning p_entry = p;
+
+  {
+    PartitionState::RollbackWindow outer(state);
+    try {
+      PartitionState::RollbackWindow inner(state);
+      state.move_vertex(g, p, 4, (p.part[4] + 1) % 3);
+      throw std::runtime_error("speculative phase failed");
+    } catch (const std::runtime_error&) {
+      // The inner window closed during unwinding without undoing: its
+      // move is still in the (open) outer window's tail.
+      EXPECT_EQ(outer.moves().size(), 1u);
+      outer.undo(g, p);
+    }
+    EXPECT_EQ(p.part, p_entry.part);
+  }
+  // Every window is closed: nothing is recorded any more.
+  EXPECT_EQ(state.journal_size(), 0u);
+  state.move_vertex(g, p, 5, (p.part[5] + 1) % 3);
+  state.move_vertex(g, p, 6, (p.part[6] + 1) % 3);
+  EXPECT_EQ(state.journal_size(), 0u);
+}
+
+TEST(PartitionStateRollbackWindow, UndoRefusesAJournalRebasedByARebuild) {
+  SplitMix64 rng(29);
+  const Graph g = random_geometric_graph(80, 0.2, 4);
+  Partitioning p = random_partitioning(g.num_vertices(), 2, rng);
+  PartitionState state(g, p);
+  {
+    PartitionState::RollbackWindow window(state);
+    state.move_vertex(g, p, 0, 1 - p.part[0]);
+    state.rebuild(g, p);
+    EXPECT_THROW(window.undo(g, p), CheckError);
+  }
+  // Closing the outermost window clears the rebased flag: a new window
+  // undoes normally.
+  const Partitioning p_entry = p;
+  PartitionState::RollbackWindow window(state);
+  state.move_vertex(g, p, 1, 1 - p.part[1]);
+  window.undo(g, p);
+  EXPECT_EQ(p.part, p_entry.part);
 }
 
 TEST(PartitionState, ZeroTotalWeightFallsBackToImbalanceOne) {
