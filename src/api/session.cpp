@@ -416,7 +416,7 @@ void Session::run_backend(SessionReport& report, graph::Partitioning old,
   pending_vertex_changes_ = 0;
 }
 
-void Session::check_backend_invariants(graph::VertexId n_old) const {
+void Session::check_backend_invariants(graph::VertexId n_old) {
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
   // Debug / PIGP_VALIDATE=ON builds keep the historical full validate —
   // an O(V) scan of every assignment.
@@ -447,12 +447,20 @@ void Session::check_backend_invariants(graph::VertexId n_old) const {
   PIGP_CHECK(std::abs(total - expected) <=
                  1e-6 * std::max(1.0, std::abs(expected)),
              "maintained partition weights no longer sum to the graph total");
+  boundary_tally_.assign(static_cast<std::size_t>(partitioning_.num_parts),
+                         0);
+  state_.for_each_boundary([this](graph::VertexId v) {
+    const graph::PartId q = partitioning_.part[static_cast<std::size_t>(v)];
+    PIGP_CHECK(q >= 0 && q < partitioning_.num_parts &&
+                   state_.external_degree(v) > 0,
+               "boundary index inconsistent with the assignment");
+    ++boundary_tally_[static_cast<std::size_t>(q)];
+  });
   for (graph::PartId q = 0; q < partitioning_.num_parts; ++q) {
-    for (const graph::VertexId v : state_.boundary_vertices(q)) {
-      PIGP_CHECK(partitioning_.part[static_cast<std::size_t>(v)] == q &&
-                     state_.external_degree(v) > 0,
-                 "boundary index inconsistent with the assignment");
-    }
+    const std::size_t counted = state_.boundary_vertices(q).size();
+    PIGP_CHECK(boundary_tally_[static_cast<std::size_t>(q)] ==
+                   static_cast<std::int64_t>(counted),
+               "boundary index counts inconsistent with its membership");
   }
 #endif
 }

@@ -266,9 +266,9 @@ class Session {
   /// Post-backend sanity: a full Partitioning::validate in Debug and
   /// PIGP_VALIDATE builds; in Release an O(Δ + boundary + P) incremental
   /// invariant check — appended assignments in range, maintained weights
-  /// summing to the graph total, boundary buckets consistent with the
+  /// summing to the graph total, the boundary index consistent with the
   /// assignment.
-  void check_backend_invariants(graph::VertexId n_old) const;
+  void check_backend_invariants(graph::VertexId n_old);
   /// Rethrow the sticky wire failure, if any (top of every mutating call).
   void throw_if_failed() const;
 
@@ -299,6 +299,9 @@ class Session {
   /// Old→new id mapping of the most recent compaction (see
   /// last_compaction()).
   std::vector<graph::VertexId> last_compaction_;
+  /// Per-partition boundary tallies of the Release invariant check, pooled
+  /// so the check allocates nothing once warm.
+  std::vector<std::int64_t> boundary_tally_;
 };
 
 }  // namespace pigp

@@ -201,8 +201,8 @@ void extend_assignment_state(const graph::Graph& g_new, graph::Partitioning& p,
   }
 
   // Placement: grow, then one ascending move_vertex pass — the exact
-  // protocol of PartitionState::extend, so aggregates, boundary index and
-  // bucket evolution match the copy-based path move for move.
+  // protocol of PartitionState::extend, so the aggregates and the boundary
+  // index match the copy-based path move for move.
   p.part.resize(static_cast<std::size_t>(n), graph::kUnassigned);
   state.grow_vertices(n);
   for (graph::VertexId v = n_old; v < n; ++v) {

@@ -263,7 +263,15 @@ void BoundaryLayering::bind(const graph::Graph& g,
   }
 }
 
-void BoundaryLayering::begin_stage(
+void BoundaryLayering::reseed(const graph::PartitionState& state,
+                              int num_threads,
+                              const std::vector<graph::PartId>* owned_parts) {
+  state.boundary_ascending(boundary_);
+  reseed(boundary_, num_threads, owned_parts);
+}
+
+void BoundaryLayering::reseed(
+    std::span<const graph::VertexId> boundary_ascending, int num_threads,
     const std::vector<graph::PartId>* owned_parts) {
   PIGP_CHECK(label_.size() ==
                  static_cast<std::size_t>(g_->num_vertices()),
@@ -289,22 +297,15 @@ void BoundaryLayering::begin_stage(
       seeded_[static_cast<std::size_t>(q)] = q;
     }
   }
-}
 
-void BoundaryLayering::reseed(const graph::PartitionState& state,
-                              int num_threads,
-                              const std::vector<graph::PartId>* owned_parts) {
-  begin_stage(owned_parts);
-
-  // One ascending walk of the whole boundary hands every seeded partition
-  // its seeds already sorted (the batch member scan's order).  The
-  // previous stage's undo left every labeled list empty.
+  // One ascending boundary list hands every seeded partition its seeds
+  // already sorted (the batch member scan's order).  The undo above left
+  // every labeled list empty.
   seeded_mask_.assign(static_cast<std::size_t>(p_->num_parts), 0);
   for (const graph::PartId q : seeded_) {
     seeded_mask_[static_cast<std::size_t>(q)] = 1;
   }
-  state.boundary_ascending(boundary_);
-  for (const graph::VertexId v : boundary_) {
+  for (const graph::VertexId v : boundary_ascending) {
     const auto q =
         static_cast<std::size_t>(p_->part[static_cast<std::size_t>(v)]);
     if (seeded_mask_[q] != 0) labeled_[q].push_back(v);
@@ -327,44 +328,8 @@ void BoundaryLayering::reseed(const graph::PartitionState& state,
         const bool boundary =
             seed_vertex(*g_, *p_, q, v, scratch.tally, label_, layer_,
                         eps_.row(qi).data());
-        PIGP_ASSERT(boundary);  // the index only holds boundary vertices
+        PIGP_ASSERT(boundary);  // the list only holds boundary vertices
         (void)boundary;
-      }
-      frontier_[qi] = seeds;
-    }
-  }
-}
-
-void BoundaryLayering::reseed_from_buckets(
-    const std::vector<std::vector<graph::VertexId>>& buckets,
-    const std::vector<graph::PartId>& owned_parts, int num_threads) {
-  PIGP_CHECK(buckets.size() == owned_parts.size(),
-             "one boundary bucket per owned partition");
-  begin_stage(&owned_parts);
-
-  const bool parallel = num_threads > 1 && seeded_.size() > 1;
-  scratch_.resize(static_cast<std::size_t>(
-      std::max(1, parallel ? num_threads : 1)));
-#pragma omp parallel num_threads(num_threads) if (parallel)
-  {
-    const auto tid = static_cast<std::size_t>(scratch_slot(parallel));
-    LayerScratch& scratch = scratch_[tid];
-#pragma omp for schedule(dynamic, 1)
-    for (std::size_t k = 0; k < seeded_.size(); ++k) {
-      const graph::PartId q = seeded_[k];
-      const auto qi = static_cast<std::size_t>(q);
-      scratch.tally.assign(static_cast<std::size_t>(p_->num_parts), 0.0);
-      scratch.next = buckets[k];
-      std::sort(scratch.next.begin(), scratch.next.end());
-      auto& seeds = labeled_[qi];
-      seeds.clear();
-      for (const graph::VertexId v : scratch.next) {
-        // Unlike the PartitionState index, caller buckets may overstate
-        // the boundary; skip anything that turns out interior.
-        if (seed_vertex(*g_, *p_, q, v, scratch.tally, label_, layer_,
-                        eps_.row(qi).data())) {
-          seeds.push_back(v);
-        }
       }
       frontier_[qi] = seeds;
     }

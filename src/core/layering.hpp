@@ -23,14 +23,17 @@
 ///   * layer_partitions() — the batch oracle: seeds layer 0 by scanning
 ///     every member of every partition, O(V+E) always.
 ///   * BoundaryLayering / layer_partitions_from() — the boundary-local
-///     path: seeds layer 0 straight from the PartitionState's maintained
-///     boundary index (O(boundary) + one per-vertex array reset) and grows
-///     *resumably* — a depth-capped grow() labels a thin shell, and the
-///     balance driver requests deeper layers only when the staged LP turns
-///     out infeasible at the current depth.  Grown to exhaustion it is
-///     bit-identical to layer_partitions (the parity suite pins this).
+///     path: seeds layer 0 from an ascending boundary list — the
+///     PartitionState's ordered boundary walk, or the sharded SPMD
+///     worker's own owned-partition scan — in O(boundary) plus one
+///     per-vertex array reset, and grows *resumably* — a depth-capped
+///     grow() labels a thin shell, and the balance driver requests deeper
+///     layers only when the staged LP turns out infeasible at the current
+///     depth.  Grown to exhaustion it is bit-identical to layer_partitions
+///     (the parity suite pins this).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -91,18 +94,18 @@ void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
 [[nodiscard]] std::vector<std::vector<graph::VertexId>> partition_members(
     const graph::Partitioning& p);
 
-/// Boundary-seeded, depth-capped, *resumable* layering over a maintained
-/// graph::PartitionState.  One object is constructed per balance call
-/// (allocating the per-vertex label/layer arrays once), reseed() starts a
-/// stage by pulling layer-0 seeds from the state's boundary index, and
-/// grow() advances every partition's BFS a bounded number of levels —
-/// eps() always reflects exactly the vertices labeled so far, so the
-/// balance LP can run on a thin shell and lazily request deeper layers.
+/// Boundary-seeded, depth-capped, *resumable* layering.  One object is
+/// constructed per balance call (allocating the per-vertex label/layer
+/// arrays once), reseed() starts a stage by seeding layer 0 from an
+/// ascending boundary list, and grow() advances every partition's BFS a
+/// bounded number of levels — eps() always reflects exactly the vertices
+/// labeled so far, so the balance LP can run on a thin shell and lazily
+/// request deeper layers.
 ///
-/// Contract: \p p must be fully assigned and \p state consistent with it
-/// at reseed() time; p must not change between reseed() and the last
-/// grow() of a stage.  Grown to exhaustion the labels, layers and eps are
-/// bit-identical to layer_partitions(g, p).
+/// Contract: \p p must be fully assigned and the boundary list consistent
+/// with it at reseed() time; p must not change between reseed() and the
+/// last grow() of a stage.  Grown to exhaustion the labels, layers and eps
+/// are bit-identical to layer_partitions(g, p).
 class BoundaryLayering {
  public:
   /// Empty; bind() before use.  A default-constructed instance living in a
@@ -131,24 +134,19 @@ class BoundaryLayering {
   void release();
 
   /// Reset the previous stage (O(labeled)) and seed layer 0 of every
-  /// partition — or only of \p owned_parts when non-null (the SPMD driver
-  /// owns a subset per rank) — from one ascending walk of \p state's
-  /// boundary (PartitionState::boundary_ascending), so every partition's
-  /// seeds arrive in id order without a sort.
-  void reseed(const graph::PartitionState& state, int num_threads = 1,
+  /// partition — or only of \p owned_parts when non-null (an SPMD rank
+  /// owns a subset) — from \p boundary_ascending: boundary vertices in
+  /// ascending id order (vertices of unseeded partitions are skipped), so
+  /// every partition's seeds arrive in id order without a sort.  Every
+  /// listed vertex of a seeded partition must have a neighbor in another
+  /// partition.
+  void reseed(std::span<const graph::VertexId> boundary_ascending,
+              int num_threads = 1,
               const std::vector<graph::PartId>* owned_parts = nullptr);
 
-  /// Same stage reset + seeding, but from caller-maintained boundary
-  /// buckets instead of a PartitionState: buckets[k] holds candidate
-  /// layer-0 vertices of partition owned_parts[k] (any order; they are
-  /// sorted here).  Non-boundary candidates are skipped, so a slightly
-  /// stale bucket degrades to extra work, not a wrong seeding.  Used by
-  /// the sharded SPMD worker (core/spmd_worker), which tracks boundaries
-  /// itself — seeded with exact buckets this is bit-identical to reseed()
-  /// over a consistent PartitionState.
-  void reseed_from_buckets(
-      const std::vector<std::vector<graph::VertexId>>& buckets,
-      const std::vector<graph::PartId>& owned_parts, int num_threads = 1);
+  /// reseed() from \p state's boundary (PartitionState::boundary_ascending).
+  void reseed(const graph::PartitionState& state, int num_threads = 1,
+              const std::vector<graph::PartId>* owned_parts = nullptr);
 
   /// Grow every non-exhausted seeded partition by up to \p levels more BFS
   /// levels (\p levels < 0: to exhaustion).  Parallel across partitions.
@@ -183,10 +181,6 @@ class BoundaryLayering {
   [[nodiscard]] LayeringResult take_result();
 
  private:
-  /// Undo the previous stage (O(labeled)) and install the new seeded set —
-  /// the shared front half of both reseed flavors.
-  void begin_stage(const std::vector<graph::PartId>* owned_parts);
-
   const graph::Graph* g_ = nullptr;
   const graph::Partitioning* p_ = nullptr;
   bool dirty_ = false;

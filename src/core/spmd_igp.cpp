@@ -1,7 +1,6 @@
 #include "core/spmd_igp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "core/layering.hpp"
@@ -200,12 +199,11 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
   result.balanced = result.balance_result.balanced;
   if (!result.balanced) {
     // Final deviation for reporting — O(P) off the maintained weights.
-    double max_dev = 0.0;
-    for (std::size_t q = 0; q < parts; ++q) {
-      max_dev = std::max(max_dev, std::abs(state.weights()[q] - targets[q]));
-    }
-    result.balance_result.final_max_deviation = max_dev;
-    result.balanced = max_dev <= options.balance.tolerance;
+    std::vector<double> excess(parts, 0.0);
+    result.balance_result.final_max_deviation =
+        compute_excess(state.weights(), targets, excess);
+    result.balanced = result.balance_result.final_max_deviation <=
+                      options.balance.tolerance;
     result.balance_result.balanced = result.balanced;
   }
 

@@ -1,7 +1,5 @@
 #include "core/spmd_worker.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <unordered_map>
 #include <utility>
@@ -109,16 +107,12 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
 
   SpmdWorkerStats stats;
   const std::vector<PartId>& owned = shard.owned_parts;
-  std::vector<int> owned_index(parts, -1);
-  for (std::size_t k = 0; k < owned.size(); ++k) {
-    owned_index[static_cast<std::size_t>(owned[k])] = static_cast<int>(k);
-  }
 
   BoundaryLayering layering;
   std::vector<double> excess(parts, 0.0);
   std::vector<std::int64_t> moves_flat;
   std::vector<std::int64_t> eps_rows;
-  std::vector<std::vector<VertexId>> buckets(owned.size());
+  std::vector<VertexId> seeds;
   std::unordered_map<VertexId, OverlayRow> overlays;
   bool graph_dirty = false;
 
@@ -137,27 +131,26 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
     }
     layering.bind(shard.graph, p);
 
-    // Seed layer 0 from a full scan for owned-partition boundary members.
-    // The membership predicate (any neighbor in a different partition)
-    // matches PartitionState's boundary index, and reseed_from_buckets
-    // sorts candidates like reseed() sorts the state's buckets — so the
-    // seeding is bit-identical to the in-process engine's.
-    for (auto& bucket : buckets) bucket.clear();
+    // Seed layer 0 from one ascending scan for owned-partition boundary
+    // members.  The predicate (a neighbor in another partition, read from
+    // the member's resident full row) is exactly PartitionState's boundary
+    // rule, so the list is what the in-process engine seeds from and the
+    // seeding is bit-identical to it.
+    seeds.clear();
     for (VertexId v = 0; v < n; ++v) {
       const PartId q = p.part[static_cast<std::size_t>(v)];
-      const int k = owned_index[static_cast<std::size_t>(q)];
-      if (k < 0) continue;
+      if (!shard.owns(q)) continue;
       PIGP_CHECK(shard.resident[static_cast<std::size_t>(v)] != 0,
                  "residency invariant broken: owned vertex without its "
                  "adjacency row");
       for (const VertexId w : shard.graph.neighbors(v)) {
         if (p.part[static_cast<std::size_t>(w)] != q) {
-          buckets[static_cast<std::size_t>(k)].push_back(v);
+          seeds.push_back(v);
           break;
         }
       }
     }
-    layering.reseed_from_buckets(buckets, owned, 1);
+    layering.reseed(seeds, 1, &owned);
 
     // The deepen-vs-decide handshake the in-process engine runs; this
     // engine needs only the agreed moves, not rank 0's stage statistics.
@@ -243,12 +236,8 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
   }
 
   if (!stats.balanced) {
-    double max_dev = 0.0;
-    for (std::size_t q = 0; q < parts; ++q) {
-      max_dev = std::max(max_dev, std::abs(W[q] - targets[q]));
-    }
-    stats.final_max_deviation = max_dev;
-    stats.balanced = max_dev <= options.balance.tolerance;
+    stats.final_max_deviation = compute_excess(W, targets, excess);
+    stats.balanced = stats.final_max_deviation <= options.balance.tolerance;
   }
 
   // Leave the shard consistent: fold any rows migrated in the last stage.

@@ -26,9 +26,12 @@
 /// driver) on the full graph — every floating-point accumulation follows
 /// the same operand order (weights in vertex order, moves in (source asc,
 /// dest asc, selection order) global order, reductions in rank order),
-/// layering reads resident rows byte-identical to the full graph's, and
-/// the LP runs on rank 0 from identical inputs.  tests/core/
-/// test_spmd_worker pins this against the in-process oracle.
+/// layering reads resident rows byte-identical to the full graph's and is
+/// seeded through the same BoundaryLayering::reseed (from this rank's
+/// ascending scan of its owned boundary instead of a PartitionState walk —
+/// the same vertex list), and the LP runs on rank 0 from identical
+/// inputs.  tests/core/test_spmd_worker pins this against the in-process
+/// oracle.
 ///
 /// Scope: pure rebalancing of an existing assignment (the launcher's
 /// steady-state job).  Vertex insertion (step 1) and the refinement pass

@@ -1,7 +1,6 @@
 #include "graph/partition_state.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 
 #include "support/check.hpp"
@@ -11,59 +10,26 @@ namespace {
 
 std::size_t bit_words(std::size_t n) { return (n + 63) / 64; }
 
-void set_bit(std::vector<std::uint64_t>& bits, VertexId v) {
-  const auto vi = static_cast<std::size_t>(v);
-  bits[vi / 64] |= std::uint64_t{1} << (vi % 64);
-}
-
-void clear_bit(std::vector<std::uint64_t>& bits, VertexId v) {
-  const auto vi = static_cast<std::size_t>(v);
-  bits[vi / 64] &= ~(std::uint64_t{1} << (vi % 64));
-}
-
 }  // namespace
 
 PartitionState::PartitionState(const Graph& g, const Partitioning& p) {
   rebuild(g, p);
 }
 
-void PartitionState::update_bucket(PartId q, VertexId v) {
+// pigp:steady-state
+void PartitionState::set_boundary(PartId q, VertexId v, bool member) {
   const auto vi = static_cast<std::size_t>(v);
-  if (ext_degree_[vi] > 0) {
-    if (boundary_pos_[vi] < 0) {
-      auto& bucket = boundary_[static_cast<std::size_t>(q)];
-      boundary_pos_[vi] = static_cast<std::int32_t>(bucket.size());
-      bucket.push_back(v);
-      set_bit(boundary_bits_, v);
-    }
-  } else {
-    bucket_erase(q, v);
-  }
-}
-
-void PartitionState::bucket_erase(PartId q, VertexId v) {
-  const auto vi = static_cast<std::size_t>(v);
-  const std::int32_t pos = boundary_pos_[vi];
-  if (pos < 0) return;
-  auto& bucket = boundary_[static_cast<std::size_t>(q)];
-  const VertexId last = bucket.back();
-  bucket[static_cast<std::size_t>(pos)] = last;
-  boundary_pos_[static_cast<std::size_t>(last)] = pos;
-  bucket.pop_back();
-  boundary_pos_[vi] = -1;
-  clear_bit(boundary_bits_, v);
+  std::uint64_t& word = boundary_bits_[vi / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (vi % 64);
+  if (((word & bit) != 0) == member) return;
+  word ^= bit;
+  boundary_count_[static_cast<std::size_t>(q)] += member ? 1 : -1;
 }
 
 // pigp:steady-state
 void PartitionState::boundary_ascending(std::vector<VertexId>& out) const {
   out.clear();
-  for (std::size_t w = 0; w < boundary_bits_.size(); ++w) {
-    for (std::uint64_t bits = boundary_bits_[w]; bits != 0;
-         bits &= bits - 1) {
-      out.push_back(static_cast<VertexId>(
-          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
-    }
-  }
+  for_each_boundary([&out](VertexId v) { out.push_back(v); });
 }
 
 void PartitionState::rebuild(const Graph& g, const Partitioning& p) {
@@ -76,10 +42,9 @@ void PartitionState::rebuild(const Graph& g, const Partitioning& p) {
   boundary_cost_.assign(static_cast<std::size_t>(num_parts_), 0.0);
   cut_total_ = 0.0;
   ext_degree_.assign(static_cast<std::size_t>(g.num_vertices()), 0);
-  boundary_pos_.assign(static_cast<std::size_t>(g.num_vertices()), -1);
   boundary_bits_.assign(
       bit_words(static_cast<std::size_t>(g.num_vertices())), 0);
-  boundary_.assign(static_cast<std::size_t>(num_parts_), {});
+  boundary_count_.assign(static_cast<std::size_t>(num_parts_), 0);
 
   // Accumulation order matches the historical compute_metrics() loop so
   // floating-point results are bit-identical to the pre-PartitionState
@@ -104,10 +69,7 @@ void PartitionState::rebuild(const Graph& g, const Partitioning& p) {
     }
     if (ext > 0) {
       ext_degree_[static_cast<std::size_t>(v)] = ext;
-      boundary_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(
-          boundary_[static_cast<std::size_t>(pv)].size());
-      boundary_[static_cast<std::size_t>(pv)].push_back(v);
-      set_bit(boundary_bits_, v);
+      set_boundary(pv, v, true);
     }
   }
 }
@@ -145,24 +107,25 @@ void PartitionState::move_vertex(const Graph& g, Partitioning& p, VertexId v,
       ++new_ext;
     }
     if (was_external != is_external) {
-      ext_degree_[static_cast<std::size_t>(nbrs[i])] +=
-          is_external ? 1 : -1;
-      update_bucket(q, nbrs[i]);
+      const auto ui = static_cast<std::size_t>(nbrs[i]);
+      ext_degree_[ui] += is_external ? 1 : -1;
+      set_boundary(q, nbrs[i], ext_degree_[ui] > 0);
     }
   }
   if (from != kUnassigned) {
     weight_[static_cast<std::size_t>(from)] -= g.vertex_weight(v);
-    bucket_erase(from, v);
+    set_boundary(from, v, false);
   }
   if (to != kUnassigned) {
     weight_[static_cast<std::size_t>(to)] += g.vertex_weight(v);
+    set_boundary(to, v, new_ext > 0);
   }
   ext_degree_[static_cast<std::size_t>(v)] =
       to == kUnassigned ? 0 : new_ext;
-  if (to != kUnassigned) update_bucket(to, v);
   p.part[static_cast<std::size_t>(v)] = to;
 }
 
+// pigp:steady-state
 void PartitionState::add_edge(const Partitioning& p, VertexId u, VertexId v,
                               double weight) {
   if (u == v) return;  // self-loops contribute nothing
@@ -174,10 +137,11 @@ void PartitionState::add_edge(const Partitioning& p, VertexId u, VertexId v,
   cut_total_ += weight;
   ++ext_degree_[static_cast<std::size_t>(u)];
   ++ext_degree_[static_cast<std::size_t>(v)];
-  update_bucket(pu, u);
-  update_bucket(pv, v);
+  set_boundary(pu, u, true);
+  set_boundary(pv, v, true);
 }
 
+// pigp:steady-state
 void PartitionState::remove_edge(const Partitioning& p, VertexId u, VertexId v,
                                  double weight) {
   if (u == v) return;
@@ -187,10 +151,8 @@ void PartitionState::remove_edge(const Partitioning& p, VertexId u, VertexId v,
   boundary_cost_[static_cast<std::size_t>(pu)] -= weight;
   boundary_cost_[static_cast<std::size_t>(pv)] -= weight;
   cut_total_ -= weight;
-  --ext_degree_[static_cast<std::size_t>(u)];
-  --ext_degree_[static_cast<std::size_t>(v)];
-  update_bucket(pu, u);
-  update_bucket(pv, v);
+  set_boundary(pu, u, --ext_degree_[static_cast<std::size_t>(u)] > 0);
+  set_boundary(pv, v, --ext_degree_[static_cast<std::size_t>(v)] > 0);
 }
 
 void PartitionState::adjust_edge_weight(const Partitioning& p, VertexId u,
@@ -208,7 +170,6 @@ void PartitionState::grow_vertices(VertexId n) {
   PIGP_CHECK(static_cast<std::size_t>(n) >= ext_degree_.size(),
              "grow_vertices cannot shrink the vertex-id space");
   ext_degree_.resize(static_cast<std::size_t>(n), 0);
-  boundary_pos_.resize(static_cast<std::size_t>(n), -1);
   boundary_bits_.resize(bit_words(static_cast<std::size_t>(n)), 0);
 }
 
@@ -232,10 +193,7 @@ void PartitionState::transition(const Graph& g, Partitioning& p,
   PIGP_CHECK(static_cast<VertexId>(p.part.size()) <= target.num_vertices(),
              "current partitioning larger than the target");
   p.part.resize(static_cast<std::size_t>(g.num_vertices()), kUnassigned);
-  ext_degree_.resize(static_cast<std::size_t>(g.num_vertices()), 0);
-  boundary_pos_.resize(static_cast<std::size_t>(g.num_vertices()), -1);
-  boundary_bits_.resize(
-      bit_words(static_cast<std::size_t>(g.num_vertices())), 0);
+  grow_vertices(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const PartId want = target.part[static_cast<std::size_t>(v)];
     if (p.part[static_cast<std::size_t>(v)] != want) {
@@ -249,31 +207,24 @@ void PartitionState::remap_vertices(const std::vector<VertexId>& old_to_new,
   if (journal_windows_ > 0) journal_rebased_ = true;
   std::vector<std::int32_t> ext(static_cast<std::size_t>(new_num_vertices),
                                 0);
-  std::vector<std::int32_t> pos(static_cast<std::size_t>(new_num_vertices),
-                                -1);
   std::vector<std::uint64_t> bits(
       bit_words(static_cast<std::size_t>(new_num_vertices)), 0);
-  // Only bucket members carry information: ext_degree > 0 iff in a bucket.
-  for (auto& bucket : boundary_) {
-    for (std::size_t slot = 0; slot < bucket.size(); ++slot) {
-      const VertexId old_v = bucket[slot];
-      PIGP_CHECK(old_v >= 0 &&
-                     old_v < static_cast<VertexId>(old_to_new.size()),
-                 "remap_vertices: boundary vertex out of range");
-      const VertexId new_v = old_to_new[static_cast<std::size_t>(old_v)];
-      PIGP_CHECK(new_v != kInvalidVertex,
-                 "remap_vertices: boundary vertex was removed but not "
-                 "retired first");
-      bucket[slot] = new_v;
-      ext[static_cast<std::size_t>(new_v)] =
-          ext_degree_[static_cast<std::size_t>(old_v)];
-      pos[static_cast<std::size_t>(new_v)] =
-          static_cast<std::int32_t>(slot);
-      set_bit(bits, new_v);
-    }
-  }
+  // Only boundary vertices carry information (ext_degree > 0 iff the bit
+  // is set), and a remap keeps every vertex in its partition, so the
+  // per-partition counts carry over unchanged.
+  for_each_boundary([&](VertexId old_v) {
+    PIGP_CHECK(old_v < static_cast<VertexId>(old_to_new.size()),
+               "remap_vertices: boundary vertex out of range");
+    const VertexId new_v = old_to_new[static_cast<std::size_t>(old_v)];
+    PIGP_CHECK(new_v != kInvalidVertex,
+               "remap_vertices: boundary vertex was removed but not "
+               "retired first");
+    ext[static_cast<std::size_t>(new_v)] =
+        ext_degree_[static_cast<std::size_t>(old_v)];
+    const auto vi = static_cast<std::size_t>(new_v);
+    bits[vi / 64] |= std::uint64_t{1} << (vi % 64);
+  });
   ext_degree_ = std::move(ext);
-  boundary_pos_ = std::move(pos);
   boundary_bits_ = std::move(bits);
 }
 

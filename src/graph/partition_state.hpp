@@ -37,21 +37,21 @@
 ///
 /// Besides the aggregates, the state maintains a per-partition *boundary
 /// vertex index*: for every assigned vertex an external-edge count (number
-/// of distinct edges to assigned neighbors in other partitions), and per
-/// partition the bucket of vertices with a positive count.  This is what
-/// makes the repartition pipeline boundary-local — layering seeds and
-/// refinement candidates come straight from the buckets instead of a full
-/// vertex scan.  Invariant: v ∈ boundary_vertices(p.part[v]) iff
-/// external_degree(v) > 0 iff v is assigned and has an assigned neighbor
-/// in a different partition.  Bucket *order* is unspecified (swap-remove);
-/// consumers that need determinism walk boundary_ascending() instead,
-/// which reads a one-bit-per-id mirror of bucket membership and emits the
-/// whole boundary in ascending id order without sorting.  Because the
-/// index counts edges (integers), it is exact for any
-/// edge weights; the structural add_edge/remove_edge vs weight-only
-/// adjust_edge_weight split below exists so weight merges cannot
-/// double-count an edge.
+/// of distinct edges to assigned neighbors in other partitions), one bit
+/// per vertex id marking the vertices with a positive count, and per
+/// partition the number of marked vertices.  This is what makes the
+/// repartition pipeline boundary-local — layering seeds and refinement
+/// candidates come from one ascending walk of the bits
+/// (boundary_ascending()) instead of a full vertex scan.  Invariants: bit v
+/// is set iff external_degree(v) > 0 iff v is assigned and has an assigned
+/// neighbor in a different partition; boundary_vertices(q).size() is the
+/// number of set bits whose vertex is assigned to q.  Because the index
+/// counts edges (integers), it is exact for any edge weights; the
+/// structural add_edge/remove_edge vs weight-only adjust_edge_weight split
+/// below exists so weight merges cannot double-count an edge.
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -163,11 +163,22 @@ class PartitionState {
 
   // --- boundary index ---
 
-  /// Vertices of partition \p q with at least one external edge, in
-  /// unspecified order.  O(1).
-  [[nodiscard]] const std::vector<VertexId>& boundary_vertices(
-      PartId q) const {
-    return boundary_[static_cast<std::size_t>(q)];
+  /// The size of one partition's boundary.  Iterate the boundary itself
+  /// through boundary_ascending() or for_each_boundary().
+  class BoundarySize {
+   public:
+    explicit BoundarySize(std::int64_t n) noexcept : n_(n) {}
+    [[nodiscard]] std::size_t size() const noexcept {
+      return static_cast<std::size_t>(n_);
+    }
+
+   private:
+    std::int64_t n_;
+  };
+  /// How many vertices of partition \p q have at least one external edge.
+  /// O(1).
+  [[nodiscard]] BoundarySize boundary_vertices(PartId q) const noexcept {
+    return BoundarySize(boundary_count_[static_cast<std::size_t>(q)]);
   }
   /// Number of distinct edges from \p v to assigned neighbors in other
   /// partitions (0 for unassigned vertices).  O(1).
@@ -177,9 +188,21 @@ class PartitionState {
   [[nodiscard]] bool is_boundary(VertexId v) const {
     return external_degree(v) > 0;
   }
-  /// Every boundary vertex of every partition, in ascending id order, into
-  /// \p out (cleared; capacity reused, so a warm call allocates nothing).
-  /// One pass over the membership bitset: O(V/64 + |boundary|), no sort.
+  /// Call \p visit(v) for every boundary vertex of every partition, in
+  /// ascending id order.  One pass over the membership bitset:
+  /// O(V/64 + |boundary|), no sort, no allocation.
+  template <class Visit>
+  void for_each_boundary(Visit&& visit) const {
+    for (std::size_t w = 0; w < boundary_bits_.size(); ++w) {
+      for (std::uint64_t bits = boundary_bits_[w]; bits != 0;
+           bits &= bits - 1) {
+        visit(static_cast<VertexId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+    }
+  }
+  /// for_each_boundary() into \p out (cleared; capacity reused, so a warm
+  /// call allocates nothing).
   void boundary_ascending(std::vector<VertexId>& out) const;
 
   // --- O(Δ) undo journal ---
@@ -255,11 +278,11 @@ class PartitionState {
   [[nodiscard]] double imbalance() const noexcept;
 
  private:
-  /// Transition v's bucket membership after ext_degree_[v] changed while v
-  /// is assigned to \p q.
-  void update_bucket(PartId q, VertexId v);
-  /// Remove v from partition q's bucket if present (swap-remove).
-  void bucket_erase(PartId q, VertexId v);
+  /// Set (\p member) or clear v's boundary bit, counting the change against
+  /// partition \p q — the one place a bit and its partition's count change
+  /// together.  (remap_vertices rewrites the bits but moves no vertex
+  /// between partitions, so it keeps the counts.)
+  void set_boundary(PartId q, VertexId v, bool member);
 
   std::vector<double> weight_;         ///< W(q)
   std::vector<double> boundary_cost_;  ///< C(q)
@@ -268,14 +291,10 @@ class PartitionState {
 
   /// Distinct external edges per vertex (0 when unassigned).
   std::vector<std::int32_t> ext_degree_;
-  /// Per-partition bucket of boundary vertices, unordered.
-  std::vector<std::vector<VertexId>> boundary_;
-  /// Index of v inside its bucket, or -1.
-  std::vector<std::int32_t> boundary_pos_;
-  /// Bit v set iff v is in some bucket (boundary_pos_[v] >= 0) — the
-  /// ordered view behind boundary_ascending().  Set and cleared exactly
-  /// where bucket membership changes.
+  /// Bit v set iff ext_degree_[v] > 0 — the boundary, in id order.
   std::vector<std::uint64_t> boundary_bits_;
+  /// Set bits per partition (boundary_vertices(q).size()).
+  std::vector<std::int64_t> boundary_count_;
 
   /// The O(P) undo unit a window saves at open: the aggregates only.
   struct AggregateSnapshot {

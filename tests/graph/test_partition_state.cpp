@@ -263,14 +263,59 @@ TEST(PartitionState, ReconcileExtensionHandlesOldOldRewiring) {
   EXPECT_EQ(state.cut_total(), fresh.cut_total());
 }
 
-/// Brute-force check of the maintained boundary index: external degrees
-/// and per-partition bucket contents (order-insensitive — the index makes
-/// no order promise).
+/// Brute-force boundary sets: [q] lists, ascending, partition q's vertices
+/// with an assigned neighbor in another partition.
+std::vector<std::vector<VertexId>> brute_force_boundary(const Graph& g,
+                                                        const Partitioning& p) {
+  std::vector<std::vector<VertexId>> boundary(
+      static_cast<std::size_t>(p.num_parts));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const PartId pv = p.part[static_cast<std::size_t>(v)];
+    if (pv == kUnassigned) continue;
+    for (const VertexId u : g.neighbors(v)) {
+      const PartId pu = p.part[static_cast<std::size_t>(u)];
+      if (pu != kUnassigned && pu != pv) {
+        boundary[static_cast<std::size_t>(pv)].push_back(v);
+        break;
+      }
+    }
+  }
+  return boundary;
+}
+
+/// The ordered walk, filtered per partition, and every per-partition count
+/// must equal the brute-force boundary sets.
+void expect_ascending_matches_brute_force(const PartitionState& state,
+                                          const Graph& g,
+                                          const Partitioning& p,
+                                          const char* where) {
+  const auto expected = brute_force_boundary(g, p);
+  std::vector<VertexId> walked = {-7};  // stale content must be cleared
+  state.boundary_ascending(walked);
+  std::vector<std::vector<VertexId>> walked_by_part(
+      static_cast<std::size_t>(p.num_parts));
+  for (const VertexId v : walked) {
+    const PartId q = p.part[static_cast<std::size_t>(v)];
+    if (q < 0 || q >= p.num_parts) {
+      ADD_FAILURE() << where << ": walked vertex " << v << " is unassigned";
+      continue;
+    }
+    walked_by_part[static_cast<std::size_t>(q)].push_back(v);
+  }
+  for (PartId q = 0; q < p.num_parts; ++q) {
+    const auto& want = expected[static_cast<std::size_t>(q)];
+    EXPECT_EQ(state.boundary_vertices(q).size(), want.size())
+        << where << " partition " << q;
+    EXPECT_EQ(walked_by_part[static_cast<std::size_t>(q)], want)
+        << where << " partition " << q;
+  }
+}
+
+/// Brute-force check of the whole boundary index: external degrees, then
+/// the ordered walk and the per-partition counts.
 void expect_boundary_index_matches(const PartitionState& state,
                                    const Graph& g, const Partitioning& p,
                                    const char* where) {
-  std::vector<std::vector<VertexId>> expected_buckets(
-      static_cast<std::size_t>(p.num_parts));
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const PartId pv = p.part[static_cast<std::size_t>(v)];
     std::int32_t ext = 0;
@@ -282,31 +327,8 @@ void expect_boundary_index_matches(const PartitionState& state,
     }
     EXPECT_EQ(state.external_degree(v), ext) << where << " vertex " << v;
     EXPECT_EQ(state.is_boundary(v), ext > 0) << where << " vertex " << v;
-    if (ext > 0) {
-      expected_buckets[static_cast<std::size_t>(pv)].push_back(v);
-    }
   }
-  for (PartId q = 0; q < p.num_parts; ++q) {
-    std::vector<VertexId> bucket(state.boundary_vertices(q).begin(),
-                                 state.boundary_vertices(q).end());
-    std::sort(bucket.begin(), bucket.end());
-    EXPECT_EQ(bucket, expected_buckets[static_cast<std::size_t>(q)])
-        << where << " partition " << q;
-  }
-}
-
-/// The ordered view must equal the sorted union of the buckets.
-void expect_ascending_matches_buckets(const PartitionState& state,
-                                      const char* where) {
-  std::vector<VertexId> expected;
-  for (PartId q = 0; q < state.num_parts(); ++q) {
-    expected.insert(expected.end(), state.boundary_vertices(q).begin(),
-                    state.boundary_vertices(q).end());
-  }
-  std::sort(expected.begin(), expected.end());
-  std::vector<VertexId> walked = {-7};  // stale content must be cleared
-  state.boundary_ascending(walked);
-  EXPECT_EQ(walked, expected) << where;
+  expect_ascending_matches_brute_force(state, g, p, where);
 }
 
 TEST(PartitionStateBoundaryIndex, RebuildMatchesBruteForce) {
@@ -340,13 +362,13 @@ TEST(PartitionStateBoundaryIndex, SurvivesRandomMoveRetirePlaceSequences) {
 TEST(PartitionStateBoundaryIndex, AscendingWalkTracksEveryKindOfEdit) {
   // Random move / retire / place / add_edge / remove_edge / grow_vertices
   // / remap_vertices sequences over a mutable graph: after every step the
-  // ordered boundary walk equals the sorted union of the buckets, and at
-  // checkpoints the buckets equal a brute-force recount.
+  // ordered boundary walk and the per-partition counts equal a brute-force
+  // recount, and at checkpoints the external degrees do too.
   SplitMix64 rng(71);
   Graph g = random_geometric_graph(150, 0.13, 37);
   Partitioning p = random_partitioning(g.num_vertices(), 4, rng);
   PartitionState state(g, p);
-  expect_ascending_matches_buckets(state, "rebuild");
+  expect_ascending_matches_brute_force(state, g, p, "rebuild");
 
   const auto random_live = [&]() {
     for (;;) {
@@ -403,14 +425,14 @@ TEST(PartitionStateBoundaryIndex, AscendingWalkTracksEveryKindOfEdit) {
       state.remap_vertices(old_to_new, n);
       ++remaps;
     }
-    expect_ascending_matches_buckets(state, "mid-sequence");
+    expect_ascending_matches_brute_force(state, g, p, "mid-sequence");
     if (step % 101 == 0) {
       expect_boundary_index_matches(state, g, p, "checkpoint");
     }
   }
   EXPECT_GT(remaps, 0);
   expect_boundary_index_matches(state, g, p, "after 1500 edits");
-  expect_ascending_matches_buckets(state, "after 1500 edits");
+  expect_ascending_matches_brute_force(state, g, p, "after 1500 edits");
 }
 
 TEST(PartitionStateBoundaryIndex, StructuralEdgesCountWeightMergesDoNot) {
