@@ -76,15 +76,18 @@ int main(int argc, char** argv) {
   // ------------------------------------------------ A: solver choice
   {
     TextTable table({"solver", "time (s)", "final cut", "LP pivots"});
-    for (const auto kind :
-         {core::LpSolverKind::dense, core::LpSolverKind::bounded}) {
-      const core::IgpOptions options =
-          bench::make_igp_options(parts, /*refine=*/true, /*threads=*/1, kind);
+    struct Solver {
+      core::LpSolverKind kind;
+      const char* name;
+    };
+    for (const Solver solver :
+         {Solver{core::LpSolverKind::dense, "dense simplex (paper)"},
+          Solver{core::LpSolverKind::bounded, "bounded-variable simplex"},
+          Solver{core::LpSolverKind::network, "network simplex"}}) {
+      const core::IgpOptions options = bench::make_igp_options(
+          parts, /*refine=*/true, /*threads=*/1, solver.kind);
       const AblationOutcome out = run_variant(seq, initial, options);
-      table.add_row(kind == core::LpSolverKind::dense
-                        ? "dense simplex (paper)"
-                        : "bounded-variable simplex",
-                    out.seconds, out.cut, out.lp_iterations);
+      table.add_row(solver.name, out.seconds, out.cut, out.lp_iterations);
     }
     std::cout << "A. LP solver representation\n";
     table.print(std::cout);

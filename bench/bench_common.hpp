@@ -42,11 +42,11 @@ inline TimedPartition run_sb(const graph::Graph& g, graph::PartId parts) {
 }
 
 /// Fully-propagated IgpOptions via the canonical SessionConfig::resolve()
-/// derivation path.
+/// derivation path; \p solver defaults to SessionConfig's.
 inline core::IgpOptions make_igp_options(graph::PartId num_parts, bool refine,
                                          int threads,
                                          core::LpSolverKind solver =
-                                             core::LpSolverKind::dense) {
+                                             core::LpSolverKind::network) {
   SessionConfig config;
   config.num_parts = num_parts;
   config.backend = refine ? "igpr" : "igp";

@@ -7,7 +7,8 @@
 // Benchmarks:
 //  * balance-LP solve time vs partition count (the LP grows with P, not
 //    with |V| — the paper's key scalability point);
-//  * dense vs bounded-variable solver on identical programs;
+//  * dense vs bounded-variable simplex vs network simplex on identical
+//    programs;
 //  * serial vs OpenMP-parallel pivoting on a large dense LP.
 //
 // The fixture also prints the v/c accounting for the paper's workload once.
@@ -25,6 +26,7 @@
 #include "graph/generators.hpp"
 #include "lp/bounded_simplex.hpp"
 #include "lp/dense_simplex.hpp"
+#include "lp/network_flow.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -90,6 +92,21 @@ void BM_BalanceLpBounded(benchmark::State& state) {
 }
 BENCHMARK(BM_BalanceLpBounded)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
+void BM_BalanceLpNetwork(benchmark::State& state) {
+  const int parts = static_cast<int>(state.range(0));
+  const lp::LinearProgram program = make_balance_lp(parts, 42);
+  std::int64_t iterations = 0;
+  for (auto _ : state) {
+    const lp::Solution s =
+        lp::solve_network_program(program, lp::SimplexOptions{});
+    benchmark::DoNotOptimize(s.objective);
+    iterations = s.iterations;
+  }
+  state.counters["lp_vars"] = program.num_variables();
+  state.counters["pivots"] = static_cast<double>(iterations);
+}
+BENCHMARK(BM_BalanceLpNetwork)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
 /// Dense random LP big enough for parallel pivoting to matter.
 lp::LinearProgram make_dense_lp(int vars, int rows, std::uint64_t seed) {
   SplitMix64 rng(seed);
@@ -150,7 +167,7 @@ int main(int argc, char** argv) {
   }
   std::string filter =
       "--benchmark_filter=(BM_BalanceLpDense/8$|BM_BalanceLpBounded/8$|"
-      "BM_DensePivot/2$)";
+      "BM_BalanceLpNetwork/8$|BM_DensePivot/2$)";
   std::string min_time = "--benchmark_min_time=0.05s";
   if (smoke) {
     args.push_back(filter.data());

@@ -1,12 +1,14 @@
 // Tour of the LP substrate: building programs with the model API and
-// solving them with both simplex implementations.  Ends by reconstructing
-// the paper's own Figure 5 load-balancing LP and showing that the solver
-// reproduces the printed solution (l03 = 8, l12 = 1, objective 9).
+// solving them with both simplex implementations, and network programs
+// with the network simplex too.  Ends by reconstructing the paper's own
+// Figure 5 load-balancing LP and showing that every solver reproduces the
+// printed optimum (l03 = 8, l12 = 1, objective 9).
 
 #include <iostream>
 
 #include "lp/bounded_simplex.hpp"
 #include "lp/dense_simplex.hpp"
+#include "lp/network_flow.hpp"
 #include "lp/program.hpp"
 #include "support/table.hpp"
 
@@ -16,11 +18,17 @@ using namespace pigp;
 
 void solve_and_print(const char* title, const lp::LinearProgram& program) {
   std::cout << title << "\n" << program.debug_string();
-  for (const bool bounded : {false, true}) {
-    const lp::Solution s = bounded ? lp::BoundedSimplex().solve(program)
-                                   : lp::DenseSimplex().solve(program);
-    std::cout << (bounded ? "  bounded simplex: " : "  dense simplex:   ")
-              << lp::to_string(s.status);
+  // The network simplex takes only network LPs (equality rows, [0, u]
+  // bounds, one +1 and one -1 per column): the balance LP, not the rest.
+  const int solvers = lp::is_network_program(program) ? 3 : 2;
+  for (int solver = 0; solver < solvers; ++solver) {
+    const char* names[] = {"  dense simplex:   ", "  bounded simplex: ",
+                           "  network simplex: "};
+    const lp::Solution s =
+        solver == 0   ? lp::DenseSimplex().solve(program)
+        : solver == 1 ? lp::BoundedSimplex().solve(program)
+                      : lp::solve_network_program(program, {});
+    std::cout << names[solver] << lp::to_string(s.status);
     if (s.status == lp::SolveStatus::optimal) {
       std::cout << ", objective " << s.objective << ", x = [";
       for (std::size_t j = 0; j < s.x.size(); ++j) {

@@ -72,8 +72,8 @@ struct SessionConfig {
   /// Backend registry key: "igp", "igpr", "multilevel", "spmd", "scratch",
   /// or any name registered through BackendRegistry.
   std::string backend = "igpr";
-  /// Simplex implementation for the balance and refinement LPs.
-  core::LpSolverKind solver = core::LpSolverKind::dense;
+  /// Solver for the balance and refinement LPs.
+  core::LpSolverKind solver = core::LpSolverKind::network;
   /// Worker threads for assignment, layering, and LP pivoting.
   int num_threads = 1;
 

@@ -14,18 +14,38 @@ namespace pigp::core {
 
 lp::Solution solve_lp(const lp::LinearProgram& program, LpSolverKind kind,
                       const lp::SimplexOptions& options) {
-  if (kind == LpSolverKind::bounded) {
-    return lp::BoundedSimplex(options).solve(program);
+  switch (kind) {
+    case LpSolverKind::network:
+      return lp::solve_network_program(program, options);
+    case LpSolverKind::bounded:
+      return lp::BoundedSimplex(options).solve(program);
+    case LpSolverKind::dense:
+      break;
   }
   return lp::DenseSimplex(options).solve(program);
 }
 
-std::vector<double> staged_requirements(const std::vector<double>& excess,
-                                        double alpha) {
+void QuotientFlow::reset(std::size_t parts, lp::Sense flow_sense,
+                         std::size_t lane_count) {
+  sense = flow_sense;
+  lanes.resize(lane_count);
+  for (Lane& lane : lanes) {
+    lane.capacity.assign(parts, parts, 0.0);
+    lane.cost.assign(parts, parts, 0.0);
+  }
+  supply.clear();
+  slack_cost.clear();
+}
+
+void staged_requirements_into(const std::vector<double>& excess, double alpha,
+                              FlowWorkspace& ws) {
   PIGP_CHECK(alpha >= 1.0, "alpha must be at least 1");
   const std::size_t parts = excess.size();
-  std::vector<double> rhs(parts, 0.0);
-  std::vector<double> remainder(parts, 0.0);
+  std::vector<double>& rhs = ws.rhs;
+  std::vector<double>& remainder = ws.remainder;
+  std::vector<std::size_t>& order = ws.order;
+  rhs.assign(parts, 0.0);
+  remainder.assign(parts, 0.0);
   double base_sum = 0.0;
   for (std::size_t q = 0; q < parts; ++q) {
     const double raw = excess[q] / alpha;
@@ -36,7 +56,7 @@ std::vector<double> staged_requirements(const std::vector<double>& excess,
   // Σ raw = 0 (targets sum to the total weight), so the remainders sum to
   // -base_sum, a non-negative integer; bump that many largest remainders.
   auto bumps = static_cast<std::int64_t>(std::llround(-base_sum));
-  std::vector<std::size_t> order(parts);
+  order.resize(parts);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&remainder](std::size_t a,
                                                      std::size_t b) {
@@ -46,7 +66,13 @@ std::vector<double> staged_requirements(const std::vector<double>& excess,
   for (std::size_t i = 0; bumps > 0 && i < parts; ++i, --bumps) {
     rhs[order[i]] += 1.0;
   }
-  return rhs;
+}
+
+std::vector<double> staged_requirements(const std::vector<double>& excess,
+                                        double alpha) {
+  FlowWorkspace ws;
+  staged_requirements_into(excess, alpha, ws);
+  return std::move(ws.rhs);
 }
 
 namespace {
@@ -54,7 +80,7 @@ namespace {
 /// Visit every arc lane in variable order: (i, j, lane) lexicographic.
 template <typename Visit>
 void for_each_arc(const QuotientFlow& flow, Visit&& visit) {
-  const std::size_t parts = flow.lanes.front().capacity.rows();
+  const std::size_t parts = flow.parts();
   for (std::size_t i = 0; i < parts; ++i) {
     for (std::size_t j = 0; j < parts; ++j) {
       for (std::size_t l = 0; l < flow.lanes.size(); ++l) {
@@ -102,52 +128,155 @@ lp::LinearProgram to_linear_program(
   return program;
 }
 
-FlowResult solve_flow(const QuotientFlow& flow, LpSolverKind kind,
-                      const lp::SimplexOptions& options) {
+namespace {
+
+/// Number of nodes of a circulation without slack that have an arc — the
+/// LP gives only those a row.
+int nodes_with_arcs(const QuotientFlow& flow) {
+  const std::size_t parts = flow.parts();
+  int rows = 0;
+  for (std::size_t q = 0; q < parts; ++q) {
+    bool any = false;
+    for (std::size_t k = 0; k < parts && !any; ++k) {
+      for (const QuotientFlow::Lane& lane : flow.lanes) {
+        any |= k != q &&
+               (lane.capacity(q, k) > 0.0 || lane.capacity(k, q) > 0.0);
+      }
+    }
+    rows += any ? 1 : 0;
+  }
+  return rows;
+}
+
+/// The network path: arcs in for_each_arc order, then each node's slack
+/// pair to a ground node whose supply closes the balance; the flows are
+/// the move counts.
+// pigp:steady-state
+void solve_on_network(const QuotientFlow& flow,
+                      const lp::SimplexOptions& options, lp::NetworkFlow& net,
+                      FlowResult& result) {
+  const std::size_t parts = flow.parts();
+  const bool slack = !flow.slack_cost.empty();
+  const int ground = static_cast<int>(parts);
+  net.reset(ground + (slack ? 1 : 0));
+  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t l) {
+    (void)net.add_arc(static_cast<int>(i), static_cast<int>(j),
+                      flow.lanes[l].capacity(i, j), flow.lanes[l].cost(i, j));
+  });
+  double total = 0.0;
+  for (std::size_t q = 0; q < flow.supply.size(); ++q) {
+    net.set_supply(static_cast<int>(q), flow.supply[q]);
+    total += flow.supply[q];
+  }
+  if (slack) {
+    for (std::size_t q = 0; q < parts; ++q) {
+      const auto node = static_cast<int>(q);
+      (void)net.add_arc(node, ground, lp::kInfinity, flow.slack_cost[q]);
+      (void)net.add_arc(ground, node, lp::kInfinity, flow.slack_cost[q]);
+    }
+    net.set_supply(ground, -total);
+  }
+  result.status = net.solve(flow.sense, options);
+  result.lp_variables = net.num_arcs();
+  result.lp_rows = flow.supply.empty() && !slack ? nodes_with_arcs(flow)
+                                                 : static_cast<int>(parts);
+  result.lp_iterations = net.pivots();
+  if (result.status != lp::SolveStatus::optimal) return;
+  result.objective = net.objective();
+  int arc = 0;
+  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t) {
+    const double value = net.flow(arc++);
+    const auto count = static_cast<std::int64_t>(value);
+    PIGP_ASSERT(static_cast<double>(count) == value);
+    result.moves(i, j) += count;
+    result.moved += count;
+  });
+}
+
+/// The simplex path: the flow's LP, solved by \p kind; an optimal vertex
+/// is rounded into the move matrix.
+void solve_as_lp(const QuotientFlow& flow, LpSolverKind kind,
+                 const lp::SimplexOptions& options, FlowResult& result) {
   const lp::LinearProgram program = to_linear_program(flow);
   const lp::Solution solution = solve_lp(program, kind, options);
-  FlowResult result;
   result.status = solution.status;
-  result.objective = solution.objective;
   result.lp_variables = program.num_variables();
   result.lp_rows = program.num_rows();
   result.lp_iterations = solution.iterations;
-  if (solution.status != lp::SolveStatus::optimal) return result;
+  if (solution.status != lp::SolveStatus::optimal) return;
+  result.objective = solution.objective;
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
   for (const double value : solution.x) {
     PIGP_CHECK(std::abs(value - std::round(value)) <= 1e-6,
                "quotient-flow LP optimum is not integral");
   }
 #endif
-  const std::size_t parts = flow.lanes.front().capacity.rows();
-  result.moves = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
   std::size_t var = 0;  // arcs are the first variables, in visit order
   for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t) {
     const std::int64_t count = std::llround(solution.x[var++]);
     result.moves(i, j) += count;
     result.moved += count;
   });
+}
+
+}  // namespace
+
+const FlowResult& solve_flow(const QuotientFlow& flow, LpSolverKind kind,
+                             const lp::SimplexOptions& options,
+                             FlowWorkspace& ws) {
+  const std::size_t parts = flow.parts();
+  PIGP_CHECK((flow.supply.empty() || flow.supply.size() == parts) &&
+                 (flow.slack_cost.empty() || flow.slack_cost.size() == parts),
+             "supply / slack cost size mismatch");
+  FlowResult& result = ws.result;
+  result.objective = 0.0;
+  result.moves.assign(parts, parts, 0);
+  result.moved = 0;
+  if (kind == LpSolverKind::network) {
+    solve_on_network(flow, options, ws.network, result);
+  } else {
+    solve_as_lp(flow, kind, options, result);
+  }
   return result;
 }
 
-QuotientFlow balance_flow(const pigp::DenseMatrix<std::int64_t>& eps,
-                          std::vector<double> rhs) {
+FlowResult solve_flow(const QuotientFlow& flow, LpSolverKind kind,
+                      const lp::SimplexOptions& options) {
+  FlowWorkspace ws;
+  (void)solve_flow(flow, kind, options, ws);
+  return std::move(ws.result);
+}
+
+void balance_flow_into(const pigp::DenseMatrix<std::int64_t>& eps,
+                       const std::vector<double>& rhs, QuotientFlow& flow) {
   const std::size_t parts = eps.rows();
   PIGP_CHECK(eps.cols() == parts, "eps must be square");
   PIGP_CHECK(rhs.size() == parts, "rhs size mismatch");
-  QuotientFlow flow(parts, lp::Sense::minimize);
+  flow.reset(parts, lp::Sense::minimize);
   QuotientFlow::Lane& lane = flow.lanes.front();
   std::copy(eps.data(), eps.data() + parts * parts, lane.capacity.data());
   lane.cost.fill(1.0);
-  flow.supply = std::move(rhs);
+  flow.supply.assign(rhs.begin(), rhs.end());
+}
+
+QuotientFlow balance_flow(const pigp::DenseMatrix<std::int64_t>& eps,
+                          const std::vector<double>& rhs) {
+  QuotientFlow flow;
+  balance_flow_into(eps, rhs, flow);
   return flow;
 }
 
-QuotientFlow best_effort_flow(const pigp::DenseMatrix<std::int64_t>& eps,
-                              std::vector<double> rhs) {
-  QuotientFlow flow = balance_flow(eps, std::move(rhs));
+void best_effort_flow_into(const pigp::DenseMatrix<std::int64_t>& eps,
+                           const std::vector<double>& rhs, QuotientFlow& flow) {
+  balance_flow_into(eps, rhs, flow);
   flow.lanes.front().cost.fill(1e-3);
   flow.slack_cost.assign(eps.rows(), 1.0);
+}
+
+QuotientFlow best_effort_flow(const pigp::DenseMatrix<std::int64_t>& eps,
+                              const std::vector<double>& rhs) {
+  QuotientFlow flow;
+  best_effort_flow_into(eps, rhs, flow);
   return flow;
 }
 
@@ -163,51 +292,68 @@ lp::LinearProgram build_balance_lp(
 
 namespace {
 
-/// Record a solved stage flow as the stage's decision.
-StageDecision accept(FlowResult flow, double alpha, int layer_depth) {
-  return {.deepen = false,
-          .progress = flow.moved > 0,
-          .stats = {.alpha = alpha,
+/// Record ws.result, a solved stage flow, as the stage's decision (the
+/// copy reuses the decision's move-matrix storage).
+void accept(FlowWorkspace& ws, double alpha, int layer_depth) {
+  const FlowResult& flow = ws.result;
+  StageDecision& decision = ws.decision;
+  decision.deepen = false;
+  decision.progress = flow.moved > 0;
+  decision.stats = {.alpha = alpha,
                     .lp_variables = flow.lp_variables,
                     .lp_rows = flow.lp_rows,
                     .lp_iterations = flow.lp_iterations,
                     .vertices_moved = static_cast<double>(flow.moved),
-                    .layer_depth = layer_depth},
-          .moves = std::move(flow.moves)};
+                    .layer_depth = layer_depth};
+  decision.moves = flow.moves;
 }
 
 }  // namespace
 
-StageDecision decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
-                           const std::vector<double>& excess, bool exhausted,
-                           int depth_budget, const BalanceOptions& options) {
+// pigp:steady-state
+void decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
+                  const std::vector<double>& excess, bool exhausted,
+                  int depth_budget, const BalanceOptions& options,
+                  FlowWorkspace& ws) {
   const int layer_depth = exhausted ? -1 : depth_budget;
   // Paper staging: smallest feasible alpha in {1, 2, 4, ...} — only
   // α = 1 before exhaustion, since nothing else could be accepted there.
   const double alpha_max = exhausted ? options.alpha_max : 1.0;
   for (double alpha = 1.0; alpha <= alpha_max; alpha *= 2.0) {
-    std::vector<double> rhs = staged_requirements(excess, alpha);
-    if (std::all_of(rhs.begin(), rhs.end(),
+    staged_requirements_into(excess, alpha, ws);
+    if (std::all_of(ws.rhs.begin(), ws.rhs.end(),
                     [](double r) { return r == 0.0; })) {
       break;  // excess too small relative to alpha; nothing to request
     }
-    FlowResult flow = solve_flow(balance_flow(eps, std::move(rhs)),
-                                 options.solver, options.simplex);
-    if (flow.status == lp::SolveStatus::optimal) {
-      return accept(std::move(flow), alpha, layer_depth);
+    balance_flow_into(eps, ws.rhs, ws.stage);
+    if (solve_flow(ws.stage, options.solver, options.simplex, ws).status ==
+        lp::SolveStatus::optimal) {
+      accept(ws, alpha, layer_depth);
+      return;
     }
   }
   if (!exhausted) {
-    return {.deepen = true, .progress = false, .stats = {}, .moves = {}};
+    ws.decision.deepen = true;
+    ws.decision.progress = false;
+    ws.decision.stats = {};
+    return;
   }
   // No α fits the full capacities: move whatever they admit this stage;
   // the next stage re-layers and continues.
-  FlowResult flow =
-      solve_flow(best_effort_flow(eps, staged_requirements(excess, 1.0)),
-                 options.solver, options.simplex);
-  PIGP_CHECK(flow.status == lp::SolveStatus::optimal,
+  staged_requirements_into(excess, 1.0, ws);
+  best_effort_flow_into(eps, ws.rhs, ws.stage);
+  PIGP_CHECK(solve_flow(ws.stage, options.solver, options.simplex, ws).status ==
+                 lp::SolveStatus::optimal,
              "relaxed balance LP is always feasible");
-  return accept(std::move(flow), 0.0, layer_depth);  // alpha 0: best effort
+  accept(ws, 0.0, layer_depth);  // alpha 0: best effort
+}
+
+StageDecision decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
+                           const std::vector<double>& excess, bool exhausted,
+                           int depth_budget, const BalanceOptions& options) {
+  FlowWorkspace ws;
+  decide_stage(eps, excess, exhausted, depth_budget, options, ws);
+  return std::move(ws.decision);
 }
 
 double compute_excess(const std::vector<double>& weight,
@@ -240,6 +386,8 @@ BalanceResult balance_load(const graph::Graph& g,
   std::vector<double> local_excess;
   std::vector<double>& targets = ws ? ws->balance_targets : local_targets;
   std::vector<double>& excess = ws ? ws->balance_excess : local_excess;
+  FlowWorkspace local_flow;
+  FlowWorkspace& flow_ws = ws ? ws->flow : local_flow;
   graph::balance_targets_into(g.total_vertex_weight(), partitioning.num_parts,
                               targets);
   excess.assign(parts, 0.0);
@@ -269,13 +417,14 @@ BalanceResult balance_load(const graph::Graph& g,
     layering.reseed(state, options.num_threads);
     LayerDepth depth(options.max_layers);
     layering.grow(depth.budget, options.num_threads);
-    StageDecision decision = decide_stage(
-        layering.eps(), excess, layering.exhausted(), depth.budget, options);
-    while (decision.deepen) {
+    decide_stage(layering.eps(), excess, layering.exhausted(), depth.budget,
+                 options, flow_ws);
+    while (flow_ws.decision.deepen) {
       layering.grow(depth.deepen(), options.num_threads);
-      decision = decide_stage(layering.eps(), excess, layering.exhausted(),
-                              depth.budget, options);
+      decide_stage(layering.eps(), excess, layering.exhausted(), depth.budget,
+                   options, flow_ws);
     }
+    const StageDecision& decision = flow_ws.decision;
 
     if (!decision.progress) {
       // Nothing can move at all (e.g. a partition with no boundary);

@@ -23,19 +23,25 @@
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
 #include "lp/dense_simplex.hpp"
+#include "lp/network_flow.hpp"
 #include "lp/program.hpp"
 #include "support/dense_matrix.hpp"
 
 namespace pigp::core {
 
+struct FlowWorkspace;
 struct Workspace;
 
-/// Which simplex implementation to use.
+/// Which LP solver to use.
 enum class LpSolverKind {
   dense,    ///< the paper's dense two-phase simplex
   bounded,  ///< bounded-variable simplex (the paper's future-work variant)
+  network,  ///< primal network simplex on the quotient graph
 };
 
+/// Solve \p program with \p kind.  network accepts only a network LP
+/// (lp::is_network_program — every LP a QuotientFlow translates into) and
+/// throws CheckError for any other program.
 [[nodiscard]] lp::Solution solve_lp(const lp::LinearProgram& program,
                                     LpSolverKind kind,
                                     const lp::SimplexOptions& options);
@@ -46,7 +52,7 @@ struct BalanceOptions {
   int max_stages = 12;
   /// |W(q) − target_q| ≤ tolerance counts as balanced.
   double tolerance = 0.5;
-  LpSolverKind solver = LpSolverKind::dense;
+  LpSolverKind solver = LpSolverKind::network;
   lp::SimplexOptions simplex;
   int num_threads = 1;
   /// Initial depth cap of the boundary-seeded layering, deepened lazily
@@ -85,12 +91,19 @@ struct QuotientFlow {
     pigp::DenseMatrix<double> capacity;  ///< 0 = no arc
     pigp::DenseMatrix<double> cost;
   };
-  QuotientFlow(std::size_t parts, lp::Sense sense, std::size_t lanes = 1)
-      : sense(sense),
-        lanes(lanes, Lane{pigp::DenseMatrix<double>(parts, parts, 0.0),
-                          pigp::DenseMatrix<double>(parts, parts, 0.0)}) {}
+  QuotientFlow() = default;
+  QuotientFlow(std::size_t parts, lp::Sense sense, std::size_t lanes = 1) {
+    reset(parts, sense, lanes);
+  }
 
-  lp::Sense sense;
+  /// Re-shape in place to \p lanes lanes of \p parts × \p parts, every
+  /// arc absent, no supply and no slack; storage is reused.
+  void reset(std::size_t parts, lp::Sense sense, std::size_t lanes = 1);
+  [[nodiscard]] std::size_t parts() const {
+    return lanes.front().capacity.rows();
+  }
+
+  lp::Sense sense = lp::Sense::minimize;
   std::vector<Lane> lanes;
   /// Empty = a circulation: all-zero supply, and a node without arcs gets
   /// no row.  Otherwise every node gets its row.
@@ -99,7 +112,9 @@ struct QuotientFlow {
   std::vector<double> slack_cost;
 };
 
-/// A solved QuotientFlow; moves/moved are set only when optimal.
+/// A solved QuotientFlow.  moves/moved are zero unless optimal.
+/// lp_variables counts arcs (slack arcs included), lp_rows the nodes with a
+/// row, lp_iterations the pivots.
 struct FlowResult {
   lp::SolveStatus status = lp::SolveStatus::infeasible;
   double objective = 0.0;
@@ -119,23 +134,40 @@ struct FlowResult {
     const QuotientFlow& flow,
     std::vector<pigp::DenseMatrix<int>>* lane_vars = nullptr);
 
-/// Solve \p flow and harvest the integer move matrix.  An optimal vertex
-/// of these network-matrix LPs is integral; Debug and PIGP_VALIDATE builds
-/// check every value is within 1e-6 of an integer before rounding.
+/// Solve \p flow into ws.result and return it; the integer move matrix
+/// sums each pair's lanes.  network solves the flow directly: its flows
+/// are integers by construction (capacities and supplies are counts) and
+/// are written to the move matrix as they are, and a warm \p ws makes the
+/// solve allocation-free.  dense and bounded solve to_linear_program(flow)
+/// and round an optimal vertex, integral because the LP is a network LP;
+/// Debug and PIGP_VALIDATE builds check every value is within 1e-6 of an
+/// integer first.
+const FlowResult& solve_flow(const QuotientFlow& flow, LpSolverKind kind,
+                             const lp::SimplexOptions& options,
+                             FlowWorkspace& ws);
+
+/// solve_flow with call-local buffers.
 [[nodiscard]] FlowResult solve_flow(const QuotientFlow& flow,
                                     LpSolverKind kind,
                                     const lp::SimplexOptions& options);
 
 /// A balance stage's flow: arc (i, j) per eps_ij > 0 with capacity ε_ij
-/// and unit cost; supply = \p rhs, each partition's net outflow.
+/// and unit cost; supply = \p rhs, each partition's net outflow.  Written
+/// into \p flow, reusing its storage.
+void balance_flow_into(const pigp::DenseMatrix<std::int64_t>& eps,
+                       const std::vector<double>& rhs, QuotientFlow& flow);
+
 [[nodiscard]] QuotientFlow balance_flow(
-    const pigp::DenseMatrix<std::int64_t>& eps, std::vector<double> rhs);
+    const pigp::DenseMatrix<std::int64_t>& eps, const std::vector<double>& rhs);
 
 /// The best-effort fallback: the balance arcs at a light cost (minimal
 /// movement among max-progress solutions) plus unit slack on every node,
 /// so it is always feasible and moves as far toward \p rhs as ε admits.
+void best_effort_flow_into(const pigp::DenseMatrix<std::int64_t>& eps,
+                           const std::vector<double>& rhs, QuotientFlow& flow);
+
 [[nodiscard]] QuotientFlow best_effort_flow(
-    const pigp::DenseMatrix<std::int64_t>& eps, std::vector<double> rhs);
+    const pigp::DenseMatrix<std::int64_t>& eps, const std::vector<double>& rhs);
 
 /// The LP of balance_flow(eps, rhs); \p pair_vars receives the variable
 /// index per (i, j) pair (-1 when absent).  For tests and benchmarks.
@@ -144,7 +176,10 @@ struct FlowResult {
     pigp::DenseMatrix<int>* pair_vars);
 
 /// Round per-partition flow requirements excess/alpha to integers that sum
-/// to zero (largest-remainder).  Exposed for tests.
+/// to zero (largest-remainder), into ws.rhs.
+void staged_requirements_into(const std::vector<double>& excess, double alpha,
+                              FlowWorkspace& ws);
+
 [[nodiscard]] std::vector<double> staged_requirements(
     const std::vector<double>& excess, double alpha);
 
@@ -170,7 +205,24 @@ struct StageDecision {
   bool deepen = false;    ///< grow the layering and decide again
   bool progress = false;  ///< false = the decided stage moves nothing
   BalanceStage stats;
-  pigp::DenseMatrix<std::int64_t> moves;
+  pigp::DenseMatrix<std::int64_t> moves;  ///< meaningful unless deepen
+};
+
+/// Pooled storage of the quotient-flow solves: the flows, the staged
+/// requirements, the network solver's arc, tree and potential arrays, the
+/// result and the stage decision.  Once warm, a stage decision or a
+/// refinement solve on the network solver allocates nothing.  Lives in
+/// core::Workspace (Workspace::flow); callers without one use a call-local
+/// instance.
+struct FlowWorkspace {
+  QuotientFlow stage;       ///< the current α rung's balance or best effort
+  QuotientFlow refinement;  ///< the current refinement round's flow
+  std::vector<double> rhs;  ///< staged_requirements_into's output
+  std::vector<double> remainder;
+  std::vector<std::size_t> order;
+  lp::NetworkFlow network;
+  FlowResult result;
+  StageDecision decision;
 };
 
 /// The stage rule both balance drivers (balance_load and the SPMD
@@ -180,6 +232,13 @@ struct StageDecision {
 /// is \p exhausted — capacities equal to the batch layering's, so the α
 /// chosen is the batch pipeline's.  Before that, an infeasible α = 1
 /// deepens.  stats.layer_depth is \p depth_budget, or -1 when exhausted.
+/// The decision is written to ws.decision.
+void decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
+                  const std::vector<double>& excess, bool exhausted,
+                  int depth_budget, const BalanceOptions& options,
+                  FlowWorkspace& ws);
+
+/// decide_stage with call-local buffers.
 [[nodiscard]] StageDecision decide_stage(
     const pigp::DenseMatrix<std::int64_t>& eps,
     const std::vector<double>& excess, bool exhausted, int depth_budget,
@@ -199,10 +258,10 @@ struct StageDecision {
 /// lazy deepening on infeasibility, and transfers are applied through the
 /// state so it ends consistent with \p partitioning.  \p state must
 /// describe (g, partitioning) on entry and partitioning must be fully
-/// assigned.  A non-null \p ws supplies the target/excess buffers and the
-/// persistent BoundaryLayering, making an already-balanced call (and the
-/// per-stage layering setup) allocation-free; decisions are identical
-/// either way.
+/// assigned.  A non-null \p ws supplies the target/excess buffers, the
+/// persistent BoundaryLayering and the flow buffers, making an
+/// already-balanced call (and the per-stage layering setup and stage
+/// decisions) allocation-free; decisions are identical either way.
 [[nodiscard]] BalanceResult balance_load(const graph::Graph& g,
                                          graph::Partitioning& partitioning,
                                          graph::PartitionState& state,

@@ -136,11 +136,11 @@ void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
 
 }  // namespace
 
-QuotientFlow refinement_flow(
+void refinement_flow_into(
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
-    double cap_scale) {
+    double cap_scale, QuotientFlow& flow) {
   const std::size_t parts = candidates.rows();
-  QuotientFlow flow(parts, lp::Sense::maximize, 2);
+  flow.reset(parts, lp::Sense::maximize, 2);
   QuotientFlow::Lane& gain_lane = flow.lanes[0];
   QuotientFlow::Lane& zero_lane = flow.lanes[1];
   zero_lane.cost.fill(1e-3);
@@ -167,6 +167,13 @@ QuotientFlow refinement_flow(
       if (zero > 0.0) zero_lane.capacity(i, j) = scaled(zero);
     }
   }
+}
+
+QuotientFlow refinement_flow(
+    const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
+    double cap_scale) {
+  QuotientFlow flow;
+  refinement_flow_into(candidates, cap_scale, flow);
   return flow;
 }
 
@@ -222,9 +229,9 @@ RefineStats refine_partitioning(const graph::Graph& g,
       break;
     }
 
-    const FlowResult flow =
-        solve_flow(refinement_flow(candidates, cap_scale), options.solver,
-                   options.simplex);
+    refinement_flow_into(candidates, cap_scale, w.flow.refinement);
+    const FlowResult& flow = solve_flow(w.flow.refinement, options.solver,
+                                        options.simplex, w.flow);
     PIGP_CHECK(flow.status == lp::SolveStatus::optimal,
                "refinement LP must be solvable (l = 0 is feasible)");
     stats.lp_iterations += flow.lp_iterations;

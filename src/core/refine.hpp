@@ -41,7 +41,7 @@ struct RefineOptions {
   /// Undo a round that made the cut worse (batch moves can interact) and
   /// stop.
   bool revert_on_regression = true;
-  LpSolverKind solver = LpSolverKind::dense;
+  LpSolverKind solver = LpSolverKind::network;
   lp::SimplexOptions simplex;
   int num_threads = 1;
 };
@@ -65,7 +65,12 @@ struct RefineStats {
 /// candidates, cost = their mean gain) and a zero-gain lane (the rest, at
 /// a tiny cost) that only routes flow to close circulation — the paper's
 /// own reason for admitting them.  \p cap_scale < 1 shrinks batches after
-/// a regression (smaller batches interact less).  Exposed for tests.
+/// a regression (smaller batches interact less).  Written into \p flow,
+/// reusing its storage.
+void refinement_flow_into(
+    const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
+    double cap_scale, QuotientFlow& flow);
+
 [[nodiscard]] QuotientFlow refinement_flow(
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
     double cap_scale);

@@ -23,7 +23,7 @@ SpmdStageOutcome spmd_balance_handshake(
     net::Transport& transport, BoundaryLayering& layering,
     const std::vector<PartId>& owned, const std::vector<double>& excess,
     const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
-    std::vector<std::int64_t>& moves_flat) {
+    std::vector<std::int64_t>& moves_flat, FlowWorkspace& flow) {
   const std::size_t parts = excess.size();
   LayerDepth depth(options.max_layers);
   layering.grow(depth.budget, 1);
@@ -32,7 +32,7 @@ SpmdStageOutcome spmd_balance_handshake(
   // rule to the assembled capacities and broadcasts either "deepen"
   // (everyone grows and the loop repeats) or the final move matrix —
   // balance_load's loop with communication in the middle.
-  StageDecision decision;
+  const StageDecision& decision = flow.decision;  // rank 0 decides
   while (true) {
     Packet mine;
     mine.pack(layering.exhausted() ? 1 : 0);
@@ -61,8 +61,7 @@ SpmdStageOutcome spmd_balance_handshake(
           ++k;
         }
       }
-      decision = decide_stage(eps, excess, all_exhausted, depth.budget,
-                              options);
+      decide_stage(eps, excess, all_exhausted, depth.budget, options, flow);
       decision_packet.pack(decision.deepen ? 1 : 0);
       if (!decision.deepen) {
         decision_packet.pack(decision.progress ? 1 : 0);
@@ -81,7 +80,7 @@ SpmdStageOutcome spmd_balance_handshake(
     if (outcome.progress) {
       moves_flat = received.unpack_vector<std::int64_t>();
     }
-    outcome.stage = decision.stats;
+    if (transport.rank() == 0) outcome.stage = decision.stats;
     return outcome;
   }
 }
@@ -144,7 +143,7 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
       layering.reseed(state, 1, &owned);
       const SpmdStageOutcome outcome = spmd_balance_handshake(
           ctx, layering, owned, excess, options.balance, mine_ws.spmd_eps_rows,
-          moves_flat);
+          moves_flat, mine_ws.flow);
       if (!outcome.progress) break;
       if (ctx.rank() == 0) {
         result.balance_result.stages.push_back(outcome.stage);

@@ -141,14 +141,14 @@ struct SpmdStageOutcome {
 /// when every rank's layering is — and broadcasts either "deepen" (every
 /// rank grows per LayerDepth and the loop repeats) or the stage's move
 /// matrix.  \p excess is the per-partition excess, the same on every
-/// rank.  \p eps_rows and \p moves_flat are caller-owned buffers; on
-/// return with progress, \p moves_flat holds the row-major P×P move
-/// matrix on every rank.
+/// rank.  \p eps_rows, \p moves_flat and \p flow (rank 0's stage solves)
+/// are caller-owned buffers; on return with progress, \p moves_flat holds
+/// the row-major P×P move matrix on every rank.
 [[nodiscard]] SpmdStageOutcome spmd_balance_handshake(
     net::Transport& transport, BoundaryLayering& layering,
     const std::vector<graph::PartId>& owned, const std::vector<double>& excess,
     const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
-    std::vector<std::int64_t>& moves_flat);
+    std::vector<std::int64_t>& moves_flat, FlowWorkspace& flow);
 
 /// The streaming entry point, mirroring
 /// IncrementalPartitioner::repartition_in_place: run the full IGP/IGPR

@@ -112,6 +112,7 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
   std::vector<double> excess(parts, 0.0);
   std::vector<std::int64_t> moves_flat;
   std::vector<std::int64_t> eps_rows;
+  FlowWorkspace flow_ws;
   std::vector<VertexId> seeds;
   std::unordered_map<VertexId, OverlayRow> overlays;
   bool graph_dirty = false;
@@ -156,7 +157,7 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
     // engine needs only the agreed moves, not rank 0's stage statistics.
     const SpmdStageOutcome outcome = spmd_balance_handshake(
         transport, layering, owned, excess, options.balance, eps_rows,
-        moves_flat);
+        moves_flat, flow_ws);
     if (!outcome.progress) break;
     ++stats.stages;
 

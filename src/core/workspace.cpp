@@ -15,6 +15,7 @@ void Workspace::release_memory() {
   std::vector<double>().swap(balance_targets);
   std::vector<double>().swap(balance_excess);
   layering.release();
+  flow = FlowWorkspace();
   std::vector<graph::VertexId>().swap(refine_boundary);
   refine_analysis.release();
   std::vector<graph::VertexId>().swap(refine_stale);

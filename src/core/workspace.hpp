@@ -25,15 +25,17 @@
 /// full reset the layering then performs on its next bind.
 ///
 /// Phases that may still allocate (all proportional to actual work, never
-/// to |V|): LP model construction and simplex solves (only built when a
-/// stage has movable excess or refinement candidates), vector growth when
-/// the graph grows (amortized), the orphan-component fallback of the
-/// assignment step, and everything on error paths.
+/// to |V|): the per-stage BalanceStage record, the transfer selections,
+/// LP model construction and simplex solves under the dense and bounded
+/// solvers (the network solver runs on the pooled FlowWorkspace), vector
+/// growth when the graph grows (amortized), the orphan-component fallback
+/// of the assignment step, and everything on error paths.
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "core/balance.hpp"
 #include "core/layering.hpp"
 #include "core/transfer.hpp"
 #include "graph/graph.hpp"
@@ -116,6 +118,11 @@ struct Workspace {
   /// performs a full reset only after invalidate_vertex_ids() or a size
   /// change.
   BoundaryLayering layering;
+
+  // --- steps 3-4: quotient-flow solves (core/balance.cpp) ---
+  /// Stage and refinement flows, staged requirements, the network
+  /// solver's arrays, the flow result and the stage decision.
+  FlowWorkspace flow;
 
   // --- step 4: refinement (core/refine.cpp) ---
   /// Boundary in ascending id order (PartitionState::boundary_ascending).

@@ -49,6 +49,14 @@ class DenseMatrix {
 
   void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
+  /// Reshape to \p rows × \p cols, every element \p value; reuses the
+  /// storage when it is large enough.
+  void assign(std::size_t rows, std::size_t cols, T value) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, value);
+  }
+
   friend bool operator==(const DenseMatrix&, const DenseMatrix&) = default;
 
  private:

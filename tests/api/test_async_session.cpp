@@ -135,6 +135,10 @@ TEST(AsyncSession, WriterWithConcurrentReadersStaysConsistent) {
   std::atomic<int> epoch_regressions{0};
   std::atomic<int> inconsistent_views{0};
   std::atomic<int> torn_lookups{0};
+  // Readers that have finished their first batch of lookups.  The writer
+  // starts only once every reader is running: a stream that drains before
+  // a reader thread is first scheduled would leave nothing concurrent.
+  std::atomic<int> running{0};
 
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -144,6 +148,7 @@ TEST(AsyncSession, WriterWithConcurrentReadersStaysConsistent) {
       std::uint64_t seen = view->epoch();
       std::uint64_t consistency_checks = 0;
       graph::VertexId probe = static_cast<graph::VertexId>(r);
+      bool announced = false;
       while (!stop.load(std::memory_order_relaxed)) {
         if (session.epoch() != seen) {
           view = session.view();
@@ -162,11 +167,16 @@ TEST(AsyncSession, WriterWithConcurrentReadersStaysConsistent) {
           if (q < 0 || q >= view->num_parts()) torn_lookups.fetch_add(1);
         }
         lookups.fetch_add(64, std::memory_order_relaxed);
+        if (!announced) {
+          running.fetch_add(1);
+          announced = true;
+        }
       }
       (void)consistency_checks;
     });
   }
 
+  while (running.load() < kReaders) std::this_thread::yield();
   graph::VertexId vertices = g.num_vertices();
   for (int step = 0; step < kDeltas; ++step) {
     session.submit(append_delta(vertices, 2, step));

@@ -25,6 +25,9 @@
 #include <new>
 
 #include "api/session.hpp"
+#include "core/balance.hpp"
+#include "core/refine.hpp"
+#include "core/workspace.hpp"
 #include "graph/builder.hpp"
 #include "graph/partition_state.hpp"
 #include "support/check.hpp"
@@ -232,6 +235,106 @@ TEST(SessionAlloc, WarmNestedRollbackWindowPerformsZeroHeapAllocations) {
   EXPECT_EQ(p.part, entry.part);
   EXPECT_EQ(state.journal_size(), 0u);
   EXPECT_DOUBLE_EQ(state.cut_total(), kParts);  // the bridges again
+#endif
+}
+
+// The LP phases on their own: stage decisions and refinement solves on
+// the network solver draw every buffer from the workspace's FlowWorkspace,
+// so once warm they allocate nothing — working solves that move vertices,
+// not a converged short-circuit.
+
+/// Six parts in a ring (ε 4 each way) plus a chord 0 → 3; part 0 is
+/// heavy.  With \p thin the ring arcs out of 0 carry 1, so α = 1 is
+/// infeasible and the ladder climbs.
+pigp::DenseMatrix<std::int64_t> ring_eps(bool thin) {
+  pigp::DenseMatrix<std::int64_t> eps(6, 6, 0);
+  for (std::size_t q = 0; q < 6; ++q) {
+    eps(q, (q + 1) % 6) = 4;
+    eps((q + 1) % 6, q) = 4;
+  }
+  eps(0, 3) = 2;
+  if (thin) {
+    eps(0, 1) = 1;
+    eps(0, 5) = 1;
+    eps(0, 3) = 1;
+  }
+  return eps;
+}
+
+const std::vector<double> kRingExcess = {7.5, -1.5, -1.5, -1.5, -1.5, -1.5};
+
+/// Refinement candidates over four parts, both lanes in use.
+pigp::DenseMatrix<std::vector<core::GainCandidate>> refine_buckets() {
+  pigp::DenseMatrix<std::vector<core::GainCandidate>> b(4, 4);
+  graph::VertexId next = 0;
+  const auto add = [&](std::size_t i, std::size_t j, double gain) {
+    b(i, j).push_back(core::GainCandidate{next++, gain});
+  };
+  for (int k = 0; k < 5; ++k) add(0, 1, 1.0 + k);
+  for (int k = 0; k < 3; ++k) add(1, 2, 2.0);
+  add(1, 0, 0.0);
+  for (int k = 0; k < 4; ++k) add(2, 0, 0.5 * k);
+  for (int k = 0; k < 2; ++k) add(3, 2, 1.0);
+  add(2, 3, 0.0);
+  return b;
+}
+
+TEST(SessionAlloc, WarmDecideStagePerformsZeroHeapAllocations) {
+#ifdef PIGP_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocator interposed by a sanitizer";
+#else
+  const pigp::DenseMatrix<std::int64_t> wide = ring_eps(false);
+  const pigp::DenseMatrix<std::int64_t> thin = ring_eps(true);
+  const core::BalanceOptions options;  // the network solver
+  core::Workspace ws;
+  const auto decide = [&](const pigp::DenseMatrix<std::int64_t>& eps) {
+    core::decide_stage(eps, kRingExcess, true, -1, options, ws.flow);
+  };
+  decide(wide);  // warm-up
+  decide(thin);
+  ASSERT_EQ(ws.flow.decision.stats.alpha, 4.0);  // α = 1 and 2 infeasible
+  ASSERT_TRUE(ws.flow.decision.progress);
+
+  for (int i = 0; i < 3; ++i) {
+    for (const auto* eps : {&wide, &thin}) {
+      const long long before = allocation_count();
+      decide(*eps);
+      EXPECT_EQ(allocation_count() - before, 0)
+          << "warm decide_stage #" << i << " touched the heap";
+      EXPECT_TRUE(ws.flow.decision.progress);
+    }
+  }
+  EXPECT_EQ(ws.flow.decision.stats.alpha, 4.0);
+#endif
+}
+
+TEST(SessionAlloc, WarmRefinementSolvePerformsZeroHeapAllocations) {
+#ifdef PIGP_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocator interposed by a sanitizer";
+#else
+  const auto buckets = refine_buckets();
+  const core::RefineOptions options;  // the network solver
+  core::Workspace ws;
+  const auto solve = [&](double cap_scale) -> const core::FlowResult& {
+    core::refinement_flow_into(buckets, cap_scale, ws.flow.refinement);
+    return core::solve_flow(ws.flow.refinement, options.solver,
+                            options.simplex, ws.flow);
+  };
+  (void)solve(1.0);  // warm-up, then a stage decision on the same pool
+  core::decide_stage(ring_eps(true), kRingExcess, true, -1,
+                     core::BalanceOptions{}, ws.flow);
+
+  for (int i = 0; i < 3; ++i) {
+    for (const double cap_scale : {1.0, 0.5}) {
+      const long long before = allocation_count();
+      const core::FlowResult& flow = solve(cap_scale);
+      EXPECT_EQ(allocation_count() - before, 0)
+          << "warm refinement solve #" << i << " touched the heap";
+      ASSERT_EQ(flow.status, lp::SolveStatus::optimal);
+      EXPECT_GT(flow.moved, 0);
+      EXPECT_GT(flow.objective, 0.5);
+    }
+  }
 #endif
 }
 

@@ -237,16 +237,30 @@ TEST(BalanceLoad, BoundedSolverGivesSameBalance) {
     a.part[static_cast<std::size_t>(v)] = v < 250 ? 0 : (v % 3 + 1);
   }
   Partitioning b = a;
+  Partitioning c = a;
 
   BalanceOptions dense;
   dense.solver = LpSolverKind::dense;
   BalanceOptions bounded;
   bounded.solver = LpSolverKind::bounded;
+  BalanceOptions network;
+  network.solver = LpSolverKind::network;
   const BalanceResult ra = balance_load(g, a, dense);
   const BalanceResult rb = balance_load(g, b, bounded);
+  const BalanceResult rc = balance_load(g, c, network);
   EXPECT_EQ(ra.balanced, rb.balanced);
+  EXPECT_EQ(ra.balanced, rc.balanced);
   EXPECT_TRUE(graph::is_balanced(g, a, 0.5));
   EXPECT_TRUE(graph::is_balanced(g, b, 0.5));
+  EXPECT_TRUE(graph::is_balanced(g, c, 0.5));
+  // Every stage solves the same LPs to the same optimum: the α chosen and
+  // the vertices moved (the balance LP's objective) agree stage by stage.
+  ASSERT_EQ(ra.stages.size(), rc.stages.size());
+  for (std::size_t s = 0; s < ra.stages.size(); ++s) {
+    EXPECT_EQ(ra.stages[s].alpha, rc.stages[s].alpha) << "stage " << s;
+    EXPECT_EQ(ra.stages[s].vertices_moved, rc.stages[s].vertices_moved)
+        << "stage " << s;
+  }
 }
 
 TEST(BalanceLoad, VerticesMovePreferentiallyFromBoundary) {

@@ -155,14 +155,22 @@ TEST(Igp, DenseAndBoundedSolversAgreeOnBalance) {
   bounded_config.num_parts = 8;
   bounded_config.solver = LpSolverKind::bounded;
   const IgpOptions bounded = bounded_config.resolve().igp;
+  SessionConfig network_config;
+  network_config.num_parts = 8;
+  network_config.solver = LpSolverKind::network;
+  const IgpOptions network = network_config.resolve().igp;
   const IgpResult a = IncrementalPartitioner(dense).repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices());
   const IgpResult b = IncrementalPartitioner(bounded).repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices());
+  const IgpResult c = IncrementalPartitioner(network).repartition(
+      seq.graphs[1], initial, seq.graphs[0].num_vertices());
   EXPECT_TRUE(a.balanced);
   EXPECT_TRUE(b.balanced);
+  EXPECT_TRUE(c.balanced);
   EXPECT_TRUE(graph::is_balanced(seq.graphs[1], a.partitioning, 1.0));
   EXPECT_TRUE(graph::is_balanced(seq.graphs[1], b.partitioning, 1.0));
+  EXPECT_TRUE(graph::is_balanced(seq.graphs[1], c.partitioning, 1.0));
 }
 
 TEST(Igp, DeltaPathHandlesVertexDeletions) {

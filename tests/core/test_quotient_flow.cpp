@@ -207,15 +207,16 @@ TEST(QuotientFlow, HarvestSumsLanesIntoTheMoveMatrix) {
   flow.lanes[0].capacity(1, 0) = 4.0;
   flow.lanes[0].cost(1, 0) = 1.0;
   flow.supply = {3.0, -3.0};
-  const FlowResult result =
-      solve_flow(flow, LpSolverKind::dense, lp::SimplexOptions{});
-  ASSERT_EQ(result.status, lp::SolveStatus::optimal);
-  EXPECT_EQ(result.moves(0, 1), 3);
-  EXPECT_EQ(result.moves(1, 0), 0);
-  EXPECT_EQ(result.moved, 3);
-  EXPECT_DOUBLE_EQ(result.objective, 5.0);
-  EXPECT_EQ(result.lp_variables, 3);
-  EXPECT_EQ(result.lp_rows, 2);
+  for (const LpSolverKind kind : {LpSolverKind::dense, LpSolverKind::network}) {
+    const FlowResult result = solve_flow(flow, kind, lp::SimplexOptions{});
+    ASSERT_EQ(result.status, lp::SolveStatus::optimal);
+    EXPECT_EQ(result.moves(0, 1), 3);
+    EXPECT_EQ(result.moves(1, 0), 0);
+    EXPECT_EQ(result.moved, 3);
+    EXPECT_DOUBLE_EQ(result.objective, 5.0);
+    EXPECT_EQ(result.lp_variables, 3);
+    EXPECT_EQ(result.lp_rows, 2);
+  }
 }
 
 }  // namespace

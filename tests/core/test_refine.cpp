@@ -14,6 +14,7 @@
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
 #include "support/rng.hpp"
+#include "refine_golden_inputs.hpp"
 
 namespace pigp::core {
 namespace {
@@ -181,7 +182,13 @@ TEST(Refine, ParallelCandidateCollectionMatchesSerial) {
 // must reproduce every decision exactly.  grid_banded, hub and
 // hub_nonstrict take the revert path (non-strict regressions, and a strict
 // regression that halves the batch cap); geometric_large has a boundary
-// above the parallel-analysis threshold.
+// above the parallel-analysis threshold.  The table pins the dense
+// simplex's tie-breaking among equal optima, so it runs with
+// solver = dense; kGoldenNetwork pins the network solver's on the same
+// inputs.
+
+using golden::golden_input;
+using golden::GoldenInput;
 
 std::uint64_t fnv1a(const std::vector<graph::PartId>& part) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -190,70 +197,6 @@ std::uint64_t fnv1a(const std::vector<graph::PartId>& part) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-/// Preferential attachment (Barabási–Albert): every new vertex links to
-/// \p m distinct earlier endpoints drawn proportionally to degree, so a few
-/// early vertices become hubs.
-Graph hub_graph(int n, int m, std::uint64_t seed) {
-  pigp::SplitMix64 rng(seed);
-  graph::GraphBuilder b(n);
-  std::vector<VertexId> ends;
-  for (int v = 1; v <= m && v < n; ++v) {
-    b.add_edge(v, 0);
-    ends.push_back(v);
-    ends.push_back(0);
-  }
-  for (int v = m + 1; v < n; ++v) {
-    std::vector<VertexId> picked;
-    while (static_cast<int>(picked.size()) < m) {
-      const VertexId u = ends[rng.next_below(ends.size())];
-      if (std::find(picked.begin(), picked.end(), u) == picked.end()) {
-        picked.push_back(u);
-      }
-    }
-    for (const VertexId u : picked) {
-      b.add_edge(v, u);
-      ends.push_back(v);
-      ends.push_back(u);
-    }
-  }
-  return b.build();
-}
-
-/// Random balanced k-way assignment (shuffled stripes).
-Partitioning shuffled_partitioning(VertexId n, graph::PartId k,
-                                   std::uint64_t seed) {
-  pigp::SplitMix64 rng(seed);
-  std::vector<VertexId> order(static_cast<std::size_t>(n));
-  for (VertexId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.next_below(i)]);
-  }
-  Partitioning p;
-  p.num_parts = k;
-  p.part.resize(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    p.part[static_cast<std::size_t>(order[i])] =
-        static_cast<graph::PartId>(i) % k;
-  }
-  return p;
-}
-
-/// Vertical bands of a side x side grid with a zig-zag border.
-Partitioning banded_grid_partitioning(int side, graph::PartId k) {
-  Partitioning p;
-  p.num_parts = k;
-  p.part.resize(static_cast<std::size_t>(side * side));
-  for (int r = 0; r < side; ++r) {
-    for (int c = 0; c < side; ++c) {
-      const int jag = (r % 3) - 1;
-      const int band = std::clamp((c + jag) * k / side, 0, k - 1);
-      p.part[static_cast<std::size_t>(r * side + c)] =
-          static_cast<graph::PartId>(band);
-    }
-  }
-  return p;
 }
 
 struct GoldenCase {
@@ -266,41 +209,6 @@ struct GoldenCase {
   double cut_before;
   double cut_after;
 };
-
-struct GoldenInput {
-  Graph g;
-  Partitioning p;
-  RefineOptions opt;
-};
-
-GoldenInput golden_input(const std::string& name) {
-  GoldenInput in;
-  if (name == "grid_banded") {
-    in.g = graph::grid_graph(60, 60);
-    in.p = banded_grid_partitioning(60, 5);
-  } else if (name == "grid_shuffled") {
-    in.g = graph::grid_graph(48, 48);
-    in.p = shuffled_partitioning(48 * 48, 4, 3);
-    in.opt.max_rounds = 12;
-  } else if (name == "geometric") {
-    in.g = graph::random_geometric_graph(3000, 0.035, 21);
-    in.p = shuffled_partitioning(3000, 6, 22);
-    in.opt.max_rounds = 16;
-  } else if (name == "geometric_large") {
-    in.g = graph::random_geometric_graph(12000, 0.018, 31);
-    in.p = shuffled_partitioning(12000, 8, 32);
-  } else if (name == "hub") {
-    in.g = hub_graph(4000, 3, 41);
-    in.p = shuffled_partitioning(4000, 4, 42);
-    in.opt.max_rounds = 12;
-  } else if (name == "hub_nonstrict") {
-    in.g = hub_graph(3000, 2, 51);
-    in.p = shuffled_partitioning(3000, 3, 52);
-    in.opt.max_rounds = 12;
-    in.opt.strict_after_round = 6;
-  }
-  return in;
-}
 
 const GoldenCase kGolden[] = {
     {"grid_banded", 1, 0x4ad63f9390bdc285ULL, 2, 160, 16, 552, 240},
@@ -326,13 +234,14 @@ std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
          std::to_string(info.param.threads);
 }
 
-class RefineGolden : public ::testing::TestWithParam<GoldenCase> {};
-
-TEST_P(RefineGolden, MatchesCapturedDecisions) {
-  const GoldenCase& want = GetParam();
+/// Refine \p want's input with \p solver through the batch entry and twice
+/// through the state-driven entry on a warm workspace; all must land on
+/// the captured result.
+void expect_golden(const GoldenCase& want, LpSolverKind solver) {
   GoldenInput in = golden_input(want.name);
   ASSERT_GT(in.g.num_vertices(), 0) << want.name;
   in.opt.num_threads = want.threads;
+  in.opt.solver = solver;
 
   // Batch entry (call-local buffers) and the state-driven entry with a
   // warm session workspace must both land on the captured result.
@@ -357,8 +266,41 @@ TEST_P(RefineGolden, MatchesCapturedDecisions) {
   EXPECT_EQ(compute_metrics(in.g, batch).cut_total, want.cut_after);
 }
 
+class RefineGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(RefineGolden, MatchesCapturedDecisions) {
+  expect_golden(GetParam(), LpSolverKind::dense);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cases, RefineGolden, ::testing::ValuesIn(kGolden),
                          golden_name);
+
+// Captured from the network solver (the default) on the same inputs.  The
+// partitions equal the dense table's on four of the six inputs; the
+// pivot counts differ throughout.
+const GoldenCase kGoldenNetwork[] = {
+    {"grid_banded", 1, 0x4ad63f9390bdc285ULL, 2, 160, 24, 552, 240},
+    {"grid_banded", 4, 0x4ad63f9390bdc285ULL, 2, 160, 24, 552, 240},
+    {"grid_shuffled", 1, 0xd80aba3ae3cc3aabULL, 12, 12880, 191, 3356, 1784},
+    {"grid_shuffled", 4, 0xd80aba3ae3cc3aabULL, 12, 12880, 191, 3356, 1784},
+    {"geometric", 1, 0x3126bdc503acc41dULL, 8, 4855, 308, 13824, 3009},
+    {"geometric", 4, 0x3126bdc503acc41dULL, 8, 4855, 308, 13824, 3009},
+    {"geometric_large", 1, 0xed38c373d371fab7ULL, 8, 19682, 746, 63016, 13638},
+    {"geometric_large", 4, 0xed38c373d371fab7ULL, 8, 19682, 746, 63016, 13638},
+    {"hub", 1, 0x9142f209403e0a87ULL, 12, 14966, 182, 9009, 5733},
+    {"hub", 4, 0x9142f209403e0a87ULL, 12, 14966, 182, 9009, 5733},
+    {"hub_nonstrict", 1, 0x69f6b1a1bedc9273ULL, 12, 5339, 86, 4008, 1988},
+    {"hub_nonstrict", 4, 0x69f6b1a1bedc9273ULL, 12, 5339, 86, 4008, 1988},
+};
+
+class RefineGoldenNetwork : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(RefineGoldenNetwork, MatchesCapturedDecisions) {
+  expect_golden(GetParam(), LpSolverKind::network);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, RefineGoldenNetwork,
+                         ::testing::ValuesIn(kGoldenNetwork), golden_name);
 
 TEST(Refine, RoundsAfterTheFirstAnalyseOnlyWhatTheLastRoundTouched) {
   // Round r's moves are the diff between the results capped at r - 1 and

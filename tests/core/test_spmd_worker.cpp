@@ -118,7 +118,9 @@ TEST(Shard, ContiguousPartitioningTilesAndSkews) {
     // Contiguous and non-decreasing, every partition non-empty.
     std::vector<int> counts(7, 0);
     for (std::size_t v = 0; v < p.part.size(); ++v) {
-      if (v > 0) EXPECT_GE(p.part[v], p.part[v - 1]);
+      if (v > 0) {
+        EXPECT_GE(p.part[v], p.part[v - 1]);
+      }
       ++counts[static_cast<std::size_t>(p.part[v])];
     }
     for (int c : counts) EXPECT_GE(c, 1);

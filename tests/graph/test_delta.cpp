@@ -281,7 +281,9 @@ TEST(GraphDelta, ApplyDeltaRequiresCompactedGraph) {
   EXPECT_THROW(apply_delta(dirty, delta), CheckError);
   std::vector<VertexId> old_to_new;
   dirty.compact(old_to_new);
-  apply_delta(dirty, delta);  // compacted graph is accepted again
+  // The compacted graph is accepted again.
+  const DeltaResult result = apply_delta(dirty, delta);
+  EXPECT_TRUE(result.graph.has_edge(0, 1));
 }
 
 }  // namespace

@@ -127,7 +127,9 @@ TEST(MutableGraph, OverflowRelocationPreservesRowAndTracksSlack) {
   const auto ws = g.incident_edge_weights(0);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     EXPECT_EQ(nbrs[i], static_cast<VertexId>(i + 1));
-    if (i > 0) EXPECT_DOUBLE_EQ(ws[i], static_cast<double>(nbrs[i]));
+    if (i > 0) {
+      EXPECT_DOUBLE_EQ(ws[i], static_cast<double>(nbrs[i]));
+    }
   }
   g.validate();
 }
