@@ -1,12 +1,16 @@
 // Ablation study over the design choices DESIGN.md calls out:
 //
-//  A. LP solver representation: dense two-phase simplex (the paper's
-//     implementation) vs bounded-variable simplex (the paper's stated
-//     future-work improvement) — time per full IGPR run and LP pivots.
-//  B. Refinement policy: paper default (non-strict rounds then strict)
+//  A. Refinement policy: paper default (non-strict rounds then strict)
 //     vs strict-from-the-start vs a single round.
-//  C. Alpha staging: doubling search (reproduced behaviour) vs forcing
+//  A2. LP refinement vs Kernighan-Lin as a post-pass on the IGP output.
+//  B. Alpha staging: doubling search (reproduced behaviour) vs forcing
 //     one-shot alpha = 1 with best-effort fallback only.
+//  C. Flat vs multilevel incremental partitioning on mesh B (skipped by
+//     --smoke).
+//
+// The LP solver is not an ablation axis: the pipeline solves every LP
+// with the network simplex, and bench_simplex times it against the dense
+// and bounded-variable simplex on identical balance LPs.
 //
 // Run on the mesh-A sequence at 32 partitions; prints paper-style tables.
 
@@ -27,7 +31,6 @@ struct AblationOutcome {
   double seconds = 0.0;
   double cut = 0.0;
   double stages = 0.0;
-  std::int64_t lp_iterations = 0;
 };
 
 AblationOutcome run_variant(const mesh::MeshSequence& seq,
@@ -42,10 +45,6 @@ AblationOutcome run_variant(const mesh::MeshSequence& seq,
         seq.graphs[step], current, seq.graphs[step - 1].num_vertices());
     out.seconds += timer.seconds();
     out.stages += result.stages;
-    out.lp_iterations += result.refine_stats.lp_iterations;
-    for (const auto& stage : result.balance_result.stages) {
-      out.lp_iterations += stage.lp_iterations;
-    }
     current = std::move(result.partitioning);
   }
   out.cut = graph::compute_metrics(seq.graphs.back(), current).cut_total;
@@ -56,7 +55,7 @@ AblationOutcome run_variant(const mesh::MeshSequence& seq,
 
 int main(int argc, char** argv) {
   // --smoke: seconds-scale CI run — fewer partitions, one increment, and
-  // the expensive mesh-B section D skipped.
+  // the expensive mesh-B section C skipped.
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -73,28 +72,7 @@ int main(int argc, char** argv) {
   const graph::Partitioning initial =
       spectral::recursive_spectral_bisection(seq.graphs[0], parts);
 
-  // ------------------------------------------------ A: solver choice
-  {
-    TextTable table({"solver", "time (s)", "final cut", "LP pivots"});
-    struct Solver {
-      core::LpSolverKind kind;
-      const char* name;
-    };
-    for (const Solver solver :
-         {Solver{core::LpSolverKind::dense, "dense simplex (paper)"},
-          Solver{core::LpSolverKind::bounded, "bounded-variable simplex"},
-          Solver{core::LpSolverKind::network, "network simplex"}}) {
-      const core::IgpOptions options = bench::make_igp_options(
-          parts, /*refine=*/true, /*threads=*/1, solver.kind);
-      const AblationOutcome out = run_variant(seq, initial, options);
-      table.add_row(solver.name, out.seconds, out.cut, out.lp_iterations);
-    }
-    std::cout << "A. LP solver representation\n";
-    table.print(std::cout);
-    std::cout << '\n';
-  }
-
-  // ------------------------------------------------ B: refinement policy
+  // ------------------------------------------------ A: refinement policy
   {
     TextTable table({"refinement policy", "time (s)", "final cut"});
     struct Policy {
@@ -114,12 +92,12 @@ int main(int argc, char** argv) {
       const AblationOutcome out = run_variant(seq, initial, options);
       table.add_row(policy.name, out.seconds, out.cut);
     }
-    std::cout << "B. Refinement policy\n";
+    std::cout << "A. Refinement policy\n";
     table.print(std::cout);
     std::cout << '\n';
   }
 
-  // ------------------------------------------------ B2: LP vs KL refinement
+  // ------------------------------------------------ A2: LP vs KL refinement
   {
     // The paper's LP refinement against the classic mincut local search its
     // introduction cites.  Run both as a post-pass on the plain IGP output
@@ -160,12 +138,12 @@ int main(int argc, char** argv) {
       table.add_row("LP then KL", timer.seconds(),
                     graph::compute_metrics(g, p).cut_total);
     }
-    std::cout << "B2. LP refinement vs Kernighan-Lin\n";
+    std::cout << "A2. LP refinement vs Kernighan-Lin\n";
     table.print(std::cout);
     std::cout << '\n';
   }
 
-  // ------------------------------------------------ C: alpha staging
+  // ------------------------------------------------ B: alpha staging
   {
     TextTable table(
         {"staging policy", "time (s)", "final cut", "total stages"});
@@ -177,12 +155,12 @@ int main(int argc, char** argv) {
                                     : "alpha = 1 + best-effort only",
                     out.seconds, out.cut, out.stages);
     }
-    std::cout << "C. Alpha staging policy\n";
+    std::cout << "B. Alpha staging policy\n";
     table.print(std::cout);
     std::cout << '\n';
   }
 
-  // ------------------------------------------------ D: flat vs multilevel
+  // ------------------------------------------------ C: flat vs multilevel
   if (!smoke) {
     // The paper's §3 future-work extension: apply incremental partitioning
     // recursively through a coarsening hierarchy.  Compare on the large
@@ -213,7 +191,7 @@ int main(int argc, char** argv) {
                     graph::compute_metrics(g, multi.partitioning).cut_total,
                     multi.balanced ? "yes" : "no");
     }
-    std::cout << "D. Flat vs multilevel incremental partitioning\n";
+    std::cout << "C. Flat vs multilevel incremental partitioning\n";
     table.print(std::cout);
   }
   return 0;

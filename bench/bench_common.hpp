@@ -42,16 +42,13 @@ inline TimedPartition run_sb(const graph::Graph& g, graph::PartId parts) {
 }
 
 /// Fully-propagated IgpOptions via the canonical SessionConfig::resolve()
-/// derivation path; \p solver defaults to SessionConfig's.
+/// derivation path.
 inline core::IgpOptions make_igp_options(graph::PartId num_parts, bool refine,
-                                         int threads,
-                                         core::LpSolverKind solver =
-                                             core::LpSolverKind::network) {
+                                         int threads) {
   SessionConfig config;
   config.num_parts = num_parts;
   config.backend = refine ? "igpr" : "igp";
   config.num_threads = threads;
-  config.solver = solver;
   core::IgpOptions options = config.resolve().igp;
   options.refine = refine;
   return options;

@@ -98,7 +98,7 @@ void BM_BalanceLpNetwork(benchmark::State& state) {
   std::int64_t iterations = 0;
   for (auto _ : state) {
     const lp::Solution s =
-        lp::solve_network_program(program, lp::SimplexOptions{});
+        lp::solve_network_program(program, lp::NetworkOptions{});
     benchmark::DoNotOptimize(s.objective);
     iterations = s.iterations;
   }

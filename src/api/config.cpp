@@ -20,7 +20,7 @@ void config_check(bool ok, std::string message) {
 // ------------------------------------------------------------------ guards
 //
 // resolve() must touch every nested option struct field that carries a
-// derived value (num_threads, solver, knobs).  These field-count asserts
+// derived value (num_threads, knobs).  These field-count asserts
 // fire at compile time when someone adds a field to one of the structs, so
 // the new field cannot be silently skipped the way IgpOptions::set_threads
 // used to skip future nested structs.
@@ -42,17 +42,17 @@ constexpr bool has_exactly_n_fields =
 
 static_assert(has_exactly_n_fields<core::AssignOptions, 1>,
               "AssignOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<lp::SimplexOptions, 6>,
-              "SimplexOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<core::BalanceOptions, 7>,
+static_assert(has_exactly_n_fields<lp::NetworkOptions, 3>,
+              "NetworkOptions changed — update SessionConfig::resolve()");
+static_assert(has_exactly_n_fields<core::BalanceOptions, 6>,
               "BalanceOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<core::RefineOptions, 7>,
+static_assert(has_exactly_n_fields<core::RefineOptions, 6>,
               "RefineOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::IgpOptions, 4>,
               "IgpOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::MultilevelOptions, 3>,
               "MultilevelOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<SessionConfig, 28>,
+static_assert(has_exactly_n_fields<SessionConfig, 27>,
               "SessionConfig changed — update SessionConfig::resolve()");
 
 /// Batch backends rebuild from the whole graph every tick, so they cannot
@@ -180,15 +180,11 @@ ResolvedConfig SessionConfig::resolve() const {
   igp.balance.alpha_max = alpha_max;
   igp.balance.max_stages = max_balance_stages;
   igp.balance.tolerance = balance_tolerance;
-  igp.balance.solver = solver;
   igp.balance.num_threads = num_threads;
-  igp.balance.simplex.num_threads = num_threads;
 
   igp.refinement.max_rounds = max_refine_rounds;
   igp.refinement.strict_after_round = refine_strict_after_round;
-  igp.refinement.solver = solver;
   igp.refinement.num_threads = num_threads;
-  igp.refinement.simplex.num_threads = num_threads;
 
   resolved.multilevel.igp = igp;
   resolved.multilevel.coarsest_size = multilevel_coarsest_size;

@@ -4,10 +4,10 @@
 /// Declarative configuration for a pigp::Session.
 ///
 /// SessionConfig is the single place a user states what they want — part
-/// count, backend, solver, threads, balance/refine knobs, batching policy —
+/// count, backend, threads, balance/refine knobs, batching policy —
 /// and resolve() is the single place those wishes are validated and
 /// propagated into the nested option structs the core drivers consume
-/// (IgpOptions, BalanceOptions, RefineOptions, SimplexOptions,
+/// (IgpOptions, BalanceOptions, RefineOptions, NetworkOptions,
 /// MultilevelOptions, AssignOptions).  Nothing else in the library derives
 /// one option struct from another; config.cpp carries compile-time
 /// field-count guards so adding a field to any of those structs forces an
@@ -72,9 +72,7 @@ struct SessionConfig {
   /// Backend registry key: "igp", "igpr", "multilevel", "spmd", "scratch",
   /// or any name registered through BackendRegistry.
   std::string backend = "igpr";
-  /// Solver for the balance and refinement LPs.
-  core::LpSolverKind solver = core::LpSolverKind::network;
-  /// Worker threads for assignment, layering, and LP pivoting.
+  /// Worker threads for assignment, layering and refinement analysis.
   int num_threads = 1;
 
   // --- balance (step 3) knobs ---

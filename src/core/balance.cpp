@@ -7,22 +7,13 @@
 
 #include "core/transfer.hpp"
 #include "core/workspace.hpp"
-#include "lp/bounded_simplex.hpp"
 #include "support/check.hpp"
 
 namespace pigp::core {
 
-lp::Solution solve_lp(const lp::LinearProgram& program, LpSolverKind kind,
-                      const lp::SimplexOptions& options) {
-  switch (kind) {
-    case LpSolverKind::network:
-      return lp::solve_network_program(program, options);
-    case LpSolverKind::bounded:
-      return lp::BoundedSimplex(options).solve(program);
-    case LpSolverKind::dense:
-      break;
-  }
-  return lp::DenseSimplex(options).solve(program);
+lp::Solution solve_lp(const lp::LinearProgram& program, LpSolverKind,
+                      const lp::NetworkOptions& options) {
+  return lp::solve_network_program(program, options);
 }
 
 void QuotientFlow::reset(std::size_t parts, lp::Sense flow_sense,
@@ -148,14 +139,20 @@ int nodes_with_arcs(const QuotientFlow& flow) {
   return rows;
 }
 
-/// The network path: arcs in for_each_arc order, then each node's slack
-/// pair to a ground node whose supply closes the balance; the flows are
-/// the move counts.
+}  // namespace
+
+// The flow as a network: arcs in for_each_arc order, then each node's
+// slack pair to a ground node whose supply closes the balance; the flows
+// are the move counts.
 // pigp:steady-state
-void solve_on_network(const QuotientFlow& flow,
-                      const lp::SimplexOptions& options, lp::NetworkFlow& net,
-                      FlowResult& result) {
+const FlowResult& solve_flow(const QuotientFlow& flow,
+                             const lp::NetworkOptions& options,
+                             FlowWorkspace& ws) {
   const std::size_t parts = flow.parts();
+  PIGP_CHECK((flow.supply.empty() || flow.supply.size() == parts) &&
+                 (flow.slack_cost.empty() || flow.slack_cost.size() == parts),
+             "supply / slack cost size mismatch");
+  lp::NetworkFlow& net = ws.network;
   const bool slack = !flow.slack_cost.empty();
   const int ground = static_cast<int>(parts);
   net.reset(ground + (slack ? 1 : 0));
@@ -176,12 +173,16 @@ void solve_on_network(const QuotientFlow& flow,
     }
     net.set_supply(ground, -total);
   }
+  FlowResult& result = ws.result;
   result.status = net.solve(flow.sense, options);
+  result.objective = 0.0;
+  result.moves.assign(parts, parts, 0);
+  result.moved = 0;
   result.lp_variables = net.num_arcs();
   result.lp_rows = flow.supply.empty() && !slack ? nodes_with_arcs(flow)
                                                  : static_cast<int>(parts);
   result.lp_iterations = net.pivots();
-  if (result.status != lp::SolveStatus::optimal) return;
+  if (result.status != lp::SolveStatus::optimal) return result;
   result.objective = net.objective();
   int arc = 0;
   for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t) {
@@ -191,59 +192,13 @@ void solve_on_network(const QuotientFlow& flow,
     result.moves(i, j) += count;
     result.moved += count;
   });
-}
-
-/// The simplex path: the flow's LP, solved by \p kind; an optimal vertex
-/// is rounded into the move matrix.
-void solve_as_lp(const QuotientFlow& flow, LpSolverKind kind,
-                 const lp::SimplexOptions& options, FlowResult& result) {
-  const lp::LinearProgram program = to_linear_program(flow);
-  const lp::Solution solution = solve_lp(program, kind, options);
-  result.status = solution.status;
-  result.lp_variables = program.num_variables();
-  result.lp_rows = program.num_rows();
-  result.lp_iterations = solution.iterations;
-  if (solution.status != lp::SolveStatus::optimal) return;
-  result.objective = solution.objective;
-#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
-  for (const double value : solution.x) {
-    PIGP_CHECK(std::abs(value - std::round(value)) <= 1e-6,
-               "quotient-flow LP optimum is not integral");
-  }
-#endif
-  std::size_t var = 0;  // arcs are the first variables, in visit order
-  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t) {
-    const std::int64_t count = std::llround(solution.x[var++]);
-    result.moves(i, j) += count;
-    result.moved += count;
-  });
-}
-
-}  // namespace
-
-const FlowResult& solve_flow(const QuotientFlow& flow, LpSolverKind kind,
-                             const lp::SimplexOptions& options,
-                             FlowWorkspace& ws) {
-  const std::size_t parts = flow.parts();
-  PIGP_CHECK((flow.supply.empty() || flow.supply.size() == parts) &&
-                 (flow.slack_cost.empty() || flow.slack_cost.size() == parts),
-             "supply / slack cost size mismatch");
-  FlowResult& result = ws.result;
-  result.objective = 0.0;
-  result.moves.assign(parts, parts, 0);
-  result.moved = 0;
-  if (kind == LpSolverKind::network) {
-    solve_on_network(flow, options, ws.network, result);
-  } else {
-    solve_as_lp(flow, kind, options, result);
-  }
   return result;
 }
 
-FlowResult solve_flow(const QuotientFlow& flow, LpSolverKind kind,
-                      const lp::SimplexOptions& options) {
+FlowResult solve_flow(const QuotientFlow& flow,
+                      const lp::NetworkOptions& options) {
   FlowWorkspace ws;
-  (void)solve_flow(flow, kind, options, ws);
+  (void)solve_flow(flow, options, ws);
   return std::move(ws.result);
 }
 
@@ -326,7 +281,7 @@ void decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
       break;  // excess too small relative to alpha; nothing to request
     }
     balance_flow_into(eps, ws.rhs, ws.stage);
-    if (solve_flow(ws.stage, options.solver, options.simplex, ws).status ==
+    if (solve_flow(ws.stage, options.simplex, ws).status ==
         lp::SolveStatus::optimal) {
       accept(ws, alpha, layer_depth);
       return;
@@ -342,7 +297,7 @@ void decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
   // the next stage re-layers and continues.
   staged_requirements_into(excess, 1.0, ws);
   best_effort_flow_into(eps, ws.rhs, ws.stage);
-  PIGP_CHECK(solve_flow(ws.stage, options.solver, options.simplex, ws).status ==
+  PIGP_CHECK(solve_flow(ws.stage, options.simplex, ws).status ==
                  lp::SolveStatus::optimal,
              "relaxed balance LP is always feasible");
   accept(ws, 0.0, layer_depth);  // alpha 0: best effort

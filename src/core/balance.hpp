@@ -22,7 +22,6 @@
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
-#include "lp/dense_simplex.hpp"
 #include "lp/network_flow.hpp"
 #include "lp/program.hpp"
 #include "support/dense_matrix.hpp"
@@ -32,19 +31,19 @@ namespace pigp::core {
 struct FlowWorkspace;
 struct Workspace;
 
-/// Which LP solver to use.
+/// The LP solver of the pipeline: the primal network simplex on the
+/// quotient graph.  The dense and bounded simplex of src/lp are reference
+/// solvers that tests and benchmarks call directly.
 enum class LpSolverKind {
-  dense,    ///< the paper's dense two-phase simplex
-  bounded,  ///< bounded-variable simplex (the paper's future-work variant)
-  network,  ///< primal network simplex on the quotient graph
+  network,
 };
 
-/// Solve \p program with \p kind.  network accepts only a network LP
-/// (lp::is_network_program — every LP a QuotientFlow translates into) and
-/// throws CheckError for any other program.
+/// Solve \p program with the network simplex.  It accepts only a network
+/// LP (lp::is_network_program — every LP a QuotientFlow translates into)
+/// and throws CheckError for any other program.
 [[nodiscard]] lp::Solution solve_lp(const lp::LinearProgram& program,
                                     LpSolverKind kind,
-                                    const lp::SimplexOptions& options);
+                                    const lp::NetworkOptions& options);
 
 struct BalanceOptions {
   /// Upper bound C on the relaxation factor α (paper: C > α > 1).
@@ -52,8 +51,9 @@ struct BalanceOptions {
   int max_stages = 12;
   /// |W(q) − target_q| ≤ tolerance counts as balanced.
   double tolerance = 0.5;
-  LpSolverKind solver = LpSolverKind::network;
-  lp::SimplexOptions simplex;
+  /// Not a setting: kept for perfbench's LP probe until its next migration.
+  static constexpr LpSolverKind solver = LpSolverKind::network;
+  lp::NetworkOptions simplex;
   int num_threads = 1;
   /// Initial depth cap of the boundary-seeded layering, deepened lazily
   /// per LayerDepth and decide_stage.  0 = unlimited: always grow to
@@ -125,8 +125,9 @@ struct FlowResult {
   std::int64_t lp_iterations = 0;
 };
 
-/// The one translation of a flow into an LP.  Variables: the arcs in
-/// (i, j, lane) order, then each node's (s⁺, s⁻) when slack is priced.
+/// The one translation of a flow into an LP, for build_balance_lp and the
+/// reference solvers of the tests.  Variables: the arcs in (i, j, lane)
+/// order, then each node's (s⁺, s⁻) when slack is priced.
 /// Row q lists, for each k, q's out-lanes to k (+1) then its in-lanes from
 /// k (−1), then its slack.  \p lane_vars receives each lane's variable
 /// index per pair (-1 when absent).
@@ -134,22 +135,18 @@ struct FlowResult {
     const QuotientFlow& flow,
     std::vector<pigp::DenseMatrix<int>>* lane_vars = nullptr);
 
-/// Solve \p flow into ws.result and return it; the integer move matrix
-/// sums each pair's lanes.  network solves the flow directly: its flows
-/// are integers by construction (capacities and supplies are counts) and
-/// are written to the move matrix as they are, and a warm \p ws makes the
-/// solve allocation-free.  dense and bounded solve to_linear_program(flow)
-/// and round an optimal vertex, integral because the LP is a network LP;
-/// Debug and PIGP_VALIDATE builds check every value is within 1e-6 of an
-/// integer first.
-const FlowResult& solve_flow(const QuotientFlow& flow, LpSolverKind kind,
-                             const lp::SimplexOptions& options,
+/// Solve \p flow with the network simplex into ws.result and return it;
+/// the integer move matrix sums each pair's lanes.  The flows are integers
+/// by construction (capacities and supplies are counts) and are written to
+/// the move matrix as they are; a warm \p ws makes the solve
+/// allocation-free.
+const FlowResult& solve_flow(const QuotientFlow& flow,
+                             const lp::NetworkOptions& options,
                              FlowWorkspace& ws);
 
 /// solve_flow with call-local buffers.
 [[nodiscard]] FlowResult solve_flow(const QuotientFlow& flow,
-                                    LpSolverKind kind,
-                                    const lp::SimplexOptions& options);
+                                    const lp::NetworkOptions& options);
 
 /// A balance stage's flow: arc (i, j) per eps_ij > 0 with capacity ε_ij
 /// and unit cost; supply = \p rhs, each partition's net outflow.  Written

@@ -230,7 +230,7 @@ RefineStats refine_partitioning(const graph::Graph& g,
     }
 
     refinement_flow_into(candidates, cap_scale, w.flow.refinement);
-    const FlowResult& flow = solve_flow(w.flow.refinement, options.solver,
+    const FlowResult& flow = solve_flow(w.flow.refinement,
                                         options.simplex, w.flow);
     PIGP_CHECK(flow.status == lp::SolveStatus::optimal,
                "refinement LP must be solvable (l = 0 is feasible)");

@@ -41,8 +41,7 @@ struct RefineOptions {
   /// Undo a round that made the cut worse (batch moves can interact) and
   /// stop.
   bool revert_on_regression = true;
-  LpSolverKind solver = LpSolverKind::network;
-  lp::SimplexOptions simplex;
+  lp::NetworkOptions simplex;
   int num_threads = 1;
 };
 

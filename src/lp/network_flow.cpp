@@ -211,7 +211,7 @@ void NetworkFlow::rehang(int u_in, int v_in, int entering, int u_out) {
 }
 
 // pigp:steady-state
-SolveStatus NetworkFlow::solve(Sense sense, const SimplexOptions& options) {
+SolveStatus NetworkFlow::solve(Sense sense, const NetworkOptions& options) {
   const int n = nodes_;
   const int m = arcs_;
   const int root = n;
@@ -359,7 +359,7 @@ bool is_network_program(const LinearProgram& program) {
 }
 
 Solution solve_network_program(const LinearProgram& program,
-                               const SimplexOptions& options) {
+                               const NetworkOptions& options) {
   std::vector<int> tail;
   std::vector<int> head;
   PIGP_CHECK(network_columns(program, tail, head),

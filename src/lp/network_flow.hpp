@@ -27,11 +27,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "lp/dense_simplex.hpp"
 #include "lp/program.hpp"
 #include "lp/solution.hpp"
 
 namespace pigp::lp {
+
+/// The tolerances and the pivot cap of a NetworkFlow solve.
+struct NetworkOptions {
+  /// Reduced-cost tolerance, scaled by 1 + max |cost|.
+  double eps = 1e-9;
+  /// Supply imbalance and leftover artificial flow that still count as
+  /// feasible, scaled by max(1, max |supply|).
+  double feasibility_tol = 1e-7;
+  std::int64_t max_iterations = 200000;  ///< pivot cap
+};
 
 class NetworkFlow {
  public:
@@ -47,10 +56,8 @@ class NetworkFlow {
   /// Supplies must sum to zero for the network to be feasible.
   void set_supply(int node, double supply);
 
-  /// Optimize Σ cost · flow in \p sense.  options.eps scales the
-  /// reduced-cost tolerance, options.max_iterations caps the pivots.
-  [[nodiscard]] SolveStatus solve(Sense sense,
-                                  const SimplexOptions& options);
+  /// Optimize Σ cost · flow in \p sense.
+  [[nodiscard]] SolveStatus solve(Sense sense, const NetworkOptions& options);
 
   /// Flow on arc \p arc; meaningful after an optimal solve.
   [[nodiscard]] double flow(int arc) const {
@@ -107,6 +114,6 @@ class NetworkFlow {
 /// node for one-sided columns), columns become arcs in index order.
 /// Throws CheckError when !is_network_program(program).
 [[nodiscard]] Solution solve_network_program(const LinearProgram& program,
-                                             const SimplexOptions& options);
+                                             const NetworkOptions& options);
 
 }  // namespace pigp::lp

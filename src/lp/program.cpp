@@ -68,21 +68,29 @@ bool LinearProgram::is_feasible(const std::vector<double>& x,
 std::string LinearProgram::debug_string() const {
   std::ostringstream os;
   os << (sense_ == Sense::minimize ? "minimize" : "maximize") << '\n';
-  const auto var_name = [this](int j) {
+  // Streamed piecewise: building "x" + std::to_string(j) draws GCC 12's
+  // -Wrestrict false positive inside std::string (GCC bug 105329).
+  const auto put_name = [&](int j) {
     const auto& v = variables_[static_cast<std::size_t>(j)];
-    if (!v.name.empty()) return v.name;
-    return "x" + std::to_string(j);
+    if (v.name.empty()) {
+      os << 'x' << j;
+    } else {
+      os << v.name;
+    }
   };
   os << "  obj:";
   for (int j = 0; j < num_variables(); ++j) {
     const double c = variables_[static_cast<std::size_t>(j)].objective;
-    if (c != 0.0) os << ' ' << (c >= 0 ? "+" : "") << c << '*' << var_name(j);
+    if (c == 0.0) continue;
+    os << ' ' << (c >= 0 ? "+" : "") << c << '*';
+    put_name(j);
   }
   os << '\n';
   for (const Row& row : rows_) {
     os << "  " << (row.name.empty() ? "row" : row.name) << ':';
     for (const auto& [var, coeff] : row.coeffs) {
-      os << ' ' << (coeff >= 0 ? "+" : "") << coeff << '*' << var_name(var);
+      os << ' ' << (coeff >= 0 ? "+" : "") << coeff << '*';
+      put_name(var);
     }
     switch (row.type) {
       case RowType::less_equal: os << " <= "; break;
@@ -93,8 +101,9 @@ std::string LinearProgram::debug_string() const {
   }
   for (int j = 0; j < num_variables(); ++j) {
     const auto& v = variables_[static_cast<std::size_t>(j)];
-    os << "  " << v.lower << " <= " << var_name(j) << " <= " << v.upper
-       << '\n';
+    os << "  " << v.lower << " <= ";
+    put_name(j);
+    os << " <= " << v.upper << '\n';
   }
   return os.str();
 }

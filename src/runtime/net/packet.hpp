@@ -116,14 +116,18 @@ class Packet {
   void pack_vector(const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(sizeof(T) <= 0xFF);
-    data_.push_back(static_cast<std::uint8_t>(WireTag::kVector));
-    data_.push_back(static_cast<std::uint8_t>(sizeof(T)));
+    const std::uint8_t header[2] = {
+        static_cast<std::uint8_t>(WireTag::kVector),
+        static_cast<std::uint8_t>(sizeof(T))};
     const auto count = static_cast<std::uint64_t>(values.size());
-    const auto* count_bytes = reinterpret_cast<const std::uint8_t*>(&count);
-    data_.insert(data_.end(), count_bytes, count_bytes + sizeof(count));
-    if (values.empty()) return;  // data() may be null for empty vectors
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
-    data_.insert(data_.end(), bytes, bytes + sizeof(T) * values.size());
+    const std::size_t payload = sizeof(T) * values.size();
+    const std::size_t at = data_.size();
+    data_.resize(at + sizeof(header) + sizeof(count) + payload);
+    std::uint8_t* out = data_.data() + at;
+    std::memcpy(out, header, sizeof(header));
+    std::memcpy(out + sizeof(header), &count, sizeof(count));
+    if (payload == 0) return;  // data() may be null for empty vectors
+    std::memcpy(out + sizeof(header) + sizeof(count), values.data(), payload);
   }
 
   template <typename T>

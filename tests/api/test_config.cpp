@@ -1,9 +1,9 @@
 // SessionConfig::resolve() — the single derivation path from the
 // declarative config to every nested core option struct.  Compile-time
 // field-count asserts live in src/api/config.cpp; these tests pin the
-// runtime behaviour: every num_threads and solver field receives the
-// configured value (the bug class the old IgpOptions::set_threads /
-// set_solver helpers were prone to), knobs land where they should, and
+// runtime behaviour: every num_threads field receives the configured
+// value (the bug class the old IgpOptions::set_threads helper was prone
+// to), knobs land where they should, and
 // invalid values are rejected naming the offending field.
 
 #include "api/config.hpp"
@@ -35,27 +35,10 @@ TEST(SessionConfigResolve, PropagatesThreadCountIntoEveryNestedStruct) {
   EXPECT_EQ(resolved.assign.num_threads, 7);
   EXPECT_EQ(resolved.igp.num_threads, 7);
   EXPECT_EQ(resolved.igp.balance.num_threads, 7);
-  EXPECT_EQ(resolved.igp.balance.simplex.num_threads, 7);
   EXPECT_EQ(resolved.igp.refinement.num_threads, 7);
-  EXPECT_EQ(resolved.igp.refinement.simplex.num_threads, 7);
   EXPECT_EQ(resolved.multilevel.igp.num_threads, 7);
   EXPECT_EQ(resolved.multilevel.igp.balance.num_threads, 7);
-  EXPECT_EQ(resolved.multilevel.igp.balance.simplex.num_threads, 7);
   EXPECT_EQ(resolved.multilevel.igp.refinement.num_threads, 7);
-  EXPECT_EQ(resolved.multilevel.igp.refinement.simplex.num_threads, 7);
-}
-
-TEST(SessionConfigResolve, PropagatesSolverIntoEveryLpConsumer) {
-  SessionConfig config = valid_config();
-  config.solver = core::LpSolverKind::bounded;
-  const ResolvedConfig resolved = config.resolve();
-
-  EXPECT_EQ(resolved.igp.balance.solver, core::LpSolverKind::bounded);
-  EXPECT_EQ(resolved.igp.refinement.solver, core::LpSolverKind::bounded);
-  EXPECT_EQ(resolved.multilevel.igp.balance.solver,
-            core::LpSolverKind::bounded);
-  EXPECT_EQ(resolved.multilevel.igp.refinement.solver,
-            core::LpSolverKind::bounded);
 }
 
 TEST(SessionConfigResolve, PropagatesBalanceRefineAndMultilevelKnobs) {

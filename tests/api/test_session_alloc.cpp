@@ -201,9 +201,12 @@ TEST(SessionAlloc, SteadyStateForcedRepartitionPerformsZeroHeapAllocations) {
 
 /// One Session → backend → refine-round shaped cycle on \p state: an outer
 /// window, moves, a nested window whose moves are undone, more outer moves,
-/// and the outer undo.  Every vertex returns to its entry part.
-void nested_rollback_cycle(const graph::Graph& g, graph::Partitioning& p,
-                           graph::PartitionState& state) {
+/// and the outer undo.  Every vertex returns to its entry part.  Unused
+/// where a sanitizer disables allocation counting, like the two LP-phase
+/// helpers below.
+[[maybe_unused]] void nested_rollback_cycle(const graph::Graph& g,
+                                            graph::Partitioning& p,
+                                            graph::PartitionState& state) {
   graph::PartitionState::RollbackWindow outer(state);
   state.move_vertex(g, p, 0, 1);
   state.move_vertex(g, p, 9, 2);
@@ -246,7 +249,7 @@ TEST(SessionAlloc, WarmNestedRollbackWindowPerformsZeroHeapAllocations) {
 /// Six parts in a ring (ε 4 each way) plus a chord 0 → 3; part 0 is
 /// heavy.  With \p thin the ring arcs out of 0 carry 1, so α = 1 is
 /// infeasible and the ladder climbs.
-pigp::DenseMatrix<std::int64_t> ring_eps(bool thin) {
+[[maybe_unused]] pigp::DenseMatrix<std::int64_t> ring_eps(bool thin) {
   pigp::DenseMatrix<std::int64_t> eps(6, 6, 0);
   for (std::size_t q = 0; q < 6; ++q) {
     eps(q, (q + 1) % 6) = 4;
@@ -264,7 +267,8 @@ pigp::DenseMatrix<std::int64_t> ring_eps(bool thin) {
 const std::vector<double> kRingExcess = {7.5, -1.5, -1.5, -1.5, -1.5, -1.5};
 
 /// Refinement candidates over four parts, both lanes in use.
-pigp::DenseMatrix<std::vector<core::GainCandidate>> refine_buckets() {
+[[maybe_unused]] pigp::DenseMatrix<std::vector<core::GainCandidate>>
+refine_buckets() {
   pigp::DenseMatrix<std::vector<core::GainCandidate>> b(4, 4);
   graph::VertexId next = 0;
   const auto add = [&](std::size_t i, std::size_t j, double gain) {
@@ -313,12 +317,11 @@ TEST(SessionAlloc, WarmRefinementSolvePerformsZeroHeapAllocations) {
   GTEST_SKIP() << "allocator interposed by a sanitizer";
 #else
   const auto buckets = refine_buckets();
-  const core::RefineOptions options;  // the network solver
+  const core::RefineOptions options;
   core::Workspace ws;
   const auto solve = [&](double cap_scale) -> const core::FlowResult& {
     core::refinement_flow_into(buckets, cap_scale, ws.flow.refinement);
-    return core::solve_flow(ws.flow.refinement, options.solver,
-                            options.simplex, ws.flow);
+    return core::solve_flow(ws.flow.refinement, options.simplex, ws.flow);
   };
   (void)solve(1.0);  // warm-up, then a stage decision on the same pool
   core::decide_stage(ring_eps(true), kRingExcess, true, -1,

@@ -1,8 +1,9 @@
 #pragma once
 
-// The inputs of the refinement golden tables (tests/core/test_refine.cpp),
+// The inputs of the refinement golden table (tests/core/test_refine.cpp),
 // shared with the solver differential test (tests/lp/test_network_flow.cpp),
-// which solves the refinement flows they produce with both solvers.
+// which solves the refinement flows they produce with the network simplex
+// and the reference simplex.
 
 #include <algorithm>
 #include <cstdint>
@@ -86,6 +87,8 @@ inline Partitioning banded_grid_partitioning(int side, graph::PartId k) {
 }
 
 /// One named golden case: graph, initial partitioning, refine options.
+/// Every input states strict_after_round itself, so the goldens do not move
+/// with RefineOptions' default.
 struct GoldenInput {
   Graph g;
   Partitioning p;
@@ -97,21 +100,26 @@ inline GoldenInput golden_input(const std::string& name) {
   if (name == "grid_banded") {
     in.g = graph::grid_graph(60, 60);
     in.p = banded_grid_partitioning(60, 5);
+    in.opt.strict_after_round = 2;
   } else if (name == "grid_shuffled") {
     in.g = graph::grid_graph(48, 48);
     in.p = shuffled_partitioning(48 * 48, 4, 3);
     in.opt.max_rounds = 12;
+    in.opt.strict_after_round = 2;
   } else if (name == "geometric") {
     in.g = graph::random_geometric_graph(3000, 0.035, 21);
     in.p = shuffled_partitioning(3000, 6, 22);
     in.opt.max_rounds = 16;
+    in.opt.strict_after_round = 2;
   } else if (name == "geometric_large") {
     in.g = graph::random_geometric_graph(12000, 0.018, 31);
     in.p = shuffled_partitioning(12000, 8, 32);
+    in.opt.strict_after_round = 2;
   } else if (name == "hub") {
     in.g = hub_graph(4000, 3, 41);
     in.p = shuffled_partitioning(4000, 4, 42);
     in.opt.max_rounds = 12;
+    in.opt.strict_after_round = 2;
   } else if (name == "hub_nonstrict") {
     in.g = hub_graph(3000, 2, 51);
     in.p = shuffled_partitioning(3000, 3, 52);

@@ -6,8 +6,11 @@
 
 #include <numeric>
 
+#include "../lp/flow_oracle.hpp"
+#include "core/layering.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "graph/partition_state.hpp"
 
 namespace pigp::core {
 namespace {
@@ -229,37 +232,52 @@ TEST(BalanceLoad, StageCountGrowsWithImbalance) {
 }
 
 TEST(BalanceLoad, BoundedSolverGivesSameBalance) {
+  // Every stage of the network-solved balance against the bounded-variable
+  // simplex and the paper's dense simplex on the same layering: the
+  // reference ladder's first feasible α and its move count are the
+  // stage's.  max_layers = 0 grows each stage's layering to exhaustion,
+  // the capacities the reference ladder is given.
   const Graph g = graph::random_geometric_graph(400, 0.08, 61);
-  Partitioning a;
-  a.num_parts = 4;
-  a.part.resize(400);
+  Partitioning initial;
+  initial.num_parts = 4;
+  initial.part.resize(400);
   for (VertexId v = 0; v < 400; ++v) {
-    a.part[static_cast<std::size_t>(v)] = v < 250 ? 0 : (v % 3 + 1);
+    initial.part[static_cast<std::size_t>(v)] = v < 250 ? 0 : (v % 3 + 1);
   }
-  Partitioning b = a;
-  Partitioning c = a;
+  BalanceOptions options;
+  options.max_layers = 0;
+  Partitioning p = initial;
+  const BalanceResult result = balance_load(g, p, options);
+  EXPECT_TRUE(result.balanced);
+  EXPECT_TRUE(graph::is_balanced(g, p, 0.5));
+  ASSERT_FALSE(result.stages.empty());
 
-  BalanceOptions dense;
-  dense.solver = LpSolverKind::dense;
-  BalanceOptions bounded;
-  bounded.solver = LpSolverKind::bounded;
-  BalanceOptions network;
-  network.solver = LpSolverKind::network;
-  const BalanceResult ra = balance_load(g, a, dense);
-  const BalanceResult rb = balance_load(g, b, bounded);
-  const BalanceResult rc = balance_load(g, c, network);
-  EXPECT_EQ(ra.balanced, rb.balanced);
-  EXPECT_EQ(ra.balanced, rc.balanced);
-  EXPECT_TRUE(graph::is_balanced(g, a, 0.5));
-  EXPECT_TRUE(graph::is_balanced(g, b, 0.5));
-  EXPECT_TRUE(graph::is_balanced(g, c, 0.5));
-  // Every stage solves the same LPs to the same optimum: the α chosen and
-  // the vertices moved (the balance LP's objective) agree stage by stage.
-  ASSERT_EQ(ra.stages.size(), rc.stages.size());
-  for (std::size_t s = 0; s < ra.stages.size(); ++s) {
-    EXPECT_EQ(ra.stages[s].alpha, rc.stages[s].alpha) << "stage " << s;
-    EXPECT_EQ(ra.stages[s].vertices_moved, rc.stages[s].vertices_moved)
-        << "stage " << s;
+  std::vector<double> targets;
+  graph::balance_targets_into(g.total_vertex_weight(), initial.num_parts,
+                              targets);
+  for (std::size_t s = 0; s < result.stages.size(); ++s) {
+    // The partition stage s starts from: the first s stages' output.
+    Partitioning before = initial;
+    if (s > 0) {
+      BalanceOptions first = options;
+      first.max_stages = static_cast<int>(s);
+      (void)balance_load(g, before, first);
+    }
+    const graph::PartitionState state(g, before);
+    std::vector<double> excess(targets.size(), 0.0);
+    (void)compute_excess(state.weights(), targets, excess);
+    BoundaryLayering layering(g, before);
+    layering.reseed(state);
+    layering.grow(-1);
+    for (const oracle::Solver solver :
+         {oracle::Solver::bounded, oracle::Solver::dense}) {
+      const oracle::Rung want = oracle::first_feasible_rung(
+          layering.eps(), excess, options.alpha_max, solver);
+      EXPECT_EQ(result.stages[s].alpha, want.alpha) << "stage " << s;
+      EXPECT_EQ(result.stages[s].vertices_moved,
+                static_cast<double>(want.flow.moved))
+          << "stage " << s;
+    }
   }
 }
 

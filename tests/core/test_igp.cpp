@@ -141,38 +141,6 @@ TEST(Igp, ThreadedMatchesSerial) {
   EXPECT_EQ(a.partitioning.part, b.partitioning.part);
 }
 
-TEST(Igp, DenseAndBoundedSolversAgreeOnBalance) {
-  const mesh::MeshSequence seq =
-      mesh::make_small_mesh_sequence(500, {70}, 61);
-  const Partitioning initial =
-      spectral::recursive_spectral_bisection(seq.graphs[0], 8);
-
-  SessionConfig dense_config;
-  dense_config.num_parts = 8;
-  dense_config.solver = LpSolverKind::dense;
-  const IgpOptions dense = dense_config.resolve().igp;
-  SessionConfig bounded_config;
-  bounded_config.num_parts = 8;
-  bounded_config.solver = LpSolverKind::bounded;
-  const IgpOptions bounded = bounded_config.resolve().igp;
-  SessionConfig network_config;
-  network_config.num_parts = 8;
-  network_config.solver = LpSolverKind::network;
-  const IgpOptions network = network_config.resolve().igp;
-  const IgpResult a = IncrementalPartitioner(dense).repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices());
-  const IgpResult b = IncrementalPartitioner(bounded).repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices());
-  const IgpResult c = IncrementalPartitioner(network).repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices());
-  EXPECT_TRUE(a.balanced);
-  EXPECT_TRUE(b.balanced);
-  EXPECT_TRUE(c.balanced);
-  EXPECT_TRUE(graph::is_balanced(seq.graphs[1], a.partitioning, 1.0));
-  EXPECT_TRUE(graph::is_balanced(seq.graphs[1], b.partitioning, 1.0));
-  EXPECT_TRUE(graph::is_balanced(seq.graphs[1], c.partitioning, 1.0));
-}
-
 TEST(Igp, DeltaPathHandlesVertexDeletions) {
   // Build a small graph, delete a few vertices and add new ones through a
   // delta; the carried partitioning must survive the id remap.

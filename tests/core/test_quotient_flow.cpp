@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../lp/flow_oracle.hpp"
 #include "core/balance.hpp"
 #include "core/refine.hpp"
 #include "core/transfer.hpp"
@@ -207,8 +208,9 @@ TEST(QuotientFlow, HarvestSumsLanesIntoTheMoveMatrix) {
   flow.lanes[0].capacity(1, 0) = 4.0;
   flow.lanes[0].cost(1, 0) = 1.0;
   flow.supply = {3.0, -3.0};
-  for (const LpSolverKind kind : {LpSolverKind::dense, LpSolverKind::network}) {
-    const FlowResult result = solve_flow(flow, kind, lp::SimplexOptions{});
+  // The pipeline's network solve and the oracle's rounded LP vertex.
+  for (const FlowResult& result :
+       {solve_flow(flow, lp::NetworkOptions{}), oracle::solve_flow(flow)}) {
     ASSERT_EQ(result.status, lp::SolveStatus::optimal);
     EXPECT_EQ(result.moves(0, 1), 3);
     EXPECT_EQ(result.moves(1, 0), 0);

@@ -176,16 +176,14 @@ TEST(Refine, ParallelCandidateCollectionMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden decisions.  The table below was captured from the full-rescan
-// implementation (every round re-analysed and re-sorted the whole boundary)
-// before the per-vertex move-analysis cache replaced it; the cached rounds
-// must reproduce every decision exactly.  grid_banded, hub and
-// hub_nonstrict take the revert path (non-strict regressions, and a strict
-// regression that halves the batch cap); geometric_large has a boundary
-// above the parallel-analysis threshold.  The table pins the dense
-// simplex's tie-breaking among equal optima, so it runs with
-// solver = dense; kGoldenNetwork pins the network solver's on the same
-// inputs.
+// Golden decisions, captured from the network simplex on six inputs.
+// grid_banded, hub and hub_nonstrict take the revert path (non-strict
+// regressions, and a strict regression that halves the batch cap);
+// geometric_large has a boundary above the parallel-analysis threshold.
+// The table pins the network simplex's tie-breaking among equal optima and
+// its pivot counts; the paper's dense simplex reaches the same refinement
+// optima (NetworkFlowDifferential.RefinementFlowsOfTheGoldenInputs) but
+// may break ties differently.
 
 using golden::golden_input;
 using golden::GoldenInput;
@@ -210,21 +208,6 @@ struct GoldenCase {
   double cut_after;
 };
 
-const GoldenCase kGolden[] = {
-    {"grid_banded", 1, 0x4ad63f9390bdc285ULL, 2, 160, 16, 552, 240},
-    {"grid_banded", 4, 0x4ad63f9390bdc285ULL, 2, 160, 16, 552, 240},
-    {"grid_shuffled", 1, 0xd80aba3ae3cc3aabULL, 12, 12880, 154, 3356, 1784},
-    {"grid_shuffled", 4, 0xd80aba3ae3cc3aabULL, 12, 12880, 154, 3356, 1784},
-    {"geometric", 1, 0xf282349ce6e5d1b9ULL, 8, 4865, 236, 13824, 3012},
-    {"geometric", 4, 0xf282349ce6e5d1b9ULL, 8, 4865, 236, 13824, 3012},
-    {"geometric_large", 1, 0x02f7b6a95586f805ULL, 8, 19680, 548, 63016, 13541},
-    {"geometric_large", 4, 0x02f7b6a95586f805ULL, 8, 19680, 548, 63016, 13541},
-    {"hub", 1, 0x9142f209403e0a87ULL, 12, 14966, 144, 9009, 5733},
-    {"hub", 4, 0x9142f209403e0a87ULL, 12, 14966, 144, 9009, 5733},
-    {"hub_nonstrict", 1, 0x69f6b1a1bedc9273ULL, 12, 5339, 59, 4008, 1988},
-    {"hub_nonstrict", 4, 0x69f6b1a1bedc9273ULL, 12, 5339, 59, 4008, 1988},
-};
-
 void PrintTo(const GoldenCase& c, std::ostream* os) {
   *os << c.name << " with " << c.threads << " thread(s)";
 }
@@ -234,14 +217,13 @@ std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
          std::to_string(info.param.threads);
 }
 
-/// Refine \p want's input with \p solver through the batch entry and twice
-/// through the state-driven entry on a warm workspace; all must land on
-/// the captured result.
-void expect_golden(const GoldenCase& want, LpSolverKind solver) {
+/// Refine \p want's input through the batch entry and twice through the
+/// state-driven entry on a warm workspace; all must land on the captured
+/// result.
+void expect_golden(const GoldenCase& want) {
   GoldenInput in = golden_input(want.name);
   ASSERT_GT(in.g.num_vertices(), 0) << want.name;
   in.opt.num_threads = want.threads;
-  in.opt.solver = solver;
 
   // Batch entry (call-local buffers) and the state-driven entry with a
   // warm session workspace must both land on the captured result.
@@ -266,18 +248,6 @@ void expect_golden(const GoldenCase& want, LpSolverKind solver) {
   EXPECT_EQ(compute_metrics(in.g, batch).cut_total, want.cut_after);
 }
 
-class RefineGolden : public ::testing::TestWithParam<GoldenCase> {};
-
-TEST_P(RefineGolden, MatchesCapturedDecisions) {
-  expect_golden(GetParam(), LpSolverKind::dense);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cases, RefineGolden, ::testing::ValuesIn(kGolden),
-                         golden_name);
-
-// Captured from the network solver (the default) on the same inputs.  The
-// partitions equal the dense table's on four of the six inputs; the
-// pivot counts differ throughout.
 const GoldenCase kGoldenNetwork[] = {
     {"grid_banded", 1, 0x4ad63f9390bdc285ULL, 2, 160, 24, 552, 240},
     {"grid_banded", 4, 0x4ad63f9390bdc285ULL, 2, 160, 24, 552, 240},
@@ -296,7 +266,7 @@ const GoldenCase kGoldenNetwork[] = {
 class RefineGoldenNetwork : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(RefineGoldenNetwork, MatchesCapturedDecisions) {
-  expect_golden(GetParam(), LpSolverKind::network);
+  expect_golden(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, RefineGoldenNetwork,

@@ -1,4 +1,5 @@
-// The network simplex against the dense simplex, the oracle.
+// The network simplex against the dense simplex, the oracle of
+// flow_oracle.hpp.
 //
 // Every flow is solved both ways: the statuses must match exactly, the
 // optimal objectives within 1e-9 relative, and the network flow must be
@@ -6,7 +7,8 @@
 // random generator (2 to 64 parts, sparse and dense capacities, supply and
 // circulation, with and without slack, both senses, one or two lanes),
 // from the refinement golden inputs, and from decide_stage's α ladder on a
-// power-law graph, where the first feasible α must match too.
+// power-law graph, where the first feasible α and its move count must
+// match too.
 
 #include "lp/network_flow.hpp"
 
@@ -20,13 +22,14 @@
 #include "core/balance.hpp"
 #include "core/layering.hpp"
 #include "core/refine.hpp"
+#include "flow_oracle.hpp"
 #include "graph/partition_state.hpp"
 #include "support/rng.hpp"
 
 namespace pigp::core {
 namespace {
 
-const lp::SimplexOptions kOptions{};
+const lp::NetworkOptions kOptions{};
 
 /// Σ (out − in) of the move matrix at node q.
 std::int64_t net_outflow(const pigp::DenseMatrix<std::int64_t>& moves,
@@ -38,11 +41,12 @@ std::int64_t net_outflow(const pigp::DenseMatrix<std::int64_t>& moves,
   return net;
 }
 
-/// Solve \p flow with both solvers and compare; returns the status.
+/// Solve \p flow with the network simplex and the oracle and compare;
+/// returns the status.
 lp::SolveStatus expect_same_optimum(const QuotientFlow& flow,
                                     const std::string& what) {
-  const FlowResult dense = solve_flow(flow, LpSolverKind::dense, kOptions);
-  const FlowResult net = solve_flow(flow, LpSolverKind::network, kOptions);
+  const FlowResult dense = oracle::solve_flow(flow);
+  const FlowResult net = solve_flow(flow, kOptions);
   EXPECT_EQ(net.status, dense.status) << what;
   EXPECT_EQ(net.lp_variables, dense.lp_variables) << what;
   EXPECT_EQ(net.lp_rows, dense.lp_rows) << what;
@@ -230,7 +234,6 @@ TEST(NetworkFlowDifferential, RefinementFlowsOfTheGoldenInputs) {
       if (rounds > 0) {
         RefineOptions opt = in.opt;
         opt.max_rounds = rounds;
-        opt.solver = LpSolverKind::dense;
         (void)refine_partitioning(in.g, p, opt);
       }
       for (const bool strict : {false, true}) {
@@ -270,10 +273,7 @@ TEST(NetworkFlowDifferential, BalanceLadderOnAPowerLawGraph) {
   std::vector<double> excess(16, 0.0);
   ASSERT_GT(compute_excess(state.weights(), targets, excess), 100.0);
 
-  BalanceOptions dense;
-  dense.solver = LpSolverKind::dense;
-  BalanceOptions network;
-  network.solver = LpSolverKind::network;
+  const BalanceOptions options;
   std::vector<double> alphas;
   struct Case {
     int depth;  ///< -1 = exhausted
@@ -294,7 +294,7 @@ TEST(NetworkFlowDifferential, BalanceLadderOnAPowerLawGraph) {
 
     // Every rung: same status, same optimum.
     double first_feasible = 0.0;
-    for (double alpha = 1.0; alpha <= dense.alpha_max; alpha *= 2.0) {
+    for (double alpha = 1.0; alpha <= options.alpha_max; alpha *= 2.0) {
       const lp::SolveStatus status = expect_same_optimum(
           balance_flow(eps, staged_requirements(excess, alpha)),
           what + " alpha " + std::to_string(alpha));
@@ -306,14 +306,17 @@ TEST(NetworkFlowDifferential, BalanceLadderOnAPowerLawGraph) {
         best_effort_flow(eps, staged_requirements(excess, 1.0)),
         what + " best effort");
 
-    // decide_stage treats the layering as exhausted: the full ladder.
-    const StageDecision a = decide_stage(eps, excess, true, c.depth, dense);
-    const StageDecision b = decide_stage(eps, excess, true, c.depth, network);
-    EXPECT_EQ(b.stats.alpha, a.stats.alpha) << what;
-    EXPECT_EQ(a.stats.alpha, first_feasible) << what;
-    EXPECT_EQ(b.stats.vertices_moved, a.stats.vertices_moved) << what;
-    EXPECT_EQ(b.progress, a.progress) << what;
-    alphas.push_back(a.stats.alpha);
+    // decide_stage treats the layering as exhausted: the full ladder,
+    // landing on the oracle ladder's first feasible rung.
+    const oracle::Rung want =
+        oracle::first_feasible_rung(eps, excess, options.alpha_max);
+    const StageDecision got = decide_stage(eps, excess, true, c.depth, options);
+    EXPECT_EQ(want.alpha, first_feasible) << what;
+    EXPECT_EQ(got.stats.alpha, want.alpha) << what;
+    EXPECT_EQ(got.stats.vertices_moved, static_cast<double>(want.flow.moved))
+        << what;
+    EXPECT_EQ(got.progress, want.flow.moved > 0) << what;
+    alphas.push_back(got.stats.alpha);
   }
   // The cases cover α = 1, a climbed ladder and best effort (α = 0).
   EXPECT_EQ(alphas.front(), 1.0);
@@ -389,7 +392,7 @@ TEST(NetworkFlowSolveLp, ReportsUnboundedLikeTheSimplex) {
   program.add_row(lp::RowType::equal, {{b, 1.0}, {a, -1.0}}, 0.0);
   EXPECT_EQ(solve_lp(program, LpSolverKind::network, kOptions).status,
             lp::SolveStatus::unbounded);
-  EXPECT_EQ(solve_lp(program, LpSolverKind::dense, kOptions).status,
+  EXPECT_EQ(oracle::solve_lp(program, oracle::Solver::dense).status,
             lp::SolveStatus::unbounded);
 }
 
@@ -444,7 +447,7 @@ TEST(NetworkFlow, PivotLimitIsReported) {
   (void)net.add_arc(1, 2, 5.0, 1.0);
   net.set_supply(0, 5.0);
   net.set_supply(2, -5.0);
-  lp::SimplexOptions capped;
+  lp::NetworkOptions capped;
   capped.max_iterations = 0;
   EXPECT_EQ(net.solve(lp::Sense::minimize, capped),
             lp::SolveStatus::iteration_limit);

@@ -81,7 +81,7 @@ TEST(PaperLps, Figure5BoundedSimplexMatchesPaperObjective) {
 TEST(PaperLps, Figure5NetworkSimplexMatchesPaperObjective) {
   Fig5Lp fig;
   ASSERT_TRUE(is_network_program(fig.lp));
-  const Solution s = solve_network_program(fig.lp, SimplexOptions{});
+  const Solution s = solve_network_program(fig.lp, NetworkOptions{});
   ASSERT_EQ(s.status, SolveStatus::optimal);
   EXPECT_NEAR(s.objective, 9.0, kTol);
   EXPECT_TRUE(fig.lp.is_feasible(s.x, 0.0));
@@ -174,7 +174,7 @@ TEST(PaperLps, Figure8BoundedSimplexFindsTrueOptimum) {
 TEST(PaperLps, Figure8NetworkSimplexFindsTrueOptimum) {
   Fig8Lp fig;
   ASSERT_TRUE(is_network_program(fig.lp));
-  const Solution s = solve_network_program(fig.lp, SimplexOptions{});
+  const Solution s = solve_network_program(fig.lp, NetworkOptions{});
   ASSERT_EQ(s.status, SolveStatus::optimal);
   EXPECT_NEAR(s.objective, 9.0, kTol);
   EXPECT_TRUE(fig.lp.is_feasible(s.x, 0.0));

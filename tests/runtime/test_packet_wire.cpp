@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -46,6 +47,36 @@ TEST(PacketWire, DeterministicSerializationRoundTrip) {
   ASSERT_EQ(a.bytes(), b.bytes());
   Packet restored = Packet::from_bytes(a.bytes());
   expect_sample(restored);
+}
+
+TEST(PacketWire, PackVectorByteImage) {
+  // [kVector 'V'] [u8 sizeof(T)] [u64 count] [raw elements], integers in
+  // host order; pinned on a little-endian host.
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "byte image pinned for little-endian hosts";
+  }
+  const std::vector<std::uint8_t> values_image = {
+      0x56, 8,                                         // tag, element size
+      2, 0, 0, 0, 0, 0, 0, 0,                          // count
+      1, 0, 0, 0, 0, 0, 0, 0,                          // 1
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // -2
+  };
+  const std::vector<std::uint8_t> empty_image = {
+      0x56, 8,                 // tag, element size
+      0, 0, 0, 0, 0, 0, 0, 0,  // count, no payload
+  };
+  Packet values;
+  values.pack_vector(std::vector<std::int64_t>{1, -2});
+  EXPECT_EQ(values.bytes(), values_image);
+  Packet empty;
+  empty.pack_vector(std::vector<std::int64_t>{});
+  EXPECT_EQ(empty.bytes(), empty_image);
+
+  // Appending writes after what is already packed.
+  values.pack_vector(std::vector<std::int64_t>{});
+  std::vector<std::uint8_t> both = values_image;
+  both.insert(both.end(), empty_image.begin(), empty_image.end());
+  EXPECT_EQ(values.bytes(), both);
 }
 
 TEST(PacketWire, TagMismatchThrowsTyped) {
