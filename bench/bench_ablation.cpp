@@ -16,6 +16,8 @@
 
 #include <cstring>
 #include <iostream>
+#include <memory>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "core/multilevel.hpp"
@@ -35,16 +37,16 @@ struct AblationOutcome {
 
 AblationOutcome run_variant(const mesh::MeshSequence& seq,
                             const graph::Partitioning& initial,
-                            const core::IgpOptions& options) {
+                            const SessionConfig& config) {
   AblationOutcome out;
   graph::Partitioning current = initial;
-  const core::IncrementalPartitioner igp(options);
+  const std::unique_ptr<Backend> backend = bench::make_backend(config);
   for (std::size_t step = 1; step < seq.graphs.size(); ++step) {
     runtime::WallTimer timer;
-    core::IgpResult result = igp.repartition(
+    BackendResult result = backend->repartition(
         seq.graphs[step], current, seq.graphs[step - 1].num_vertices());
     out.seconds += timer.seconds();
-    out.stages += result.stages;
+    out.stages += static_cast<double>(result.balance_result.stages.size());
     current = std::move(result.partitioning);
   }
   out.cut = graph::compute_metrics(seq.graphs.back(), current).cut_total;
@@ -85,11 +87,12 @@ int main(int argc, char** argv) {
           Policy{"strict from round 0", 8, 0},
           Policy{"single round", 1, 2},
           Policy{"no refinement (IGP)", 0, 0}}) {
-      core::IgpOptions options;
-      options.refine = policy.max_rounds > 0;
-      options.refinement.max_rounds = policy.max_rounds;
-      options.refinement.strict_after_round = policy.strict_after;
-      const AblationOutcome out = run_variant(seq, initial, options);
+      SessionConfig config;
+      config.num_parts = parts;
+      config.backend = policy.max_rounds > 0 ? "igpr" : "igp";
+      config.max_refine_rounds = policy.max_rounds;
+      config.refine_strict_after_round = policy.strict_after;
+      const AblationOutcome out = run_variant(seq, initial, config);
       table.add_row(policy.name, out.seconds, out.cut);
     }
     std::cout << "A. Refinement policy\n";
@@ -102,13 +105,14 @@ int main(int argc, char** argv) {
     // The paper's LP refinement against the classic mincut local search its
     // introduction cites.  Run both as a post-pass on the plain IGP output
     // of the final mesh step.
-    core::IgpOptions plain;
-    plain.refine = false;
+    SessionConfig plain;
+    plain.num_parts = parts;
+    plain.backend = "igp";
     graph::Partitioning current = initial;
-    const core::IncrementalPartitioner igp(plain);
+    const std::unique_ptr<Backend> igp = bench::make_backend(plain);
     for (std::size_t step = 1; step < seq.graphs.size(); ++step) {
-      current = igp.repartition(seq.graphs[step], current,
-                                seq.graphs[step - 1].num_vertices())
+      current = igp->repartition(seq.graphs[step], current,
+                                 seq.graphs[step - 1].num_vertices())
                     .partitioning;
     }
     const graph::Graph& g = seq.graphs.back();
@@ -148,9 +152,10 @@ int main(int argc, char** argv) {
     TextTable table(
         {"staging policy", "time (s)", "final cut", "total stages"});
     for (const double alpha_max : {64.0, 1.0}) {
-      core::IgpOptions options;
-      options.balance.alpha_max = alpha_max;
-      const AblationOutcome out = run_variant(seq, initial, options);
+      SessionConfig config;
+      config.num_parts = parts;
+      config.alpha_max = alpha_max;
+      const AblationOutcome out = run_variant(seq, initial, config);
       table.add_row(alpha_max > 1.0 ? "alpha doubling (paper)"
                                     : "alpha = 1 + best-effort only",
                     out.seconds, out.cut, out.stages);
@@ -174,12 +179,14 @@ int main(int argc, char** argv) {
 
     TextTable table({"driver (mesh B +672)", "time (s)", "cut", "balanced"});
     {
+      SessionConfig config;
+      config.num_parts = kPaperPartitions;
+      const std::unique_ptr<Backend> igpr = bench::make_backend(config);
       runtime::WallTimer timer;
-      const core::IgpResult flat = core::IncrementalPartitioner().repartition(
-          g, base_part, n_old);
+      const BackendResult flat = igpr->repartition(g, base_part, n_old);
       table.add_row("flat IGPR (paper)", timer.seconds(),
                     graph::compute_metrics(g, flat.partitioning).cut_total,
-                    flat.balanced ? "yes" : "no");
+                    flat.balance_result.balanced ? "yes" : "no");
     }
     {
       core::MultilevelOptions ml;
@@ -189,7 +196,7 @@ int main(int argc, char** argv) {
           core::multilevel_repartition(g, base_part, n_old, ml);
       table.add_row("multilevel IGPR (future work)", timer.seconds(),
                     graph::compute_metrics(g, multi.partitioning).cut_total,
-                    multi.balanced ? "yes" : "no");
+                    multi.balance_result.balanced ? "yes" : "no");
     }
     std::cout << "C. Flat vs multilevel incremental partitioning\n";
     table.print(std::cout);

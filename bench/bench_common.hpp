@@ -4,10 +4,12 @@
 /// Shared helpers for the paper-table reproduction binaries.
 
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 
+#include "api/backend.hpp"
 #include "api/config.hpp"
-#include "core/igp.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "runtime/thread_pool.hpp"
@@ -41,33 +43,29 @@ inline TimedPartition run_sb(const graph::Graph& g, graph::PartId parts) {
   return out;
 }
 
-/// Fully-propagated IgpOptions via the canonical SessionConfig::resolve()
-/// derivation path.
-inline core::IgpOptions make_igp_options(graph::PartId num_parts, bool refine,
-                                         int threads) {
-  SessionConfig config;
-  config.num_parts = num_parts;
-  config.backend = refine ? "igpr" : "igp";
-  config.num_threads = threads;
-  core::IgpOptions options = config.resolve().igp;
-  options.refine = refine;
-  return options;
+/// The backend \p config names, with its options derived by the canonical
+/// SessionConfig::resolve() path.
+inline std::unique_ptr<Backend> make_backend(const SessionConfig& config) {
+  return BackendRegistry::global().create(config.backend, config.resolve());
 }
 
-/// One IGP/IGPR repartitioning, timed.
+/// One IGP/IGPR repartitioning through Backend::repartition's copying
+/// front end (copy + state seed + pipeline), timed.
 inline TimedPartition run_igp(const graph::Graph& g_new,
                               const graph::Partitioning& old_p,
                               graph::VertexId n_old, bool refine,
                               int threads) {
-  const core::IgpOptions options =
-      make_igp_options(old_p.num_parts, refine, threads);
-  const core::IncrementalPartitioner igp(options);
+  SessionConfig config;
+  config.num_parts = old_p.num_parts;
+  config.backend = refine ? "igpr" : "igp";
+  config.num_threads = threads;
+  const std::unique_ptr<Backend> backend = make_backend(config);
   runtime::WallTimer timer;
   TimedPartition out;
-  core::IgpResult result = igp.repartition(g_new, old_p, n_old);
+  BackendResult result = backend->repartition(g_new, old_p, n_old);
   out.seconds = timer.seconds();
   out.partitioning = std::move(result.partitioning);
-  out.stages = result.stages;
+  out.stages = static_cast<int>(result.balance_result.stages.size());
   return out;
 }
 

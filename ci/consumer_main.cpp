@@ -36,7 +36,7 @@ int main() {
   std::cout << "consumer ok: backend=" << session.backend_name()
             << " |V|=" << session.graph().num_vertices()
             << " cut=" << report.metrics.cut_total
-            << " balanced=" << (report.balanced ? "yes" : "no") << "\n";
+            << " balanced=" << (report.balance.balanced ? "yes" : "no") << "\n";
   return report.repartitioned && session.graph().num_vertices() == 608 ? 0
                                                                        : 1;
 }

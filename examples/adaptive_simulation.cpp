@@ -68,9 +68,10 @@ int main() {
 
     const auto m_rsb = graph::compute_metrics(session.graph(), scratch);
     table.add_row(epoch, session.graph().num_vertices(),
-                  session.graph().num_vertices() - n_old, report.stages,
-                  report.seconds, rsb_seconds, report.metrics.cut_total,
-                  m_rsb.cut_total, report.metrics.imbalance);
+                  session.graph().num_vertices() - n_old,
+                  report.balance.stages.size(), report.seconds, rsb_seconds,
+                  report.metrics.cut_total, m_rsb.cut_total,
+                  report.metrics.imbalance);
 
     total_igpr += report.seconds;
     total_rsb += rsb_seconds;

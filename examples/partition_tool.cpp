@@ -79,7 +79,7 @@ int partition_incremental(const std::string& old_path,
   const SessionReport result =
       session.apply_extended(g_new, g_old.num_vertices());
   const double seconds = timer.seconds();
-  std::cout << backend << " repartitioning (" << result.stages
+  std::cout << backend << " repartitioning (" << result.balance.stages.size()
             << " balance stage(s)):\n";
   report(session.graph(), session.partitioning(), seconds);
   const std::string out =

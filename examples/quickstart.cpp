@@ -98,8 +98,9 @@ int main(int argc, char** argv) {
   // no allocation, no O(V+E) recount — which is the right call for
   // per-batch reporting in streaming loops.
   const graph::PartitionSummary m_final = session.summary();
-  std::cout << "step 3 (balance LP): " << result.stages << " stage(s), "
-            << (result.balanced ? "balanced" : "NOT balanced") << "\n";
+  std::cout << "step 3 (balance LP): " << result.balance.stages.size()
+            << " stage(s), "
+            << (result.balance.balanced ? "balanced" : "NOT balanced") << "\n";
   if (!result.balance.stages.empty()) {
     const auto& stage = result.balance.stages.front();
     std::cout << "  stage 1: alpha=" << stage.alpha

@@ -23,17 +23,6 @@
 namespace pigp {
 namespace {
 
-BackendResult from_igp_result(core::IgpResult result) {
-  BackendResult out;
-  out.partitioning = std::move(result.partitioning);
-  out.balanced = result.balanced;
-  out.stages = result.stages;
-  out.balance = std::move(result.balance_result);
-  out.refine = result.refine_stats;
-  out.timings = result.timings;
-  return out;
-}
-
 /// The in-place overload of a batch-style backend: \p out carries a fresh
 /// partitioning of \p g_new.  Validate it (O(V) — these backends are off
 /// the streaming hot path) and fold it into the caller's partitioning and
@@ -50,27 +39,24 @@ void fold_fresh_result(const graph::Graph& g_new,
 class FlatBackend final : public Backend {
  public:
   FlatBackend(const ResolvedConfig& config, bool refine)
-      : refine_(refine), driver_([&] {
-          core::IgpOptions options = config.igp;
-          options.refine = refine;
-          return core::IncrementalPartitioner(options);
-        }()) {}
+      : options_(config.igp) {
+    options_.refine = refine;
+  }
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return refine_ ? "igpr" : "igp";
+    return options_.refine ? "igpr" : "igp";
   }
 
   [[nodiscard]] BackendResult repartition(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
       core::Workspace& ws) override {
-    return from_igp_result(
-        driver_.repartition_in_place(g_new, partitioning, n_old, state, ws));
+    return core::igp_repartition_in_place(g_new, partitioning, n_old, options_,
+                                          state, ws);
   }
 
  private:
-  bool refine_;
-  core::IncrementalPartitioner driver_;
+  core::IgpOptions options_;
 };
 
 /// "multilevel": coarsen, balance at the coarsest level, project + refine.
@@ -87,8 +73,8 @@ class MultilevelBackend final : public Backend {
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
       core::Workspace& /*ws*/) override {
-    BackendResult out = from_igp_result(
-        core::multilevel_repartition(g_new, partitioning, n_old, options_));
+    BackendResult out =
+        core::multilevel_repartition(g_new, partitioning, n_old, options_);
     fold_fresh_result(g_new, partitioning, state, out);
     return out;
   }
@@ -166,9 +152,9 @@ class SpmdBackend final : public Backend {
     graph::PartitionState::RollbackWindow window(state);
     for (;;) {
       try {
-        BackendResult out = from_igp_result(core::spmd_repartition_in_place(
+        BackendResult out = core::spmd_repartition_in_place(
             executor(), g_new, partitioning, n_old, options_, state, ws,
-            rank_ws_));
+            rank_ws_);
         out.timings.total = timer.seconds();
         return out;
       } catch (const net::TransportError& e) {
@@ -260,8 +246,8 @@ class ScratchBackend final : public Backend {
     BackendResult out;
     out.partitioning = partition_from_scratch(g_new, config_);
     out.timings.total = timer.seconds();
-    out.balanced = graph::is_balanced(g_new, out.partitioning,
-                                      config_.igp.balance.tolerance + 0.5);
+    out.balance_result.balanced = graph::is_balanced(
+        g_new, out.partitioning, config_.igp.balance.tolerance + 0.5);
     fold_fresh_result(g_new, partitioning, state, out);
     return out;
   }

@@ -28,20 +28,12 @@
 
 namespace pigp {
 
-/// Outcome of one backend run: the new partitioning plus the telemetry the
-/// flat driver reports (backends without a given phase leave its stats at
-/// their defaults).
-struct BackendResult {
-  /// The new partitioning — filled by the plain overload only; the
-  /// in-place overload leaves it empty (the answer IS the partitioning it
-  /// was handed).
-  graph::Partitioning partitioning;
-  bool balanced = false;
-  int stages = 0;  ///< balance stages used (the paper's IGP(k))
-  core::BalanceResult balance;
-  core::RefineStats refine;
-  core::IgpTimings timings;
-};
+/// Outcome of one backend run: the engines' own result type.  The plain
+/// overload of Backend::repartition fills result.partitioning; the
+/// in-place overload leaves it empty (the answer IS the partitioning it was
+/// handed).  Backends without a given phase leave its stats at their
+/// defaults.
+using BackendResult = core::IgpResult;
 
 /// Strategy interface implemented by every repartitioning driver.
 class Backend {
@@ -61,9 +53,10 @@ class Backend {
 
   /// Repartition \p g_new given \p old_partitioning over its first
   /// \p n_old vertices (ids preserved); result.partitioning holds the
-  /// answer.  The base implementation adapts the in-place overload: it
-  /// copies the old partitioning, seeds a PartitionState over it with one
-  /// O(V+E) rescan, and runs the in-place overload on the copy.
+  /// answer.  The library's one copying front end: the base
+  /// implementation copies the old partitioning, seeds a PartitionState
+  /// over it with one O(V+E) rescan, and runs the in-place overload on the
+  /// copy.  Virtual so decorators can wrap it.
   [[nodiscard]] virtual BackendResult repartition(
       const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
       graph::VertexId n_old);

@@ -46,7 +46,7 @@ static_assert(has_exactly_n_fields<lp::NetworkOptions, 3>,
               "NetworkOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::BalanceOptions, 6>,
               "BalanceOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<core::RefineOptions, 6>,
+static_assert(has_exactly_n_fields<core::RefineOptions, 4>,
               "RefineOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::IgpOptions, 4>,
               "IgpOptions changed — update SessionConfig::resolve()");

@@ -398,19 +398,18 @@ void Session::run_backend(SessionReport& report, graph::Partitioning old,
   }
 
   report.repartitioned = true;
-  report.balanced = result.balanced;
-  report.stages = result.stages;
-  report.refine = result.refine;
+  report.refine = result.refine_stats;
   report.timings = result.timings;
 
   counters_.repartitions += 1;
-  counters_.balance_stages += result.stages;
-  counters_.lp_iterations += result.refine.lp_iterations;
-  for (const core::BalanceStage& stage : result.balance.stages) {
+  counters_.balance_stages +=
+      static_cast<std::int64_t>(result.balance_result.stages.size());
+  counters_.lp_iterations += result.refine_stats.lp_iterations;
+  for (const core::BalanceStage& stage : result.balance_result.stages) {
     counters_.lp_iterations += stage.lp_iterations;
   }
   counters_.repartition_seconds += timer.seconds();
-  report.balance = std::move(result.balance);
+  report.balance = std::move(result.balance_result);
 
   pending_updates_ = 0;
   pending_vertex_changes_ = 0;

@@ -88,8 +88,8 @@ struct SessionReport {
   double seconds = 0.0;
 
   // --- backend telemetry, populated when repartitioned ---
-  bool balanced = false;
-  int stages = 0;  ///< balance stages used (the paper's IGP(k))
+  /// balance.balanced says whether the backend balanced the load;
+  /// balance.stages.size() is the paper's IGP(k) stage count.
   core::BalanceResult balance;
   core::RefineStats refine;
   core::IgpTimings timings;

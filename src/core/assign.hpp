@@ -33,9 +33,8 @@ struct AssignOptions {
 
 /// Seed \p state in the shape extend_assignment_state expects: \p p
 /// covers [0, n_old) of \p g_new, and the state describes it with the
-/// appended tail unassigned.  One O(V+E) rescan — for the entry points
-/// that hold no maintained state (the plain Backend::repartition adapter,
-/// spmd_repartition).
+/// appended tail unassigned.  One O(V+E) rescan — for callers that hold
+/// no maintained state (the plain Backend::repartition adapter).
 void seed_extension_state(const graph::Graph& g_new, graph::Partitioning& p,
                           graph::PartitionState& state);
 

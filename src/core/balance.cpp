@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "core/transfer.hpp"
 #include "core/workspace.hpp"
@@ -337,20 +336,17 @@ BalanceResult balance_load(const graph::Graph& g,
                            const BalanceOptions& options, Workspace* ws) {
   BalanceResult result;
   const auto parts = static_cast<std::size_t>(partitioning.num_parts);
-  std::vector<double> local_targets;
-  std::vector<double> local_excess;
-  std::vector<double>& targets = ws ? ws->balance_targets : local_targets;
-  std::vector<double>& excess = ws ? ws->balance_excess : local_excess;
-  FlowWorkspace local_flow;
-  FlowWorkspace& flow_ws = ws ? ws->flow : local_flow;
+  // Working storage: pooled in the session workspace when given, call-local
+  // otherwise — identical decisions either way.
+  Workspace local_ws;
+  Workspace& w = ws != nullptr ? *ws : local_ws;
+  std::vector<double>& targets = w.balance_targets;
+  std::vector<double>& excess = w.balance_excess;
+  FlowWorkspace& flow_ws = w.flow;
+  BoundaryLayering& layering = w.layering;
   graph::balance_targets_into(g.total_vertex_weight(), partitioning.num_parts,
                               targets);
   excess.assign(parts, 0.0);
-  // Bound on first use: an already-balanced call (the common case on a
-  // well-behaved stream) never pays any per-vertex array setup.  With a
-  // workspace the layering is the session-persistent one — its bind() is
-  // O(1) at steady state; without one, a call-local instance.
-  std::optional<BoundaryLayering> layering_storage;
 
   for (int stage = 0; stage < options.max_stages; ++stage) {
     // Current excess per partition from the maintained weights — O(P).
@@ -360,11 +356,10 @@ BalanceResult balance_load(const graph::Graph& g,
       result.balanced = true;
       return result;
     }
-    if (ws == nullptr && !layering_storage) {
-      layering_storage.emplace(g, partitioning);
-    }
-    BoundaryLayering& layering = ws ? ws->layering : *layering_storage;
-    if (ws != nullptr && stage == 0) ws->layering.bind(g, partitioning);
+    // Bound on first use: an already-balanced call (the common case on a
+    // well-behaved stream) never pays any per-vertex array setup.  The
+    // session-persistent layering's bind() is O(1) at steady state.
+    if (stage == 0) layering.bind(g, partitioning);
 
     // Boundary-seeded layering, depth-capped with lazy deepening: a mildly
     // imbalanced stream labels a thin shell and stops as soon as

@@ -9,24 +9,25 @@
 ///   3. balance load with the movement-minimizing LP (multi-stage α),
 ///   4. optionally refine the cut with the movement-maximizing LP (IGPR).
 ///
-/// The driver accepts either a pre-extended graph (new vertices appended to
-/// the old id space) or a graph::GraphDelta, in which case deletions are
-/// remapped automatically.
+/// The driver runs on a pre-extended graph (new vertices appended to the
+/// old id space).  Deltas with deletions reach it through pigp::Session,
+/// which applies them to its mutable graph and keeps the partitioning's
+/// ids in step.
 
 #include <cstdint>
 
 #include "core/assign.hpp"
 #include "core/balance.hpp"
 #include "core/refine.hpp"
-#include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
+#include "graph/partition_state.hpp"
 
 namespace pigp::core {
 
 struct Workspace;
 
-/// Plain-data options for the flat driver.  Thread-count and solver
+/// Plain-data options for every pipeline driver.  Thread-count and knob
 /// propagation into the nested structs lives in SessionConfig::resolve()
 /// (src/api/config.hpp) — the single derivation path, guarded by
 /// compile-time field-count asserts so new fields cannot be skipped.
@@ -47,64 +48,29 @@ struct IgpTimings {
 };
 
 struct IgpResult {
+  /// The new partitioning when a copying front end (Backend::repartition's
+  /// plain overload, multilevel_repartition) ran; empty after an in-place
+  /// run — the answer IS the partitioning that run was handed.
   graph::Partitioning partitioning;
-  bool balanced = false;
-  int stages = 0;              ///< balance stages used (paper's IGP(k))
+  /// balance_result.stages.size() is the paper's IGP(k) stage count.
   BalanceResult balance_result;
   RefineStats refine_stats;
   IgpTimings timings;
 };
 
-/// Incremental repartitioner.  Thread-safe for concurrent repartition calls
-/// with distinct outputs (the object holds only options).
-class IncrementalPartitioner {
- public:
-  explicit IncrementalPartitioner(IgpOptions options = {})
-      : options_(options) {}
-
-  /// Repartition \p g_new given the partitioning of its first \p n_old
-  /// vertices (ids preserved; no deletions).
-  ///
-  /// When \p state is non-null it must describe (g_new, old_partitioning)
-  /// — appended tail unassigned — and the whole pipeline runs boundary-
-  /// locally off it: layering seeds, balance weights and refinement
-  /// candidates come from the maintained index instead of full rescans,
-  /// and on return the state describes the returned partitioning.  With a
-  /// null state an internal one is seeded with one O(V+E) rescan, so both
-  /// paths make bit-identical decisions.  \p ws (only meaningful with a
-  /// state) reuses a caller-owned Workspace across calls.
-  [[nodiscard]] IgpResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old, graph::PartitionState* state = nullptr,
-      Workspace* ws = nullptr) const;
-
-  /// The streaming hot path: run the pipeline *in place* on
-  /// \p partitioning (covering [0, n_old) on entry, all of \p g_new on
-  /// return) and \p state, with every reusable buffer drawn from \p ws —
-  /// zero per-call O(V) allocations or copies once the workspace is warm.
-  /// Decisions are bit-identical to the copying overloads (the parity
-  /// suites pin this).  result.partitioning is left empty — the answer IS
-  /// \p partitioning.  On exception partitioning/state are left
-  /// inconsistent; the session rolls back from its own snapshot.
-  [[nodiscard]] IgpResult repartition_in_place(
-      const graph::Graph& g_new, graph::Partitioning& partitioning,
-      graph::VertexId n_old, graph::PartitionState& state,
-      Workspace& ws) const;
-
-  /// Apply \p delta to \p g_old and repartition the result.  Handles vertex
-  /// deletions via the delta's id remapping.  \p result_graph (optional)
-  /// receives the updated graph.
-  [[nodiscard]] IgpResult repartition_delta(
-      const graph::Graph& g_old, const graph::Partitioning& old_partitioning,
-      const graph::GraphDelta& delta,
-      graph::Graph* result_graph = nullptr) const;
-
-  [[nodiscard]] const IgpOptions& options() const noexcept {
-    return options_;
-  }
-
- private:
-  IgpOptions options_;
-};
+/// Run the IGP/IGPR pipeline *in place* on \p partitioning (covering
+/// [0, n_old) on entry, all of \p g_new on return) and \p state (describing
+/// (g_new, partitioning) with the appended tail unassigned on entry, the
+/// result on return), with every reusable buffer drawn from \p ws — zero
+/// per-call O(V) allocations or copies once the workspace is warm.  The
+/// whole pipeline is boundary-local: layering seeds, balance weights and
+/// refinement candidates come from the maintained index instead of full
+/// rescans.  result.partitioning is left empty.  On exception
+/// partitioning/state are left inconsistent; the session rolls back
+/// through its own PartitionState::RollbackWindow.
+[[nodiscard]] IgpResult igp_repartition_in_place(
+    const graph::Graph& g_new, graph::Partitioning& partitioning,
+    graph::VertexId n_old, const IgpOptions& options,
+    graph::PartitionState& state, Workspace& ws);
 
 }  // namespace pigp::core

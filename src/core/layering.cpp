@@ -141,21 +141,10 @@ int scratch_slot(bool parallel) {
 #endif
 }
 
-}  // namespace
-
-std::vector<std::vector<graph::VertexId>> partition_members(
-    const graph::Partitioning& p) {
-  std::vector<std::vector<graph::VertexId>> members(
-      static_cast<std::size_t>(p.num_parts));
-  for (std::size_t v = 0; v < p.part.size(); ++v) {
-    // Dead ids awaiting deferred compaction are unassigned: no member.
-    if (p.part[v] == graph::kUnassigned) continue;
-    members[static_cast<std::size_t>(p.part[v])].push_back(
-        static_cast<graph::VertexId>(v));
-  }
-  return members;
-}
-
+/// Layer partition \p target to exhaustion from a full scan of its
+/// \p members, writing only its entries of \p label / \p layer and the eps
+/// row \p eps_row (size num_parts) — the batch oracle's per-partition
+/// BFS.  \p scratch is reused across partitions of one thread.
 void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
                          graph::PartId target,
                          const std::vector<graph::VertexId>& members,
@@ -185,14 +174,19 @@ void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
   }
 }
 
-void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
-                         graph::PartId target,
-                         const std::vector<graph::VertexId>& members,
-                         std::vector<graph::PartId>& label,
-                         std::vector<std::int32_t>& layer,
-                         std::int64_t* eps_row) {
-  LayerScratch scratch;
-  layer_one_partition(g, p, target, members, label, layer, eps_row, scratch);
+}  // namespace
+
+std::vector<std::vector<graph::VertexId>> partition_members(
+    const graph::Partitioning& p) {
+  std::vector<std::vector<graph::VertexId>> members(
+      static_cast<std::size_t>(p.num_parts));
+  for (std::size_t v = 0; v < p.part.size(); ++v) {
+    // Dead ids awaiting deferred compaction are unassigned: no member.
+    if (p.part[v] == graph::kUnassigned) continue;
+    members[static_cast<std::size_t>(p.part[v])].push_back(
+        static_cast<graph::VertexId>(v));
+  }
+  return members;
 }
 
 LayeringResult layer_partitions(const graph::Graph& g,

@@ -15,9 +15,9 @@
 /// so transfers peel from the boundary inward.
 ///
 /// Layering is embarrassingly parallel across partitions — this is the
-/// heart of the paper's parallelization — so the entry point can run each
-/// partition's BFS on its own OpenMP thread (or on its owning SPMD rank via
-/// layer_one_partition).
+/// heart of the paper's parallelization — so both entry points run each
+/// partition's BFS on its own OpenMP thread, and an SPMD rank layers only
+/// the partitions it owns (BoundaryLayering::reseed's owned_parts).
 ///
 /// Two entry points share one BFS:
 ///   * layer_partitions() — the batch oracle: seeds layer 0 by scanning
@@ -69,25 +69,6 @@ struct LayerScratch {
   std::vector<graph::VertexId> frontier;
   std::vector<graph::VertexId> next;
 };
-
-/// Layer a single partition, writing only entries of \p label / \p layer
-/// belonging to partition \p target and the eps row \p eps_row (size
-/// num_parts).  Used by the SPMD driver where each rank owns a subset of
-/// partitions.  \p members lists the vertices of the partition.
-void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
-                         graph::PartId target,
-                         const std::vector<graph::VertexId>& members,
-                         std::vector<graph::PartId>& label,
-                         std::vector<std::int32_t>& layer,
-                         std::int64_t* eps_row);
-
-/// Same, with caller-owned scratch buffers (hot path).
-void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
-                         graph::PartId target,
-                         const std::vector<graph::VertexId>& members,
-                         std::vector<graph::PartId>& label,
-                         std::vector<std::int32_t>& layer,
-                         std::int64_t* eps_row, LayerScratch& scratch);
 
 /// Vertices grouped by partition (index [q] lists partition q's vertices in
 /// ascending id order).

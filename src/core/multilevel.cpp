@@ -187,7 +187,6 @@ IgpResult multilevel_repartition(const graph::Graph& g_new,
   // Final exact balance + refinement on the fine graph.
   const BalanceResult fine_result =
       balance_load(g_new, current, options.igp.balance);
-  result.balanced = fine_result.balanced;
   for (const BalanceStage& s : fine_result.stages) {
     result.balance_result.stages.push_back(s);
   }
@@ -203,7 +202,6 @@ IgpResult multilevel_repartition(const graph::Graph& g_new,
     result.timings.refine = timer.seconds();
   }
 
-  result.stages = static_cast<int>(result.balance_result.stages.size());
   result.partitioning = std::move(current);
   result.timings.total = total_timer.seconds();
   return result;

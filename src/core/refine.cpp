@@ -16,6 +16,9 @@ namespace {
 
 using MoveAnalysis = Workspace::MoveAnalysis;
 
+/// A kept round that improves the cut by less than this ends refinement.
+constexpr double kMinGain = 1.0;
+
 /// Best move of boundary vertex \p v: the destination with the largest cut
 /// gain out(v, j) - in(v), ties to the smaller partition id (best = -1 when
 /// v has no external edge weight).  Reads only the assignments of v and
@@ -247,7 +250,7 @@ RefineStats refine_partitioning(const graph::Graph& g,
     ++stats.rounds;
 
     const double new_cut = state.cut_total();
-    if (new_cut > cut && options.revert_on_regression) {
+    if (new_cut > cut) {
       // Batch interactions hurt (usually zero-gain vertices oscillating or
       // dense candidate clusters moving together); roll back and retry in
       // strict mode first, then with progressively smaller batches.  The
@@ -276,7 +279,7 @@ RefineStats refine_partitioning(const graph::Graph& g,
     const double gain = cut - new_cut;
     cut = new_cut;
     stats.cut_after = cut;
-    if (gain < options.min_gain) break;
+    if (gain < kMinGain) break;
     state.boundary_ascending(boundary);
   }
   return stats;

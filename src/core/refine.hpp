@@ -36,11 +36,6 @@ struct RefineOptions {
   /// Round index from which candidates require out(v,j) - in(v) > 0
   /// instead of >= 0.
   int strict_after_round = 2;
-  /// Stop when a round improves the cut by less than this.
-  double min_gain = 1.0;
-  /// Undo a round that made the cut worse (batch moves can interact) and
-  /// stop.
-  bool revert_on_regression = true;
   lp::NetworkOptions simplex;
   int num_threads = 1;
 };

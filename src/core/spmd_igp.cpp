@@ -165,25 +165,18 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
           sel_packet.pack_vector(selections[j]);
         }
       }
-      const std::vector<Packet> all_selections =
-          ctx.allgather(std::move(sel_packet));
+      std::vector<Packet> all_selections = ctx.allgather(std::move(sel_packet));
       if (ctx.rank() == 0) {
-        std::vector<std::vector<std::vector<VertexId>>> by_source(parts);
-        for (int r = 0; r < ctx.num_ranks(); ++r) {
-          Packet p = all_selections[static_cast<std::size_t>(r)];
-          for (PartId q = 0; q < partitioning.num_parts; ++q) {
-            if (graph::shard_owner(q, ctx.num_ranks()) != r) continue;
-            auto& rows = by_source[static_cast<std::size_t>(q)];
-            rows.resize(parts);
-            for (std::size_t j = 0; j < parts; ++j) {
-              rows[j] = p.unpack_vector<VertexId>();
-            }
-          }
-        }
-        for (std::size_t i = 0; i < parts; ++i) {
-          if (by_source[i].empty()) continue;
+        // Every rank packed its owned sources in ascending order, so
+        // walking q ascending and reading q's rows from its owner's packet
+        // visits the moves in the global order.  Selection read only the
+        // pre-move assignment and each vertex moves at most once per
+        // stage, so applying while parsing changes nothing.
+        for (PartId q = 0; q < partitioning.num_parts; ++q) {
+          const int owner = graph::shard_owner(q, ctx.num_ranks());
+          Packet& rows = all_selections[static_cast<std::size_t>(owner)];
           for (std::size_t j = 0; j < parts; ++j) {
-            for (const VertexId v : by_source[i][j]) {
+            for (const VertexId v : rows.unpack_vector<VertexId>()) {
               state.move_vertex(g_new, partitioning, v,
                                 static_cast<PartId>(j));
             }
@@ -194,16 +187,13 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
     }
   });
 
-  result.stages = static_cast<int>(result.balance_result.stages.size());
-  result.balanced = result.balance_result.balanced;
-  if (!result.balanced) {
+  BalanceResult& balance = result.balance_result;
+  if (!balance.balanced) {
     // Final deviation for reporting — O(P) off the maintained weights.
     std::vector<double> excess(parts, 0.0);
-    result.balance_result.final_max_deviation =
+    balance.final_max_deviation =
         compute_excess(state.weights(), targets, excess);
-    result.balanced = result.balance_result.final_max_deviation <=
-                      options.balance.tolerance;
-    result.balance_result.balanced = result.balanced;
+    balance.balanced = balance.final_max_deviation <= options.balance.tolerance;
   }
 
   // ---------------------------------------------------- refinement
@@ -213,24 +203,6 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
     result.refine_stats = refine_partitioning(g_new, partitioning, state,
                                               options.refinement, &ws);
   }
-  return result;
-}
-
-IgpResult spmd_repartition(SpmdExecutor& executor, const graph::Graph& g_new,
-                           const graph::Partitioning& old_partitioning,
-                           VertexId n_old, const IgpOptions& options,
-                           graph::PartitionState* state) {
-  graph::Partitioning working = old_partitioning;
-  graph::PartitionState local_state;
-  if (state == nullptr) {
-    seed_extension_state(g_new, working, local_state);
-    state = &local_state;
-  }
-  Workspace ws;
-  std::vector<Workspace> rank_ws;
-  IgpResult result = spmd_repartition_in_place(
-      executor, g_new, working, n_old, options, *state, ws, rank_ws);
-  result.partitioning = std::move(working);
   return result;
 }
 

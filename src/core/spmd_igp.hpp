@@ -150,8 +150,8 @@ struct SpmdStageOutcome {
     const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
     std::vector<std::int64_t>& moves_flat, FlowWorkspace& flow);
 
-/// The streaming entry point, mirroring
-/// IncrementalPartitioner::repartition_in_place: run the full IGP/IGPR
+/// The SPMD engine's one entry point, mirroring igp_repartition_in_place
+/// (same parameters plus the executor and \p rank_ws): run the full IGP/IGPR
 /// pipeline on \p executor's ranks, in place on \p partitioning (covering
 /// [0, n_old) on entry) and \p state (describing it with the appended tail
 /// unassigned).  The graph is replicated (the CM-5 implementation also
@@ -177,16 +177,5 @@ struct SpmdStageOutcome {
     graph::Partitioning& partitioning, graph::VertexId n_old,
     const IgpOptions& options, graph::PartitionState& state, Workspace& ws,
     std::vector<Workspace>& rank_ws);
-
-/// Copying adapter over spmd_repartition_in_place: copies
-/// \p old_partitioning and runs the in-place pipeline on the copy, which
-/// result.partitioning returns.  \p state follows the
-/// IncrementalPartitioner::repartition contract: non-null = maintained by
-/// the caller and left describing the result; null = seeded internally
-/// with one O(V+E) rescan.
-[[nodiscard]] IgpResult spmd_repartition(
-    SpmdExecutor& executor, const graph::Graph& g_new,
-    const graph::Partitioning& old_partitioning, graph::VertexId n_old,
-    const IgpOptions& options = {}, graph::PartitionState* state = nullptr);
 
 }  // namespace pigp::core

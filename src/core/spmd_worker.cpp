@@ -182,47 +182,35 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
         }
       }
     }
-    const std::vector<Packet> all_selections =
+    std::vector<Packet> all_selections =
         transport.allgather(std::move(sel_packet));
 
-    // Parse everyone's selections; stash rows for vertices entering our
-    // owned partitions whose full row we lack (each vertex moves at most
-    // once per stage, so the parse-time residency test is the apply-time
-    // one).
-    std::vector<std::vector<std::vector<VertexId>>> by_source(parts);
-    for (int r = 0; r < transport.num_ranks(); ++r) {
-      Packet pk = all_selections[static_cast<std::size_t>(r)];
-      for (PartId q = 0; q < p.num_parts; ++q) {
-        if (graph::shard_owner(q, transport.num_ranks()) != r) continue;
-        auto& rows = by_source[static_cast<std::size_t>(q)];
-        rows.resize(parts);
-        for (std::size_t j = 0; j < parts; ++j) {
-          rows[j] = pk.unpack_vector<VertexId>();
-          for (const VertexId v : rows[j]) {
-            OverlayRow row;
-            row.nbrs = pk.unpack_vector<VertexId>();
-            row.weights = pk.unpack_vector<double>();
-            if (shard.owns(static_cast<PartId>(j)) &&
-                shard.resident[static_cast<std::size_t>(v)] == 0) {
-              shard.resident[static_cast<std::size_t>(v)] = 1;
-              overlays[v] = std::move(row);
-              graph_dirty = true;
-              ++stats.rows_migrated;
-            }
-          }
-        }
-      }
-    }
-
-    // Every rank applies every move to its replica in the oracle's global
-    // order (source asc, dest asc, selection order), with the exact
-    // subtract-then-add float-op order of PartitionState::move_vertex —
-    // replicated W and part stay bit-identical across ranks and to the
-    // in-process engine.
-    for (std::size_t i = 0; i < parts; ++i) {
-      if (by_source[i].empty()) continue;
+    // Parse everyone's selections and apply each move as it is read.
+    // Every rank packed its owned sources in ascending order, so walking
+    // q ascending and reading q's rows from its owner's packet visits the
+    // moves in the oracle's global order (source asc, dest asc, selection
+    // order); each move uses the exact subtract-then-add float-op order of
+    // PartitionState::move_vertex, so replicated W and part stay
+    // bit-identical across ranks and to the in-process engine.  Each
+    // vertex moves at most once per stage, so applying while parsing
+    // changes nothing, and the parse-time residency test is the
+    // apply-time one: rows of vertices entering our owned partitions
+    // whose full row we lack are stashed for the next fold.
+    for (PartId q = 0; q < p.num_parts; ++q) {
+      const int owner = graph::shard_owner(q, transport.num_ranks());
+      Packet& pk = all_selections[static_cast<std::size_t>(owner)];
       for (std::size_t j = 0; j < parts; ++j) {
-        for (const VertexId v : by_source[i][j]) {
+        for (const VertexId v : pk.unpack_vector<VertexId>()) {
+          OverlayRow row;
+          row.nbrs = pk.unpack_vector<VertexId>();
+          row.weights = pk.unpack_vector<double>();
+          if (shard.owns(static_cast<PartId>(j)) &&
+              shard.resident[static_cast<std::size_t>(v)] == 0) {
+            shard.resident[static_cast<std::size_t>(v)] = 1;
+            overlays[v] = std::move(row);
+            graph_dirty = true;
+            ++stats.rows_migrated;
+          }
           const PartId from = p.part[static_cast<std::size_t>(v)];
           if (from == static_cast<PartId>(j)) continue;
           const double vw = shard.graph.vertex_weight(v);

@@ -22,10 +22,11 @@
 /// needs: part[v] owned by r  ⟹  v's full row is resident on r.
 ///
 /// Parity: with the same seed/config, the final partitioning is
-/// bit-identical to spmd_repartition (and therefore to the shared-memory
-/// driver) on the full graph — every floating-point accumulation follows
-/// the same operand order (weights in vertex order, moves in (source asc,
-/// dest asc, selection order) global order, reductions in rank order),
+/// bit-identical to spmd_repartition_in_place (and therefore to the
+/// shared-memory driver) on the full graph — every floating-point
+/// accumulation follows the same operand order (weights in vertex order,
+/// moves in (source asc, dest asc, selection order) global order,
+/// reductions in rank order),
 /// layering reads resident rows byte-identical to the full graph's and is
 /// seeded through the same BoundaryLayering::reseed (from this rank's
 /// ascending scan of its owned boundary instead of a PartitionState walk —

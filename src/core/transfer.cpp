@@ -68,32 +68,6 @@ std::vector<std::vector<graph::VertexId>> select_partition_transfers(
 
 void apply_balance_transfers(const graph::Graph& g,
                              graph::Partitioning& partitioning,
-                             const LayeringResult& layering,
-                             const pigp::DenseMatrix<std::int64_t>& moves) {
-  const auto parts = static_cast<std::size_t>(partitioning.num_parts);
-  PIGP_CHECK(moves.rows() == parts && moves.cols() == parts,
-             "move matrix shape mismatch");
-
-  const auto members = partition_members(partitioning);
-  // Select everything first against the pre-move state, then write.
-  std::vector<std::vector<std::vector<graph::VertexId>>> selections(parts);
-  for (std::size_t i = 0; i < parts; ++i) {
-    selections[i] = select_partition_transfers(
-        g, partitioning, layering.label, layering.layer, members[i],
-        static_cast<graph::PartId>(i), moves.row(i).data());
-  }
-  for (std::size_t i = 0; i < parts; ++i) {
-    for (std::size_t j = 0; j < parts; ++j) {
-      for (const graph::VertexId v : selections[i][j]) {
-        partitioning.part[static_cast<std::size_t>(v)] =
-            static_cast<graph::PartId>(j);
-      }
-    }
-  }
-}
-
-void apply_balance_transfers(const graph::Graph& g,
-                             graph::Partitioning& partitioning,
                              const BoundaryLayering& layering,
                              const pigp::DenseMatrix<std::int64_t>& moves,
                              graph::PartitionState& state) {
@@ -103,7 +77,7 @@ void apply_balance_transfers(const graph::Graph& g,
 
   // Select everything first against the pre-move state, then write.  Only
   // labeled vertices can be selected, so the labeled lists stand in for
-  // the full member lists of the batch variant.
+  // full member lists.
   std::vector<std::vector<std::vector<graph::VertexId>>> selections(parts);
   for (std::size_t i = 0; i < parts; ++i) {
     selections[i] = select_partition_transfers(

@@ -37,19 +37,13 @@ select_partition_transfers(const graph::Graph& g,
                            const std::int64_t* move_row);
 
 /// Move moves(i, j) vertices from partition i to partition j using
-/// select_partition_transfers.  Throws pigp::CheckError when a pair lacks
-/// enough labeled vertices (the LP bounds guarantee this never happens with
-/// a layering computed on the same partitioning).
-void apply_balance_transfers(const graph::Graph& g,
-                             graph::Partitioning& partitioning,
-                             const LayeringResult& layering,
-                             const pigp::DenseMatrix<std::int64_t>& moves);
-
-/// Boundary-local variant: candidates come from the resumable layering's
-/// labeled-vertex lists (O(labeled), not a full partition_members sweep)
+/// select_partition_transfers.  Candidates come from the resumable
+/// layering's labeled-vertex lists (O(labeled), not a full member sweep)
 /// and every move goes through \p state so the aggregates and the boundary
-/// index stay exact.  Selection still reads only pre-move assignments —
-/// all pairs are selected before the first write, like the batch variant.
+/// index stay exact.  Selection reads only pre-move assignments: all pairs
+/// are selected before the first write.  Throws pigp::CheckError when a
+/// pair lacks enough labeled vertices (the LP bounds guarantee this never
+/// happens with a layering computed on the same partitioning).
 void apply_balance_transfers(const graph::Graph& g,
                              graph::Partitioning& partitioning,
                              const BoundaryLayering& layering,

@@ -1,9 +1,10 @@
 // pigp::Session — the stateful delta-stream API.  The core guarantees:
 // a session streaming deltas (insertions *and* deletions) under the
-// every_delta policy is bit-identical to hand-chaining the flat driver's
-// repartition_delta; the backend registry round-trips all built-in names;
-// invalid configs are rejected with clear errors; and the batch policies
-// trigger exactly at their thresholds.
+// every_delta policy is bit-identical to hand-chaining the rebuild oracle
+// (graph::apply_delta + carry_partitioning) with the flat engine; the
+// backend registry round-trips all built-in names; invalid configs are
+// rejected with clear errors; and the batch policies trigger exactly at
+// their thresholds.
 
 #include "api/session.hpp"
 
@@ -13,9 +14,11 @@
 #include <string>
 #include <type_traits>
 
+#include "../core/copying_repartition.hpp"
 #include "api/errors.hpp"
 #include "core/igp.hpp"
 #include "graph/builder.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "mesh/paper_meshes.hpp"
 #include "spectral/partitioners.hpp"
@@ -63,18 +66,19 @@ TEST(Session, DeltaStreamMatchesOneShotRepartitionDelta) {
 
   Session session(basic_config(8, "igpr"), base, initial);
 
-  // Reference: hand-chained flat driver, the pre-redesign protocol.
-  const core::IncrementalPartitioner driver;
+  // Reference: the rebuild oracle — a fresh graph per delta, the old
+  // assignment carried across the id remap — chained with the flat engine.
   Graph ref_graph = base;
   Partitioning ref_part = initial;
 
   for (int step = 0; step < 3; ++step) {
     const GraphDelta delta = mixed_delta(ref_graph.num_vertices(), step);
 
-    Graph next;
-    const core::IgpResult ref =
-        driver.repartition_delta(ref_graph, ref_part, delta, &next);
-    ref_graph = std::move(next);
+    graph::DeltaResult applied = graph::apply_delta(ref_graph, delta);
+    const core::IgpResult ref = test::igp_repartition(
+        applied.graph, graph::carry_partitioning(ref_part, applied),
+        applied.first_new_vertex);
+    ref_graph = std::move(applied.graph);
     ref_part = ref.partitioning;
 
     const SessionReport report = session.apply(delta);
@@ -95,16 +99,16 @@ TEST(Session, ApplyExtendedMatchesCoreRepartition) {
   const Partitioning initial =
       spectral::recursive_spectral_bisection(before, 8);
 
-  const core::IgpResult ref = core::IncrementalPartitioner().repartition(
-      after, initial, before.num_vertices());
+  const core::IgpResult ref =
+      test::igp_repartition(after, initial, before.num_vertices());
 
   Session session(basic_config(8, "igpr"), before, initial);
   const SessionReport report =
       session.apply_extended(after, before.num_vertices());
 
   EXPECT_TRUE(report.repartitioned);
-  EXPECT_EQ(report.balanced, ref.balanced);
-  EXPECT_EQ(report.stages, ref.stages);
+  EXPECT_EQ(report.balance.balanced, ref.balance_result.balanced);
+  EXPECT_EQ(report.balance.stages.size(), ref.balance_result.stages.size());
   EXPECT_EQ(session.partitioning().part, ref.partitioning.part);
   EXPECT_DOUBLE_EQ(
       report.metrics.cut_total,
@@ -309,7 +313,7 @@ TEST(Session, ImbalanceBatchPolicyTriggersWhenThresholdCrossed) {
 
   const SessionReport big = session.apply(burst_delta(70));
   EXPECT_TRUE(big.repartitioned);
-  EXPECT_TRUE(big.balanced);
+  EXPECT_TRUE(big.balance.balanced);
   EXPECT_LE(big.metrics.imbalance, 1.15);
 }
 
@@ -335,7 +339,7 @@ TEST(Session, ForcedRepartitionFlushesPendingUpdates) {
   const SessionReport forced = session.repartition();
   EXPECT_TRUE(forced.repartitioned);
   EXPECT_EQ(session.pending_updates(), 0);
-  EXPECT_TRUE(forced.balanced);
+  EXPECT_TRUE(forced.balance.balanced);
   EXPECT_TRUE(graph::is_balanced(session.graph(), session.partitioning()));
 }
 

@@ -156,7 +156,7 @@ TEST(SessionAlloc, SteadyStateApplyPerformsZeroHeapAllocations) {
   for (int i = 0; i < 3; ++i) {
     const SessionReport warm = session.apply(empty);
     ASSERT_TRUE(warm.repartitioned);
-    ASSERT_TRUE(warm.balanced);
+    ASSERT_TRUE(warm.balance.balanced);
   }
 
   for (int i = 0; i < 5; ++i) {
@@ -166,7 +166,7 @@ TEST(SessionAlloc, SteadyStateApplyPerformsZeroHeapAllocations) {
     EXPECT_EQ(allocated, 0) << "steady-state apply #" << i
                             << " touched the heap";
     EXPECT_TRUE(report.repartitioned);
-    EXPECT_TRUE(report.balanced);
+    EXPECT_TRUE(report.balance.balanced);
     EXPECT_DOUBLE_EQ(report.metrics.imbalance, 1.0);
   }
 
@@ -351,7 +351,7 @@ TEST(SessionAlloc, QuiescentWorkloadStillExercisesTheFullPipeline) {
   for (int i = 0; i < 3; ++i) {
     const SessionReport report = session.apply(empty);
     EXPECT_TRUE(report.repartitioned);
-    EXPECT_TRUE(report.balanced);
+    EXPECT_TRUE(report.balance.balanced);
   }
   EXPECT_EQ(session.counters().repartitions, 3);
   EXPECT_EQ(session.counters().deltas_applied, 3);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "api/config.hpp"
+#include "copying_repartition.hpp"
+#include "graph/delta.hpp"
 #include "graph/partition.hpp"
 #include "mesh/paper_meshes.hpp"
 #include "spectral/partitioners.hpp"
@@ -27,13 +29,12 @@ TEST(Igp, RepartitionsAfterLocalizedRefinement) {
       spectral::recursive_spectral_bisection(before, 8);
   ASSERT_TRUE(graph::is_balanced(before, initial, 1.0));
 
-  IncrementalPartitioner igp;
   const IgpResult result =
-      igp.repartition(after, initial, before.num_vertices());
+      test::igp_repartition(after, initial, before.num_vertices());
 
-  EXPECT_TRUE(result.balanced);
+  EXPECT_TRUE(result.balance_result.balanced);
   EXPECT_TRUE(graph::is_balanced(after, result.partitioning, 1.0));
-  EXPECT_GE(result.stages, 1);
+  EXPECT_GE(result.balance_result.stages.size(), 1U);
 }
 
 TEST(Igp, QualityComparableToSpectralFromScratch) {
@@ -44,9 +45,8 @@ TEST(Igp, QualityComparableToSpectralFromScratch) {
 
   const Partitioning initial =
       spectral::recursive_spectral_bisection(before, 8);
-  IncrementalPartitioner igpr;  // refinement on
-  const IgpResult incremental =
-      igpr.repartition(after, initial, before.num_vertices());
+  const IgpResult incremental =  // refinement on
+      test::igp_repartition(after, initial, before.num_vertices());
 
   const Partitioning scratch =
       spectral::recursive_spectral_bisection(after, 8);
@@ -72,10 +72,10 @@ TEST(Igp, RefinementImprovesOverPlainIgp) {
   IgpOptions refined;
   refined.refine = true;
 
-  const IgpResult igp = IncrementalPartitioner(plain).repartition(
-      after, initial, before.num_vertices());
-  const IgpResult igpr = IncrementalPartitioner(refined).repartition(
-      after, initial, before.num_vertices());
+  const IgpResult igp =
+      test::igp_repartition(after, initial, before.num_vertices(), plain);
+  const IgpResult igpr =
+      test::igp_repartition(after, initial, before.num_vertices(), refined);
 
   const double cut_igp = compute_metrics(after, igp.partitioning).cut_total;
   const double cut_igpr =
@@ -94,11 +94,10 @@ TEST(Igp, ChainedIncrementsStayBalancedAndClose) {
   Partitioning current =
       spectral::recursive_spectral_bisection(seq.graphs[0], 8);
 
-  IncrementalPartitioner igp;
   for (std::size_t step = 0; step + 1 < seq.graphs.size(); ++step) {
-    const IgpResult result = igp.repartition(
+    const IgpResult result = test::igp_repartition(
         seq.graphs[step + 1], current, seq.graphs[step].num_vertices());
-    EXPECT_TRUE(result.balanced) << "step " << step;
+    EXPECT_TRUE(result.balance_result.balanced) << "step " << step;
     current = result.partitioning;
 
     const Partitioning scratch =
@@ -115,11 +114,10 @@ TEST(Igp, DeterministicAcrossRuns) {
       mesh::make_small_mesh_sequence(500, {50}, 53);
   const Partitioning initial =
       spectral::recursive_spectral_bisection(seq.graphs[0], 8);
-  IncrementalPartitioner igp;
-  const IgpResult a =
-      igp.repartition(seq.graphs[1], initial, seq.graphs[0].num_vertices());
-  const IgpResult b =
-      igp.repartition(seq.graphs[1], initial, seq.graphs[0].num_vertices());
+  const IgpResult a = test::igp_repartition(seq.graphs[1], initial,
+                                            seq.graphs[0].num_vertices());
+  const IgpResult b = test::igp_repartition(seq.graphs[1], initial,
+                                            seq.graphs[0].num_vertices());
   EXPECT_EQ(a.partitioning.part, b.partitioning.part);
 }
 
@@ -134,10 +132,10 @@ TEST(Igp, ThreadedMatchesSerial) {
   threaded_config.num_parts = 16;
   threaded_config.num_threads = 8;
   const IgpOptions threaded = threaded_config.resolve().igp;
-  const IgpResult a = IncrementalPartitioner(serial).repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices());
-  const IgpResult b = IncrementalPartitioner(threaded).repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices());
+  const IgpResult a = test::igp_repartition(
+      seq.graphs[1], initial, seq.graphs[0].num_vertices(), serial);
+  const IgpResult b = test::igp_repartition(
+      seq.graphs[1], initial, seq.graphs[0].num_vertices(), threaded);
   EXPECT_EQ(a.partitioning.part, b.partitioning.part);
 }
 
@@ -157,12 +155,12 @@ TEST(Igp, DeltaPathHandlesVertexDeletions) {
   add.edges = {{10, 1.0}, {11, 1.0}};
   delta.added_vertices.push_back(add);
 
-  IncrementalPartitioner igp;
-  Graph updated;
-  const IgpResult result =
-      igp.repartition_delta(base, initial, delta, &updated);
-  EXPECT_EQ(updated.num_vertices(), base.num_vertices() - 3 + 1);
-  EXPECT_TRUE(graph::is_balanced(updated, result.partitioning, 1.0));
+  const graph::DeltaResult applied = graph::apply_delta(base, delta);
+  const IgpResult result = test::igp_repartition(
+      applied.graph, graph::carry_partitioning(initial, applied),
+      applied.first_new_vertex);
+  EXPECT_EQ(applied.graph.num_vertices(), base.num_vertices() - 3 + 1);
+  EXPECT_TRUE(graph::is_balanced(applied.graph, result.partitioning, 1.0));
 }
 
 TEST(Igp, TimingsArePopulated) {
@@ -170,9 +168,8 @@ TEST(Igp, TimingsArePopulated) {
       mesh::make_small_mesh_sequence(400, {40}, 71);
   const Partitioning initial =
       spectral::recursive_spectral_bisection(seq.graphs[0], 4);
-  IncrementalPartitioner igp;
-  const IgpResult result =
-      igp.repartition(seq.graphs[1], initial, seq.graphs[0].num_vertices());
+  const IgpResult result = test::igp_repartition(
+      seq.graphs[1], initial, seq.graphs[0].num_vertices());
   EXPECT_GT(result.timings.total, 0.0);
   EXPECT_GE(result.timings.total,
             result.timings.assign + result.timings.balance);
@@ -186,12 +183,14 @@ TEST(Igp, SevereLocalizedInsertionUsesMultipleStages) {
   const Partitioning initial =
       spectral::recursive_spectral_bisection(family.base, 16);
 
-  IncrementalPartitioner igp;
-  Graph updated;
-  const IgpResult result =
-      igp.repartition_delta(family.base, initial, family.deltas[0], &updated);
-  EXPECT_TRUE(result.balanced);
-  EXPECT_GE(result.stages, 2) << "expected multi-stage balancing";
+  const graph::DeltaResult applied =
+      graph::apply_delta(family.base, family.deltas[0]);
+  const IgpResult result = test::igp_repartition(
+      applied.graph, graph::carry_partitioning(initial, applied),
+      applied.first_new_vertex);
+  EXPECT_TRUE(result.balance_result.balanced);
+  EXPECT_GE(result.balance_result.stages.size(), 2U)
+      << "expected multi-stage balancing";
 }
 
 }  // namespace

@@ -52,9 +52,9 @@ TEST(Layering, ZeroWeightBoundaryEdgesLeaveVerticesUnlabeled) {
 TEST(Layering, DeadIdsAwaitingCompactionAreNotMembers) {
   // graph_compaction=deferred leaves removed vertices as dead ids assigned
   // kUnassigned until the next compact(); Partitioning::validate accepts
-  // them.  The member scan behind layer_partitions and the batch
-  // apply_balance_transfers must skip them instead of indexing partition
-  // -1 (regression: heap overflow under ASan).
+  // them.  The member scan behind layer_partitions, the boundary-seeded
+  // layering and apply_balance_transfers must skip them instead of
+  // indexing partition -1 (regression: heap overflow under ASan).
   Graph g = graph::grid_graph(4, 4);
   Partitioning p;
   p.num_parts = 2;
@@ -80,9 +80,17 @@ TEST(Layering, DeadIdsAwaitingCompactionAreNotMembers) {
   }
   EXPECT_EQ(r.eps(1, 0), 7);  // every live vertex of 1 reaches 0
 
+  graph::PartitionState state(g, p);
+  BoundaryLayering layering(g, p);
+  layering.reseed(state);
+  layering.grow(-1);
+  EXPECT_EQ(layering.label(), r.label);
+  EXPECT_EQ(layering.layer(), r.layer);
+  EXPECT_EQ(layering.eps(), r.eps);
+
   pigp::DenseMatrix<std::int64_t> moves(2, 2, 0);
   moves(1, 0) = 1;
-  apply_balance_transfers(g, p, r, moves);
+  apply_balance_transfers(g, p, layering, moves, state);
   p.validate(g);
   const auto after = partition_members(p);
   EXPECT_EQ(after[0].size(), 7U);

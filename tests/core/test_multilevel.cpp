@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "copying_repartition.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "mesh/paper_meshes.hpp"
@@ -98,12 +99,11 @@ TEST(MultilevelIgp, BalancesAndMatchesFlatQuality) {
   ml.coarsest_size = 500;
   const IgpResult multilevel = multilevel_repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices(), ml);
-  EXPECT_TRUE(multilevel.balanced);
+  EXPECT_TRUE(multilevel.balance_result.balanced);
   EXPECT_TRUE(graph::is_balanced(seq.graphs[1], multilevel.partitioning,
                                  1.0));
 
-  const IncrementalPartitioner flat;
-  const IgpResult flat_result = flat.repartition(
+  const IgpResult flat_result = test::igp_repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices());
   const double ml_cut =
       graph::compute_metrics(seq.graphs[1], multilevel.partitioning)
@@ -124,7 +124,7 @@ TEST(MultilevelIgp, SmallGraphSkipsCoarsening) {
   ml.coarsest_size = 2000;  // graph is already below the threshold
   const IgpResult result = multilevel_repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices(), ml);
-  EXPECT_TRUE(result.balanced);
+  EXPECT_TRUE(result.balance_result.balanced);
 }
 
 TEST(MultilevelIgp, Deterministic) {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/igp.hpp"
+#include "copying_repartition.hpp"
 #include "graph/partition.hpp"
 #include "mesh/paper_meshes.hpp"
 #include "spectral/partitioners.hpp"
@@ -29,17 +29,17 @@ TEST_P(SpmdEquivalence, MatchesSharedMemoryDriver) {
   const Partitioning initial = spectral::recursive_spectral_bisection(
       seq.graphs[0], param.parts);
 
-  IncrementalPartitioner serial;
-  const IgpResult expected = serial.repartition(
+  const IgpResult expected = test::igp_repartition(
       seq.graphs[1], initial, seq.graphs[0].num_vertices());
 
   MachineExecutor executor(param.ranks);
-  const IgpResult actual = spmd_repartition(
+  const IgpResult actual = test::spmd_repartition(
       executor, seq.graphs[1], initial, seq.graphs[0].num_vertices());
 
   EXPECT_EQ(expected.partitioning.part, actual.partitioning.part);
-  EXPECT_EQ(expected.balanced, actual.balanced);
-  EXPECT_EQ(expected.stages, actual.stages);
+  EXPECT_EQ(expected.balance_result.balanced, actual.balance_result.balanced);
+  EXPECT_EQ(expected.balance_result.stages.size(),
+            actual.balance_result.stages.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, SpmdEquivalence,
@@ -54,14 +54,13 @@ TEST(SpmdIgp, WithoutRefinement) {
 
   IgpOptions options;
   options.refine = false;
-  IncrementalPartitioner serial(options);
-  const IgpResult expected = serial.repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices());
+  const IgpResult expected = test::igp_repartition(
+      seq.graphs[1], initial, seq.graphs[0].num_vertices(), options);
 
   MachineExecutor executor(4);
   const IgpResult actual =
-      spmd_repartition(executor, seq.graphs[1], initial,
-                       seq.graphs[0].num_vertices(), options);
+      test::spmd_repartition(executor, seq.graphs[1], initial,
+                             seq.graphs[0].num_vertices(), options);
   EXPECT_EQ(expected.partitioning.part, actual.partitioning.part);
 }
 
@@ -74,8 +73,8 @@ TEST(SpmdIgp, MachineIsReusable) {
   MachineExecutor executor(4);
   for (std::size_t step = 0; step + 1 < seq.graphs.size(); ++step) {
     const IgpResult result =
-        spmd_repartition(executor, seq.graphs[step + 1], current,
-                         seq.graphs[step].num_vertices());
+        test::spmd_repartition(executor, seq.graphs[step + 1], current,
+                               seq.graphs[step].num_vertices());
     EXPECT_TRUE(graph::is_balanced(seq.graphs[step + 1],
                                    result.partitioning, 1.0))
         << "step " << step;
