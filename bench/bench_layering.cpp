@@ -1,7 +1,7 @@
 // Layering and assignment micro-benchmarks (google-benchmark): the
 // per-partition BFS of Figure 3 is the paper's "inherently parallel" step;
-// these benches measure its scaling with graph size and thread count, and
-// the multi-source BFS of the initial assignment step.
+// these benches measure its scaling with graph size, thread count and part
+// count, and the multi-source BFS of the initial assignment step.
 
 #include <benchmark/benchmark.h>
 
@@ -130,6 +130,33 @@ BENCHMARK(BM_LayeringBoundarySeededAtBoundaryFraction)
     ->Arg(0)->Arg(10)->Arg(100)->Arg(500)
     ->Unit(benchmark::kMillisecond);
 
+/// Part-count sweep: boundary-seeded layering grown to exhaustion on the
+/// 16k geometric graph, RGB-split into P parts.  Every vertex is labelled
+/// once per iteration, and each vote costs O(deg + parts touched), so the
+/// time per labelled vertex (the `per_vertex` counter) stays flat in P —
+/// a dense P-length tally per vote would grow it linearly.
+void BM_LayeringParts(benchmark::State& state) {
+  const Workload w = make_workload(16000, static_cast<int>(state.range(0)));
+  const graph::PartitionState pstate(w.g, w.p);
+  core::BoundaryLayering layering(w.g, w.p);
+  std::int64_t labelled = 0;
+  for (auto _ : state) {
+    layering.reseed(pstate, 1);
+    layering.grow(-1, 1);
+    benchmark::DoNotOptimize(layering.eps().data());
+  }
+  for (graph::PartId q = 0; q < w.p.num_parts; ++q) {
+    labelled += static_cast<std::int64_t>(layering.labeled(q).size());
+  }
+  state.counters["labelled"] = static_cast<double>(labelled);
+  state.counters["per_vertex"] = benchmark::Counter(
+      static_cast<double>(labelled),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LayeringParts)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_AssignNewVertices(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Workload w = make_workload(n, 32);
@@ -166,6 +193,7 @@ int main(int argc, char** argv) {
       "--benchmark_filter=(BM_LayeringSerial/1000$|BM_LayeringThreads/2$|"
       "BM_LayeringFullAtBoundaryFraction/10$|"
       "BM_LayeringBoundarySeededAtBoundaryFraction/10$|"
+      "BM_LayeringParts/32$|"
       "BM_AssignNewVertices/4000$)";
   std::string min_time = "--benchmark_min_time=0.05s";
   if (smoke) {

@@ -1,8 +1,10 @@
 // Minimal external consumer, compiled in CI against the *installed* tree
-// with nothing but -I<prefix>/include/pigp and -L<prefix>/lib -lpigp:
+// with nothing but the flags of the installed pigp.pc
+// (-I<prefix>/include/pigp, -L<prefix>/lib -lpigp and the archive's own
+// dependencies):
 //
-//   g++ -std=c++20 ci/consumer_main.cpp -Istage/include/pigp \
-//       -Lstage/lib -lpigp -fopenmp -pthread
+//   g++ ci/consumer_main.cpp -o consumer \
+//       $(PKG_CONFIG_PATH=stage/lib/pkgconfig pkg-config --cflags --libs pigp)
 //
 // Only the umbrella header is included, so this build breaks the moment
 // the public surface grows a dependency that is not reachable (and

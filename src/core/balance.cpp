@@ -384,7 +384,7 @@ BalanceResult balance_load(const graph::Graph& g,
     }
     result.stages.push_back(decision.stats);
     apply_balance_transfers(g, partitioning, layering, decision.moves,
-                            state);
+                            state, &w.transfer);
   }
 
   // Stage budget exhausted; report the residual deviation — O(P).

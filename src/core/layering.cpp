@@ -23,36 +23,40 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
-/// Pick the label with the largest tally; the paper breaks ties
-/// "arbitrarily" — we spread tied vertices across the tied partitions by
-/// hashed vertex id, which is deterministic but avoids piling all tied
-/// capacity onto one partition (that can make the balance LP structurally
-/// infeasible, e.g. on striped partitionings).
-graph::PartId majority_label(const std::vector<double>& tally,
-                             graph::VertexId v) {
+/// Pick the label with the largest tally, then clear the tally; the paper
+/// breaks ties "arbitrarily" — we spread tied vertices across the tied
+/// partitions by hashed vertex id (the pick-th tied part in ascending id
+/// order), which is deterministic but avoids piling all tied capacity onto
+/// one partition (that can make the balance LP structurally infeasible,
+/// e.g. on striped partitionings).  O(parts touched).
+graph::PartId majority_label(PartTally& tally, graph::VertexId v) {
   double best = 0.0;
-  for (const double t : tally) best = std::max(best, t);
-  if (best <= 0.0) return -1;
-  int tied_count = 0;
-  graph::PartId only = -1;
-  for (std::size_t q = 0; q < tally.size(); ++q) {
-    if (tally[q] == best) {
-      only = static_cast<graph::PartId>(q);
-      ++tied_count;
+  for (const graph::PartId q : tally.touched()) {
+    best = std::max(best, tally.sum(q));
+  }
+  graph::PartId chosen = -1;
+  if (best > 0.0) {
+    int tied_count = 0;
+    for (const graph::PartId q : tally.touched()) {
+      if (tally.sum(q) == best) {
+        chosen = q;
+        ++tied_count;
+      }
+    }
+    if (tied_count > 1) {
+      tally.sort_touched();
+      int pick = static_cast<int>(mix(static_cast<std::uint64_t>(v)) %
+                                  static_cast<std::uint64_t>(tied_count));
+      for (const graph::PartId q : tally.touched()) {
+        if (tally.sum(q) == best && pick-- == 0) {
+          chosen = q;
+          break;
+        }
+      }
     }
   }
-  if (tied_count == 1) return only;
-  const int pick = static_cast<int>(
-      mix(static_cast<std::uint64_t>(v)) %
-      static_cast<std::uint64_t>(tied_count));
-  int seen = 0;
-  for (std::size_t q = 0; q < tally.size(); ++q) {
-    if (tally[q] == best) {
-      if (seen == pick) return static_cast<graph::PartId>(q);
-      ++seen;
-    }
-  }
-  return only;
+  tally.clear();
+  return chosen;
 }
 
 /// Expand partition \p target's BFS one level past \p frontier (whose
@@ -66,7 +70,7 @@ void advance_one_level(const graph::Graph& g, const graph::Partitioning& p,
                        std::int32_t level,
                        std::vector<graph::PartId>& label,
                        std::vector<std::int32_t>& layer,
-                       std::int64_t* eps_row, std::vector<double>& tally,
+                       std::int64_t* eps_row, PartTally& tally,
                        std::vector<graph::VertexId>& out) {
   out.clear();
   for (const graph::VertexId u : frontier) {
@@ -79,7 +83,6 @@ void advance_one_level(const graph::Graph& g, const graph::Partitioning& p,
   }
   std::sort(out.begin(), out.end());
   for (const graph::VertexId w : out) {
-    std::fill(tally.begin(), tally.end(), 0.0);
     const auto nbrs = g.neighbors(w);
     const auto weights = g.incident_edge_weights(w);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -89,8 +92,7 @@ void advance_one_level(const graph::Graph& g, const graph::Partitioning& p,
           label[static_cast<std::size_t>(u)] >= 0) {
         // label == -1 (a vertex whose edges into the boundary all have
         // weight zero) carries no label to propagate.
-        tally[static_cast<std::size_t>(
-            label[static_cast<std::size_t>(u)])] += weights[i];
+        tally.add(label[static_cast<std::size_t>(u)], weights[i]);
       }
     }
     const graph::PartId best = majority_label(tally, w);
@@ -108,21 +110,19 @@ void advance_one_level(const graph::Graph& g, const graph::Partitioning& p,
 /// edge weight.  Returns false when v has no external edge at all.
 bool seed_vertex(const graph::Graph& g, const graph::Partitioning& p,
                  graph::PartId target, graph::VertexId v,
-                 std::vector<double>& tally,
-                 std::vector<graph::PartId>& label,
+                 PartTally& tally, std::vector<graph::PartId>& label,
                  std::vector<std::int32_t>& layer, std::int64_t* eps_row) {
-  std::fill(tally.begin(), tally.end(), 0.0);
   const auto nbrs = g.neighbors(v);
   const auto weights = g.incident_edge_weights(v);
   bool boundary = false;
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
     if (q != target) {
-      tally[static_cast<std::size_t>(q)] += weights[i];
+      tally.add(q, weights[i]);
       boundary = true;
     }
   }
-  if (!boundary) return false;
+  if (!boundary) return false;  // nothing was added
   const graph::PartId best = majority_label(tally, v);
   label[static_cast<std::size_t>(v)] = best;
   layer[static_cast<std::size_t>(v)] = 0;
@@ -151,7 +151,7 @@ void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
                          std::vector<graph::PartId>& label,
                          std::vector<std::int32_t>& layer,
                          std::int64_t* eps_row, LayerScratch& scratch) {
-  scratch.tally.assign(static_cast<std::size_t>(p.num_parts), 0.0);
+  scratch.tally.resize(static_cast<std::size_t>(p.num_parts));
   scratch.frontier.clear();
 
   // Seed layer 0: boundary vertices labeled with the outside partition they
@@ -316,7 +316,7 @@ void BoundaryLayering::reseed(
     for (std::size_t k = 0; k < seeded_.size(); ++k) {
       const graph::PartId q = seeded_[k];
       const auto qi = static_cast<std::size_t>(q);
-      scratch.tally.assign(static_cast<std::size_t>(p_->num_parts), 0.0);
+      scratch.tally.resize(static_cast<std::size_t>(p_->num_parts));
       const auto& seeds = labeled_[qi];
       for (const graph::VertexId v : seeds) {
         const bool boundary =
@@ -357,7 +357,7 @@ void BoundaryLayering::grow(int levels, int num_threads) {
     for (std::size_t k = 0; k < seeded_.size(); ++k) {
       const graph::PartId q = seeded_[k];
       const auto qi = static_cast<std::size_t>(q);
-      scratch.tally.assign(static_cast<std::size_t>(p_->num_parts), 0.0);
+      scratch.tally.resize(static_cast<std::size_t>(p_->num_parts));
       int remaining = levels;
       while (!frontier_[qi].empty() && remaining != 0) {
         advance_one_level(*g_, *p_, q, frontier_[qi], depth_[qi], label_,

@@ -36,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "core/part_tally.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
@@ -62,10 +63,10 @@ struct LayeringResult {
 
 /// Reusable per-thread working buffers for the layering BFS — one
 /// partition's BFS allocates nothing when handed a scratch that has been
-/// used before (the per-partition OpenMP loop used to churn a tally/next
-/// allocation per partition).
+/// used before.  The sparse tally makes each labelled vertex's vote cost
+/// O(deg), whatever the part count.
 struct LayerScratch {
-  std::vector<double> tally;
+  PartTally tally;
   std::vector<graph::VertexId> frontier;
   std::vector<graph::VertexId> next;
 };

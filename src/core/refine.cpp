@@ -7,6 +7,7 @@
 #include <omp.h>
 #endif
 
+#include "core/part_tally.hpp"
 #include "core/workspace.hpp"
 #include "graph/partition_state.hpp"
 #include "support/check.hpp"
@@ -23,32 +24,33 @@ constexpr double kMinGain = 1.0;
 /// gain out(v, j) - in(v), ties to the smaller partition id (best = -1 when
 /// v has no external edge weight).  Reads only the assignments of v and
 /// its neighbours — the cache invalidation rule rests on exactly that.
-/// \p out is a per-part tally buffer (size num_parts).
+/// \p out is an all-zero tally, left all-zero; O(deg).
 MoveAnalysis analyze_vertex(const graph::Graph& g,
                             const graph::Partitioning& p, graph::VertexId v,
-                            std::vector<double>& out) {
+                            PartTally& out) {
   const graph::PartId from = p.part[static_cast<std::size_t>(v)];
   const auto nbrs = g.neighbors(v);
   const auto weights = g.incident_edge_weights(v);
   double in = 0.0;
-  std::fill(out.begin(), out.end(), 0.0);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
     if (q == from) {
       in += weights[i];
     } else {
-      out[static_cast<std::size_t>(q)] += weights[i];
+      out.add(q, weights[i]);
     }
   }
   MoveAnalysis best;
-  for (std::size_t q = 0; q < out.size(); ++q) {
-    if (out[q] <= 0.0) continue;
-    const double gain = out[q] - in;
-    if (best.best < 0 || gain > best.gain) {
-      best.best = static_cast<graph::PartId>(q);
+  for (const graph::PartId q : out.touched()) {
+    if (out.sum(q) <= 0.0) continue;
+    const double gain = out.sum(q) - in;
+    if (best.best < 0 || gain > best.gain ||
+        (gain == best.gain && q < best.best)) {
+      best.best = q;
       best.gain = gain;
     }
   }
+  out.clear();
   return best;
 }
 
@@ -78,7 +80,7 @@ std::int64_t refresh_analysis(const graph::Graph& g,
     const int tid = 0;
 #endif
     auto& out = ws.refine_tallies[static_cast<std::size_t>(tid)];
-    out.assign(static_cast<std::size_t>(p.num_parts), 0.0);
+    out.resize(static_cast<std::size_t>(p.num_parts));
 #pragma omp for schedule(static)
     for (std::size_t b = 0; b < stale.size(); ++b) {
       const graph::VertexId v = stale[b];
@@ -121,12 +123,11 @@ void assemble_candidates(
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
 /// Debug / PIGP_VALIDATE auditor: every boundary vertex's cached analysis
 /// must equal a from-scratch one, which pins the invalidation rule.  \p out
-/// is a pooled tally buffer of size num_parts, so the audit allocates
-/// nothing and the steady-state zero-allocation tests hold in Debug too.
+/// is a pooled tally sized for num_parts, so the audit allocates nothing
+/// and the steady-state zero-allocation tests hold in Debug too.
 void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
                     const std::vector<graph::VertexId>& boundary,
-                    const EpochArray<MoveAnalysis>& cache,
-                    std::vector<double>& out) {
+                    const EpochArray<MoveAnalysis>& cache, PartTally& out) {
   for (const graph::VertexId v : boundary) {
     const auto vi = static_cast<std::size_t>(v);
     const MoveAnalysis fresh = analyze_vertex(g, p, v, out);
@@ -220,7 +221,7 @@ RefineStats refine_partitioning(const graph::Graph& g,
     assemble_candidates(partitioning, boundary, w.refine_analysis, strict,
                         candidates);
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
-    // refresh_analysis sized thread 0's tally buffer to num_parts.
+    // refresh_analysis sized thread 0's tally for num_parts.
     audit_analysis(g, partitioning, boundary, w.refine_analysis,
                    w.refine_tallies.front());
 #endif

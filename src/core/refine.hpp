@@ -83,7 +83,9 @@ void refinement_flow_into(
 /// re-analyses only the moved vertices and their neighbours (a reverted
 /// round restores every assignment and invalidates nothing), so a round
 /// costs O(Σ deg(moved)) plus one ordered walk of the state's boundary
-/// bitset that assembles the candidate buckets.  Per-round cuts come from
+/// bitset that assembles the candidate buckets.  One analysis sums the
+/// vertex's out(v, j) in a sparse PartTally: O(deg), whatever the part
+/// count.  Per-round cuts come from
 /// the O(deg)-per-move bookkeeping, and a regressing round is undone
 /// through its PartitionState::RollbackWindow (O(moved + P)).  \p state
 /// must describe (g, partitioning) on entry and is left consistent with

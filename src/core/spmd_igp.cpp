@@ -1,6 +1,7 @@
 #include "core/spmd_igp.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/layering.hpp"
@@ -122,6 +123,7 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
     bool layering_bound = false;
     std::vector<double> excess(parts, 0.0);
     std::vector<std::int64_t>& moves_flat = mine_ws.spmd_moves_flat;
+    std::vector<VertexId> movers;  // one gathered selection, rank 0
 
     for (int stage = 0; stage < options.balance.max_stages; ++stage) {
       // Every rank reads the excess off the shared state's maintained
@@ -156,13 +158,21 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
       // driver's order (source asc, dest asc, selection order) so the
       // aggregates and the boundary index evolve bit-identically.
       Packet sel_packet;
+      TransferScratch& transfer = mine_ws.transfer;
       for (const PartId q : owned) {
-        const auto selections = select_partition_transfers(
-            g_new, partitioning, layering.label(), layering.layer(),
-            layering.labeled(q), q,
-            moves_flat.data() + static_cast<std::size_t>(q) * parts);
+        const std::int64_t* move_row =
+            moves_flat.data() + static_cast<std::size_t>(q) * parts;
+        transfer.chosen.clear();
+        select_partition_transfers(g_new, partitioning, layering.label(),
+                                   layering.layer(), layering.labeled(q), q,
+                                   move_row, transfer);
+        // Destination j's movers are the next move_row[j] chosen vertices.
+        std::span<const VertexId> rest = transfer.chosen;
         for (std::size_t j = 0; j < parts; ++j) {
-          sel_packet.pack_vector(selections[j]);
+          const auto count =
+              static_cast<std::size_t>(std::max<std::int64_t>(move_row[j], 0));
+          sel_packet.pack_vector(rest.first(count));
+          rest = rest.subspan(count);
         }
       }
       std::vector<Packet> all_selections = ctx.allgather(std::move(sel_packet));
@@ -176,7 +186,8 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
           const int owner = graph::shard_owner(q, ctx.num_ranks());
           Packet& rows = all_selections[static_cast<std::size_t>(owner)];
           for (std::size_t j = 0; j < parts; ++j) {
-            for (const VertexId v : rows.unpack_vector<VertexId>()) {
+            rows.unpack_vector_into(movers);
+            for (const VertexId v : movers) {
               state.move_vertex(g_new, partitioning, v,
                                 static_cast<PartId>(j));
             }

@@ -1,6 +1,8 @@
 #include "core/spmd_worker.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "core/layering.hpp"
 #include "core/spmd_igp.hpp"
 #include "core/transfer.hpp"
+#include "core/workspace.hpp"
 #include "support/check.hpp"
 
 namespace pigp::core {
@@ -108,12 +111,13 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
   SpmdWorkerStats stats;
   const std::vector<PartId>& owned = shard.owned_parts;
 
-  BoundaryLayering layering;
+  // This rank's buffers for the call: layering, flow, transfer selection.
+  Workspace ws;
+  BoundaryLayering& layering = ws.layering;
   std::vector<double> excess(parts, 0.0);
-  std::vector<std::int64_t> moves_flat;
-  std::vector<std::int64_t> eps_rows;
-  FlowWorkspace flow_ws;
+  std::vector<std::int64_t>& moves_flat = ws.spmd_moves_flat;
   std::vector<VertexId> seeds;
+  std::vector<VertexId> movers;
   std::unordered_map<VertexId, OverlayRow> overlays;
   bool graph_dirty = false;
 
@@ -156,8 +160,8 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
     // The deepen-vs-decide handshake the in-process engine runs; this
     // engine needs only the agreed moves, not rank 0's stage statistics.
     const SpmdStageOutcome outcome = spmd_balance_handshake(
-        transport, layering, owned, excess, options.balance, eps_rows,
-        moves_flat, flow_ws);
+        transport, layering, owned, excess, options.balance, ws.spmd_eps_rows,
+        moves_flat, ws.flow);
     if (!outcome.progress) break;
     ++stats.stages;
 
@@ -166,20 +170,23 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
     // the receiving owner can install it.
     Packet sel_packet;
     for (const PartId q : owned) {
-      const auto selections = select_partition_transfers(
-          shard.graph, p, layering.label(), layering.layer(),
-          layering.labeled(q), q,
-          moves_flat.data() + static_cast<std::size_t>(q) * parts);
+      const std::int64_t* move_row =
+          moves_flat.data() + static_cast<std::size_t>(q) * parts;
+      ws.transfer.chosen.clear();
+      select_partition_transfers(shard.graph, p, layering.label(),
+                                 layering.layer(), layering.labeled(q), q,
+                                 move_row, ws.transfer);
+      // Destination j's movers are the next move_row[j] chosen vertices.
+      std::span<const VertexId> rest = ws.transfer.chosen;
       for (std::size_t j = 0; j < parts; ++j) {
-        sel_packet.pack_vector(selections[j]);
-        for (const VertexId v : selections[j]) {
-          const auto nbrs = shard.graph.neighbors(v);
-          const auto ws = shard.graph.incident_edge_weights(v);
-          sel_packet.pack_vector(
-              std::vector<VertexId>(nbrs.begin(), nbrs.end()));
-          sel_packet.pack_vector(
-              std::vector<double>(ws.begin(), ws.end()));
+        const auto count =
+            static_cast<std::size_t>(std::max<std::int64_t>(move_row[j], 0));
+        sel_packet.pack_vector(rest.first(count));
+        for (const VertexId v : rest.first(count)) {
+          sel_packet.pack_vector(shard.graph.neighbors(v));
+          sel_packet.pack_vector(shard.graph.incident_edge_weights(v));
         }
+        rest = rest.subspan(count);
       }
     }
     std::vector<Packet> all_selections =
@@ -200,16 +207,19 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
       const int owner = graph::shard_owner(q, transport.num_ranks());
       Packet& pk = all_selections[static_cast<std::size_t>(owner)];
       for (std::size_t j = 0; j < parts; ++j) {
-        for (const VertexId v : pk.unpack_vector<VertexId>()) {
-          OverlayRow row;
-          row.nbrs = pk.unpack_vector<VertexId>();
-          row.weights = pk.unpack_vector<double>();
+        pk.unpack_vector_into(movers);
+        for (const VertexId v : movers) {
           if (shard.owns(static_cast<PartId>(j)) &&
               shard.resident[static_cast<std::size_t>(v)] == 0) {
             shard.resident[static_cast<std::size_t>(v)] = 1;
-            overlays[v] = std::move(row);
+            OverlayRow& row = overlays[v];
+            pk.unpack_vector_into(row.nbrs);
+            pk.unpack_vector_into(row.weights);
             graph_dirty = true;
             ++stats.rows_migrated;
+          } else {
+            pk.skip_vector<VertexId>();  // only the new owner keeps the row
+            pk.skip_vector<double>();
           }
           const PartId from = p.part[static_cast<std::size_t>(v)];
           if (from == static_cast<PartId>(j)) continue;

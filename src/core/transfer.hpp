@@ -20,21 +20,41 @@
 
 namespace pigp::core {
 
+/// Pooled buffers of the balance-transfer selection (Workspace::transfer):
+/// after warm-up a stage's selection allocates nothing.
+struct TransferScratch {
+  /// A labelled vertex with its selection keys.
+  struct Ranked {
+    std::int32_t layer = 0;
+    double attraction = 0.0;
+    graph::VertexId vertex = graph::kInvalidVertex;
+  };
+  /// [j]: the source's labelled vertices headed for j.  Only destinations
+  /// with a positive move count are refilled; the rest hold stale data.
+  std::vector<std::vector<graph::VertexId>> buckets;
+  /// One destination's bucket with its keys, partially sorted.
+  std::vector<Ranked> ranked;
+  /// The selected vertices, appended by select_partition_transfers.
+  std::vector<graph::VertexId> chosen;
+};
+
 /// Choose which vertices leave partition \p source, given the LP's
 /// per-destination counts in \p move_row (length num_parts).  Selection
 /// order: ascending layer (boundary first); within a layer, strongest
 /// attraction to the destination (edge weight into it minus half the edge
-/// weight kept at home); then vertex id.  Pure read-only — the SPMD driver
-/// relies on separating selection (reads) from application (writes).
-/// Returns the chosen vertices per destination partition.
-[[nodiscard]] std::vector<std::vector<graph::VertexId>>
-select_partition_transfers(const graph::Graph& g,
-                           const graph::Partitioning& partitioning,
-                           const std::vector<graph::PartId>& label,
-                           const std::vector<std::int32_t>& layer,
-                           const std::vector<graph::VertexId>& members,
-                           graph::PartId source,
-                           const std::int64_t* move_row);
+/// weight kept at home); then vertex id.  Pure read-only on the graph and
+/// partitioning — the SPMD driver relies on separating selection (reads)
+/// from application (writes).  Appends to \p scratch.chosen, for every
+/// destination j with move_row[j] > 0 in ascending order, its move_row[j]
+/// movers; no other destination is touched.
+void select_partition_transfers(const graph::Graph& g,
+                                const graph::Partitioning& partitioning,
+                                const std::vector<graph::PartId>& label,
+                                const std::vector<std::int32_t>& layer,
+                                const std::vector<graph::VertexId>& members,
+                                graph::PartId source,
+                                const std::int64_t* move_row,
+                                TransferScratch& scratch);
 
 /// Move moves(i, j) vertices from partition i to partition j using
 /// select_partition_transfers.  Candidates come from the resumable
@@ -43,12 +63,15 @@ select_partition_transfers(const graph::Graph& g,
 /// index stay exact.  Selection reads only pre-move assignments: all pairs
 /// are selected before the first write.  Throws pigp::CheckError when a
 /// pair lacks enough labeled vertices (the LP bounds guarantee this never
-/// happens with a layering computed on the same partitioning).
+/// happens with a layering computed on the same partitioning).  A non-null
+/// \p scratch supplies the selection buffers; decisions are identical
+/// either way.
 void apply_balance_transfers(const graph::Graph& g,
                              graph::Partitioning& partitioning,
                              const BoundaryLayering& layering,
                              const pigp::DenseMatrix<std::int64_t>& moves,
-                             graph::PartitionState& state);
+                             graph::PartitionState& state,
+                             TransferScratch* scratch = nullptr);
 
 /// One refinement candidate: vertex v (in partition i) with its cut gain
 /// out(v, j) - in(v) for moving to partition j.

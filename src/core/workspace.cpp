@@ -15,11 +15,12 @@ void Workspace::release_memory() {
   std::vector<double>().swap(balance_targets);
   std::vector<double>().swap(balance_excess);
   layering.release();
+  transfer = TransferScratch();
   flow = FlowWorkspace();
   std::vector<graph::VertexId>().swap(refine_boundary);
   refine_analysis.release();
   std::vector<graph::VertexId>().swap(refine_stale);
-  std::vector<std::vector<double>>().swap(refine_tallies);
+  std::vector<PartTally>().swap(refine_tallies);
   refine_candidates = pigp::DenseMatrix<std::vector<GainCandidate>>();
   std::vector<GainCandidate>().swap(refine_selection);
   std::vector<std::int64_t>().swap(spmd_eps_rows);

@@ -25,11 +25,10 @@
 /// full reset the layering then performs on its next bind.
 ///
 /// Phases that may still allocate (all proportional to actual work, never
-/// to |V|): the per-stage BalanceStage record, the transfer selections,
-/// LP model construction and simplex solves under the dense and bounded
-/// solvers (the network solver runs on the pooled FlowWorkspace), vector
-/// growth when the graph grows (amortized), the orphan-component fallback
-/// of the assignment step, and everything on error paths.
+/// to |V|): the per-stage BalanceStage record, pooled-buffer growth when
+/// the graph grows or a stage selects more than any before it
+/// (amortized), the orphan-component fallback of the assignment step, and
+/// everything on error paths.
 
 #include <algorithm>
 #include <cstdint>
@@ -37,6 +36,7 @@
 
 #include "core/balance.hpp"
 #include "core/layering.hpp"
+#include "core/part_tally.hpp"
 #include "core/transfer.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
@@ -118,6 +118,9 @@ struct Workspace {
   /// performs a full reset only after invalidate_vertex_ids() or a size
   /// change.
   BoundaryLayering layering;
+  /// Balance-transfer selection buffers (core/transfer.cpp); both SPMD
+  /// engines select from their rank workspace's.
+  TransferScratch transfer;
 
   // --- steps 3-4: quotient-flow solves (core/balance.cpp) ---
   /// Stage and refinement flows, staged requirements, the network
@@ -139,8 +142,8 @@ struct Workspace {
   EpochArray<MoveAnalysis> refine_analysis;
   /// Boundary vertices without a live analysis, re-analysed this round.
   std::vector<graph::VertexId> refine_stale;
-  /// Per-OpenMP-thread out(v, j) tallies, one slot per part.
-  std::vector<std::vector<double>> refine_tallies;
+  /// Per-OpenMP-thread sparse out(v, j) tallies.
+  std::vector<PartTally> refine_tallies;
   pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
   /// apply_gain_transfers' per-pair best-first selection.
   std::vector<GainCandidate> refine_selection;

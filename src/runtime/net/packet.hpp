@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -112,8 +113,10 @@ class Packet {
     data_.insert(data_.end(), bytes, bytes + sizeof(T));
   }
 
+  /// Pack a contiguous run (a vector, or a slice of a row) as a vector<T>
+  /// — the reader sees no difference.
   template <typename T>
-  void pack_vector(const std::vector<T>& values) {
+  void pack_vector(std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(sizeof(T) <= 0xFF);
     const std::uint8_t header[2] = {
@@ -131,6 +134,11 @@ class Packet {
   }
 
   template <typename T>
+  void pack_vector(const std::vector<T>& values) {
+    pack_vector(std::span<const T>(values));
+  }
+
+  template <typename T>
   [[nodiscard]] T unpack() {
     static_assert(std::is_trivially_copyable_v<T>);
     expect_tag(WireTag::kScalar, sizeof(T));
@@ -142,24 +150,26 @@ class Packet {
 
   template <typename T>
   [[nodiscard]] std::vector<T> unpack_vector() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    expect_tag(WireTag::kVector, sizeof(T));
-    std::uint64_t count = 0;
-    need(sizeof(count), "vector count");
-    std::memcpy(&count, data_.data() + cursor_, sizeof(count));
-    cursor_ += sizeof(count);
-    // A malformed count must fail *before* the allocation: a corrupted
-    // 8-byte count can demand petabytes.
-    if (count > (data_.size() - cursor_) / sizeof(T)) {
-      throw TransportError("packet underrun: vector count " +
-                           std::to_string(count) + " exceeds payload");
-    }
-    std::vector<T> values(static_cast<std::size_t>(count));
-    if (count == 0) return values;  // data() may be null for empty vectors
-    std::memcpy(values.data(), data_.data() + cursor_,
-                sizeof(T) * static_cast<std::size_t>(count));
-    cursor_ += sizeof(T) * static_cast<std::size_t>(count);
+    std::vector<T> values;
+    unpack_vector_into(values);
     return values;
+  }
+
+  /// unpack_vector into \p out, reusing its capacity.
+  template <typename T>
+  void unpack_vector_into(std::vector<T>& out) {
+    const std::size_t count = vector_count<T>();
+    out.resize(count);
+    if (count == 0) return;  // data() may be null for empty vectors
+    std::memcpy(out.data(), data_.data() + cursor_, sizeof(T) * count);
+    cursor_ += sizeof(T) * count;
+  }
+
+  /// Step over a vector<T> the reader does not need, with the same checks
+  /// as unpack_vector.
+  template <typename T>
+  void skip_vector() {
+    cursor_ += sizeof(T) * vector_count<T>();
   }
 
   [[nodiscard]] std::size_t size_bytes() const noexcept {
@@ -178,6 +188,25 @@ class Packet {
   }
 
  private:
+  /// Read a vector<T> header and its count, leaving the cursor on the
+  /// payload, which is checked to hold count elements.
+  template <typename T>
+  std::size_t vector_count() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    expect_tag(WireTag::kVector, sizeof(T));
+    std::uint64_t count = 0;
+    need(sizeof(count), "vector count");
+    std::memcpy(&count, data_.data() + cursor_, sizeof(count));
+    cursor_ += sizeof(count);
+    // A malformed count must fail *before* any allocation: a corrupted
+    // 8-byte count can demand petabytes.
+    if (count > (data_.size() - cursor_) / sizeof(T)) {
+      throw TransportError("packet underrun: vector count " +
+                           std::to_string(count) + " exceeds payload");
+    }
+    return static_cast<std::size_t>(count);
+  }
+
   void need(std::size_t n, const char* what) const {
     if (cursor_ + n > data_.size()) {
       throw TransportError(std::string("packet underrun reading ") + what);

@@ -20,15 +20,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "api/session.hpp"
 #include "core/balance.hpp"
+#include "core/layering.hpp"
 #include "core/refine.hpp"
+#include "core/transfer.hpp"
 #include "core/workspace.hpp"
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/partition_state.hpp"
 #include "support/check.hpp"
 
@@ -338,6 +343,59 @@ TEST(SessionAlloc, WarmRefinementSolvePerformsZeroHeapAllocations) {
       EXPECT_GT(flow.objective, 0.5);
     }
   }
+#endif
+}
+
+TEST(SessionAlloc, WarmBalanceTransferPerformsZeroHeapAllocations) {
+#ifdef PIGP_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocator interposed by a sanitizer";
+#else
+  // A 12x12 grid in four quadrant parts, layered to exhaustion; every
+  // adjacent pair trades up to five labelled vertices.  Each apply runs in
+  // a rollback window and is undone, so every call sees the same input.
+  const graph::Graph g = graph::grid_graph(12, 12);
+  graph::Partitioning p;
+  p.num_parts = 4;
+  p.part.resize(144);
+  for (int r = 0; r < 12; ++r) {
+    for (int c = 0; c < 12; ++c) {
+      p.part[static_cast<std::size_t>(r * 12 + c)] =
+          (r < 6 ? 0 : 2) + (c < 6 ? 0 : 1);
+    }
+  }
+  graph::PartitionState state(g, p);
+  core::BoundaryLayering layering(g, p);
+  layering.reseed(state);
+  layering.grow(-1);
+  pigp::DenseMatrix<std::int64_t> moves(4, 4, 0);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      if (i == j) continue;
+      moves(i, j) = std::min<std::int64_t>(layering.eps()(i, j), 5);
+      total += static_cast<std::size_t>(moves(i, j));
+    }
+  }
+  ASSERT_GT(total, 0U);
+  const std::vector<graph::PartId> before_part = p.part;
+
+  core::TransferScratch scratch;
+  std::size_t moved = 0;
+  const auto apply = [&] {
+    graph::PartitionState::RollbackWindow window(state);
+    core::apply_balance_transfers(g, p, layering, moves, state, &scratch);
+    moved = window.moves().size();
+    window.undo(g, p);
+  };
+  apply();  // warm-up
+  for (int i = 0; i < 3; ++i) {
+    const long long before = allocation_count();
+    apply();
+    EXPECT_EQ(allocation_count() - before, 0)
+        << "warm balance transfer #" << i << " touched the heap";
+    EXPECT_EQ(moved, total);
+  }
+  EXPECT_EQ(p.part, before_part);
 #endif
 }
 

@@ -6,6 +6,7 @@
 // and the reference simplex.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -86,6 +87,30 @@ inline Partitioning banded_grid_partitioning(int side, graph::PartId k) {
   return p;
 }
 
+/// side x side spatial blocks of the unit square (k = side^2 parts), with
+/// a \p noise fraction of the vertices reassigned to a uniformly random
+/// part.
+inline Partitioning noisy_block_partitioning(
+    const std::vector<std::array<double, 2>>& coords, int side, double noise,
+    std::uint64_t seed) {
+  pigp::SplitMix64 rng(seed);
+  Partitioning p;
+  p.num_parts = side * side;
+  p.part.resize(coords.size());
+  const auto cell = [side](double x) {
+    return std::min(side - 1, static_cast<int>(x * side));
+  };
+  for (std::size_t v = 0; v < coords.size(); ++v) {
+    p.part[v] = static_cast<graph::PartId>(cell(coords[v][0]) * side +
+                                           cell(coords[v][1]));
+    if (rng.next_double() < noise) {
+      p.part[v] = static_cast<graph::PartId>(
+          rng.next_below(static_cast<std::uint64_t>(p.num_parts)));
+    }
+  }
+  return p;
+}
+
 /// One named golden case: graph, initial partitioning, refine options.
 /// Every input states strict_after_round itself, so the goldens do not move
 /// with RefineOptions' default.
@@ -125,6 +150,17 @@ inline GoldenInput golden_input(const std::string& name) {
     in.p = shuffled_partitioning(3000, 3, 52);
     in.opt.max_rounds = 12;
     in.opt.strict_after_round = 6;
+  } else if (name == "geometric_p64") {
+    std::vector<std::array<double, 2>> coords;
+    in.g = graph::random_geometric_graph(8000, 0.025, 61, &coords);
+    in.p = noisy_block_partitioning(coords, 8, 0.25, 62);
+    in.opt.max_rounds = 10;
+    in.opt.strict_after_round = 2;
+  } else if (name == "hub_p64") {
+    in.g = hub_graph(6000, 3, 71);
+    in.p = shuffled_partitioning(6000, 64, 72);
+    in.opt.max_rounds = 10;
+    in.opt.strict_after_round = 2;
   }
   return in;
 }

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/transfer.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/partition_state.hpp"
+#include "support/rng.hpp"
 
 namespace pigp::core {
 namespace {
@@ -271,6 +277,229 @@ TEST(Layering, MatchesPaperFigure4Shape) {
   // All vertices are labeled (grid is connected).
   for (int v = 0; v < 36; ++v) {
     EXPECT_GE(res.label[static_cast<std::size_t>(v)], 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test against a dense-tally reference: the layering's sparse
+// PartTally must reproduce, vote for vote, the P-length buffer it replaced.
+
+/// The layering's tie-spreading hash (murmur3 finalizer), copied.
+std::uint64_t reference_mix(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDULL;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// Coverage of the votes the reference cast.
+struct VoteCoverage {
+  /// [width][inner]: ties of 3 or 4 parts whose first-touch (neighbour)
+  /// order was not ascending in part id, at seeding and deeper.
+  int out_of_order_ties[5][2] = {};
+  /// Seeds whose external edges all weigh zero: boundary, yet unlabeled.
+  int zero_weight_seeds = 0;
+};
+
+/// Dense vote: largest sum, ties to the mix(v) % count-th tied part in
+/// ascending id.  \p touch_order lists the parts in first-touch order.
+graph::PartId reference_vote(const std::vector<double>& tally,
+                             const std::vector<graph::PartId>& touch_order,
+                             VertexId v, bool inner, VoteCoverage& cov) {
+  double best = 0.0;
+  for (const double t : tally) best = std::max(best, t);
+  if (best <= 0.0) return -1;
+  std::vector<graph::PartId> tied;
+  for (std::size_t q = 0; q < tally.size(); ++q) {
+    if (tally[q] == best) tied.push_back(static_cast<graph::PartId>(q));
+  }
+  if (tied.size() >= 3 && tied.size() <= 4) {
+    std::vector<graph::PartId> touched_tied;
+    for (const graph::PartId q : touch_order) {
+      if (tally[static_cast<std::size_t>(q)] == best) touched_tied.push_back(q);
+    }
+    if (!std::is_sorted(touched_tied.begin(), touched_tied.end())) {
+      ++cov.out_of_order_ties[tied.size()][inner ? 1 : 0];
+    }
+  }
+  return tied[reference_mix(static_cast<std::uint64_t>(v)) % tied.size()];
+}
+
+/// Figure 3 with a dense P-length tally per vote: member-scan seeding,
+/// then level-by-level growth, each level labelled in ascending id.
+LayeringResult reference_layering(const Graph& g, const Partitioning& p,
+                                  VoteCoverage& cov) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto parts = static_cast<std::size_t>(p.num_parts);
+  LayeringResult r;
+  r.label.assign(n, -1);
+  r.layer.assign(n, -1);
+  r.eps = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
+  std::vector<double> tally(parts);
+  std::vector<graph::PartId> touch_order;
+  const auto add = [&](graph::PartId q, double w) {
+    if (std::find(touch_order.begin(), touch_order.end(), q) ==
+        touch_order.end()) {
+      touch_order.push_back(q);
+    }
+    tally[static_cast<std::size_t>(q)] += w;
+  };
+  for (graph::PartId target = 0; target < p.num_parts; ++target) {
+    const auto ti = static_cast<std::size_t>(target);
+    std::vector<VertexId> frontier;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (p.part[static_cast<std::size_t>(v)] != target) continue;
+      std::fill(tally.begin(), tally.end(), 0.0);
+      touch_order.clear();
+      const auto nbrs = g.neighbors(v);
+      const auto w = g.incident_edge_weights(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
+        if (q != target) add(q, w[i]);
+      }
+      if (touch_order.empty()) continue;
+      const graph::PartId best = reference_vote(tally, touch_order, v,
+                                                false, cov);
+      if (best < 0) ++cov.zero_weight_seeds;
+      r.label[static_cast<std::size_t>(v)] = best;
+      r.layer[static_cast<std::size_t>(v)] = 0;
+      if (best >= 0) ++r.eps(ti, static_cast<std::size_t>(best));
+      frontier.push_back(v);
+    }
+    for (std::int32_t level = 0; !frontier.empty(); ++level) {
+      std::vector<VertexId> next;
+      for (const VertexId u : frontier) {
+        for (const VertexId w : g.neighbors(u)) {
+          const auto wi = static_cast<std::size_t>(w);
+          if (p.part[wi] == target && r.layer[wi] < 0) {
+            r.layer[wi] = level + 1;
+            next.push_back(w);
+          }
+        }
+      }
+      std::sort(next.begin(), next.end());
+      for (const VertexId v : next) {
+        std::fill(tally.begin(), tally.end(), 0.0);
+        touch_order.clear();
+        const auto nbrs = g.neighbors(v);
+        const auto w = g.incident_edge_weights(v);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          const auto ui = static_cast<std::size_t>(nbrs[i]);
+          if (p.part[ui] == target && r.layer[ui] == level &&
+              r.label[ui] >= 0) {
+            add(r.label[ui], w[i]);
+          }
+        }
+        const graph::PartId best = reference_vote(tally, touch_order, v,
+                                                  true, cov);
+        r.label[static_cast<std::size_t>(v)] = best;
+        if (best >= 0) ++r.eps(ti, static_cast<std::size_t>(best));
+      }
+      frontier.swap(next);
+    }
+  }
+  return r;
+}
+
+/// A side x side grid with diagonals, edge weights drawn from
+/// {0, 1, 1, 2} (zero-weight cut edges leave boundary vertices unlabeled),
+/// split into bands (parts < 8) or blocks (64 parts) with 10% noise.  For
+/// parts >= 5, tie gadgets follow: a part-0 centre whose ascending
+/// neighbours carry parts width..1 at weight 1, either directly (a
+/// width-way tie at seeding) or through part-0 seeds (the tie one layer
+/// deeper) — ties touched in descending part order.
+void build_tie_input(int parts, Graph& g, Partitioning& p) {
+  const int side = parts >= 64 ? 48 : 24;
+  pigp::SplitMix64 rng(static_cast<std::uint64_t>(1000 + parts));
+  GraphBuilder b(side * side);
+  const auto id = [side](int r, int c) { return r * side + c; };
+  const auto weight = [&rng] {
+    const std::uint64_t k = rng.next_below(4);
+    return k == 0 ? 0.0 : (k == 3 ? 2.0 : 1.0);
+  };
+  for (int r = 0; r < side; ++r) {
+    for (int c = 0; c < side; ++c) {
+      if (c + 1 < side) b.add_edge(id(r, c), id(r, c + 1), weight());
+      if (r + 1 < side) b.add_edge(id(r, c), id(r + 1, c), weight());
+      if (r + 1 < side && c + 1 < side) {
+        b.add_edge(id(r, c), id(r + 1, c + 1), weight());
+      }
+    }
+  }
+  p.num_parts = parts;
+  p.part.resize(static_cast<std::size_t>(side * side));
+  for (int r = 0; r < side; ++r) {
+    for (int c = 0; c < side; ++c) {
+      graph::PartId q = parts >= 64 ? (r * 8 / side) * 8 + c * 8 / side
+                                    : c * parts / side;
+      if (rng.next_below(10) == 0) {
+        q = static_cast<graph::PartId>(
+            rng.next_below(static_cast<std::uint64_t>(parts)));
+      }
+      p.part[static_cast<std::size_t>(id(r, c))] = q;
+    }
+  }
+  const auto vertex_in = [&](graph::PartId q) {
+    p.part.push_back(q);
+    return b.add_vertex();
+  };
+  for (int gadget = 0; parts >= 5 && gadget < 24; ++gadget) {
+    const int width = 3 + gadget % 2;
+    const bool inner = gadget % 4 >= 2;
+    if (!inner) {
+      const VertexId centre = vertex_in(0);
+      for (int k = 0; k < width; ++k) {
+        b.add_edge(centre, vertex_in(width - k));
+      }
+    } else {
+      std::vector<VertexId> seeds;
+      for (int k = 0; k < width; ++k) seeds.push_back(vertex_in(0));
+      for (int k = 0; k < width; ++k) {
+        b.add_edge(seeds[static_cast<std::size_t>(k)], vertex_in(width - k));
+      }
+      const VertexId centre = vertex_in(0);
+      for (const VertexId s : seeds) b.add_edge(centre, s);
+    }
+  }
+  g = b.build();
+}
+
+TEST(Layering, SparseTallyMatchesDenseReference) {
+  for (const int parts : {2, 5, 64}) {
+    Graph g;
+    Partitioning p;
+    build_tie_input(parts, g, p);
+    p.validate(g);
+    VoteCoverage cov;
+    const LayeringResult want = reference_layering(g, p, cov);
+
+    EXPECT_GT(cov.zero_weight_seeds, 0) << parts;
+    if (parts >= 5) {
+      for (const int width : {3, 4}) {
+        for (const int inner : {0, 1}) {
+          EXPECT_GT(cov.out_of_order_ties[width][inner], 0)
+              << parts << " parts, " << width << "-way, inner " << inner;
+        }
+      }
+    }
+
+    for (const int threads : {1, 3}) {
+      const LayeringResult batch = layer_partitions(g, p, threads);
+      EXPECT_EQ(batch.label, want.label) << parts << " parts";
+      EXPECT_EQ(batch.layer, want.layer) << parts << " parts";
+      EXPECT_EQ(batch.eps, want.eps) << parts << " parts";
+
+      // The boundary-seeded, resumable path, one level per grow().
+      const graph::PartitionState state(g, p);
+      BoundaryLayering layering(g, p);
+      layering.reseed(state, threads);
+      while (!layering.exhausted()) layering.grow(1, threads);
+      EXPECT_EQ(layering.label(), want.label) << parts << " parts";
+      EXPECT_EQ(layering.layer(), want.layer) << parts << " parts";
+      EXPECT_EQ(layering.eps(), want.eps) << parts << " parts";
+    }
   }
 }
 

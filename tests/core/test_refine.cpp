@@ -176,10 +176,13 @@ TEST(Refine, ParallelCandidateCollectionMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden decisions, captured from the network simplex on six inputs.
+// Golden decisions, captured from the network simplex on eight inputs.
 // grid_banded, hub and hub_nonstrict take the revert path (non-strict
 // regressions, and a strict regression that halves the batch cap);
 // geometric_large has a boundary above the parallel-analysis threshold.
+// geometric_p64 and hub_p64 run at 64 parts, where most analysed vertices
+// touch a few parts out of many and tie on gain; they were captured with
+// the dense per-part tally the sparse PartTally replaced.
 // The table pins the network simplex's tie-breaking among equal optima and
 // its pivot counts; the paper's dense simplex reaches the same refinement
 // optima (NetworkFlowDifferential.RefinementFlowsOfTheGoldenInputs) but
@@ -261,6 +264,10 @@ const GoldenCase kGoldenNetwork[] = {
     {"hub", 4, 0x9142f209403e0a87ULL, 12, 14966, 182, 9009, 5733},
     {"hub_nonstrict", 1, 0x69f6b1a1bedc9273ULL, 12, 5339, 86, 4008, 1988},
     {"hub_nonstrict", 4, 0x69f6b1a1bedc9273ULL, 12, 5339, 86, 4008, 1988},
+    {"geometric_p64", 1, 0xd066b873200cd079ULL, 6, 2396, 4819, 31658, 8532},
+    {"geometric_p64", 4, 0xd066b873200cd079ULL, 6, 2396, 4819, 31658, 8532},
+    {"hub_p64", 1, 0x90191a69ceb7d681ULL, 10, 16222, 20892, 17713, 14543},
+    {"hub_p64", 4, 0x90191a69ceb7d681ULL, 10, 16222, 20892, 17713, 14543},
 };
 
 class RefineGoldenNetwork : public ::testing::TestWithParam<GoldenCase> {};

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "runtime/net/filters.hpp"
@@ -77,6 +78,38 @@ TEST(PacketWire, PackVectorByteImage) {
   std::vector<std::uint8_t> both = values_image;
   both.insert(both.end(), empty_image.begin(), empty_image.end());
   EXPECT_EQ(values.bytes(), both);
+}
+
+TEST(PacketWire, SpanSkipAndUnpackIntoMatchTheVectorPath) {
+  // Packing a slice of a row writes the image of the equal vector; a
+  // reader can step over a vector or unpack it into a reused buffer.
+  const std::vector<std::int32_t> row = {9, 4, 4, 8, 1};
+  Packet from_span;
+  from_span.pack_vector(std::span<const std::int32_t>(row).subspan(1, 3));
+  from_span.pack_vector(std::span<const double>());
+  from_span.pack(7);
+  Packet from_vector;
+  from_vector.pack_vector(std::vector<std::int32_t>{4, 4, 8});
+  from_vector.pack_vector(std::vector<double>{});
+  from_vector.pack(7);
+  ASSERT_EQ(from_span.bytes(), from_vector.bytes());
+
+  std::vector<std::int32_t> buffer(16, -1);
+  const std::int32_t* storage = buffer.data();
+  from_span.unpack_vector_into(buffer);
+  EXPECT_EQ(buffer, (std::vector<std::int32_t>{4, 4, 8}));
+  EXPECT_EQ(buffer.data(), storage);  // capacity reused
+  from_span.skip_vector<double>();
+  EXPECT_EQ(from_span.unpack<int>(), 7);
+
+  from_vector.skip_vector<std::int32_t>();
+  EXPECT_THROW(from_vector.skip_vector<std::int32_t>(), TransportError);
+
+  // Skipping checks the count against the payload like unpacking does.
+  std::vector<std::uint8_t> image = Packet(from_vector).release_bytes();
+  for (std::size_t i = 2; i < 10; ++i) image[i] = 0xFF;
+  Packet corrupted = Packet::from_bytes(std::move(image));
+  EXPECT_THROW(corrupted.skip_vector<std::int32_t>(), TransportError);
 }
 
 TEST(PacketWire, TagMismatchThrowsTyped) {
