@@ -7,6 +7,10 @@
 //     one-shot alpha = 1 with best-effort fallback only.
 //  C. Flat vs multilevel incremental partitioning on mesh B (skipped by
 //     --smoke).
+//  D. Layering depth: each balance stage decided first on the layer-0
+//     seed shell (max_layers = 4, deepened only when the seeds cannot
+//     carry the excess) vs layering every stage to exhaustion
+//     (max_layers = 0), on mesh A and — without --smoke — mesh B.
 //
 // The LP solver is not an ablation axis: the pipeline solves every LP
 // with the network simplex, and bench_simplex times it against the dense
@@ -14,13 +18,17 @@
 //
 // Run on the mesh-A sequence at 32 partitions; prints paper-style tables.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <utility>
 
 #include "bench_common.hpp"
+#include "core/assign.hpp"
+#include "core/igp.hpp"
 #include "core/multilevel.hpp"
+#include "core/workspace.hpp"
 #include "spectral/kernighan_lin.hpp"
 #include "mesh/paper_meshes.hpp"
 
@@ -51,6 +59,51 @@ AblationOutcome run_variant(const mesh::MeshSequence& seq,
   }
   out.cut = graph::compute_metrics(seq.graphs.back(), current).cut_total;
   return out;
+}
+
+/// Section D's totals over a set of repartitionings.
+struct LayeringOutcome {
+  double seconds = 0.0;
+  int stages = 0;
+  int seed_shell_stages = 0;  ///< decided at layer_depth 0
+  double max_alpha = 0.0;
+  long long balance_moved = 0;
+  long long cut = 0;  ///< summed over the runs, after refinement
+};
+
+/// One in-place IGPR run of \p g_new from \p old_p (covering [0, n_old))
+/// at the given layering depth cap, folded into \p out; returns the new
+/// partitioning.
+graph::Partitioning run_layering(const graph::Graph& g_new,
+                                 const graph::Partitioning& old_p,
+                                 graph::VertexId n_old, int max_layers,
+                                 LayeringOutcome& out) {
+  core::IgpOptions options;
+  options.balance.max_layers = max_layers;
+  graph::Partitioning p = old_p;
+  graph::PartitionState state;
+  core::Workspace ws;
+  runtime::WallTimer timer;
+  core::seed_extension_state(g_new, p, state);
+  const core::IgpResult result =
+      core::igp_repartition_in_place(g_new, p, n_old, options, state, ws);
+  out.seconds += timer.seconds();
+  for (const core::BalanceStage& stage : result.balance_result.stages) {
+    ++out.stages;
+    out.seed_shell_stages += stage.layer_depth == 0 ? 1 : 0;
+    out.max_alpha = std::max(out.max_alpha, stage.alpha);
+    out.balance_moved += static_cast<long long>(stage.vertices_moved);
+  }
+  out.cut += static_cast<long long>(graph::compute_metrics(g_new, p).cut_total);
+  return p;
+}
+
+void add_layering_row(TextTable& table, const char* mesh, int max_layers,
+                      const LayeringOutcome& out) {
+  const char* layering = max_layers == 0 ? "exhaustive (max_layers = 0)"
+                                         : "seed shell first (max_layers = 4)";
+  table.add_row(mesh, layering, out.stages, out.seed_shell_stages,
+                out.max_alpha, out.balance_moved, out.cut, out.seconds);
 }
 
 }  // namespace
@@ -200,6 +253,43 @@ int main(int argc, char** argv) {
     }
     std::cout << "C. Flat vs multilevel incremental partitioning\n";
     table.print(std::cout);
+    std::cout << '\n';
+  }
+
+  // ------------------------------------------------ D: layering depth
+  {
+    // The first decision of every stage on the seed shell against
+    // exhaustive layering.  ε only grows with depth, so a stage's α on
+    // the same input is the same; the movers may differ, and chained runs
+    // then diverge, so stages, moves and the refined cut may too.
+    TextTable table({"mesh", "layering", "stages", "on seed shell", "max alpha",
+                     "balance moved", "cut after refine", "time (s)"});
+    for (const int max_layers : {4, 0}) {
+      LayeringOutcome out;
+      graph::Partitioning current = initial;
+      for (std::size_t step = 1; step < seq.graphs.size(); ++step) {
+        current = run_layering(seq.graphs[step], current,
+                               seq.graphs[step - 1].num_vertices(),
+                               max_layers, out);
+      }
+      add_layering_row(table, "A (chained)", max_layers, out);
+    }
+    if (!smoke) {
+      const mesh::MeshFamily family = mesh::make_paper_mesh_b();
+      const graph::Partitioning base_part =
+          spectral::recursive_spectral_bisection(family.base, parts);
+      for (const int max_layers : {4, 0}) {
+        LayeringOutcome out;
+        for (const graph::Graph& g : family.refined) {
+          (void)run_layering(g, base_part, family.base.num_vertices(),
+                             max_layers, out);
+        }
+        add_layering_row(table, "B (each refinement)", max_layers, out);
+      }
+    }
+    std::cout << "D. Layering depth of the first stage decision\n";
+    table.print(std::cout);
+    std::cout << '\n';
   }
   return 0;
 }

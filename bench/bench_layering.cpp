@@ -111,8 +111,10 @@ BENCHMARK(BM_LayeringFullAtBoundaryFraction)
 void BM_LayeringBoundarySeededAtBoundaryFraction(benchmark::State& state) {
   const FractionWorkload w =
       make_fraction_workload(16000, 32, static_cast<int>(state.range(0)));
-  // Depth-capped like the default balance stage (max_layers = 4); the
-  // reseed is O(boundary), the growth O(shell).
+  // Grown to max_layers = 4: the shell a balance stage labels when the
+  // seeds alone cannot carry its excess (its first decision is made on the
+  // seeds, BM_LayeringSeedShellParts).  The reseed is O(boundary), the
+  // growth O(shell).
   core::BoundaryLayering layering(w.g, w.p);
   for (auto _ : state) {
     layering.reseed(w.state, 1);
@@ -157,6 +159,26 @@ void BM_LayeringParts(benchmark::State& state) {
 BENCHMARK(BM_LayeringParts)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
+/// The same part-count sweep on the seed shell alone — reseed, no grow():
+/// the layering a balance stage's first decision reads.  Its cost tracks
+/// the boundary (the `seeds` counter), not the partitions' interiors.
+void BM_LayeringSeedShellParts(benchmark::State& state) {
+  const Workload w = make_workload(16000, static_cast<int>(state.range(0)));
+  const graph::PartitionState pstate(w.g, w.p);
+  core::BoundaryLayering layering(w.g, w.p);
+  for (auto _ : state) {
+    layering.reseed(pstate, 1);
+    benchmark::DoNotOptimize(layering.eps().data());
+  }
+  std::int64_t seeds = 0;
+  for (graph::PartId q = 0; q < w.p.num_parts; ++q) {
+    seeds += static_cast<std::int64_t>(layering.labeled(q).size());
+  }
+  state.counters["seeds"] = static_cast<double>(seeds);
+}
+BENCHMARK(BM_LayeringSeedShellParts)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
+    ->Arg(128)->Unit(benchmark::kMillisecond);
+
 void BM_AssignNewVertices(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Workload w = make_workload(n, 32);
@@ -193,7 +215,7 @@ int main(int argc, char** argv) {
       "--benchmark_filter=(BM_LayeringSerial/1000$|BM_LayeringThreads/2$|"
       "BM_LayeringFullAtBoundaryFraction/10$|"
       "BM_LayeringBoundarySeededAtBoundaryFraction/10$|"
-      "BM_LayeringParts/32$|"
+      "BM_LayeringParts/32$|BM_LayeringSeedShellParts/32$|"
       "BM_AssignNewVertices/4000$)";
   std::string min_time = "--benchmark_min_time=0.05s";
   if (smoke) {

@@ -697,8 +697,9 @@ int main(int argc, char** argv) {
       if (r.label.empty()) return 1;  // keep the optimizer honest
       if (full_budget.seconds() > sweep_budget_s) break;
     }
-    // Depth-capped like the default balance stage (max_layers = 4); the
-    // persistent object is the session-workspace configuration.
+    // Grown to max_layers = 4, the first deepened shell of a balance stage
+    // (its first decision reads the seeds alone); the persistent object is
+    // the session-workspace configuration.
     core::BoundaryLayering layering(sweep_graph, sweep_p);
     double seeded_s = 1e9;
     runtime::WallTimer seeded_budget;

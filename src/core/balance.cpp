@@ -361,9 +361,10 @@ BalanceResult balance_load(const graph::Graph& g,
     // session-persistent layering's bind() is O(1) at steady state.
     if (stage == 0) layering.bind(g, partitioning);
 
-    // Boundary-seeded layering, depth-capped with lazy deepening: a mildly
-    // imbalanced stream labels a thin shell and stops as soon as
-    // decide_stage accepts on it.
+    // Boundary-seeded layering with lazy deepening: the first decision is
+    // made on the seed shell (budget 0 grows nothing), so a mildly
+    // imbalanced stream labels only its boundary; deeper layers are
+    // labelled only while decide_stage cannot accept.
     layering.reseed(state, options.num_threads);
     LayerDepth depth(options.max_layers);
     layering.grow(depth.budget, options.num_threads);

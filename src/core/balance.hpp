@@ -15,7 +15,6 @@
 /// iterates; the paper reports 1–3 stages on its workloads.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/layering.hpp"
@@ -55,9 +54,12 @@ struct BalanceOptions {
   static constexpr LpSolverKind solver = LpSolverKind::network;
   lp::NetworkOptions simplex;
   int num_threads = 1;
-  /// Initial depth cap of the boundary-seeded layering, deepened lazily
-  /// per LayerDepth and decide_stage.  0 = unlimited: always grow to
-  /// exhaustion, exactly the batch layering's labels and capacities.
+  /// Depth of the first deepened shell of the boundary-seeded layering.
+  /// Each stage is first decided on the layer-0 seeds alone; only when
+  /// they cannot carry the staged excess does the layering grow to this
+  /// depth, and then double per LayerDepth and decide_stage.  0 =
+  /// unlimited: always grow to exhaustion, exactly the batch layering's
+  /// labels and capacities.
   int max_layers = 4;
 };
 
@@ -186,15 +188,23 @@ void staged_requirements_into(const std::vector<double>& excess, double alpha,
                                     const std::vector<double>& targets,
                                     std::vector<double>& excess);
 
-/// The deepening schedule both balance drivers share: label max_layers
-/// levels past the boundary (0 = unlimited), then on each deepen grow by
-/// the current depth, doubling it.
+/// The deepening schedule both balance drivers share.  A stage is first
+/// decided on the seed shell (depth 0: reseed, no growth) — a mild excess
+/// fits the boundary and never labels deeper; the first deepen grows to
+/// max_layers, and each later one grows by the current depth, doubling
+/// it.  max_layers = 0 is unlimited: grow to exhaustion at once.
 struct LayerDepth {
   explicit LayerDepth(int max_layers)
-      : budget(max_layers == 0 ? -1 : max_layers) {}
-  /// Levels to grow by now (the current depth); doubles the budget.
-  int deepen() { return std::exchange(budget, 2 * budget); }
+      : budget(max_layers == 0 ? -1 : 0), first(max_layers) {}
+  /// Levels to grow by now; the budget becomes the new total depth.
+  int deepen() {
+    if (budget < 0) return -1;
+    const int levels = budget == 0 ? first : budget;
+    budget += levels;
+    return levels;
+  }
   int budget;  ///< total depth labeled so far; -1 = unlimited
+  int first;   ///< the first deepen's depth (max_layers)
 };
 
 /// One balance stage's decision at the current layering depth.
@@ -223,7 +233,9 @@ struct FlowWorkspace {
 };
 
 /// The stage rule both balance drivers (balance_load and the SPMD
-/// handshake) apply to the current ε.  α = 1 is accepted at any depth; the
+/// handshake) apply to the current ε.  α = 1 is accepted at any depth —
+/// the seed shell included, since ε only grows with depth and a feasible
+/// α = 1 stays feasible on the exhausted capacities; the
 /// rest of the α ladder (smallest feasible α by doubling, up to
 /// alpha_max) and then the best-effort fallback run only once the layering
 /// is \p exhausted — capacities equal to the batch layering's, so the α
@@ -251,8 +263,9 @@ void decide_stage(const pigp::DenseMatrix<std::int64_t>& eps,
 
 /// Boundary-local balance driver: per-stage excess comes from \p state's
 /// maintained weights (O(P), not an O(V) rescan), layering seeds come from
-/// its boundary index, growth is depth-capped per options.max_layers with
-/// lazy deepening on infeasibility, and transfers are applied through the
+/// its boundary index, each stage is decided first on the seed shell and
+/// deepened per LayerDepth (to options.max_layers, then doubling) only
+/// while α = 1 does not fit, and transfers are applied through the
 /// state so it ends consistent with \p partitioning.  \p state must
 /// describe (g, partitioning) on entry and partitioning must be fully
 /// assigned.  A non-null \p ws supplies the target/excess buffers, the

@@ -26,11 +26,12 @@
 ///     path: seeds layer 0 from an ascending boundary list — the
 ///     PartitionState's ordered boundary walk, or the sharded SPMD
 ///     worker's own owned-partition scan — in O(boundary) plus one
-///     per-vertex array reset, and grows *resumably* — a depth-capped
-///     grow() labels a thin shell, and the balance driver requests deeper
-///     layers only when the staged LP turns out infeasible at the current
-///     depth.  Grown to exhaustion it is bit-identical to layer_partitions
-///     (the parity suite pins this).
+///     per-vertex array reset, and grows *resumably*: the balance driver
+///     decides each stage on the seeds alone (layer 0, no grow()) and
+///     requests deeper layers — max_layers, then doubling — only when the
+///     staged LP turns out infeasible at the current depth.  Grown to
+///     exhaustion it is bit-identical to layer_partitions (the parity
+///     suite pins this).
 
 #include <cstdint>
 #include <span>
@@ -81,7 +82,7 @@ struct LayerScratch {
 /// arrays once), reseed() starts a stage by seeding layer 0 from an
 /// ascending boundary list, and grow() advances every partition's BFS a
 /// bounded number of levels — eps() always reflects exactly the vertices
-/// labeled so far, so the balance LP can run on a thin shell and lazily
+/// labeled so far, so the balance LP can run on the seeds alone and lazily
 /// request deeper layers.
 ///
 /// Contract: \p p must be fully assigned and the boundary list consistent

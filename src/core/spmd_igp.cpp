@@ -20,12 +20,15 @@ using net::Packet;
 
 }  // namespace
 
+// pigp:steady-state
 SpmdStageOutcome spmd_balance_handshake(
-    net::Transport& transport, BoundaryLayering& layering,
-    const std::vector<PartId>& owned, const std::vector<double>& excess,
-    const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
-    std::vector<std::int64_t>& moves_flat, FlowWorkspace& flow) {
+    net::Transport& transport, const std::vector<PartId>& owned,
+    const std::vector<double>& excess, const BalanceOptions& options,
+    Workspace& ws) {
   const std::size_t parts = excess.size();
+  BoundaryLayering& layering = ws.layering;
+  std::vector<std::int64_t>& eps_rows = ws.spmd_eps_rows;
+  std::vector<std::int64_t>& moves_flat = ws.spmd_moves_flat;
   LayerDepth depth(options.max_layers);
   layering.grow(depth.budget, 1);
 
@@ -33,7 +36,7 @@ SpmdStageOutcome spmd_balance_handshake(
   // rule to the assembled capacities and broadcasts either "deepen"
   // (everyone grows and the loop repeats) or the final move matrix —
   // balance_load's loop with communication in the middle.
-  const StageDecision& decision = flow.decision;  // rank 0 decides
+  const StageDecision& decision = ws.flow.decision;  // rank 0 decides
   while (true) {
     Packet mine;
     mine.pack(layering.exhausted() ? 1 : 0);
@@ -43,32 +46,32 @@ SpmdStageOutcome spmd_balance_handshake(
       std::copy(row.begin(), row.end(), eps_rows.begin() + k * parts);
     }
     mine.pack_vector(eps_rows);
-    const std::vector<Packet> gathered = transport.allgather(std::move(mine));
+    std::vector<Packet> gathered = transport.allgather(std::move(mine));
 
     Packet decision_packet;
     if (transport.rank() == 0) {
       bool all_exhausted = true;
-      pigp::DenseMatrix<std::int64_t> eps(parts, parts, 0);
+      pigp::DenseMatrix<std::int64_t>& eps = ws.spmd_eps;
+      eps.assign(parts, parts, 0);
+      std::vector<std::int64_t>& rows = ws.spmd_gathered_rows;
       for (int r = 0; r < transport.num_ranks(); ++r) {
-        Packet p = gathered[static_cast<std::size_t>(r)];
+        Packet& p = gathered[static_cast<std::size_t>(r)];
         all_exhausted &= p.unpack<int>() != 0;
-        const std::vector<std::int64_t> rows = p.unpack_vector<std::int64_t>();
+        p.unpack_vector_into(rows);
         std::size_t k = 0;
         for (PartId q = 0; q < static_cast<PartId>(parts); ++q) {
           if (graph::shard_owner(q, transport.num_ranks()) != r) continue;
-          for (std::size_t j = 0; j < parts; ++j) {
-            eps(static_cast<std::size_t>(q), j) = rows[k * parts + j];
-          }
+          std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(k * parts),
+                      parts, eps.row(static_cast<std::size_t>(q)).begin());
           ++k;
         }
       }
-      decide_stage(eps, excess, all_exhausted, depth.budget, options, flow);
+      decide_stage(eps, excess, all_exhausted, depth.budget, options, ws.flow);
       decision_packet.pack(decision.deepen ? 1 : 0);
       if (!decision.deepen) {
         decision_packet.pack(decision.progress ? 1 : 0);
-        moves_flat.assign(decision.moves.data(),
-                          decision.moves.data() + parts * parts);
-        decision_packet.pack_vector(moves_flat);
+        decision_packet.pack_vector(std::span<const std::int64_t>(
+            decision.moves.data(), parts * parts));
       }
     }
     Packet received = transport.broadcast(0, std::move(decision_packet));
@@ -78,9 +81,7 @@ SpmdStageOutcome spmd_balance_handshake(
     }
     SpmdStageOutcome outcome;
     outcome.progress = received.unpack<int>() != 0;
-    if (outcome.progress) {
-      moves_flat = received.unpack_vector<std::int64_t>();
-    }
+    if (outcome.progress) received.unpack_vector_into(moves_flat);
     if (transport.rank() == 0) outcome.stage = decision.stats;
     return outcome;
   }
@@ -102,8 +103,9 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
 
   rank_ws.resize(static_cast<std::size_t>(executor.num_ranks()));
   const auto parts = static_cast<std::size_t>(partitioning.num_parts);
-  const std::vector<double> targets = graph::balance_targets(
-      g_new.total_vertex_weight(), partitioning.num_parts);
+  std::vector<double>& targets = ws.balance_targets;  // read by every rank
+  graph::balance_targets_into(g_new.total_vertex_weight(),
+                              partitioning.num_parts, targets);
 
   IgpResult result;
 
@@ -114,16 +116,18 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
     // graph/partitioning pointers and only pays a full reset after an
     // id remap or a shrink, so steady-state stages reset in O(labeled).
     Workspace& mine_ws = rank_ws[static_cast<std::size_t>(ctx.rank())];
-    std::vector<PartId> owned;
+    std::vector<PartId>& owned = mine_ws.spmd_owned;
+    owned.clear();
     for (PartId q = 0; q < partitioning.num_parts; ++q) {
       if (graph::shard_owner(q, ctx.num_ranks()) == ctx.rank()) {
         owned.push_back(q);
       }
     }
     bool layering_bound = false;
-    std::vector<double> excess(parts, 0.0);
-    std::vector<std::int64_t>& moves_flat = mine_ws.spmd_moves_flat;
-    std::vector<VertexId> movers;  // one gathered selection, rank 0
+    std::vector<double>& excess = mine_ws.balance_excess;
+    excess.assign(parts, 0.0);
+    const std::vector<std::int64_t>& moves_flat = mine_ws.spmd_moves_flat;
+    std::vector<VertexId>& movers = mine_ws.spmd_movers;  // rank 0's parse
 
     for (int stage = 0; stage < options.balance.max_stages; ++stage) {
       // Every rank reads the excess off the shared state's maintained
@@ -135,17 +139,16 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
         break;
       }
 
-      // Boundary-seeded, depth-capped layering of the owned partitions,
-      // then the shared deepen-vs-decide handshake.
+      // The owned partitions' seed shell, then the shared deepen-vs-decide
+      // handshake, which labels deeper layers only on request.
       BoundaryLayering& layering = mine_ws.layering;
       if (!layering_bound) {
         layering.bind(g_new, partitioning);
         layering_bound = true;
       }
       layering.reseed(state, 1, &owned);
-      const SpmdStageOutcome outcome = spmd_balance_handshake(
-          ctx, layering, owned, excess, options.balance, mine_ws.spmd_eps_rows,
-          moves_flat, mine_ws.flow);
+      const SpmdStageOutcome outcome =
+          spmd_balance_handshake(ctx, owned, excess, options.balance, mine_ws);
       if (!outcome.progress) break;
       if (ctx.rank() == 0) {
         result.balance_result.stages.push_back(outcome.stage);
@@ -201,7 +204,8 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
   BalanceResult& balance = result.balance_result;
   if (!balance.balanced) {
     // Final deviation for reporting — O(P) off the maintained weights.
-    std::vector<double> excess(parts, 0.0);
+    std::vector<double>& excess = ws.balance_excess;
+    excess.assign(parts, 0.0);
     balance.final_max_deviation =
         compute_excess(state.weights(), targets, excess);
     balance.balanced = balance.final_max_deviation <= options.balance.tolerance;

@@ -40,7 +40,6 @@
 namespace pigp::core {
 
 struct Workspace;
-class BoundaryLayering;
 
 /// How the SPMD ranks run and talk: an executor owns the rank threads and
 /// hands each one a net::Transport.  The engine is written against this
@@ -133,22 +132,22 @@ struct SpmdStageOutcome {
 
 /// One balance stage's deepen-vs-decide handshake — the single copy of the
 /// protocol both SPMD engines (spmd_repartition_in_place and
-/// spmd_worker_rebalance) run.  \p layering is this rank's layering of its
-/// \p owned partitions, reseeded for the stage; the handshake grows it per
-/// LayerDepth, then loops: allgather (exhausted flag, owned ε rows); rank
-/// 0 assembles ε (partition q from rank graph::shard_owner), applies
+/// spmd_worker_rebalance) run.  \p ws is this rank's workspace: ws.layering
+/// is its layering of its \p owned partitions, reseeded for the stage.
+/// The handshake decides first on that seed shell and grows per
+/// LayerDepth — to max_layers, then doubling — only while rank 0 asks to
+/// deepen.  Each round allgathers (exhausted flag, owned ε rows); rank 0
+/// assembles ε (partition q from rank graph::shard_owner), applies
 /// decide_stage — the shared-memory driver's stage rule, exhausted only
-/// when every rank's layering is — and broadcasts either "deepen" (every
-/// rank grows per LayerDepth and the loop repeats) or the stage's move
-/// matrix.  \p excess is the per-partition excess, the same on every
-/// rank.  \p eps_rows, \p moves_flat and \p flow (rank 0's stage solves)
-/// are caller-owned buffers; on return with progress, \p moves_flat holds
-/// the row-major P×P move matrix on every rank.
+/// when every rank's layering is — and broadcasts either "deepen" or the
+/// stage's move matrix.  \p excess is the per-partition excess, the same
+/// on every rank.  The packing, assembly and unpacking buffers and rank
+/// 0's stage solves are pooled in \p ws; on return with progress,
+/// ws.spmd_moves_flat holds the row-major P×P move matrix on every rank.
 [[nodiscard]] SpmdStageOutcome spmd_balance_handshake(
-    net::Transport& transport, BoundaryLayering& layering,
-    const std::vector<graph::PartId>& owned, const std::vector<double>& excess,
-    const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
-    std::vector<std::int64_t>& moves_flat, FlowWorkspace& flow);
+    net::Transport& transport, const std::vector<graph::PartId>& owned,
+    const std::vector<double>& excess, const BalanceOptions& options,
+    Workspace& ws);
 
 /// The SPMD engine's one entry point, mirroring igp_repartition_in_place
 /// (same parameters plus the executor and \p rank_ws): run the full IGP/IGPR

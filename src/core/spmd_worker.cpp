@@ -115,7 +115,7 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
   Workspace ws;
   BoundaryLayering& layering = ws.layering;
   std::vector<double> excess(parts, 0.0);
-  std::vector<std::int64_t>& moves_flat = ws.spmd_moves_flat;
+  const std::vector<std::int64_t>& moves_flat = ws.spmd_moves_flat;
   std::vector<VertexId> seeds;
   std::vector<VertexId> movers;
   std::unordered_map<VertexId, OverlayRow> overlays;
@@ -159,9 +159,8 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
 
     // The deepen-vs-decide handshake the in-process engine runs; this
     // engine needs only the agreed moves, not rank 0's stage statistics.
-    const SpmdStageOutcome outcome = spmd_balance_handshake(
-        transport, layering, owned, excess, options.balance, ws.spmd_eps_rows,
-        moves_flat, ws.flow);
+    const SpmdStageOutcome outcome =
+        spmd_balance_handshake(transport, owned, excess, options.balance, ws);
     if (!outcome.progress) break;
     ++stats.stages;
 

@@ -5,8 +5,8 @@
 ///
 /// core/spmd_igp runs the paper's protocol with the graph replicated and a
 /// shared PartitionState — fine for threads, impossible across processes.
-/// This engine runs the SAME per-stage protocol (boundary-seeded
-/// depth-capped layering of owned partitions, then the one
+/// This engine runs the SAME per-stage protocol (boundary-seeded,
+/// lazily deepened layering of owned partitions, then the one
 /// core::spmd_balance_handshake both engines call — allgathered ε
 /// capacities, rank-0 α-ladder LP, broadcast deepen-vs-decide — then
 /// per-rank selection) against a graph::GraphShard: each rank holds full

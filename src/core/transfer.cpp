@@ -57,16 +57,23 @@ void select_partition_transfers(const graph::Graph& g,
           attraction -= 0.5 * weights[e];
         }
       }
-      ranked[k] = {layer[static_cast<std::size_t>(v)], attraction, v};
+      // The LP counts vertices but the excess is weight: a vertex heavier
+      // than the whole request overshoots it, and near balance the same
+      // heavy vertex would bounce between two partitions stage after
+      // stage.  Within a layer it goes last (never, on unit weights).
+      const bool overshoots = g.vertex_weight(v) > static_cast<double>(count);
+      ranked[k] = {layer[static_cast<std::size_t>(v)], overshoots, attraction,
+                   v};
     }
-    // (layer asc, attraction desc, vertex asc) is a strict total order, so
-    // the first `count` are the same vertices in the same order as a full
-    // sort.
+    // (layer asc, overshoots last, attraction desc, vertex asc) is a strict
+    // total order, so the first `count` are the same vertices in the same
+    // order as a full sort.
     const auto last = ranked.begin() + static_cast<std::ptrdiff_t>(count);
     std::partial_sort(
         ranked.begin(), last, ranked.end(),
         [](const TransferScratch::Ranked& a, const TransferScratch::Ranked& b) {
           if (a.layer != b.layer) return a.layer < b.layer;
+          if (a.overshoots != b.overshoots) return b.overshoots;
           if (a.attraction != b.attraction) return a.attraction > b.attraction;
           return a.vertex < b.vertex;
         });

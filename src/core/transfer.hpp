@@ -26,6 +26,7 @@ struct TransferScratch {
   /// A labelled vertex with its selection keys.
   struct Ranked {
     std::int32_t layer = 0;
+    bool overshoots = false;  ///< heavier than the pair's whole request
     double attraction = 0.0;
     graph::VertexId vertex = graph::kInvalidVertex;
   };
@@ -40,9 +41,11 @@ struct TransferScratch {
 
 /// Choose which vertices leave partition \p source, given the LP's
 /// per-destination counts in \p move_row (length num_parts).  Selection
-/// order: ascending layer (boundary first); within a layer, strongest
-/// attraction to the destination (edge weight into it minus half the edge
-/// weight kept at home); then vertex id.  Pure read-only on the graph and
+/// order: ascending layer (boundary first); within a layer, vertices no
+/// heavier than the destination's whole count before those that would
+/// overshoot it (weighted graphs only), then strongest attraction to the
+/// destination (edge weight into it minus half the edge weight kept at
+/// home); then vertex id.  Pure read-only on the graph and
 /// partitioning — the SPMD driver relies on separating selection (reads)
 /// from application (writes).  Appends to \p scratch.chosen, for every
 /// destination j with move_row[j] > 0 in ascending order, its move_row[j]

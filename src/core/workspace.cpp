@@ -23,8 +23,12 @@ void Workspace::release_memory() {
   std::vector<PartTally>().swap(refine_tallies);
   refine_candidates = pigp::DenseMatrix<std::vector<GainCandidate>>();
   std::vector<GainCandidate>().swap(refine_selection);
+  std::vector<graph::PartId>().swap(spmd_owned);
   std::vector<std::int64_t>().swap(spmd_eps_rows);
+  std::vector<std::int64_t>().swap(spmd_gathered_rows);
+  spmd_eps = pigp::DenseMatrix<std::int64_t>();
   std::vector<std::int64_t>().swap(spmd_moves_flat);
+  std::vector<graph::VertexId>().swap(spmd_movers);
 }
 
 }  // namespace pigp::core

@@ -153,8 +153,12 @@ struct Workspace {
   // per-depth aggregate snapshots).
 
   // --- SPMD driver gather/pack staging (core/spmd_igp.cpp) ---
-  std::vector<std::int64_t> spmd_eps_rows;    ///< owned eps rows, packed
-  std::vector<std::int64_t> spmd_moves_flat;  ///< broadcast move matrix
+  std::vector<graph::PartId> spmd_owned;         ///< this rank's partitions
+  std::vector<std::int64_t> spmd_eps_rows;       ///< owned eps rows, packed
+  std::vector<std::int64_t> spmd_gathered_rows;  ///< one rank's, on rank 0
+  pigp::DenseMatrix<std::int64_t> spmd_eps;      ///< assembled eps, on rank 0
+  std::vector<std::int64_t> spmd_moves_flat;     ///< broadcast move matrix
+  std::vector<graph::VertexId> spmd_movers;      ///< one gathered selection
 
   /// Bumped by invalidate_vertex_ids(); secondary workspace owners (the
   /// SPMD backend's per-rank set) compare it against their own record to

@@ -7,10 +7,15 @@
 #include <numeric>
 
 #include "../lp/flow_oracle.hpp"
+#include "core/assign.hpp"
 #include "core/layering.hpp"
+#include "core/transfer.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
+#include "mesh/paper_meshes.hpp"
+#include "spectral/partitioners.hpp"
 
 namespace pigp::core {
 namespace {
@@ -110,14 +115,19 @@ TEST(DecideStage, FallsBackToBestEffortWhenNoAlphaFitsAtExhaustion) {
   EXPECT_EQ(d.stats.lp_variables, 4);  // two slack pairs, no arcs
 }
 
-TEST(LayerDepth, StartsAtTheCapThenDoublesTheTotalDepth) {
+TEST(LayerDepth, StartsOnTheSeedShellThenTheCapThenDoubles) {
   LayerDepth depth(4);
+  EXPECT_EQ(depth.budget, 0);  // the first decision: layer 0 only
+  EXPECT_EQ(depth.deepen(), 4);
   EXPECT_EQ(depth.budget, 4);
   EXPECT_EQ(depth.deepen(), 4);
   EXPECT_EQ(depth.budget, 8);
   EXPECT_EQ(depth.deepen(), 8);
   EXPECT_EQ(depth.budget, 16);
-  EXPECT_EQ(LayerDepth(0).budget, -1);  // unlimited
+  LayerDepth unlimited(0);
+  EXPECT_EQ(unlimited.budget, -1);
+  EXPECT_EQ(unlimited.deepen(), -1);  // already grown to exhaustion
+  EXPECT_EQ(unlimited.budget, -1);
 }
 
 /// Build a path with a deliberately skewed partitioning.
@@ -296,6 +306,123 @@ TEST(BalanceLoad, VerticesMovePreferentiallyFromBoundary) {
   for (int v = 20; v < 40; ++v) {
     EXPECT_EQ(p.part[static_cast<std::size_t>(v)], 1) << v;
   }
+}
+
+TEST(BalanceTransfer, VertexHeavierThanTheRequestGoesLastInItsLayer) {
+  // Part 0 = {0 (weight 2), 1}, part 1 = {2, 3}; both part-0 vertices are
+  // layer-0 seeds headed for part 1, and vertex 0 is the more attracted.
+  graph::GraphBuilder b;
+  (void)b.add_vertex(2.0);
+  for (int k = 0; k < 3; ++k) (void)b.add_vertex();
+  b.add_edge(0, 2);
+  b.add_edge(0, 3);
+  b.add_edge(1, 2);
+  const Graph g = b.build();
+  Partitioning p;
+  p.num_parts = 2;
+  p.part = {0, 0, 1, 1};
+  const graph::PartitionState state(g, p);
+  BoundaryLayering layering(g, p);
+  layering.reseed(state);
+  ASSERT_EQ(layering.eps()(0, 1), 2);
+
+  const auto select = [&](std::int64_t count) {
+    const std::int64_t move_row[2] = {0, count};
+    TransferScratch scratch;
+    select_partition_transfers(g, p, layering.label(), layering.layer(),
+                               layering.labeled(0), 0, move_row, scratch);
+    return scratch.chosen;
+  };
+  // One unit of weight requested: the weight-2 vertex would overshoot it.
+  EXPECT_EQ(select(1), (std::vector<VertexId>{1}));
+  // Two requested: it fits, and attraction orders the pair.
+  EXPECT_EQ(select(2), (std::vector<VertexId>{0, 1}));
+}
+
+/// The first stage of balance_load on \p g from \p initial, and the
+/// partitioning it leaves.
+struct FirstStage {
+  BalanceStage stage;
+  Partitioning after;
+};
+
+FirstStage first_stage(const Graph& g, const Partitioning& initial,
+                       int max_layers) {
+  BalanceOptions options;
+  options.max_layers = max_layers;
+  options.max_stages = 1;
+  FirstStage out{{}, initial};
+  const BalanceResult r = balance_load(g, out.after, options);
+  EXPECT_EQ(r.stages.size(), 1u);
+  if (!r.stages.empty()) out.stage = r.stages.front();
+  return out;
+}
+
+TEST(BalanceLoad, FirstDecisionOnTheSeedShell) {
+  // A refined mesh whose new vertices join their nearest old partition:
+  // a mild excess that the boundary carries, so stage 0 is decided on the
+  // layer-0 seeds without growing the layering.
+  const mesh::MeshFamily family = mesh::make_small_mesh_family(600, {40}, 9);
+  const Graph& g = family.refined.front();
+  const Partitioning base = spectral::recursive_graph_bisection(family.base, 8);
+  const Partitioning initial =
+      extend_assignment(g, base, family.base.num_vertices());
+  ASSERT_FALSE(graph::is_balanced(g, initial, 0.5));
+
+  const FirstStage shell = first_stage(g, initial, 4);
+  EXPECT_EQ(shell.stage.layer_depth, 0);
+  EXPECT_EQ(shell.stage.alpha, first_stage(g, initial, 0).stage.alpha);
+
+  // Every mover was a layer-0 vertex of its source, labelled with the
+  // partition it moved to.
+  const graph::PartitionState state(g, initial);
+  BoundaryLayering seeds(g, initial);
+  seeds.reseed(state);
+  double moved = 0.0;
+  for (std::size_t v = 0; v < initial.part.size(); ++v) {
+    if (shell.after.part[v] == initial.part[v]) continue;
+    moved += 1.0;
+    EXPECT_EQ(seeds.layer()[v], 0) << "vertex " << v;
+    EXPECT_EQ(seeds.label()[v], shell.after.part[v]) << "vertex " << v;
+  }
+  EXPECT_GT(moved, 0.0);
+  EXPECT_EQ(moved, shell.stage.vertices_moved);
+}
+
+TEST(BalanceLoad, SeedShellTooSmallDeepensToTheExhaustiveAlpha) {
+  // Grid columns 0..9 | 10..15: an excess of 32 across a 16-vertex
+  // frontier.  The seed shell cannot carry it, so the stage deepens to
+  // max_layers (16 × 5 = 80 ≥ 32) and accepts α = 1 there.
+  const Graph grid = graph::grid_graph(16, 16);
+  Partitioning columns;
+  columns.num_parts = 2;
+  columns.part.resize(256);
+  for (int v = 0; v < 256; ++v) {
+    columns.part[static_cast<std::size_t>(v)] = v % 16 < 10 ? 0 : 1;
+  }
+  const FirstStage deepened = first_stage(grid, columns, 4);
+  EXPECT_EQ(deepened.stage.layer_depth, 4);
+  EXPECT_EQ(deepened.stage.alpha, 1.0);
+  EXPECT_EQ(deepened.stage.alpha, first_stage(grid, columns, 0).stage.alpha);
+
+  // The severe path of SevereImbalanceNeedsMultipleStages: only a relaxed
+  // α fits, so the stage deepens to exhaustion and picks the exhaustive
+  // run's α.
+  const int n = 120;
+  const Graph path = graph::path_graph(n);
+  Partitioning chain;
+  chain.num_parts = 6;
+  chain.part.assign(static_cast<std::size_t>(n), 0);
+  for (int q = 1; q <= 5; ++q) {
+    chain.part[static_cast<std::size_t>(n - 2 * q)] =
+        static_cast<graph::PartId>(q);
+    chain.part[static_cast<std::size_t>(n - 2 * q + 1)] =
+        static_cast<graph::PartId>(q);
+  }
+  const FirstStage exhausted = first_stage(path, chain, 4);
+  EXPECT_EQ(exhausted.stage.layer_depth, -1);
+  EXPECT_GT(exhausted.stage.alpha, 1.0);
+  EXPECT_EQ(exhausted.stage.alpha, first_stage(path, chain, 0).stage.alpha);
 }
 
 }  // namespace
