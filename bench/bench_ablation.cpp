@@ -1,7 +1,6 @@
 // Ablation study over the design choices DESIGN.md calls out:
 //
-//  A. Refinement policy: paper default (non-strict rounds then strict)
-//     vs strict-from-the-start vs a single round.
+//  A. Refinement rounds: the default 8 vs a single round vs none.
 //  A2. LP refinement vs Kernighan-Lin as a post-pass on the IGP output.
 //  B. Alpha staging: doubling search (reproduced behaviour) vs forcing
 //     one-shot alpha = 1 with best-effort fallback only.
@@ -133,18 +132,14 @@ int main(int argc, char** argv) {
     struct Policy {
       const char* name;
       int max_rounds;
-      int strict_after;
     };
-    for (const Policy policy :
-         {Policy{"paper default (strict after 2)", 8, 2},
-          Policy{"strict from round 0", 8, 0},
-          Policy{"single round", 1, 2},
-          Policy{"no refinement (IGP)", 0, 0}}) {
+    for (const Policy policy : {Policy{"default (8 rounds)", 8},
+                                Policy{"single round", 1},
+                                Policy{"no refinement (IGP)", 0}}) {
       SessionConfig config;
       config.num_parts = parts;
       config.backend = policy.max_rounds > 0 ? "igpr" : "igp";
       config.max_refine_rounds = policy.max_rounds;
-      config.refine_strict_after_round = policy.strict_after;
       const AblationOutcome out = run_variant(seq, initial, config);
       table.add_row(policy.name, out.seconds, out.cut);
     }

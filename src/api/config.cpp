@@ -46,13 +46,13 @@ static_assert(has_exactly_n_fields<lp::NetworkOptions, 3>,
               "NetworkOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::BalanceOptions, 6>,
               "BalanceOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<core::RefineOptions, 4>,
+static_assert(has_exactly_n_fields<core::RefineOptions, 3>,
               "RefineOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::IgpOptions, 4>,
               "IgpOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::MultilevelOptions, 3>,
               "MultilevelOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<SessionConfig, 27>,
+static_assert(has_exactly_n_fields<SessionConfig, 26>,
               "SessionConfig changed — update SessionConfig::resolve()");
 
 /// Batch backends rebuild from the whole graph every tick, so they cannot
@@ -83,9 +83,6 @@ ResolvedConfig SessionConfig::resolve() const {
   config_check(max_refine_rounds >= 0,
                "SessionConfig.max_refine_rounds must be >= 0 (got " +
                    std::to_string(max_refine_rounds) + ")");
-  config_check(refine_strict_after_round >= 0,
-               "SessionConfig.refine_strict_after_round must be >= 0 (got " +
-                   std::to_string(refine_strict_after_round) + ")");
   config_check(multilevel_coarsest_size >= 1,
                "SessionConfig.multilevel_coarsest_size must be >= 1 (got " +
                    std::to_string(multilevel_coarsest_size) + ")");
@@ -183,7 +180,6 @@ ResolvedConfig SessionConfig::resolve() const {
   igp.balance.num_threads = num_threads;
 
   igp.refinement.max_rounds = max_refine_rounds;
-  igp.refinement.strict_after_round = refine_strict_after_round;
   igp.refinement.num_threads = num_threads;
 
   resolved.multilevel.igp = igp;

@@ -82,7 +82,6 @@ struct SessionConfig {
 
   // --- refinement (step 4) knobs ---
   int max_refine_rounds = 8;
-  int refine_strict_after_round = 2;
 
   // --- multilevel backend knobs ---
   int multilevel_coarsest_size = 2000;

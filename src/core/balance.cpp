@@ -15,14 +15,11 @@ lp::Solution solve_lp(const lp::LinearProgram& program, LpSolverKind,
   return lp::solve_network_program(program, options);
 }
 
-void QuotientFlow::reset(std::size_t parts, lp::Sense flow_sense,
-                         std::size_t lane_count) {
+// pigp:steady-state
+void QuotientFlow::reset(std::size_t parts, lp::Sense flow_sense) {
   sense = flow_sense;
-  lanes.resize(lane_count);
-  for (Lane& lane : lanes) {
-    lane.capacity.assign(parts, parts, 0.0);
-    lane.cost.assign(parts, parts, 0.0);
-  }
+  capacity.assign(parts, parts, 0.0);
+  cost.assign(parts, parts, 0.0);
   supply.clear();
   slack_cost.clear();
 }
@@ -67,15 +64,13 @@ std::vector<double> staged_requirements(const std::vector<double>& excess,
 
 namespace {
 
-/// Visit every arc lane in variable order: (i, j, lane) lexicographic.
+/// Visit every arc in variable order: (i, j) lexicographic.
 template <typename Visit>
 void for_each_arc(const QuotientFlow& flow, Visit&& visit) {
   const std::size_t parts = flow.parts();
   for (std::size_t i = 0; i < parts; ++i) {
     for (std::size_t j = 0; j < parts; ++j) {
-      for (std::size_t l = 0; l < flow.lanes.size(); ++l) {
-        if (i != j && flow.lanes[l].capacity(i, j) > 0.0) visit(i, j, l);
-      }
+      if (i != j && flow.capacity(i, j) > 0.0) visit(i, j);
     }
   }
 }
@@ -83,28 +78,22 @@ void for_each_arc(const QuotientFlow& flow, Visit&& visit) {
 }  // namespace
 
 lp::LinearProgram to_linear_program(
-    const QuotientFlow& flow, std::vector<pigp::DenseMatrix<int>>* lane_vars) {
-  const std::size_t parts = flow.lanes.front().capacity.rows();
+    const QuotientFlow& flow, pigp::DenseMatrix<int>* pair_vars) {
+  const std::size_t parts = flow.parts();
   PIGP_CHECK((flow.supply.empty() || flow.supply.size() == parts) &&
                  (flow.slack_cost.empty() || flow.slack_cost.size() == parts),
              "supply / slack cost size mismatch");
   lp::LinearProgram program(flow.sense);
-  std::vector<pigp::DenseMatrix<int>> vars(
-      flow.lanes.size(), pigp::DenseMatrix<int>(parts, parts, -1));
-  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t l) {
-    const QuotientFlow::Lane& lane = flow.lanes[l];
-    vars[l](i, j) = program.add_variable(lane.cost(i, j), 0.0,
-                                         lane.capacity(i, j));
+  pigp::DenseMatrix<int> vars(parts, parts, -1);
+  for_each_arc(flow, [&](std::size_t i, std::size_t j) {
+    vars(i, j) =
+        program.add_variable(flow.cost(i, j), 0.0, flow.capacity(i, j));
   });
   for (std::size_t q = 0; q < parts; ++q) {
     std::vector<std::pair<int, double>> coeffs;
     for (std::size_t k = 0; k < parts; ++k) {
-      for (const auto& v : vars) {
-        if (v(q, k) >= 0) coeffs.emplace_back(v(q, k), 1.0);
-      }
-      for (const auto& v : vars) {
-        if (v(k, q) >= 0) coeffs.emplace_back(v(k, q), -1.0);
-      }
+      if (vars(q, k) >= 0) coeffs.emplace_back(vars(q, k), 1.0);
+      if (vars(k, q) >= 0) coeffs.emplace_back(vars(k, q), -1.0);
     }
     if (!flow.slack_cost.empty()) {
       coeffs.emplace_back(program.add_variable(flow.slack_cost[q]), 1.0);
@@ -114,7 +103,7 @@ lp::LinearProgram to_linear_program(
     program.add_row(lp::RowType::equal, std::move(coeffs),
                     flow.supply.empty() ? 0.0 : flow.supply[q]);
   }
-  if (lane_vars != nullptr) *lane_vars = std::move(vars);
+  if (pair_vars != nullptr) *pair_vars = std::move(vars);
   return program;
 }
 
@@ -128,10 +117,7 @@ int nodes_with_arcs(const QuotientFlow& flow) {
   for (std::size_t q = 0; q < parts; ++q) {
     bool any = false;
     for (std::size_t k = 0; k < parts && !any; ++k) {
-      for (const QuotientFlow::Lane& lane : flow.lanes) {
-        any |= k != q &&
-               (lane.capacity(q, k) > 0.0 || lane.capacity(k, q) > 0.0);
-      }
+      any = k != q && (flow.capacity(q, k) > 0.0 || flow.capacity(k, q) > 0.0);
     }
     rows += any ? 1 : 0;
   }
@@ -155,9 +141,9 @@ const FlowResult& solve_flow(const QuotientFlow& flow,
   const bool slack = !flow.slack_cost.empty();
   const int ground = static_cast<int>(parts);
   net.reset(ground + (slack ? 1 : 0));
-  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t l) {
+  for_each_arc(flow, [&](std::size_t i, std::size_t j) {
     (void)net.add_arc(static_cast<int>(i), static_cast<int>(j),
-                      flow.lanes[l].capacity(i, j), flow.lanes[l].cost(i, j));
+                      flow.capacity(i, j), flow.cost(i, j));
   });
   double total = 0.0;
   for (std::size_t q = 0; q < flow.supply.size(); ++q) {
@@ -184,11 +170,11 @@ const FlowResult& solve_flow(const QuotientFlow& flow,
   if (result.status != lp::SolveStatus::optimal) return result;
   result.objective = net.objective();
   int arc = 0;
-  for_each_arc(flow, [&](std::size_t i, std::size_t j, std::size_t) {
+  for_each_arc(flow, [&](std::size_t i, std::size_t j) {
     const double value = net.flow(arc++);
     const auto count = static_cast<std::int64_t>(value);
     PIGP_ASSERT(static_cast<double>(count) == value);
-    result.moves(i, j) += count;
+    result.moves(i, j) = count;
     result.moved += count;
   });
   return result;
@@ -207,9 +193,8 @@ void balance_flow_into(const pigp::DenseMatrix<std::int64_t>& eps,
   PIGP_CHECK(eps.cols() == parts, "eps must be square");
   PIGP_CHECK(rhs.size() == parts, "rhs size mismatch");
   flow.reset(parts, lp::Sense::minimize);
-  QuotientFlow::Lane& lane = flow.lanes.front();
-  std::copy(eps.data(), eps.data() + parts * parts, lane.capacity.data());
-  lane.cost.fill(1.0);
+  std::copy(eps.data(), eps.data() + parts * parts, flow.capacity.data());
+  flow.cost.fill(1.0);
   flow.supply.assign(rhs.begin(), rhs.end());
 }
 
@@ -223,7 +208,7 @@ QuotientFlow balance_flow(const pigp::DenseMatrix<std::int64_t>& eps,
 void best_effort_flow_into(const pigp::DenseMatrix<std::int64_t>& eps,
                            const std::vector<double>& rhs, QuotientFlow& flow) {
   balance_flow_into(eps, rhs, flow);
-  flow.lanes.front().cost.fill(1e-3);
+  flow.cost.fill(1e-3);
   flow.slack_cost.assign(eps.rows(), 1.0);
 }
 
@@ -237,11 +222,7 @@ QuotientFlow best_effort_flow(const pigp::DenseMatrix<std::int64_t>& eps,
 lp::LinearProgram build_balance_lp(
     const pigp::DenseMatrix<std::int64_t>& eps, const std::vector<double>& rhs,
     pigp::DenseMatrix<int>* pair_vars) {
-  std::vector<pigp::DenseMatrix<int>> lane_vars;
-  lp::LinearProgram program =
-      to_linear_program(balance_flow(eps, rhs), &lane_vars);
-  if (pair_vars != nullptr) *pair_vars = std::move(lane_vars.front());
-  return program;
+  return to_linear_program(balance_flow(eps, rhs), pair_vars);
 }
 
 namespace {

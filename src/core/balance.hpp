@@ -83,30 +83,21 @@ struct BalanceResult {
 
 /// One flow problem on the P-node quotient graph: the shape all three of
 /// the paper's LPs share — balance (eqs. 10–13), its slack-relaxed
-/// best-effort fallback, and refinement (eqs. 14–16).  Each lane's arc
-/// (i, j), i ≠ j, with capacity > 0 is a variable l in [0, capacity] at
-/// the lane's cost; node q's row is Σ (out − in) [+ s⁺ − s⁻] = supply_q.
+/// best-effort fallback, and refinement (eqs. 14–16).  Each arc (i, j),
+/// i ≠ j, with capacity > 0 is a variable l in [0, capacity] at cost
+/// cost(i, j); node q's row is Σ (out − in) [+ s⁺ − s⁻] = supply_q.
 struct QuotientFlow {
-  /// Parallel arcs per ordered pair (refinement's positive- and zero-gain
-  /// lanes); their flows add up in the move matrix.
-  struct Lane {
-    pigp::DenseMatrix<double> capacity;  ///< 0 = no arc
-    pigp::DenseMatrix<double> cost;
-  };
   QuotientFlow() = default;
-  QuotientFlow(std::size_t parts, lp::Sense sense, std::size_t lanes = 1) {
-    reset(parts, sense, lanes);
-  }
+  QuotientFlow(std::size_t parts, lp::Sense sense) { reset(parts, sense); }
 
-  /// Re-shape in place to \p lanes lanes of \p parts × \p parts, every
-  /// arc absent, no supply and no slack; storage is reused.
-  void reset(std::size_t parts, lp::Sense sense, std::size_t lanes = 1);
-  [[nodiscard]] std::size_t parts() const {
-    return lanes.front().capacity.rows();
-  }
+  /// Re-shape in place to \p parts × \p parts, every arc absent, no
+  /// supply and no slack; storage is reused.
+  void reset(std::size_t parts, lp::Sense sense);
+  [[nodiscard]] std::size_t parts() const { return capacity.rows(); }
 
   lp::Sense sense = lp::Sense::minimize;
-  std::vector<Lane> lanes;
+  pigp::DenseMatrix<double> capacity;  ///< 0 = no arc
+  pigp::DenseMatrix<double> cost;
   /// Empty = a circulation: all-zero supply, and a node without arcs gets
   /// no row.  Otherwise every node gets its row.
   std::vector<double> supply;
@@ -120,7 +111,7 @@ struct QuotientFlow {
 struct FlowResult {
   lp::SolveStatus status = lp::SolveStatus::infeasible;
   double objective = 0.0;
-  pigp::DenseMatrix<std::int64_t> moves;  ///< flow per pair, lanes summed
+  pigp::DenseMatrix<std::int64_t> moves;  ///< flow per pair
   std::int64_t moved = 0;
   int lp_variables = 0;
   int lp_rows = 0;
@@ -128,17 +119,16 @@ struct FlowResult {
 };
 
 /// The one translation of a flow into an LP, for build_balance_lp and the
-/// reference solvers of the tests.  Variables: the arcs in (i, j, lane)
-/// order, then each node's (s⁺, s⁻) when slack is priced.
-/// Row q lists, for each k, q's out-lanes to k (+1) then its in-lanes from
-/// k (−1), then its slack.  \p lane_vars receives each lane's variable
-/// index per pair (-1 when absent).
+/// reference solvers of the tests.  Variables: the arcs in (i, j) order,
+/// then each node's (s⁺, s⁻) when slack is priced.
+/// Row q lists, for each k, q's arc to k (+1) then its arc from k (−1),
+/// then its slack.  \p pair_vars receives the variable index per pair (-1
+/// when absent).
 [[nodiscard]] lp::LinearProgram to_linear_program(
-    const QuotientFlow& flow,
-    std::vector<pigp::DenseMatrix<int>>* lane_vars = nullptr);
+    const QuotientFlow& flow, pigp::DenseMatrix<int>* pair_vars = nullptr);
 
 /// Solve \p flow with the network simplex into ws.result and return it;
-/// the integer move matrix sums each pair's lanes.  The flows are integers
+/// the integer move matrix holds each arc's flow.  The flows are integers
 /// by construction (capacities and supplies are counts) and are written to
 /// the move matrix as they are; a warm \p ws makes the solve
 /// allocation-free.

@@ -91,15 +91,14 @@ std::int64_t refresh_analysis(const graph::Graph& g,
 }
 
 /// Fill the (i, j) candidate buckets from the cached analyses with one walk
-/// of the ascending boundary, keeping vertices whose best gain passes the
-/// round's condition (> 0 when \p strict, >= 0 otherwise).  Each bucket is
-/// ascending by vertex id — its order feeds a floating-point gain sum in
-/// the LP objective.  Cells are cleared, capacity reused.
+/// of the ascending boundary, keeping vertices whose best gain is > 0.
+/// Each bucket is ascending by vertex id — its order feeds a floating-point
+/// gain sum in the LP objective.  Cells are cleared, capacity reused.
 // pigp:steady-state
 void assemble_candidates(
     const graph::Partitioning& p,
     const std::vector<graph::VertexId>& boundary,
-    const EpochArray<MoveAnalysis>& cache, bool strict,
+    const EpochArray<MoveAnalysis>& cache,
     pigp::DenseMatrix<std::vector<GainCandidate>>& candidates) {
   const auto parts = static_cast<std::size_t>(p.num_parts);
   if (candidates.rows() != parts || candidates.cols() != parts) {
@@ -111,12 +110,10 @@ void assemble_candidates(
   }
   for (const graph::VertexId v : boundary) {
     const MoveAnalysis a = cache.get(static_cast<std::size_t>(v));
-    if (a.best < 0) continue;
-    if (strict ? a.gain > 0.0 : a.gain >= 0.0) {
-      candidates(static_cast<std::size_t>(p.part[static_cast<std::size_t>(v)]),
-                 static_cast<std::size_t>(a.best))
-          .push_back(GainCandidate{v, a.gain});
-    }
+    if (a.best < 0 || a.gain <= 0.0) continue;
+    candidates(static_cast<std::size_t>(p.part[static_cast<std::size_t>(v)]),
+               static_cast<std::size_t>(a.best))
+        .push_back(GainCandidate{v, a.gain});
   }
 }
 
@@ -140,45 +137,23 @@ void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
 
 }  // namespace
 
+// pigp:steady-state
 void refinement_flow_into(
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
     double cap_scale, QuotientFlow& flow) {
   const std::size_t parts = candidates.rows();
-  flow.reset(parts, lp::Sense::maximize, 2);
-  QuotientFlow::Lane& gain_lane = flow.lanes[0];
-  QuotientFlow::Lane& zero_lane = flow.lanes[1];
-  zero_lane.cost.fill(1e-3);
-  const auto scaled = [cap_scale](double count) {
-    return std::max(1.0, std::floor(count * cap_scale));
-  };
+  flow.reset(parts, lp::Sense::maximize);
   for (std::size_t i = 0; i < parts; ++i) {
     for (std::size_t j = 0; j < parts; ++j) {
       const auto& bucket = candidates(i, j);
       if (i == j || bucket.empty()) continue;
-      double positive = 0.0;
       double gain_sum = 0.0;
-      for (const GainCandidate& c : bucket) {
-        if (c.gain > 0.0) {
-          positive += 1.0;
-          gain_sum += c.gain;
-        }
-      }
-      const double zero = static_cast<double>(bucket.size()) - positive;
-      if (positive > 0.0) {
-        gain_lane.capacity(i, j) = scaled(positive);
-        gain_lane.cost(i, j) = gain_sum / positive;
-      }
-      if (zero > 0.0) zero_lane.capacity(i, j) = scaled(zero);
+      for (const GainCandidate& c : bucket) gain_sum += c.gain;
+      const auto count = static_cast<double>(bucket.size());
+      flow.capacity(i, j) = std::max(1.0, std::floor(count * cap_scale));
+      flow.cost(i, j) = gain_sum / count;
     }
   }
-}
-
-QuotientFlow refinement_flow(
-    const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
-    double cap_scale) {
-  QuotientFlow flow;
-  refinement_flow_into(candidates, cap_scale, flow);
-  return flow;
 }
 
 RefineStats refine_partitioning(const graph::Graph& g,
@@ -200,7 +175,6 @@ RefineStats refine_partitioning(const graph::Graph& g,
   stats.cut_before = cut;
   stats.cut_after = cut;
 
-  bool force_strict = false;
   double cap_scale = 1.0;
   // Working storage: pooled in the session workspace when given, call-local
   // otherwise — identical decisions either way.
@@ -215,10 +189,9 @@ RefineStats refine_partitioning(const graph::Graph& g,
   // round restores the index exactly, so the retry reuses it.
   state.boundary_ascending(boundary);
   for (int round = 0; round < options.max_rounds; ++round) {
-    const bool strict = force_strict || round >= options.strict_after_round;
     stats.vertices_analyzed += refresh_analysis(g, partitioning, boundary,
                                                 options.num_threads, w);
-    assemble_candidates(partitioning, boundary, w.refine_analysis, strict,
+    assemble_candidates(partitioning, boundary, w.refine_analysis,
                         candidates);
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
     // refresh_analysis sized thread 0's tally for num_parts.
@@ -239,8 +212,8 @@ RefineStats refine_partitioning(const graph::Graph& g,
     PIGP_CHECK(flow.status == lp::SolveStatus::optimal,
                "refinement LP must be solvable (l = 0 is feasible)");
     stats.lp_iterations += flow.lp_iterations;
-    // Objective is gain-weighted; below this threshold only zero-gain
-    // circulation remains.
+    // The objective is the round's predicted cut gain (flow × mean gain);
+    // below half an edge nothing worth moving remains.
     if (flow.objective < 0.5) break;
 
     // Undo unit: the round's rollback window — O(P) to open, and an undo
@@ -252,16 +225,12 @@ RefineStats refine_partitioning(const graph::Graph& g,
 
     const double new_cut = state.cut_total();
     if (new_cut > cut) {
-      // Batch interactions hurt (usually zero-gain vertices oscillating or
-      // dense candidate clusters moving together); roll back and retry in
-      // strict mode first, then with progressively smaller batches.  The
-      // undo restores every assignment, so every cached analysis stays
-      // exact.
+      // Batch interactions hurt (dense candidate clusters moving
+      // together); roll back and retry with progressively smaller
+      // batches.  The undo restores every assignment, so every cached
+      // analysis stays exact.
       window.undo(g, partitioning);
-      if (!strict) {
-        force_strict = true;
-        continue;
-      }
+      ++stats.rounds_reverted;
       if (cap_scale > 0.2) {
         cap_scale *= 0.5;
         continue;

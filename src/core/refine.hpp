@@ -4,19 +4,20 @@
 /// Step 4 of the incremental partitioner: LP-based cut refinement
 /// (Ou & Ranka §2.4, equations 14–16).
 ///
-/// Boundary vertices whose edges into a neighboring partition outweigh (or
-/// equal) their local edges are candidates to move; the LP
+/// Boundary vertices whose edges into a neighboring partition outweigh
+/// their local edges (gain out(v, j) − in(v) > 0) are candidates to move;
+/// the LP
 ///     maximize   Σ l_ij
 ///     subject to 0 ≤ l_ij ≤ b_ij,  Σ_k (l_qk − l_kq) = 0  ∀q
 /// moves as many of them as possible while preserving load balance.  The
-/// pass iterates; after a configurable number of rounds the candidate
-/// condition switches from ≥ to > ("strict") so zero-gain vertices stop
-/// oscillating between boundaries (exactly the paper's remedy).
+/// pass iterates.
 ///
-/// One deliberate difference from the paper's prose: a vertex eligible for
-/// several destinations is counted only toward its best-gain destination,
-/// so a vertex can never be double-committed by the LP.  bench_ablation
-/// quantifies the (negligible) difference.
+/// Two deliberate differences from the paper (docs/ARCHITECTURE.md lists
+/// them with the other deviations): every round is strict, where the paper
+/// admits zero-gain candidates (≥) in its early rounds and switches to >
+/// later; and a vertex eligible for several destinations is counted only
+/// toward its best-gain destination, so a vertex can never be
+/// double-committed by the LP.
 
 #include <cstdint>
 #include <vector>
@@ -33,9 +34,6 @@ struct Workspace;
 
 struct RefineOptions {
   int max_rounds = 8;
-  /// Round index from which candidates require out(v,j) - in(v) > 0
-  /// instead of >= 0.
-  int strict_after_round = 2;
   lp::NetworkOptions simplex;
   int num_threads = 1;
 };
@@ -50,24 +48,21 @@ struct RefineStats {
   /// boundary on the first round, then at most Σ (deg + 1) over the
   /// previous kept round's moved vertices.
   std::int64_t vertices_analyzed = 0;
+  /// Rounds whose moves raised the cut and were undone (each halves the
+  /// batch cap, or ends refinement once the cap is small); counted in
+  /// rounds too.
+  int rounds_reverted = 0;
 };
 
 /// The refinement LP (eqs. 14–16) as a quotient flow, with a gain-aware
-/// objective: the paper's raw Σ l_ij lets zero-gain candidates (admitted
-/// by the non-strict condition) churn the boundary without improving the
-/// cut.  Each pair gets a positive-gain lane (capacity = its gain > 0
-/// candidates, cost = their mean gain) and a zero-gain lane (the rest, at
-/// a tiny cost) that only routes flow to close circulation — the paper's
-/// own reason for admitting them.  \p cap_scale < 1 shrinks batches after
-/// a regression (smaller batches interact less).  Written into \p flow,
-/// reusing its storage.
+/// objective: each pair (i, j) with candidates gets one arc whose capacity
+/// is its candidate count and whose cost is their mean gain, so the LP
+/// prefers the moves that cut the most.  \p cap_scale < 1 shrinks batches
+/// after a regression (smaller batches interact less).  Written into
+/// \p flow, reusing its storage.
 void refinement_flow_into(
     const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
     double cap_scale, QuotientFlow& flow);
-
-[[nodiscard]] QuotientFlow refinement_flow(
-    const pigp::DenseMatrix<std::vector<GainCandidate>>& candidates,
-    double cap_scale);
 
 /// Iteratively refine \p partitioning in place; returns statistics.  Load
 /// balance is preserved exactly (zero-net-flow constraints).  This batch

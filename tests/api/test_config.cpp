@@ -47,7 +47,6 @@ TEST(SessionConfigResolve, PropagatesBalanceRefineAndMultilevelKnobs) {
   config.max_balance_stages = 5;
   config.balance_tolerance = 0.25;
   config.max_refine_rounds = 3;
-  config.refine_strict_after_round = 1;
   config.multilevel_coarsest_size = 123;
   config.multilevel_max_levels = 4;
   const ResolvedConfig resolved = config.resolve();
@@ -56,7 +55,6 @@ TEST(SessionConfigResolve, PropagatesBalanceRefineAndMultilevelKnobs) {
   EXPECT_EQ(resolved.igp.balance.max_stages, 5);
   EXPECT_DOUBLE_EQ(resolved.igp.balance.tolerance, 0.25);
   EXPECT_EQ(resolved.igp.refinement.max_rounds, 3);
-  EXPECT_EQ(resolved.igp.refinement.strict_after_round, 1);
   EXPECT_EQ(resolved.multilevel.coarsest_size, 123);
   EXPECT_EQ(resolved.multilevel.max_levels, 4);
   // The multilevel per-level passes inherit the same knobs.

@@ -271,7 +271,8 @@ TEST(SessionAlloc, WarmNestedRollbackWindowPerformsZeroHeapAllocations) {
 
 const std::vector<double> kRingExcess = {7.5, -1.5, -1.5, -1.5, -1.5, -1.5};
 
-/// Refinement candidates over four parts, both lanes in use.
+/// Refinement candidates over four parts, every gain positive (the only
+/// candidates refinement admits), with fractional mean gains.
 [[maybe_unused]] pigp::DenseMatrix<std::vector<core::GainCandidate>>
 refine_buckets() {
   pigp::DenseMatrix<std::vector<core::GainCandidate>> b(4, 4);
@@ -281,10 +282,10 @@ refine_buckets() {
   };
   for (int k = 0; k < 5; ++k) add(0, 1, 1.0 + k);
   for (int k = 0; k < 3; ++k) add(1, 2, 2.0);
-  add(1, 0, 0.0);
-  for (int k = 0; k < 4; ++k) add(2, 0, 0.5 * k);
+  add(1, 0, 0.5);
+  for (int k = 0; k < 4; ++k) add(2, 0, 0.5 * (k + 1));
   for (int k = 0; k < 2; ++k) add(3, 2, 1.0);
-  add(2, 3, 0.0);
+  add(2, 3, 0.25);
   return b;
 }
 

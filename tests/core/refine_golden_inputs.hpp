@@ -112,8 +112,6 @@ inline Partitioning noisy_block_partitioning(
 }
 
 /// One named golden case: graph, initial partitioning, refine options.
-/// Every input states strict_after_round itself, so the goldens do not move
-/// with RefineOptions' default.
 struct GoldenInput {
   Graph g;
   Partitioning p;
@@ -125,42 +123,34 @@ inline GoldenInput golden_input(const std::string& name) {
   if (name == "grid_banded") {
     in.g = graph::grid_graph(60, 60);
     in.p = banded_grid_partitioning(60, 5);
-    in.opt.strict_after_round = 2;
   } else if (name == "grid_shuffled") {
     in.g = graph::grid_graph(48, 48);
     in.p = shuffled_partitioning(48 * 48, 4, 3);
     in.opt.max_rounds = 12;
-    in.opt.strict_after_round = 2;
   } else if (name == "geometric") {
     in.g = graph::random_geometric_graph(3000, 0.035, 21);
     in.p = shuffled_partitioning(3000, 6, 22);
     in.opt.max_rounds = 16;
-    in.opt.strict_after_round = 2;
   } else if (name == "geometric_large") {
     in.g = graph::random_geometric_graph(12000, 0.018, 31);
     in.p = shuffled_partitioning(12000, 8, 32);
-    in.opt.strict_after_round = 2;
   } else if (name == "hub") {
     in.g = hub_graph(4000, 3, 41);
     in.p = shuffled_partitioning(4000, 4, 42);
     in.opt.max_rounds = 12;
-    in.opt.strict_after_round = 2;
-  } else if (name == "hub_nonstrict") {
+  } else if (name == "hub_sparse") {
     in.g = hub_graph(3000, 2, 51);
     in.p = shuffled_partitioning(3000, 3, 52);
     in.opt.max_rounds = 12;
-    in.opt.strict_after_round = 6;
   } else if (name == "geometric_p64") {
     std::vector<std::array<double, 2>> coords;
     in.g = graph::random_geometric_graph(8000, 0.025, 61, &coords);
     in.p = noisy_block_partitioning(coords, 8, 0.25, 62);
     in.opt.max_rounds = 10;
-    in.opt.strict_after_round = 2;
   } else if (name == "hub_p64") {
     in.g = hub_graph(6000, 3, 71);
     in.p = shuffled_partitioning(6000, 64, 72);
     in.opt.max_rounds = 10;
-    in.opt.strict_after_round = 2;
   }
   return in;
 }

@@ -30,11 +30,11 @@ inline lp::Solution solve_lp(const lp::LinearProgram& program, Solver solver) {
 
 /// \p flow solved through its LP.  lp_variables and lp_rows are the LP's,
 /// lp_iterations its pivots; an optimal vertex must be integral (the LP is
-/// a network LP) and is summed over lanes into the move matrix.
+/// a network LP) and is rounded into the move matrix.
 inline FlowResult solve_flow(const QuotientFlow& flow,
                              Solver solver = Solver::dense) {
-  std::vector<pigp::DenseMatrix<int>> lane_vars;
-  const lp::LinearProgram program = to_linear_program(flow, &lane_vars);
+  pigp::DenseMatrix<int> vars;
+  const lp::LinearProgram program = to_linear_program(flow, &vars);
   const lp::Solution solution = solve_lp(program, solver);
   FlowResult result;
   const std::size_t parts = flow.parts();
@@ -49,15 +49,13 @@ inline FlowResult solve_flow(const QuotientFlow& flow,
     EXPECT_LE(std::abs(value - std::round(value)), 1e-6)
         << "quotient-flow LP optimum is not integral";
   }
-  for (const pigp::DenseMatrix<int>& vars : lane_vars) {
-    for (std::size_t i = 0; i < parts; ++i) {
-      for (std::size_t j = 0; j < parts; ++j) {
-        if (vars(i, j) < 0) continue;
-        const std::int64_t count =
-            std::llround(solution.x[static_cast<std::size_t>(vars(i, j))]);
-        result.moves(i, j) += count;
-        result.moved += count;
-      }
+  for (std::size_t i = 0; i < parts; ++i) {
+    for (std::size_t j = 0; j < parts; ++j) {
+      if (vars(i, j) < 0) continue;
+      const std::int64_t count =
+          std::llround(solution.x[static_cast<std::size_t>(vars(i, j))]);
+      result.moves(i, j) = count;
+      result.moved += count;
     }
   }
   return result;

@@ -5,7 +5,7 @@
 // optimal objectives within 1e-9 relative, and the network flow must be
 // integral, within capacity and exactly conserved.  The flows come from a
 // random generator (2 to 64 parts, sparse and dense capacities, supply and
-// circulation, with and without slack, both senses, one or two lanes),
+// circulation, with and without slack, both senses),
 // from the refinement golden inputs, and from decide_stage's α ladder on a
 // power-law graph, where the first feasible α and its move count must
 // match too.
@@ -58,16 +58,12 @@ lp::SolveStatus expect_same_optimum(const QuotientFlow& flow,
               1e-9 * std::max(1.0, std::abs(dense.objective)))
       << what;
 
-  // Within capacity (the lanes of a pair add up) and, without slack,
-  // conserved exactly.
+  // Within capacity and, without slack, conserved exactly.
   const std::size_t parts = flow.parts();
   std::int64_t moved = 0;
   for (std::size_t i = 0; i < parts; ++i) {
     for (std::size_t j = 0; j < parts; ++j) {
-      double capacity = 0.0;
-      for (const QuotientFlow::Lane& lane : flow.lanes) {
-        if (i != j) capacity += lane.capacity(i, j);
-      }
+      const double capacity = i != j ? flow.capacity(i, j) : 0.0;
       EXPECT_GE(net.moves(i, j), 0) << what;
       EXPECT_LE(static_cast<double>(net.moves(i, j)), capacity) << what;
       moved += net.moves(i, j);
@@ -103,21 +99,18 @@ struct RandomShape {
   bool supply;
   bool slack;
   lp::Sense sense;
-  std::size_t lanes;
 };
 
 /// A random flow of \p shape: integral capacities and supplies, costs
 /// that are either all one (the balance LP's massive ties) or random.
 QuotientFlow random_flow(const RandomShape& shape, pigp::SplitMix64& rng) {
-  QuotientFlow flow(shape.parts, shape.sense, shape.lanes);
+  QuotientFlow flow(shape.parts, shape.sense);
   const bool unit_cost = rng.next_below(2) == 0;
-  for (QuotientFlow::Lane& lane : flow.lanes) {
-    for (std::size_t i = 0; i < shape.parts; ++i) {
-      for (std::size_t j = 0; j < shape.parts; ++j) {
-        if (i == j || rng.next_double() >= shape.density) continue;
-        lane.capacity(i, j) = static_cast<double>(1 + rng.next_below(12));
-        lane.cost(i, j) = unit_cost ? 1.0 : rng.next_in(0.001, 4.0);
-      }
+  for (std::size_t i = 0; i < shape.parts; ++i) {
+    for (std::size_t j = 0; j < shape.parts; ++j) {
+      if (i == j || rng.next_double() >= shape.density) continue;
+      flow.capacity(i, j) = static_cast<double>(1 + rng.next_below(12));
+      flow.cost(i, j) = unit_cost ? 1.0 : rng.next_in(0.001, 4.0);
     }
   }
   if (shape.supply) {
@@ -154,24 +147,20 @@ TEST(NetworkFlowDifferential, RandomFlowsMatchTheDenseSimplex) {
         for (const bool slack : {false, true}) {
           for (const lp::Sense sense :
                {lp::Sense::minimize, lp::Sense::maximize}) {
-            for (const std::size_t lanes : {1, 2}) {
-              if (parts == 64 && (lanes == 2 || density > 0.5)) continue;
-              const RandomShape shape{parts, density, supply, slack, sense,
-                                      lanes};
-              for (int d = 0; d < draws; ++d) {
-                const std::string what =
-                    "P=" + std::to_string(parts) +
-                    " density=" + std::to_string(density) +
-                    " supply=" + std::to_string(supply) +
-                    " slack=" + std::to_string(slack) + " max=" +
-                    std::to_string(sense == lp::Sense::maximize) +
-                    " lanes=" + std::to_string(lanes) +
-                    " draw=" + std::to_string(d);
-                const lp::SolveStatus status =
-                    expect_same_optimum(random_flow(shape, rng), what);
-                optimal += status == lp::SolveStatus::optimal ? 1 : 0;
-                infeasible += status == lp::SolveStatus::infeasible ? 1 : 0;
-              }
+            if (parts == 64 && density > 0.5) continue;
+            const RandomShape shape{parts, density, supply, slack, sense};
+            for (int d = 0; d < draws; ++d) {
+              const std::string what =
+                  "P=" + std::to_string(parts) +
+                  " density=" + std::to_string(density) +
+                  " supply=" + std::to_string(supply) +
+                  " slack=" + std::to_string(slack) +
+                  " max=" + std::to_string(sense == lp::Sense::maximize) +
+                  " draw=" + std::to_string(d);
+              const lp::SolveStatus status =
+                  expect_same_optimum(random_flow(shape, rng), what);
+              optimal += status == lp::SolveStatus::optimal ? 1 : 0;
+              infeasible += status == lp::SolveStatus::infeasible ? 1 : 0;
             }
           }
         }
@@ -187,9 +176,9 @@ TEST(NetworkFlowDifferential, RandomFlowsMatchTheDenseSimplex) {
 
 /// Round-one refinement candidates of \p p: each boundary vertex's best
 /// destination (largest out(v, j) − in(v), ties to the smaller part) when
-/// its gain passes the round's condition.
+/// its gain is positive.
 pigp::DenseMatrix<std::vector<GainCandidate>> candidates_of(
-    const graph::Graph& g, const graph::Partitioning& p, bool strict) {
+    const graph::Graph& g, const graph::Partitioning& p) {
   const auto parts = static_cast<std::size_t>(p.num_parts);
   pigp::DenseMatrix<std::vector<GainCandidate>> candidates(parts, parts);
   std::vector<double> out(parts, 0.0);
@@ -215,7 +204,7 @@ pigp::DenseMatrix<std::vector<GainCandidate>> candidates_of(
         gain = out[q] - in;
       }
     }
-    if (best >= 0 && (strict ? gain > 0.0 : gain >= 0.0)) {
+    if (best >= 0 && gain > 0.0) {
       candidates(static_cast<std::size_t>(from), static_cast<std::size_t>(best))
           .push_back(GainCandidate{v, gain});
     }
@@ -225,9 +214,9 @@ pigp::DenseMatrix<std::vector<GainCandidate>> candidates_of(
 
 TEST(NetworkFlowDifferential, RefinementFlowsOfTheGoldenInputs) {
   // The golden inputs' initial partitions and the partitions after one and
-  // two refine rounds, both candidate conditions, full and halved caps.
+  // two refine rounds, full and halved caps.
   for (const char* name : {"grid_banded", "grid_shuffled", "geometric",
-                           "geometric_large", "hub", "hub_nonstrict"}) {
+                           "geometric_large", "hub", "hub_sparse"}) {
     golden::GoldenInput in = golden::golden_input(name);
     for (int rounds = 0; rounds <= 2; ++rounds) {
       graph::Partitioning p = in.p;
@@ -236,18 +225,15 @@ TEST(NetworkFlowDifferential, RefinementFlowsOfTheGoldenInputs) {
         opt.max_rounds = rounds;
         (void)refine_partitioning(in.g, p, opt);
       }
-      for (const bool strict : {false, true}) {
-        const auto candidates = candidates_of(in.g, p, strict);
-        for (const double cap_scale : {1.0, 0.5}) {
-          const std::string what = std::string(name) + " after " +
-                                   std::to_string(rounds) + " round(s)" +
-                                   (strict ? " strict" : "") + " cap " +
-                                   std::to_string(cap_scale);
-          EXPECT_EQ(expect_same_optimum(refinement_flow(candidates, cap_scale),
-                                        what),
-                    lp::SolveStatus::optimal)
-              << what;
-        }
+      const auto candidates = candidates_of(in.g, p);
+      for (const double cap_scale : {1.0, 0.5}) {
+        const std::string what = std::string(name) + " after " +
+                                 std::to_string(rounds) + " round(s) cap " +
+                                 std::to_string(cap_scale);
+        QuotientFlow flow;
+        refinement_flow_into(candidates, cap_scale, flow);
+        EXPECT_EQ(expect_same_optimum(flow, what), lp::SolveStatus::optimal)
+            << what;
       }
     }
   }
