@@ -24,8 +24,7 @@
 ///     every member of every partition, O(V+E) always.
 ///   * BoundaryLayering / layer_partitions_from() — the boundary-local
 ///     path: seeds layer 0 from an ascending boundary list — the
-///     PartitionState's ordered boundary walk, or the sharded SPMD
-///     worker's own owned-partition scan — in O(boundary) plus one
+///     PartitionState's ordered boundary walk — in O(boundary) plus one
 ///     per-vertex array reset, and grows *resumably*: the balance driver
 ///     decides each stage on the seeds alone (layer 0, no grow()) and
 ///     requests deeper layers — max_layers, then doubling — only when the

@@ -15,11 +15,15 @@
 /// rank applies the decided moves to its replica in the same global order
 /// so the replicas never diverge.
 ///
-/// When the balancer moves a vertex into a partition owned by another
-/// rank, the selection message carries the vertex's full adjacency row and
-/// the new owner installs it (a per-stage CSR rebuild folds the received
-/// rows in), maintaining the residency invariant the next stage's BFS
-/// needs: part[v] owned by r  ⟹  v's full row is resident on r.
+/// Each rank keeps one graph::PartitionState over its shard, seeded once
+/// per call; every move goes through it.  When the balancer moves a vertex
+/// into a partition owned by another rank, the selection message carries
+/// the vertex's full adjacency row and the new owner installs it in place
+/// into the shard's mutable graph (the edges its halo row lacks, inserted
+/// on both sides and added to the state), maintaining the residency
+/// invariant the next stage's BFS needs: part[v] owned by r  ⟹  v's full
+/// row is resident on r.  The shard stays symmetric, so the state's
+/// boundary bits are exact for owned vertices and seed the layering.
 ///
 /// Parity: with the same seed/config, the final partitioning is
 /// bit-identical to spmd_repartition_in_place (and therefore to the
@@ -28,9 +32,9 @@
 /// moves in (source asc, dest asc, selection order) global order,
 /// reductions in rank order),
 /// layering reads resident rows byte-identical to the full graph's and is
-/// seeded through the same BoundaryLayering::reseed (from this rank's
-/// ascending scan of its owned boundary instead of a PartitionState walk —
-/// the same vertex list), and the LP runs on rank 0 from identical
+/// seeded through the same BoundaryLayering::reseed from the state's
+/// boundary walk (for owned partitions the same vertex list as the full
+/// graph's state), and the LP runs on rank 0 from identical
 /// inputs.  tests/core/test_spmd_worker pins this against the in-process
 /// oracle.
 ///
@@ -54,8 +58,8 @@ struct SpmdWorkerStats {
   int stages = 0;
   double final_max_deviation = 0.0;
   /// Weighted cut of the final partitioning (each cross edge once),
-  /// computed distributed: every rank sums the directed boundary slots of
-  /// its owned partitions, allreduced in rank order, halved.
+  /// computed distributed: every rank sums its owned partitions' boundary
+  /// costs C(q), allreduced in rank order, halved.
   double cut = 0.0;
   std::int64_t vertices_moved = 0;
   /// Adjacency rows this rank installed for vertices migrated into its
@@ -67,7 +71,7 @@ struct SpmdWorkerStats {
 /// shard must be rank/num_ranks consistent with the transport, fully
 /// assigned, and every rank must hold the same replicated partitioning.
 /// On return shard.partitioning is the final (replica-identical)
-/// assignment and shard.graph has any migrated rows folded in.
+/// assignment and shard.graph holds every migrated row (still symmetric).
 ///
 /// Throws pigp::CheckError when options request the refinement pass
 /// (unsupported here — see the file comment); TransportError propagates

@@ -172,6 +172,9 @@ GraphShard load_shard(std::istream& is, const Partitioning& p, int rank,
   GraphShard shard = assembler.finish();
   PIGP_CHECK(shard.total_half_edges == 2 * m,
              "edge count does not match header");
+  // Outside input: reject self-loops and unsorted or asymmetric rows, which
+  // the worker's in-place row install and byte-identical rows rely on.
+  shard.graph.validate();
   return shard;
 }
 

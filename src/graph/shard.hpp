@@ -29,7 +29,10 @@
 ///   * a vertex in an owned partition always has its full row resident
 ///     (the worker maintains this across migrations);
 ///   * halo rows keep only edges into resident vertices, which preserves
-///     CSR symmetry so the freshly loaded shard passes Graph::validate().
+///     symmetry: a loaded shard passes Graph::validate(), and so does a
+///     shard after migration — the worker installs a migrated row in place
+///     with its reverse half-edges, which join the halo, so
+///     resident_half_edges + halo_half_edges == graph.num_half_edges().
 
 #include <iosfwd>
 #include <string>
@@ -81,7 +84,9 @@ struct GraphShard {
 /// Stream a METIS graph, keeping only rank \p rank's slice under \p p
 /// (replicated; p.part.size() must equal the header's vertex count).
 /// Non-resident lines are parsed and dropped save for halo edges and the
-/// vertex weight, so peak memory tracks the shard, not the graph.
+/// vertex weight, so peak memory tracks the shard, not the graph.  The
+/// shard is validated (Graph::validate) like make_shard's, so self-loops
+/// and unsorted or asymmetric rows throw pigp::CheckError.
 [[nodiscard]] GraphShard load_shard(std::istream& is, const Partitioning& p,
                                     int rank, int num_ranks);
 

@@ -111,6 +111,19 @@ TEST(Shard, AdjacencyIsActuallySharded) {
   }
 }
 
+TEST(Shard, LoaderRejectsRowsThatBreakTheInstall) {
+  // A self-loop, and an unsorted row: rows the worker's in-place install
+  // (binary search, byte-identical sorted rows) cannot take.
+  for (const char* metis : {"2 2\n1 2\n1 2\n", "3 2\n3 2\n1\n1\n"}) {
+    std::istringstream is(metis);
+    graph::VertexId n = 0;
+    is >> n;
+    is.seekg(0);
+    const Partitioning p = graph::contiguous_partitioning(n, 1);
+    EXPECT_THROW((void)graph::load_shard(is, p, 0, 1), CheckError) << metis;
+  }
+}
+
 TEST(Shard, ContiguousPartitioningTilesAndSkews) {
   const Partitioning even = graph::contiguous_partitioning(100, 7, 0.0);
   const Partitioning skewed = graph::contiguous_partitioning(100, 7, 1.0);
@@ -220,6 +233,12 @@ TEST(SpmdWorker, MigratedRowsKeepResidencyInvariant) {
   EXPECT_GT(moved_rows, 0);
   for (int r = 0; r < ranks; ++r) {
     const GraphShard& shard = shards[static_cast<std::size_t>(r)];
+    // Installed rows brought their reverse half-edges along: the shard is
+    // still a symmetric graph, and its edge counters still add up.
+    EXPECT_NO_THROW(shard.graph.validate()) << "rank " << r;
+    EXPECT_EQ(shard.resident_half_edges + shard.halo_half_edges,
+              shard.graph.num_half_edges())
+        << "rank " << r;
     for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
       const graph::PartId q =
           shard.partitioning.part[static_cast<std::size_t>(v)];
