@@ -4,8 +4,8 @@
 // Three experiments, all through the pigp::Session API:
 //  1. shared-memory engine: IGPR wall time vs thread count on the largest
 //     paper workload (mesh B, +672 nodes);
-//  2. SPMD engine: the same pipeline on the thread-backed message-passing
-//     Machine vs rank count (the communication structure of the CM-5 code),
+//  2. SPMD engine: the same pipeline over the in-process message-passing
+//     carrier vs rank count (the communication structure of the CM-5 code),
 //     selected via the "spmd" backend;
 //  3. session streaming throughput: deltas absorbed per second on the
 //     scaled 400k-vertex workload, with and without batching — the
@@ -568,12 +568,12 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------------------------
   // Distributed streaming: the same vertex_count delta stream through the
-  // SPMD backend, once per transport.  "in_process" is the thread-backed
-  // Machine; "tcp" and "tcp+delta" run every rank over real loopback
-  // sockets (framing, filter chain, socket timeouts).  The deltas/s gap
-  // between the rows is the wire cost of the distributed path, and all
-  // transports must land on the identical partition (bit-parity is a
-  // correctness gate here, not just a test).
+  // SPMD backend, once per transport.  "in_process" runs the ranks over
+  // in-process mailboxes; "tcp" and "tcp+delta" run every rank over real
+  // loopback sockets (framing, filter chain, socket timeouts).  The
+  // deltas/s gap between the rows is the wire cost of the distributed
+  // path, and all transports must land on the identical partition
+  // (bit-parity is a correctness gate here, not just a test).
   const int dist_ranks = 2;
   std::cout << "\n=== Distributed streaming: SPMD backend, " << dist_ranks
             << " ranks, " << stream_deltas << " deltas x " << burst

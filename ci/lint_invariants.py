@@ -13,7 +13,7 @@ atomic-shared-ptr    std::atomic<std::shared_ptr<...>>.  libstdc++
                      cannot see through (the documented ViewChannel hazard);
                      use a sync::Mutex-guarded handoff instead.
 blocking-under-lock  A blocking queue/transport call (BoundedQueue
-                     push/pop/pop_for, Transport/Machine send/recv/barrier/
+                     push/pop/pop_for, Transport send/recv/barrier/
                      allreduce/allgather/broadcast, thread join, sleep_for)
                      in a scope that holds a sync::MutexLock.  Capabilities
                      bound short critical sections; blocking calls park the

@@ -15,7 +15,6 @@
 #include "core/workspace.hpp"
 #include "graph/partition.hpp"
 #include "runtime/net/fault_transport.hpp"
-#include "runtime/spmd.hpp"
 #include "runtime/timer.hpp"
 #include "spectral/kernighan_lin.hpp"
 #include "spectral/partitioners.hpp"
@@ -85,9 +84,10 @@ class MultilevelBackend final : public Backend {
 
 /// "spmd": the CM-5-style message-passing engine on a backend-owned
 /// executor (one rank block of partitions per rank).  config.spmd_transport
-/// picks the carrier: "in_process" is the Machine-mailbox oracle, "tcp"
-/// runs the same ranks over real loopback sockets with the configured
-/// filter chain and timeouts — decisions are bit-identical either way.
+/// picks the carrier: "in_process" runs the ranks over in-process
+/// mailboxes (the reference carrier), "tcp" runs the same ranks over real
+/// loopback sockets with the configured filter chain and timeouts —
+/// decisions are bit-identical either way.
 ///
 /// This is the one backend that talks to a network, so it also owns the
 /// failure-domain machinery: config.spmd_fault_spec wraps every rank's

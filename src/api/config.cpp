@@ -109,7 +109,7 @@ ResolvedConfig SessionConfig::resolve() const {
     const std::shared_ptr<net::FaultScript> script =
         net::parse_fault_script(spmd_fault_spec);
     // A dropped packet only becomes a *typed* failure when recv is
-    // bounded; on Machine mailboxes the starved peer would block forever.
+    // bounded; on in-process mailboxes the starved peer would block forever.
     config_check(script == nullptr ||
                      !script->has_kind(net::FaultKind::drop) ||
                      spmd_transport == "tcp",

@@ -89,8 +89,8 @@ struct SessionConfig {
 
   // --- spmd backend knobs ---
   int spmd_ranks = 4;
-  /// What carries the SPMD messages: "in_process" (Machine mailboxes, the
-  /// bit-parity oracle) or "tcp" (real loopback sockets — the full wire
+  /// What carries the SPMD messages: "in_process" (in-process mailboxes,
+  /// the reference carrier) or "tcp" (real loopback sockets — the full wire
   /// path with framing, filters, and timeouts; decisions stay
   /// bit-identical).
   std::string spmd_transport = "in_process";

@@ -17,10 +17,12 @@
 /// protocol.
 ///
 /// An SpmdExecutor decides what carries the messages: MachineExecutor runs
-/// the ranks as threads over the runtime::Machine mailboxes (the original
-/// and fastest shape), TcpLoopbackExecutor runs them as threads speaking
-/// real TCP over loopback sockets (the full wire path — framing, filters,
-/// timeouts — without managing processes).  The fully distributed
+/// the ranks as threads over in-process mailboxes (net::run_in_process,
+/// the reference carrier), TcpLoopbackExecutor runs them as threads
+/// speaking real TCP over loopback sockets (net::run_tcp_loopback: the
+/// full wire path — framing, filters, timeouts — without managing
+/// processes).  Both carriers share one rank-thread runner and the
+/// collectives of net::Transport.  The fully distributed
 /// one-process-per-rank shape lives in core/spmd_worker.hpp, which shards
 /// the graph instead of replicating it.
 
@@ -35,7 +37,6 @@
 #include "runtime/net/fault_transport.hpp"
 #include "runtime/net/tcp_transport.hpp"
 #include "runtime/net/transport.hpp"
-#include "runtime/spmd.hpp"
 
 namespace pigp::core {
 
@@ -53,24 +54,21 @@ class SpmdExecutor {
   virtual void run(const std::function<void(net::Transport&)>& body) = 0;
 };
 
-/// Ranks as threads over the runtime::Machine mailboxes — the bit-parity
-/// oracle and the default backend shape.
+/// Ranks as threads over in-process mailboxes (net::run_in_process) — the
+/// reference carrier of the parity tests and the default backend shape.
 class MachineExecutor final : public SpmdExecutor {
  public:
-  explicit MachineExecutor(int num_ranks) : machine_(num_ranks) {}
+  explicit MachineExecutor(int num_ranks) : num_ranks_(num_ranks) {}
 
   [[nodiscard]] int num_ranks() const noexcept override {
-    return machine_.num_ranks();
+    return num_ranks_;
   }
   void run(const std::function<void(net::Transport&)>& body) override {
-    machine_.run([&body](runtime::RankContext& ctx) {
-      net::InProcessTransport transport(ctx);
-      body(transport);
-    });
+    net::run_in_process(num_ranks_, body);
   }
 
  private:
-  runtime::Machine machine_;
+  int num_ranks_;
 };
 
 /// Ranks as threads speaking real TCP over loopback sockets — the whole

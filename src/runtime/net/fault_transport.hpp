@@ -18,7 +18,7 @@
 ///                  never an error; MS is capped so tests stay bounded).
 ///   * drop         swallow a send() — the packet never reaches the peer.
 ///                  Only meaningful on a transport with bounded recv
-///                  (TCP timeouts); on Machine mailboxes the peer would
+///                  (TCP timeouts); on in-process mailboxes the peer would
 ///                  block forever, so config validation rejects the combo.
 ///   * corrupt      flip a structural header byte (wire tag / element
 ///                  size) of the outgoing payload.  The packet format is

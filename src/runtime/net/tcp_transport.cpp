@@ -8,14 +8,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <system_error>
 #include <thread>
 
-#include "runtime/sync.hpp"
 
 namespace pigp::net {
 namespace {
@@ -403,144 +401,6 @@ LocalTcpGroup make_local_tcp_group(int num_ranks) {
     throw;
   }
   return group;
-}
-
-// -------------------------------------------------------- run_tcp_loopback
-
-namespace {
-
-/// Process-local sense-reversing barrier with abort: a failing rank wakes
-/// and fails its peers instead of leaving them parked forever.
-class LocalBarrier {
- public:
-  explicit LocalBarrier(int n) : n_(n) {}
-
-  void wait() {
-    sync::MutexLock lock(mutex_);
-    if (aborted_) {
-      throw TransportError("peer rank failed during a collective");
-    }
-    const std::uint64_t generation = generation_;
-    if (++arrived_ == n_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return;
-    }
-    while (generation_ == generation && !aborted_) cv_.wait(mutex_);
-    if (generation_ == generation && aborted_) {
-      throw TransportError("peer rank failed during a collective");
-    }
-  }
-
-  void abort() {
-    {
-      sync::MutexLock lock(mutex_);
-      aborted_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  sync::Mutex mutex_;
-  sync::CondVar cv_;
-  int n_;
-  int arrived_ PIGP_GUARDED_BY(mutex_) = 0;
-  std::uint64_t generation_ PIGP_GUARDED_BY(mutex_) = 0;
-  bool aborted_ PIGP_GUARDED_BY(mutex_) = false;
-};
-
-/// Decorator for the loopback executor: every collective additionally
-/// passes a process-local barrier, giving rank threads the happens-before
-/// edges runtime::Machine's shared-memory collectives provide (TCP alone
-/// orders nothing between threads of one process).
-class LoopbackTransport final : public Transport {
- public:
-  LoopbackTransport(Transport& inner, LocalBarrier& barrier)
-      : inner_(inner), barrier_(barrier) {}
-
-  [[nodiscard]] int rank() const noexcept override { return inner_.rank(); }
-  [[nodiscard]] int num_ranks() const noexcept override {
-    return inner_.num_ranks();
-  }
-  void send(int to, Packet packet) override {
-    inner_.send(to, std::move(packet));
-  }
-  [[nodiscard]] Packet recv(int from) override { return inner_.recv(from); }
-
-  void barrier() override {
-    inner_.barrier();
-    barrier_.wait();
-  }
-  [[nodiscard]] double allreduce(
-      double value,
-      const std::function<double(double, double)>& op) override {
-    const double result = inner_.allreduce(value, op);
-    barrier_.wait();
-    return result;
-  }
-  [[nodiscard]] std::vector<Packet> allgather(Packet packet) override {
-    std::vector<Packet> all = inner_.allgather(std::move(packet));
-    barrier_.wait();
-    return all;
-  }
-  [[nodiscard]] Packet broadcast(int root, Packet packet) override {
-    Packet result = inner_.broadcast(root, std::move(packet));
-    barrier_.wait();
-    return result;
-  }
-
- private:
-  Transport& inner_;
-  LocalBarrier& barrier_;
-};
-
-}  // namespace
-
-void run_tcp_loopback(int num_ranks, const TcpOptions& options,
-                      const std::function<void(Transport&)>& body) {
-  LocalTcpGroup group = make_local_tcp_group(num_ranks);
-  LocalBarrier barrier(num_ranks);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_ranks));
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(num_ranks));
-  std::vector<int> arrival(static_cast<std::size_t>(num_ranks), -1);
-  std::atomic<int> arrival_counter{0};
-
-  for (int r = 0; r < num_ranks; ++r) {
-    threads.emplace_back([&, r]() {
-      try {
-        // The transport is scoped inside the try so stack unwinding closes
-        // its sockets before abort() runs — peers blocked in TCP recv see
-        // an orderly peer-closed failure, then the local barrier releases
-        // anyone parked there.
-        TcpTransport tcp(r, group.endpoints, group.listen_fds[
-                             static_cast<std::size_t>(r)],
-                         options);
-        LoopbackTransport transport(tcp, barrier);
-        body(transport);
-      } catch (...) {
-        arrival[static_cast<std::size_t>(r)] =
-            arrival_counter.fetch_add(1);
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        barrier.abort();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  int first = -1;
-  for (int r = 0; r < num_ranks; ++r) {
-    if (!errors[static_cast<std::size_t>(r)]) continue;
-    if (first < 0 || arrival[static_cast<std::size_t>(r)] <
-                         arrival[static_cast<std::size_t>(first)]) {
-      first = r;
-    }
-  }
-  if (first >= 0) {
-    std::rethrow_exception(errors[static_cast<std::size_t>(first)]);
-  }
 }
 
 }  // namespace pigp::net

@@ -137,12 +137,13 @@ struct LocalTcpGroup {
 /// Because the rank threads share the process address space (the in-process
 /// engine mutates one shared PartitionState), each rank's transport is
 /// wrapped so every collective additionally passes a process-local barrier
-/// — TCP alone establishes no happens-before between threads, so this
-/// mirrors the memory-synchronization semantics of runtime::Machine, whose
-/// collectives all contain real barriers.  A rank that throws aborts the
-/// group: its sockets close (releasing peers blocked in recv) and the
-/// local barrier wakes and fails waiting peers.  The first exception by
-/// arrival time is rethrown.
+/// — TCP alone establishes no happens-before between threads of one
+/// process, while run_in_process's mailboxes do through their mutexes.
+/// Failures are handled by the runner run_in_process shares: a rank that
+/// throws takes its arrival ticket before its sockets close, then aborts
+/// the group — closing its sockets releases peers blocked in recv and the
+/// local barrier wakes and fails peers waiting there — and the failing
+/// rank's exception (the first by arrival time) is rethrown.
 void run_tcp_loopback(int num_ranks, const TcpOptions& options,
                       const std::function<void(Transport&)>& body);
 

@@ -24,8 +24,8 @@ double Transport::allreduce(
   const int n = num_ranks();
   if (n == 1) return value;
   if (rank() == 0) {
-    // Reduce in rank order: acc = slot[0]; acc = op(acc, slot[r]) — the
-    // exact order runtime::Machine uses, so results are bit-identical.
+    // Reduce in rank order: acc = slot[0]; acc = op(acc, slot[r]), so
+    // results are bit-identical on every carrier.
     double acc = value;
     for (int r = 1; r < n; ++r) {
       Packet p = recv(r);
@@ -85,7 +85,7 @@ std::vector<Packet> Transport::allgather(Packet packet) {
 Packet Transport::broadcast(int root, Packet packet) {
   const int n = num_ranks();
   if (root < 0 || root >= n) {
-    throw TransportError("broadcast root out of range");
+    throw TransportError("broadcast root out of range", FaultClass::fatal);
   }
   if (n == 1) return packet;
   if (rank() == root) {

@@ -5,27 +5,26 @@
 ///
 /// Transport is the seam between the SPMD engine (core/spmd_igp,
 /// core/spmd_worker) and whatever moves packets between ranks.  The engine
-/// is written against this interface only; the two implementations are
+/// is written against this interface only.  A carrier implements send and
+/// recv; the collectives are the defaults below, so every carrier runs the
+/// same collective code.  The carriers are
 ///
-///   * InProcessTransport (below): wraps one rank's RankContext of the
-///     thread-backed runtime::Machine.  This is the bit-parity oracle —
-///     its collectives delegate to the Machine's shared-memory versions,
-///     so reduction order and packet delivery order are exactly the
-///     pre-transport behavior.
+///   * run_in_process (below): one thread per rank over per-run mailboxes
+///     in this process — the reference carrier of the parity tests.
 ///   * TcpTransport (tcp_transport.hpp): length-prefixed frames over
-///     localhost/LAN sockets, one process per rank.
+///     localhost/LAN sockets, one process per rank, or one thread per rank
+///     under run_tcp_loopback.
 ///
-/// The base class provides the collectives as default implementations over
-/// point-to-point send/recv, with rank 0 as the hub.  The reduction is
-/// applied in rank order (acc = slot[0], then op(acc, slot[r]) for
-/// r = 1..n-1), matching runtime::Machine exactly so non-associative
-/// floating-point ops give bit-identical results on every transport.
+/// The base class provides the collectives over point-to-point send/recv,
+/// with rank 0 as the hub.  The reduction is applied in rank order
+/// (acc = slot[0], then op(acc, slot[r]) for r = 1..n-1), so
+/// non-associative floating-point ops give bit-identical results on every
+/// carrier.
 
 #include <functional>
 #include <vector>
 
 #include "runtime/net/packet.hpp"
-#include "runtime/spmd.hpp"
 
 namespace pigp::net {
 
@@ -50,7 +49,7 @@ class Transport {
   virtual void barrier();
 
   /// Collective: combine one double per rank with \p op in rank order
-  /// (deterministic for non-associative ops, matching runtime::Machine).
+  /// (deterministic for non-associative ops).
   [[nodiscard]] virtual double allreduce(
       double value, const std::function<double(double, double)>& op);
 
@@ -62,41 +61,14 @@ class Transport {
   [[nodiscard]] virtual Packet broadcast(int root, Packet packet);
 };
 
-/// Transport over one rank of the thread-backed runtime::Machine.  The
-/// RankContext must outlive this wrapper (it lives on the Machine::run
-/// stack, so an InProcessTransport is created inside the SPMD body).
-class InProcessTransport final : public Transport {
- public:
-  explicit InProcessTransport(runtime::RankContext& ctx) : ctx_(ctx) {}
-
-  [[nodiscard]] int rank() const noexcept override { return ctx_.rank(); }
-  [[nodiscard]] int num_ranks() const noexcept override {
-    return ctx_.num_ranks();
-  }
-
-  void send(int to, Packet packet) override {
-    ctx_.send(to, std::move(packet));
-  }
-  [[nodiscard]] Packet recv(int from) override { return ctx_.recv(from); }
-
-  // Collectives delegate to the Machine's shared-memory implementations —
-  // this is what makes InProcessTransport the bit-parity oracle rather
-  // than merely an equivalent one.
-  void barrier() override { ctx_.barrier(); }
-  [[nodiscard]] double allreduce(
-      double value,
-      const std::function<double(double, double)>& op) override {
-    return ctx_.allreduce(value, op);
-  }
-  [[nodiscard]] std::vector<Packet> allgather(Packet packet) override {
-    return ctx_.allgather(std::move(packet));
-  }
-  [[nodiscard]] Packet broadcast(int root, Packet packet) override {
-    return ctx_.broadcast(root, std::move(packet));
-  }
-
- private:
-  runtime::RankContext& ctx_;
-};
+/// Run \p body on \p num_ranks threads of this process, each rank
+/// speaking over per-run mailboxes (FIFO per sender/receiver pair).  A
+/// rank that throws aborts the run: peers blocked in recv — and so in any
+/// collective — fail with a TransportError, every rank is joined, and the
+/// failing rank's exception (the first by arrival time) is rethrown.  A
+/// rank outside the group in send/recv/broadcast is a fatal
+/// TransportError.
+void run_in_process(int num_ranks,
+                    const std::function<void(Transport&)>& body);
 
 }  // namespace pigp::net

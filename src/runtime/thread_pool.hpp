@@ -3,11 +3,10 @@
 /// \file thread_pool.hpp
 /// Long-lived worker pool with a blocking task queue.
 ///
-/// The pool backs pigp::runtime::parallel_for and the SPMD Machine.  Hot
-/// numeric loops inside the library (simplex pivots, BFS frontiers) use
-/// OpenMP directly; the pool exists for coarse task parallelism where the
-/// per-task work is large and structured (per-partition layering, rank
-/// bodies).
+/// The pool backs pigp::runtime::parallel_for.  Hot numeric loops inside
+/// the library (simplex pivots, BFS frontiers) use OpenMP directly; the
+/// pool exists for coarse task parallelism where the per-task work is
+/// large and structured (per-partition layering).
 
 #include <deque>
 #include <functional>
