@@ -346,7 +346,7 @@ BalanceResult balance_load(const graph::Graph& g,
     // made on the seed shell (budget 0 grows nothing), so a mildly
     // imbalanced stream labels only its boundary; deeper layers are
     // labelled only while decide_stage cannot accept.
-    layering.reseed(state, options.num_threads);
+    result.seeds_analyzed += layering.reseed(state, options.num_threads);
     LayerDepth depth(options.max_layers);
     layering.grow(depth.budget, options.num_threads);
     decide_stage(layering.eps(), excess, layering.exhausted(), depth.budget,

@@ -79,6 +79,11 @@ struct BalanceResult {
   bool balanced = false;
   std::vector<BalanceStage> stages;
   double final_max_deviation = 0.0;
+  /// Layer-0 seeds whose vertex analysis a reseed (re)computed, summed
+  /// over the stages (and the ranks of an SPMD run): the seeds the state's
+  /// cache could not answer — the balance twin of
+  /// RefineStats::vertices_analyzed.
+  std::int64_t seeds_analyzed = 0;
 };
 
 /// One flow problem on the P-node quotient graph: the shape all three of

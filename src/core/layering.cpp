@@ -2,11 +2,8 @@
 
 #include <algorithm>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "support/check.hpp"
+#include "support/omp.hpp"
 
 namespace pigp::core {
 namespace {
@@ -23,38 +20,61 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
-/// Pick the label with the largest tally, then clear the tally; the paper
-/// breaks ties "arbitrarily" — we spread tied vertices across the tied
-/// partitions by hashed vertex id (the pick-th tied part in ascending id
-/// order), which is deterministic but avoids piling all tied capacity onto
-/// one partition (that can make the balance LP structurally infeasible,
-/// e.g. on striped partitionings).  O(parts touched).
-graph::PartId majority_label(PartTally& tally, graph::VertexId v) {
-  double best = 0.0;
+/// The largest positive tally seen so far and the extremes of its tie set.
+struct TallyTop {
+  double sum = 0.0;
+  int tied = 0;  ///< parts sharing `sum` (0 until a positive tally)
+  graph::PartId lo = -1;
+  graph::PartId hi = -1;
+};
+
+void note_tally(TallyTop& top, graph::PartId q, double sum) {
+  if (sum > top.sum) {
+    top = {sum, 1, q, q};
+  } else if (sum == top.sum && top.tied > 0) {
+    ++top.tied;
+    top.lo = std::min(top.lo, q);
+    top.hi = std::max(top.hi, q);
+  }
+}
+
+/// The label with the largest tally (-1 when no tally is positive); the
+/// paper breaks ties "arbitrarily" — we spread tied vertices across the
+/// tied partitions by hashed vertex id (the pick-th tied part in ascending
+/// id order), which is deterministic but avoids piling all tied capacity
+/// onto one partition (that can make the balance LP structurally
+/// infeasible, e.g. on striped partitionings).  The first and last tied
+/// parts come straight from \p top; only a middle pick scans \p tally.
+graph::PartId pick_label(const PartTally& tally, const TallyTop& top,
+                         graph::VertexId v) {
+  const std::uint64_t h = mix(static_cast<std::uint64_t>(v));
+  // No tie (lo == hi) or a two-way one, the common cases: h % 2 == h & 1,
+  // and a select instead of a hard-to-predict branch on the tie.
+  if (top.tied <= 2) return (h & 1) != 0 ? top.hi : top.lo;
+  const auto pick =
+      static_cast<int>(h % static_cast<std::uint64_t>(top.tied));
+  if (pick == 0) return top.lo;
+  if (pick == top.tied - 1) return top.hi;
   for (const graph::PartId q : tally.touched()) {
-    best = std::max(best, tally.sum(q));
-  }
-  graph::PartId chosen = -1;
-  if (best > 0.0) {
-    int tied_count = 0;
-    for (const graph::PartId q : tally.touched()) {
-      if (tally.sum(q) == best) {
-        chosen = q;
-        ++tied_count;
-      }
+    if (tally.sum(q) != top.sum) continue;
+    int smaller = 0;  // tied parts below q
+    for (const graph::PartId r : tally.touched()) {
+      smaller += static_cast<int>(r < q && tally.sum(r) == top.sum);
     }
-    if (tied_count > 1) {
-      tally.sort_touched();
-      int pick = static_cast<int>(mix(static_cast<std::uint64_t>(v)) %
-                                  static_cast<std::uint64_t>(tied_count));
-      for (const graph::PartId q : tally.touched()) {
-        if (tally.sum(q) == best && pick-- == 0) {
-          chosen = q;
-          break;
-        }
-      }
-    }
+    if (smaller == pick) return q;
   }
+  PIGP_ASSERT(false);  // exactly one tied part has `pick` smaller ones
+  return -1;
+}
+
+/// pick_label over the whole tally, then clear the tally.  O(parts
+/// touched).
+graph::PartId majority_label(PartTally& tally, graph::VertexId v) {
+  TallyTop top;
+  for (const graph::PartId q : tally.touched()) {
+    note_tally(top, q, tally.sum(q));
+  }
+  const graph::PartId chosen = pick_label(tally, top, v);
   tally.clear();
   return chosen;
 }
@@ -106,30 +126,30 @@ void advance_one_level(const graph::Graph& g, const graph::Partitioning& p,
   }
 }
 
-/// Label \p v as a layer-0 seed of \p target: closest outside partition by
-/// edge weight.  Returns false when v has no external edge at all.
-bool seed_vertex(const graph::Graph& g, const graph::Partitioning& p,
-                 graph::PartId target, graph::VertexId v,
-                 PartTally& tally, std::vector<graph::PartId>& label,
-                 std::vector<std::int32_t>& layer, std::int64_t* eps_row) {
-  const auto nbrs = g.neighbors(v);
-  const auto weights = g.incident_edge_weights(v);
-  bool boundary = false;
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
-    if (q != target) {
-      tally.add(q, weights[i]);
-      boundary = true;
-    }
-  }
-  if (!boundary) return false;  // nothing was added
-  const graph::PartId best = majority_label(tally, v);
-  label[static_cast<std::size_t>(v)] = best;
+/// Label \p v as a layer-0 seed with \p seed, its closest outside
+/// partition.
+void label_seed(graph::VertexId v, graph::PartId seed,
+                std::vector<graph::PartId>& label,
+                std::vector<std::int32_t>& layer, std::int64_t* eps_row) {
+  label[static_cast<std::size_t>(v)] = seed;
   layer[static_cast<std::size_t>(v)] = 0;
-  if (eps_row != nullptr && best >= 0) {
-    ++eps_row[static_cast<std::size_t>(best)];
+  if (eps_row != nullptr && seed >= 0) {
+    ++eps_row[static_cast<std::size_t>(seed)];
   }
-  return true;
+}
+
+/// Boundary vertex \p v's analysis from \p state; an invalid slot is
+/// analysed and filled first, and counted in \p analysed.
+graph::PartitionState::VertexAnalysis cached_analysis(
+    const graph::Graph& g, const graph::Partitioning& p,
+    const graph::PartitionState& state, graph::VertexId v, PartTally& tally,
+    std::int64_t& analysed) {
+  if (const auto cached = state.analysis(v)) return *cached;
+  const auto a = analyze_vertex(g, p, v, tally);
+  PIGP_ASSERT(a);  // the boundary holds no interior vertex
+  state.store_analysis(v, *a);
+  ++analysed;
+  return *a;
 }
 
 int scratch_slot(bool parallel) {
@@ -158,7 +178,8 @@ void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
   // share the largest edge weight with.  eps is tallied per labeled vertex
   // (identical to a final member sweep — integer counts are order-free).
   for (const graph::VertexId v : members) {
-    if (seed_vertex(g, p, target, v, scratch.tally, label, layer, eps_row)) {
+    if (const auto a = analyze_vertex(g, p, v, scratch.tally)) {
+      label_seed(v, a->seed, label, layer, eps_row);
       scratch.frontier.push_back(v);
     }
   }
@@ -175,6 +196,82 @@ void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
 }
 
 }  // namespace
+
+// pigp:steady-state
+std::optional<graph::PartitionState::VertexAnalysis> analyze_vertex(
+    const graph::Graph& g, const graph::Partitioning& p, graph::VertexId v,
+    PartTally& tally) {
+  const graph::PartId from = p.part[static_cast<std::size_t>(v)];
+  const auto nbrs = g.neighbors(v);
+  const auto weights = g.incident_edge_weights(v);
+  double in = 0.0;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
+    if (q == from) {
+      in += weights[i];
+    } else {
+      tally.add(q, weights[i]);
+    }
+  }
+  if (tally.touched().empty()) return std::nullopt;  // interior vertex
+  // One walk of the touched parts serves both decisions.
+  graph::PartitionState::VertexAnalysis a;
+  TallyTop top;
+  for (const graph::PartId q : tally.touched()) {
+    const double out = tally.sum(q);
+    if (out <= 0.0) continue;
+    const double gain = out - in;
+    if (a.best < 0 || gain > a.gain || (gain == a.gain && q < a.best)) {
+      a.best = q;
+      a.gain = gain;
+    }
+    note_tally(top, q, out);
+  }
+  a.seed = pick_label(tally, top, v);
+  a.seed_hashed = top.tied > 1;
+  tally.clear();
+  return a;
+}
+
+// pigp:steady-state
+std::int64_t refresh_analyses(const graph::Graph& g,
+                              const graph::Partitioning& p,
+                              const graph::PartitionState& state,
+                              std::span<const graph::VertexId> vertices,
+                              int num_threads,
+                              std::vector<PartTally>& tallies) {
+  const bool parallel = num_threads > 1 && vertices.size() > 4096;
+  tallies.resize(static_cast<std::size_t>(std::max(1, num_threads)));
+  std::int64_t analysed = 0;
+  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
+  {
+    PartTally& tally =
+        tallies[static_cast<std::size_t>(scratch_slot(parallel))];
+    tally.resize(static_cast<std::size_t>(p.num_parts));
+    PIGP_OMP(for schedule(static) reduction(+ : analysed))
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      (void)cached_analysis(g, p, state, vertices[i], tally, analysed);
+    }
+  }
+  return analysed;
+}
+
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+// pigp:steady-state
+void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
+                    const graph::PartitionState& state,
+                    std::span<const graph::VertexId> vertices,
+                    PartTally& tally) {
+  for (const graph::VertexId v : vertices) {
+    const auto cached = state.analysis(v);
+    const auto fresh = analyze_vertex(g, p, v, tally);
+    PIGP_CHECK(cached && fresh && cached->seed == fresh->seed &&
+                   cached->seed_hashed == fresh->seed_hashed &&
+                   cached->best == fresh->best && cached->gain == fresh->gain,
+               "cached vertex analysis is out of date");
+  }
+}
+#endif
 
 std::vector<std::vector<graph::VertexId>> partition_members(
     const graph::Partitioning& p) {
@@ -205,10 +302,10 @@ LayeringResult layer_partitions(const graph::Graph& g,
   const bool parallel = num_threads > 1 && p.num_parts > 1;
   std::vector<LayerScratch> scratch(
       static_cast<std::size_t>(std::max(1, parallel ? num_threads : 1)));
-#pragma omp parallel num_threads(num_threads) if (parallel)
+  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
   {
     const auto tid = static_cast<std::size_t>(scratch_slot(parallel));
-#pragma omp for schedule(dynamic, 1)
+    PIGP_OMP(for schedule(dynamic, 1))
     for (graph::PartId q = 0; q < p.num_parts; ++q) {
       // Partitions are vertex-disjoint, so the shared label/layer/eps
       // arrays are written without races.
@@ -257,15 +354,8 @@ void BoundaryLayering::bind(const graph::Graph& g,
   }
 }
 
-void BoundaryLayering::reseed(const graph::PartitionState& state,
-                              int num_threads,
-                              const std::vector<graph::PartId>* owned_parts) {
-  state.boundary_ascending(boundary_);
-  reseed(boundary_, num_threads, owned_parts);
-}
-
-void BoundaryLayering::reseed(
-    std::span<const graph::VertexId> boundary_ascending, int num_threads,
+std::int64_t BoundaryLayering::reseed(
+    const graph::PartitionState& state, int num_threads,
     const std::vector<graph::PartId>* owned_parts) {
   PIGP_CHECK(label_.size() ==
                  static_cast<std::size_t>(g_->num_vertices()),
@@ -292,42 +382,55 @@ void BoundaryLayering::reseed(
     }
   }
 
-  // One ascending boundary list hands every seeded partition its seeds
-  // already sorted (the batch member scan's order).  The undo above left
-  // every labeled list empty.
+  // One ascending walk of the state's boundary hands every seeded
+  // partition its seeds already sorted (the batch member scan's order).
+  // The undo above left every labeled list empty.
   seeded_mask_.assign(static_cast<std::size_t>(p_->num_parts), 0);
   for (const graph::PartId q : seeded_) {
     seeded_mask_[static_cast<std::size_t>(q)] = 1;
   }
-  for (const graph::VertexId v : boundary_ascending) {
+  state.for_each_boundary([this](graph::VertexId v) {
     const auto q =
         static_cast<std::size_t>(p_->part[static_cast<std::size_t>(v)]);
     if (seeded_mask_[q] != 0) labeled_[q].push_back(v);
-  }
+  });
 
+  // Seeds read their cached label; only a slot a mutator invalidated
+  // since the last analysis is recomputed.  Each partition's vertices are
+  // its own, so the threads fill disjoint slots.
   const bool parallel = num_threads > 1 && seeded_.size() > 1;
   scratch_.resize(static_cast<std::size_t>(
       std::max(1, parallel ? num_threads : 1)));
-#pragma omp parallel num_threads(num_threads) if (parallel)
+  std::int64_t analysed = 0;
+  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
   {
     const auto tid = static_cast<std::size_t>(scratch_slot(parallel));
     LayerScratch& scratch = scratch_[tid];
-#pragma omp for schedule(dynamic, 1)
+    PIGP_OMP(for schedule(dynamic, 1) reduction(+ : analysed))
     for (std::size_t k = 0; k < seeded_.size(); ++k) {
       const graph::PartId q = seeded_[k];
       const auto qi = static_cast<std::size_t>(q);
       scratch.tally.resize(static_cast<std::size_t>(p_->num_parts));
       const auto& seeds = labeled_[qi];
       for (const graph::VertexId v : seeds) {
-        const bool boundary =
-            seed_vertex(*g_, *p_, q, v, scratch.tally, label_, layer_,
-                        eps_.row(qi).data());
-        PIGP_ASSERT(boundary);  // the list only holds boundary vertices
-        (void)boundary;
+        const auto a =
+            cached_analysis(*g_, *p_, state, v, scratch.tally, analysed);
+        label_seed(v, a.seed, label_, layer_, eps_.row(qi).data());
       }
       frontier_[qi] = seeds;
     }
   }
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+  // Debug / PIGP_VALIDATE auditor: every seed's cached analysis equals a
+  // from-scratch one.  Once warm, sizing thread 0's tally allocates
+  // nothing, so neither does the audit.
+  scratch_.front().tally.resize(static_cast<std::size_t>(p_->num_parts));
+  for (const graph::PartId q : seeded_) {
+    audit_analysis(*g_, *p_, state, labeled_[static_cast<std::size_t>(q)],
+                   scratch_.front().tally);
+  }
+#endif
+  return analysed;
 }
 
 void BoundaryLayering::release() {
@@ -339,7 +442,6 @@ void BoundaryLayering::release() {
   std::vector<std::int32_t>().swap(depth_);
   std::vector<graph::PartId>().swap(seeded_);
   std::vector<std::uint8_t>().swap(seeded_mask_);
-  std::vector<graph::VertexId>().swap(boundary_);
   std::vector<LayerScratch>().swap(scratch_);
   dirty_ = true;
 }
@@ -349,11 +451,11 @@ void BoundaryLayering::grow(int levels, int num_threads) {
   const bool parallel = num_threads > 1 && seeded_.size() > 1;
   scratch_.resize(static_cast<std::size_t>(
       std::max(1, parallel ? num_threads : 1)));
-#pragma omp parallel num_threads(num_threads) if (parallel)
+  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
   {
     const auto tid = static_cast<std::size_t>(scratch_slot(parallel));
     LayerScratch& scratch = scratch_[tid];
-#pragma omp for schedule(dynamic, 1)
+    PIGP_OMP(for schedule(dynamic, 1))
     for (std::size_t k = 0; k < seeded_.size(); ++k) {
       const graph::PartId q = seeded_[k];
       const auto qi = static_cast<std::size_t>(q);

@@ -23,9 +23,10 @@
 ///   * layer_partitions() — the batch oracle: seeds layer 0 by scanning
 ///     every member of every partition, O(V+E) always.
 ///   * BoundaryLayering / layer_partitions_from() — the boundary-local
-///     path: seeds layer 0 from an ascending boundary list — the
-///     PartitionState's ordered boundary walk — in O(boundary) plus one
-///     per-vertex array reset, and grows *resumably*: the balance driver
+///     path: seeds layer 0 from the PartitionState's ordered boundary walk
+///     in O(boundary), reading each seed's label from the state's cached
+///     vertex analysis (only slots invalidated since the last analysis
+///     are recomputed), and grows *resumably*: the balance driver
 ///     decides each stage on the seeds alone (layer 0, no grow()) and
 ///     requests deeper layers — max_layers, then doubling — only when the
 ///     staged LP turns out infeasible at the current depth.  Grown to
@@ -33,6 +34,7 @@
 ///     suite pins this).
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -71,6 +73,41 @@ struct LayerScratch {
   std::vector<graph::VertexId> next;
 };
 
+/// One O(deg) pass over the tally out(v, ·) of \p v's edge weight per
+/// outside partition decides both the layer-0 seed label (the largest
+/// tally; ties spread by hashed vertex id) and the best refinement move
+/// (the largest gain out(v, j) - in(v) over tallies > 0; ties to the
+/// smaller id).  nullopt when no neighbour lies in another partition.
+/// Reads only the assignments of v and its neighbours and v's edge
+/// weights — the PartitionState's invalidation rule rests on that.
+/// \p tally is sized for p.num_parts, all-zero, and left all-zero.
+[[nodiscard]] std::optional<graph::PartitionState::VertexAnalysis>
+analyze_vertex(const graph::Graph& g, const graph::Partitioning& p,
+               graph::VertexId v, PartTally& tally);
+
+/// Analyse each boundary vertex of \p vertices whose cached analysis in
+/// \p state is invalid and store the result; returns how many were
+/// analysed.  Each vertex writes only its own slot, so a list longer than
+/// 4096 is refreshed on \p num_threads OpenMP threads, with results
+/// independent of the thread count.  \p tallies holds one pooled tally
+/// per thread (grown and sized here).
+std::int64_t refresh_analyses(const graph::Graph& g,
+                              const graph::Partitioning& p,
+                              const graph::PartitionState& state,
+                              std::span<const graph::VertexId> vertices,
+                              int num_threads,
+                              std::vector<PartTally>& tallies);
+
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+/// Debug / PIGP_VALIDATE auditor: each of \p vertices must have a valid
+/// cached analysis equal to a from-scratch one; throws pigp::CheckError
+/// otherwise.  Allocation-free (\p tally as for analyze_vertex).
+void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
+                    const graph::PartitionState& state,
+                    std::span<const graph::VertexId> vertices,
+                    PartTally& tally);
+#endif
+
 /// Vertices grouped by partition (index [q] lists partition q's vertices in
 /// ascending id order).
 [[nodiscard]] std::vector<std::vector<graph::VertexId>> partition_members(
@@ -84,10 +121,10 @@ struct LayerScratch {
 /// labeled so far, so the balance LP can run on the seeds alone and lazily
 /// request deeper layers.
 ///
-/// Contract: \p p must be fully assigned and the boundary list consistent
-/// with it at reseed() time; p must not change between reseed() and the
-/// last grow() of a stage.  Grown to exhaustion the labels, layers and eps
-/// are bit-identical to layer_partitions(g, p).
+/// Contract: \p p must be fully assigned and the state passed to reseed()
+/// must describe (g, p); p must not change between reseed() and the last
+/// grow() of a stage.  Grown to exhaustion the labels, layers and eps are
+/// bit-identical to layer_partitions(g, p).
 class BoundaryLayering {
  public:
   /// Empty; bind() before use.  A default-constructed instance living in a
@@ -117,18 +154,17 @@ class BoundaryLayering {
 
   /// Reset the previous stage (O(labeled)) and seed layer 0 of every
   /// partition — or only of \p owned_parts when non-null (an SPMD rank
-  /// owns a subset) — from \p boundary_ascending: boundary vertices in
-  /// ascending id order (vertices of unseeded partitions are skipped), so
-  /// every partition's seeds arrive in id order without a sort.  Every
-  /// listed vertex of a seeded partition must have a neighbor in another
-  /// partition.
-  void reseed(std::span<const graph::VertexId> boundary_ascending,
-              int num_threads = 1,
-              const std::vector<graph::PartId>* owned_parts = nullptr);
-
-  /// reseed() from \p state's boundary (PartitionState::boundary_ascending).
-  void reseed(const graph::PartitionState& state, int num_threads = 1,
-              const std::vector<graph::PartId>* owned_parts = nullptr);
+  /// owns a subset) — from one ascending walk of \p state's boundary, so
+  /// every partition's seeds arrive in id order without a sort.  \p state
+  /// must describe (g, p).  A seed's label is its cached analysis's seed;
+  /// a seed whose slot is invalid is analysed and its slot filled, so
+  /// SPMD ranks owning disjoint partitions may reseed off one shared
+  /// state at once.  Returns the number of seeds analysed (0 when nothing
+  /// changed since the last analysis).  Debug / PIGP_VALIDATE builds
+  /// audit every seed's cached analysis.
+  std::int64_t reseed(const graph::PartitionState& state,
+                      int num_threads = 1,
+                      const std::vector<graph::PartId>* owned_parts = nullptr);
 
   /// Grow every non-exhausted seeded partition by up to \p levels more BFS
   /// levels (\p levels < 0: to exhaustion).  Parallel across partitions.
@@ -174,7 +210,6 @@ class BoundaryLayering {
   std::vector<std::int32_t> depth_;
   std::vector<graph::PartId> seeded_;  ///< partitions seeded this stage
   std::vector<std::uint8_t> seeded_mask_;  ///< [q] = 1 iff q is seeded
-  std::vector<graph::VertexId> boundary_;  ///< ascending boundary walk
   std::vector<LayerScratch> scratch_;  ///< per OpenMP thread
 };
 

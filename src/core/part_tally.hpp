@@ -11,7 +11,6 @@
 /// to all-zero in the same time.  Each part's sum accumulates in the order
 /// add() is called, exactly as a dense buffer would.
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,43 +28,44 @@ class PartTally {
     if (sum_.size() == parts) return;
     sum_.assign(parts, 0.0);
     mark_.assign(parts, 0);
-    touched_.clear();
-    touched_.reserve(parts);  // add() never allocates
+    touched_.assign(parts + 1, 0);  // add() writes one past the touched
+    count_ = 0;
   }
 
   void add(graph::PartId q, double weight) {
     const auto qi = static_cast<std::size_t>(q);
-    if (mark_[qi] == 0) {
-      mark_[qi] = 1;
-      touched_.push_back(q);
-    }
+    // Branch-free first touch (whether a neighbour's part is new is hard
+    // to predict): q always lands past the touched parts, and the count
+    // only takes it in when q was unmarked.
+    touched_[count_] = q;
+    count_ += 1U - mark_[qi];
+    mark_[qi] = 1;
     sum_[qi] += weight;
   }
 
-  /// Parts added to since the last clear(), in first-touch order (or
-  /// ascending after sort_touched()).  An untouched part's sum is 0.
+  /// Parts added to since the last clear(), in first-touch order.  An
+  /// untouched part's sum is 0.
   [[nodiscard]] std::span<const graph::PartId> touched() const {
-    return touched_;
+    return {touched_.data(), count_};
   }
   [[nodiscard]] double sum(graph::PartId q) const {
     return sum_[static_cast<std::size_t>(q)];
   }
 
-  void sort_touched() { std::sort(touched_.begin(), touched_.end()); }
-
   /// Zero every touched part: O(parts touched).
   void clear() {
-    for (const graph::PartId q : touched_) {
+    for (const graph::PartId q : touched()) {
       sum_[static_cast<std::size_t>(q)] = 0.0;
       mark_[static_cast<std::size_t>(q)] = 0;
     }
-    touched_.clear();
+    count_ = 0;
   }
 
  private:
   std::vector<double> sum_;
   std::vector<std::uint8_t> mark_;
-  std::vector<graph::PartId> touched_;
+  std::vector<graph::PartId> touched_;  ///< first count_ entries are live
+  std::size_t count_ = 0;
 };
 
 }  // namespace pigp::core

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
+#include "core/layering.hpp"
 #include "core/part_tally.hpp"
 #include "core/workspace.hpp"
 #include "graph/partition_state.hpp"
@@ -15,80 +12,10 @@
 namespace pigp::core {
 namespace {
 
-using MoveAnalysis = Workspace::MoveAnalysis;
+using graph::PartitionState;
 
 /// A kept round that improves the cut by less than this ends refinement.
 constexpr double kMinGain = 1.0;
-
-/// Best move of boundary vertex \p v: the destination with the largest cut
-/// gain out(v, j) - in(v), ties to the smaller partition id (best = -1 when
-/// v has no external edge weight).  Reads only the assignments of v and
-/// its neighbours — the cache invalidation rule rests on exactly that.
-/// \p out is an all-zero tally, left all-zero; O(deg).
-MoveAnalysis analyze_vertex(const graph::Graph& g,
-                            const graph::Partitioning& p, graph::VertexId v,
-                            PartTally& out) {
-  const graph::PartId from = p.part[static_cast<std::size_t>(v)];
-  const auto nbrs = g.neighbors(v);
-  const auto weights = g.incident_edge_weights(v);
-  double in = 0.0;
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
-    if (q == from) {
-      in += weights[i];
-    } else {
-      out.add(q, weights[i]);
-    }
-  }
-  MoveAnalysis best;
-  for (const graph::PartId q : out.touched()) {
-    if (out.sum(q) <= 0.0) continue;
-    const double gain = out.sum(q) - in;
-    if (best.best < 0 || gain > best.gain ||
-        (gain == best.gain && q < best.best)) {
-      best.best = q;
-      best.gain = gain;
-    }
-  }
-  out.clear();
-  return best;
-}
-
-/// Analyse every vertex of the ascending \p boundary that has no live
-/// cache entry — all of it on the first round, afterwards only what the
-/// last kept round invalidated.  Each vertex writes only its own slot, so
-/// the re-analysis runs in parallel for large stale sets with results
-/// independent of the thread count.  Returns the number analysed.
-std::int64_t refresh_analysis(const graph::Graph& g,
-                              const graph::Partitioning& p,
-                              const std::vector<graph::VertexId>& boundary,
-                              int num_threads, Workspace& ws) {
-  auto& cache = ws.refine_analysis;
-  auto& stale = ws.refine_stale;
-  stale.clear();
-  for (const graph::VertexId v : boundary) {
-    if (!cache.contains(static_cast<std::size_t>(v))) stale.push_back(v);
-  }
-  const bool parallel = num_threads > 1 && stale.size() > 4096;
-  ws.refine_tallies.resize(static_cast<std::size_t>(std::max(1, num_threads)));
-
-#pragma omp parallel num_threads(num_threads) if (parallel)
-  {
-#ifdef _OPENMP
-    const int tid = parallel ? omp_get_thread_num() : 0;
-#else
-    const int tid = 0;
-#endif
-    auto& out = ws.refine_tallies[static_cast<std::size_t>(tid)];
-    out.resize(static_cast<std::size_t>(p.num_parts));
-#pragma omp for schedule(static)
-    for (std::size_t b = 0; b < stale.size(); ++b) {
-      const graph::VertexId v = stale[b];
-      cache.set(static_cast<std::size_t>(v), analyze_vertex(g, p, v, out));
-    }
-  }
-  return static_cast<std::int64_t>(stale.size());
-}
 
 /// Fill the (i, j) candidate buckets from the cached analyses with one walk
 /// of the ascending boundary, keeping vertices whose best gain is > 0.
@@ -96,9 +23,8 @@ std::int64_t refresh_analysis(const graph::Graph& g,
 /// gain sum in the LP objective.  Cells are cleared, capacity reused.
 // pigp:steady-state
 void assemble_candidates(
-    const graph::Partitioning& p,
+    const graph::Partitioning& p, const PartitionState& state,
     const std::vector<graph::VertexId>& boundary,
-    const EpochArray<MoveAnalysis>& cache,
     pigp::DenseMatrix<std::vector<GainCandidate>>& candidates) {
   const auto parts = static_cast<std::size_t>(p.num_parts);
   if (candidates.rows() != parts || candidates.cols() != parts) {
@@ -109,31 +35,14 @@ void assemble_candidates(
     }
   }
   for (const graph::VertexId v : boundary) {
-    const MoveAnalysis a = cache.get(static_cast<std::size_t>(v));
-    if (a.best < 0 || a.gain <= 0.0) continue;
+    const auto a = state.analysis(v);
+    PIGP_ASSERT(a);  // refresh_analyses filled every boundary slot
+    if (a->best < 0 || a->gain <= 0.0) continue;
     candidates(static_cast<std::size_t>(p.part[static_cast<std::size_t>(v)]),
-               static_cast<std::size_t>(a.best))
-        .push_back(GainCandidate{v, a.gain});
+               static_cast<std::size_t>(a->best))
+        .push_back(GainCandidate{v, a->gain});
   }
 }
-
-#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
-/// Debug / PIGP_VALIDATE auditor: every boundary vertex's cached analysis
-/// must equal a from-scratch one, which pins the invalidation rule.  \p out
-/// is a pooled tally sized for num_parts, so the audit allocates nothing
-/// and the steady-state zero-allocation tests hold in Debug too.
-void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
-                    const std::vector<graph::VertexId>& boundary,
-                    const EpochArray<MoveAnalysis>& cache, PartTally& out) {
-  for (const graph::VertexId v : boundary) {
-    const auto vi = static_cast<std::size_t>(v);
-    const MoveAnalysis fresh = analyze_vertex(g, p, v, out);
-    PIGP_CHECK(cache.contains(vi) && cache.get(vi).best == fresh.best &&
-                   cache.get(vi).gain == fresh.gain,
-               "refine move-analysis cache is out of date");
-  }
-}
-#endif
 
 }  // namespace
 
@@ -182,20 +91,20 @@ RefineStats refine_partitioning(const graph::Graph& g,
   Workspace& w = ws != nullptr ? *ws : local_ws;
   auto& boundary = w.refine_boundary;
   auto& candidates = w.refine_candidates;
-  w.refine_analysis.ensure(static_cast<std::size_t>(g.num_vertices()));
-  w.refine_analysis.clear();
 
   // The boundary only changes when a round's moves are kept; a reverted
   // round restores the index exactly, so the retry reuses it.
   state.boundary_ascending(boundary);
   for (int round = 0; round < options.max_rounds; ++round) {
-    stats.vertices_analyzed += refresh_analysis(g, partitioning, boundary,
-                                                options.num_threads, w);
-    assemble_candidates(partitioning, boundary, w.refine_analysis,
-                        candidates);
+    stats.vertices_analyzed += refresh_analyses(
+        g, partitioning, state, boundary, options.num_threads,
+        w.refine_tallies);
+    assemble_candidates(partitioning, state, boundary, candidates);
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
-    // refresh_analysis sized thread 0's tally for num_parts.
-    audit_analysis(g, partitioning, boundary, w.refine_analysis,
+    // Debug / PIGP_VALIDATE auditor: every boundary vertex's cached
+    // analysis is exact, which pins the state's invalidation rule.
+    // refresh_analyses sized thread 0's tally for num_parts.
+    audit_analysis(g, partitioning, state, boundary,
                    w.refine_tallies.front());
 #endif
     // No candidates at all: the flow would have no arcs — skip building
@@ -227,9 +136,10 @@ RefineStats refine_partitioning(const graph::Graph& g,
     if (new_cut > cut) {
       // Batch interactions hurt (dense candidate clusters moving
       // together); roll back and retry with progressively smaller
-      // batches.  The undo restores every assignment, so every cached
-      // analysis stays exact.
-      window.undo(g, partitioning);
+      // batches.  The undo restores every assignment, and no analysis
+      // was stored since the round began with every boundary slot valid,
+      // so the slots the replay invalidated are exact again.
+      window.undo_keeping_analysis(g, partitioning);
       ++stats.rounds_reverted;
       if (cap_scale > 0.2) {
         cap_scale *= 0.5;
@@ -237,14 +147,8 @@ RefineStats refine_partitioning(const graph::Graph& g,
       }
       break;
     }
-    // Moves kept: exactly the moved vertices and their neighbours saw an
-    // assignment change, so only their analyses go stale.
-    for (const graph::PartitionState::JournalEntry& move : window.moves()) {
-      w.refine_analysis.invalidate(static_cast<std::size_t>(move.v));
-      for (const graph::VertexId u : g.neighbors(move.v)) {
-        w.refine_analysis.invalidate(static_cast<std::size_t>(u));
-      }
-    }
+    // Moves kept: move_vertex invalidated exactly the moved vertices and
+    // their neighbours, the analyses the next round recomputes.
     stats.vertices_moved += flow.moved;
     const double gain = cut - new_cut;
     cut = new_cut;

@@ -44,9 +44,10 @@ struct RefineStats {
   double cut_after = 0.0;
   std::int64_t vertices_moved = 0;
   std::int64_t lp_iterations = 0;
-  /// Boundary vertices whose best move was (re)computed: the whole
-  /// boundary on the first round, then at most Σ (deg + 1) over the
-  /// previous kept round's moved vertices.
+  /// Boundary vertices whose best move was (re)computed: on the first
+  /// round those whose cached analysis a state mutator invalidated (the
+  /// whole boundary of a fresh state), then at most Σ (deg + 1) over the
+  /// previous kept round's moved vertices, nothing after a reverted one.
   std::int64_t vertices_analyzed = 0;
   /// Rounds whose moves raised the cut and were undone (each halves the
   /// batch cap, or ends refinement once the cap is small); counted in
@@ -73,21 +74,23 @@ void refinement_flow_into(
     const RefineOptions& options = {});
 
 /// Boundary-local refinement over a maintained state.  Each boundary
-/// vertex's best move (destination, gain) is cached per call: the first
-/// round analyses the whole boundary, and a round whose moves are kept
-/// re-analyses only the moved vertices and their neighbours (a reverted
-/// round restores every assignment and invalidates nothing), so a round
-/// costs O(Σ deg(moved)) plus one ordered walk of the state's boundary
-/// bitset that assembles the candidate buckets.  One analysis sums the
+/// vertex's best move (destination, gain) is read from the state's vertex
+/// analysis cache (PartitionState::analysis), which outlives the call: a
+/// round re-analyses only the boundary vertices whose slot a mutator
+/// invalidated — after a kept round the moved vertices and their
+/// neighbours, after a reverted round nothing (the undo re-validates the
+/// slots it invalidated) — so a round costs O(Σ deg(moved)) plus one
+/// ordered walk of the state's boundary bitset that assembles the
+/// candidate buckets.  One analysis (core::analyze_vertex) sums the
 /// vertex's out(v, j) in a sparse PartTally: O(deg), whatever the part
 /// count.  Per-round cuts come from
 /// the O(deg)-per-move bookkeeping, and a regressing round is undone
 /// through its PartitionState::RollbackWindow (O(moved + P)).  \p state
 /// must describe (g, partitioning) on entry and is left consistent with
-/// the refined partitioning.  A non-null \p ws supplies the cache,
+/// the refined partitioning.  A non-null \p ws supplies the tally,
 /// boundary and candidate buffers, so a converged call (no positive-gain
-/// candidates) allocates nothing; decisions are identical either way and
-/// for every num_threads.
+/// candidates) allocates nothing; decisions are identical either way, for
+/// every num_threads and whatever the state's cache holds.
 [[nodiscard]] RefineStats refine_partitioning(
     const graph::Graph& g, graph::Partitioning& partitioning,
     graph::PartitionState& state, const RefineOptions& options = {},

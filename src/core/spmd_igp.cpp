@@ -1,6 +1,7 @@
 #include "core/spmd_igp.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 #include <utility>
 
@@ -108,6 +109,8 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
                               partitioning.num_parts, targets);
 
   IgpResult result;
+  // Every rank reseeds its owned partitions' seeds; their counts add up.
+  std::atomic<std::int64_t> seeds_analyzed{0};
 
   // ---------------------------------------------------- balance stages
   executor.run([&](net::Transport& ctx) {
@@ -146,7 +149,9 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
         layering.bind(g_new, partitioning);
         layering_bound = true;
       }
-      layering.reseed(state, 1, &owned);
+      // Each rank fills only its owned partitions' slots of the shared
+      // state's analysis cache.
+      seeds_analyzed += layering.reseed(state, 1, &owned);
       const SpmdStageOutcome outcome =
           spmd_balance_handshake(ctx, owned, excess, options.balance, mine_ws);
       if (!outcome.progress) break;
@@ -202,6 +207,7 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
   });
 
   BalanceResult& balance = result.balance_result;
+  balance.seeds_analyzed = seeds_analyzed.load();
   if (!balance.balanced) {
     // Final deviation for reporting — O(P) off the maintained weights.
     std::vector<double>& excess = ws.balance_excess;

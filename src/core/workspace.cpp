@@ -18,8 +18,6 @@ void Workspace::release_memory() {
   transfer = TransferScratch();
   flow = FlowWorkspace();
   std::vector<graph::VertexId>().swap(refine_boundary);
-  refine_analysis.release();
-  std::vector<graph::VertexId>().swap(refine_stale);
   std::vector<PartTally>().swap(refine_tallies);
   refine_candidates = pigp::DenseMatrix<std::vector<GainCandidate>>();
   std::vector<GainCandidate>().swap(refine_selection);

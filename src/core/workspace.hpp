@@ -22,7 +22,10 @@
 /// its labeled-vertex lists.  Vertex-id *remaps* (a delta with removals
 /// compacts ids) invalidate id-addressed persistent state — callers must
 /// announce them through invalidate_vertex_ids(), which schedules the one
-/// full reset the layering then performs on its next bind.
+/// full reset the layering then performs on its next bind.  The
+/// per-vertex analyses that seeding and refinement read are not workspace
+/// state: the PartitionState owns them, invalidates them in its mutators
+/// and carries them through its own remap.
 ///
 /// Phases that may still allocate (all proportional to actual work, never
 /// to |V|): the per-stage BalanceStage record, pooled-buffer growth when
@@ -80,10 +83,6 @@ class EpochArray {
     value_[i] = v;
     stamp_[i] = epoch_;  // marks the slot live in the current generation
   }
-  /// Make slot \p i stale without touching any other.  O(1); stamp 0 is
-  /// never a live generation.
-  void invalidate(std::size_t i) { stamp_[i] = 0; }
-
   /// Deallocate the backing storage (Workspace::release_memory); the
   /// array re-grows on the next ensure(), with all slots stale.
   void release() {
@@ -130,18 +129,9 @@ struct Workspace {
   // --- step 4: refinement (core/refine.cpp) ---
   /// Boundary in ascending id order (PartitionState::boundary_ascending).
   std::vector<graph::VertexId> refine_boundary;
-  /// A boundary vertex's best move: destination with the largest cut gain
-  /// (-1 when it has no external edge weight) and that gain.
-  struct MoveAnalysis {
-    graph::PartId best = -1;
-    double gain = 0.0;
-  };
-  /// Per-vertex move analysis cache, cleared per refine call.  A live slot
-  /// is exact for the current partitioning: a kept round invalidates the
-  /// moved vertices and their neighbours, a reverted round nothing.
-  EpochArray<MoveAnalysis> refine_analysis;
-  /// Boundary vertices without a live analysis, re-analysed this round.
-  std::vector<graph::VertexId> refine_stale;
+  // Each boundary vertex's best move lives in the PartitionState's
+  // vertex-analysis cache, beside its seed label, and survives across
+  // rebalances: the state's mutators invalidate what they change.
   /// Per-OpenMP-thread sparse out(v, j) tallies.
   std::vector<PartTally> refine_tallies;
   pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
@@ -168,7 +158,8 @@ struct Workspace {
   /// A delta with removals compacted the vertex-id space: every
   /// id-addressed persistent buffer is now stale.  Epoch arrays handle
   /// this for free (they are cleared before every use); the layering
-  /// schedules a full reset on its next bind().
+  /// schedules a full reset on its next bind().  The PartitionState's
+  /// vertex analyses are remapped by the state itself.
   void invalidate_vertex_ids();
 
   /// Give every pooled buffer back to the allocator (deallocating, not

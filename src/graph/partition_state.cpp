@@ -45,6 +45,7 @@ void PartitionState::rebuild(const Graph& g, const Partitioning& p) {
   boundary_bits_.assign(
       bit_words(static_cast<std::size_t>(g.num_vertices())), 0);
   boundary_count_.assign(static_cast<std::size_t>(num_parts_), 0);
+  analysis_.assign(static_cast<std::size_t>(g.num_vertices()), {});
 
   // Accumulation order matches the historical compute_metrics() loop so
   // floating-point results are bit-identical to the pre-PartitionState
@@ -88,7 +89,9 @@ void PartitionState::move_vertex(const Graph& g, Partitioning& p, VertexId v,
   const auto nbrs = g.neighbors(v);
   const auto weights = g.incident_edge_weights(v);
   std::int32_t new_ext = 0;
+  invalidate_analysis(v);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    invalidate_analysis(nbrs[i]);
     if (nbrs[i] == v) continue;  // self-loops contribute nothing
     const PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
     if (q == kUnassigned) continue;  // counted when the neighbor is placed
@@ -128,6 +131,8 @@ void PartitionState::move_vertex(const Graph& g, Partitioning& p, VertexId v,
 // pigp:steady-state
 void PartitionState::add_edge(const Partitioning& p, VertexId u, VertexId v,
                               double weight) {
+  invalidate_analysis(u);
+  invalidate_analysis(v);
   if (u == v) return;  // self-loops contribute nothing
   const PartId pu = p.part[static_cast<std::size_t>(u)];
   const PartId pv = p.part[static_cast<std::size_t>(v)];
@@ -144,6 +149,8 @@ void PartitionState::add_edge(const Partitioning& p, VertexId u, VertexId v,
 // pigp:steady-state
 void PartitionState::remove_edge(const Partitioning& p, VertexId u, VertexId v,
                                  double weight) {
+  invalidate_analysis(u);
+  invalidate_analysis(v);
   if (u == v) return;
   const PartId pu = p.part[static_cast<std::size_t>(u)];
   const PartId pv = p.part[static_cast<std::size_t>(v)];
@@ -157,6 +164,8 @@ void PartitionState::remove_edge(const Partitioning& p, VertexId u, VertexId v,
 
 void PartitionState::adjust_edge_weight(const Partitioning& p, VertexId u,
                                         VertexId v, double delta_weight) {
+  invalidate_analysis(u);
+  invalidate_analysis(v);
   if (u == v) return;
   const PartId pu = p.part[static_cast<std::size_t>(u)];
   const PartId pv = p.part[static_cast<std::size_t>(v)];
@@ -171,6 +180,7 @@ void PartitionState::grow_vertices(VertexId n) {
              "grow_vertices cannot shrink the vertex-id space");
   ext_degree_.resize(static_cast<std::size_t>(n), 0);
   boundary_bits_.resize(bit_words(static_cast<std::size_t>(n)), 0);
+  analysis_.resize(static_cast<std::size_t>(n));
 }
 
 void PartitionState::extend(const Graph& g, Partitioning& p,
@@ -211,7 +221,12 @@ void PartitionState::remap_vertices(const std::vector<VertexId>& old_to_new,
       bit_words(static_cast<std::size_t>(new_num_vertices)), 0);
   // Only boundary vertices carry information (ext_degree > 0 iff the bit
   // is set), and a remap keeps every vertex in its partition, so the
-  // per-partition counts carry over unchanged.
+  // per-partition counts carry over unchanged.  The analyses move down in
+  // place, in ascending order, so no boundary slot is overwritten before
+  // it is read.  An interior vertex's slot may keep a stale value: it is
+  // never read before the mutator that makes the vertex boundary
+  // invalidates it.  A boundary analysis survives the renumbering unless
+  // its seed tie-break hashed the old id.
   for_each_boundary([&](VertexId old_v) {
     PIGP_CHECK(old_v < static_cast<VertexId>(old_to_new.size()),
                "remap_vertices: boundary vertex out of range");
@@ -219,13 +234,21 @@ void PartitionState::remap_vertices(const std::vector<VertexId>& old_to_new,
     PIGP_CHECK(new_v != kInvalidVertex,
                "remap_vertices: boundary vertex was removed but not "
                "retired first");
+    PIGP_CHECK(new_v <= old_v,
+               "remap_vertices: the compaction must preserve id order");
     ext[static_cast<std::size_t>(new_v)] =
         ext_degree_[static_cast<std::size_t>(old_v)];
     const auto vi = static_cast<std::size_t>(new_v);
     bits[vi / 64] |= std::uint64_t{1} << (vi % 64);
+    AnalysisSlot slot = analysis_[static_cast<std::size_t>(old_v)];
+    // Branch-free: whether a seed was hashed is close to a coin flip.
+    const auto renumbered = static_cast<std::uint32_t>(new_v != old_v);
+    slot.valid &= ~(slot.seed_hashed & renumbered);
+    analysis_[vi] = slot;
   });
   ext_degree_ = std::move(ext);
   boundary_bits_ = std::move(bits);
+  analysis_.resize(static_cast<std::size_t>(new_num_vertices));
 }
 
 PartitionState::EdgeDiff PartitionState::reconcile_extension(
@@ -306,15 +329,40 @@ PartitionState::RollbackWindow::~RollbackWindow() {
 
 // pigp:steady-state
 void PartitionState::RollbackWindow::undo(const Graph& g, Partitioning& p) {
+  undo(g, p, false);
+}
+
+// pigp:steady-state
+void PartitionState::RollbackWindow::undo_keeping_analysis(const Graph& g,
+                                                           Partitioning& p) {
+  undo(g, p, true);
+}
+
+// pigp:steady-state
+void PartitionState::RollbackWindow::undo(const Graph& g, Partitioning& p,
+                                          bool keep_analysis) {
   PIGP_CHECK(!state_.journal_rebased_,
              "undo journal invalidated by a rebuild/remap inside the window");
+  std::vector<JournalEntry>& journal = state_.journal_;
   state_.journal_replaying_ = true;
-  while (state_.journal_.size() > mark_) {
-    const JournalEntry e = state_.journal_.back();
-    state_.journal_.pop_back();
-    state_.move_vertex(g, p, e.v, e.from);
+  for (std::size_t k = journal.size(); k > mark_; --k) {
+    state_.move_vertex(g, p, journal[k - 1].v, journal[k - 1].from);
   }
   state_.journal_replaying_ = false;
+  if (keep_analysis) {
+    // The replay invalidated exactly these slots and kept their values,
+    // which were exact for the restored partitioning.
+    const auto revalidate = [this](VertexId u) {
+      if (state_.is_boundary(u)) {
+        state_.analysis_[static_cast<std::size_t>(u)].valid = 1;
+      }
+    };
+    for (std::size_t k = mark_; k < journal.size(); ++k) {
+      revalidate(journal[k].v);
+      for (const VertexId u : g.neighbors(journal[k].v)) revalidate(u);
+    }
+  }
+  journal.resize(mark_);
   const AggregateSnapshot& saved = state_.window_aggregates_[depth_];
   state_.weight_ = saved.weight;
   state_.boundary_cost_ = saved.boundary_cost;

@@ -49,10 +49,19 @@
 /// counts edges (integers), it is exact for any edge weights; the
 /// structural add_edge/remove_edge vs weight-only adjust_edge_weight split
 /// below exists so weight merges cannot double-count an edge.
+///
+/// The state also caches one analysis per vertex (core::analyze_vertex:
+/// the §2.2 seed label and the §2.4 best move).  A valid slot is exact:
+/// every mutator invalidates the slots whose tally it can change —
+/// move_vertex the mover and its neighbours, the edge methods both
+/// endpoints, rebuild/grow_vertices the ids they (re)create — and
+/// remap_vertices carries the boundary's slots, so a rebalance
+/// re-analyses only what changed since the last one.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -143,12 +152,14 @@ class PartitionState {
   EdgeDiff reconcile_extension(const Graph& g_old, const Graph& g_new,
                                const Partitioning& p, VertexId n_old);
 
-  /// Rewrite every per-vertex entry of the boundary index through the id
-  /// compaction of a delta with removals: surviving old vertex v becomes
-  /// old_to_new[v] (kInvalidVertex entries must already be retired via
-  /// move_vertex(…, kUnassigned)).  \p new_num_vertices is the vertex
-  /// count of the new graph; appended vertices start unassigned.  The
-  /// aggregates are id-free and unaffected.  O(V + boundary).
+  /// Rewrite every per-vertex entry of the boundary index and the
+  /// boundary vertices' analyses through the order-preserving id
+  /// compaction of a delta with removals (Graph::compact, apply_delta):
+  /// surviving old vertex v becomes old_to_new[v] <= v (kInvalidVertex
+  /// entries must already be retired via move_vertex(…, kUnassigned)).
+  /// \p new_num_vertices is the vertex count of the new graph; appended
+  /// vertices start unassigned.  The aggregates are id-free and
+  /// unaffected.  O(V + boundary).
   void remap_vertices(const std::vector<VertexId>& old_to_new,
                       VertexId new_num_vertices);
 
@@ -205,6 +216,33 @@ class PartitionState {
   /// call allocates nothing).
   void boundary_ascending(std::vector<VertexId>& out) const;
 
+  // --- vertex analysis cache ---
+
+  /// What one O(deg) pass over a boundary vertex's neighbourhood decides.
+  struct VertexAnalysis {
+    PartId seed = -1;  ///< layer-0 label (-1: all external weight is 0)
+    /// The seed came from the hashed tie-break, which reads v's id: a
+    /// remap that renumbers v invalidates it.
+    bool seed_hashed = false;
+    PartId best = -1;   ///< refinement destination (-1: none)
+    double gain = 0.0;  ///< out(v, best) - in(v)
+  };
+  /// v's cached analysis, or nullopt when a mutator invalidated it since
+  /// it was stored (or it never was).  O(1).
+  [[nodiscard]] std::optional<VertexAnalysis> analysis(VertexId v) const {
+    const AnalysisSlot& s = analysis_[static_cast<std::size_t>(v)];
+    if (s.valid == 0) return std::nullopt;
+    return VertexAnalysis{s.seed, s.seed_hashed != 0, s.best, s.gain};
+  }
+  /// Cache \p a, which must be v's exact analysis for the current graph
+  /// and partitioning.  The cache is logically const, so this is a const
+  /// member; calls for different vertices may run concurrently (each slot
+  /// holds its own validity), calls for one vertex may not.  O(1).
+  void store_analysis(VertexId v, const VertexAnalysis& a) const {
+    analysis_[static_cast<std::size_t>(v)] = {a.gain, a.best, a.seed_hashed,
+                                              a.seed, 1};
+  }
+
   // --- O(Δ) undo journal ---
   //
   // The one undo mechanism for speculative moves (a refine round, an SPMD
@@ -247,6 +285,14 @@ class PartitionState {
     /// window: the recorded ids no longer match the state.
     void undo(const Graph& g, Partitioning& p);
 
+    /// undo(), then re-validate the analyses the replay invalidated:
+    /// those of the boundary vertices among the undone movers and their
+    /// neighbours.  Sound only when every boundary vertex's analysis was
+    /// valid when the window opened and none was stored inside it (a
+    /// refinement round): the undo restores the partitioning and the
+    /// boundary exactly, and invalidation keeps a slot's value.
+    void undo_keeping_analysis(const Graph& g, Partitioning& p);
+
     /// The moves recorded since the window opened and not undone, oldest
     /// first (a closed inner window's kept moves included).
     [[nodiscard]] std::span<const JournalEntry> moves() const noexcept {
@@ -254,6 +300,8 @@ class PartitionState {
     }
 
    private:
+    void undo(const Graph& g, Partitioning& p, bool keep_analysis);
+
     PartitionState& state_;
     std::size_t mark_;
     std::size_t depth_;
@@ -284,6 +332,10 @@ class PartitionState {
   /// between partitions, so it keeps the counts.)
   void set_boundary(PartId q, VertexId v, bool member);
 
+  void invalidate_analysis(VertexId v) {
+    analysis_[static_cast<std::size_t>(v)].valid = 0;
+  }
+
   std::vector<double> weight_;         ///< W(q)
   std::vector<double> boundary_cost_;  ///< C(q)
   double cut_total_ = 0.0;
@@ -295,6 +347,20 @@ class PartitionState {
   std::vector<std::uint64_t> boundary_bits_;
   /// Set bits per partition (boundary_vertices(q).size()).
   std::vector<std::int64_t> boundary_count_;
+
+  /// One VertexAnalysis per vertex id in 16 bytes, its validity in the
+  /// slot itself (never in a word shared with other vertices), so threads
+  /// may fill different slots at once.  Invalidation clears only `valid`
+  /// and keeps the value, which undo_keeping_analysis relies on.
+  struct AnalysisSlot {
+    double gain = 0.0;
+    PartId best : 31 = -1;
+    std::uint32_t seed_hashed : 1 = 0;
+    PartId seed : 31 = -1;
+    std::uint32_t valid : 1 = 0;
+  };
+  static_assert(sizeof(AnalysisSlot) == 16);
+  mutable std::vector<AnalysisSlot> analysis_;
 
   /// The O(P) undo unit a window saves at open: the aggregates only.
   struct AggregateSnapshot {

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "support/check.hpp"
+#include "support/omp.hpp"
 
 namespace pigp::graph {
 
@@ -87,7 +84,7 @@ NearestSourceResult nearest_source_labels(
     if (parallel) {
       std::vector<std::vector<VertexId>> local(
           static_cast<std::size_t>(num_threads));
-#pragma omp parallel num_threads(num_threads)
+      PIGP_OMP(parallel num_threads(num_threads))
       {
 #ifdef _OPENMP
         const int tid = omp_get_thread_num();
@@ -95,7 +92,7 @@ NearestSourceResult nearest_source_labels(
         const int tid = 0;
 #endif
         auto& mine = local[static_cast<std::size_t>(tid)];
-#pragma omp for schedule(dynamic, 64)
+        PIGP_OMP(for schedule(dynamic, 64))
         for (std::int64_t i = 0;
              i < static_cast<std::int64_t>(frontier.size()); ++i) {
           const VertexId u = frontier[static_cast<std::size_t>(i)];
@@ -133,8 +130,8 @@ NearestSourceResult nearest_source_labels(
 
     // Pass 2: label each discovered vertex from its level-`level` neighbors.
     // The min-label rule makes the outcome independent of discovery order.
-#pragma omp parallel for schedule(static) if (parallel) \
-    num_threads(num_threads)
+    PIGP_OMP(parallel for schedule(static) if (parallel)
+                 num_threads(num_threads))
     for (std::int64_t i = 0; i < static_cast<std::int64_t>(next.size()); ++i) {
       const VertexId v = next[static_cast<std::size_t>(i)];
       std::int32_t best = -1;

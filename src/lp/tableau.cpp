@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "support/check.hpp"
+#include "support/omp.hpp"
 
 namespace pigp::lp::detail {
 
@@ -112,8 +113,11 @@ void pivot(Tableau& tab, int row, int col, int num_threads) {
   const bool parallel =
       num_threads > 1 &&
       static_cast<std::int64_t>(tab.nrows) * width > 1 << 16;
-#pragma omp parallel for schedule(static) if (parallel) \
-    num_threads(num_threads)
+#ifndef _OPENMP
+  (void)parallel;
+#endif
+  PIGP_OMP(parallel for schedule(static) if (parallel)
+               num_threads(num_threads))
   for (int i = 0; i <= tab.nrows; ++i) {
     if (i == row) continue;
     double* irow = tab.t.row(static_cast<std::size_t>(i)).data();
