@@ -3,16 +3,17 @@
 /// \file bench_common.hpp
 /// Shared helpers for the paper-table reproduction binaries.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "api/backend.hpp"
 #include "api/config.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
 #include "spectral/partitioners.hpp"
 #include "support/table.hpp"
@@ -22,11 +23,14 @@ namespace pigp::bench {
 /// Number of partitions used throughout the paper's evaluation.
 inline constexpr graph::PartId kPaperPartitions = 32;
 
+/// Number of hardware threads, at least 1.
+inline int hardware_threads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 /// Threads for the "Time-p" columns (the paper used a 32-node CM-5; we use
 /// min(32, hardware) worker threads).
-inline int parallel_threads() {
-  return std::min(32, runtime::ThreadPool::hardware_threads());
-}
+inline int parallel_threads() { return std::min(32, hardware_threads()); }
 
 struct TimedPartition {
   graph::Partitioning partitioning;

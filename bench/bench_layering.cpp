@@ -1,7 +1,7 @@
 // Layering and assignment micro-benchmarks (google-benchmark): the
 // per-partition BFS of Figure 3 is the paper's "inherently parallel" step;
 // these benches measure its scaling with graph size, thread count and part
-// count, and the multi-source BFS of the initial assignment step.
+// count, and the seeded BFS of the initial assignment step.
 
 #include <benchmark/benchmark.h>
 

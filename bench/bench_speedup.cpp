@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       spectral::recursive_spectral_bisection(family.base,
                                              bench::kPaperPartitions);
 
-  const int hw = runtime::ThreadPool::hardware_threads();
+  const int hw = bench::hardware_threads();
   std::cout << "hardware threads: " << hw << "\n\n";
 
   // Warm-up + serial baseline (best of `reps` to de-noise).

@@ -84,8 +84,7 @@ AsyncSession::~AsyncSession() {
 
 void AsyncSession::start() {
   publish_view();  // epoch 1: readers have a view before any delta lands
-  pool_ = std::make_unique<runtime::ThreadPool>(2);
-  ingest_done_ = pool_->submit([this] {
+  ingest_thread_ = std::thread([this] {
     try {
       ingest_loop();
     } catch (...) {
@@ -97,13 +96,21 @@ void AsyncSession::start() {
     job_queue_.close();
     commit_queue_.close();
   });
-  repartition_done_ = pool_->submit([this] {
-    try {
-      repartition_loop();
-    } catch (...) {
-      record_error(std::current_exception());
-    }
-  });
+  try {
+    repartition_thread_ = std::thread([this] {
+      try {
+        repartition_loop();
+      } catch (...) {
+        record_error(std::current_exception());
+      }
+    });
+  } catch (...) {
+    // No caller can have submitted yet, so closing the ingest queue ends
+    // the ingest loop; join it before the failed constructor unwinds.
+    ingest_queue_.close();
+    ingest_thread_.join();
+    throw;
+  }
 }
 
 void AsyncSession::submit(graph::GraphDelta delta) {
@@ -129,9 +136,8 @@ void AsyncSession::flush() {
 void AsyncSession::close() {
   std::call_once(close_once_, [this] {
     ingest_queue_.close();
-    if (ingest_done_.valid()) ingest_done_.get();
-    if (repartition_done_.valid()) repartition_done_.get();
-    pool_.reset();
+    if (ingest_thread_.joinable()) ingest_thread_.join();
+    if (repartition_thread_.joinable()) repartition_thread_.join();
   });
 }
 

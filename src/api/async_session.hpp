@@ -79,6 +79,7 @@
 #include <mutex>  // std::once_flag/call_once only; locks live in runtime/sync.hpp
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/config.hpp"
@@ -91,7 +92,6 @@
 #include "graph/partition_state.hpp"
 #include "runtime/delta_queue.hpp"
 #include "runtime/sync.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace pigp {
 
@@ -321,11 +321,10 @@ class AsyncSession {
   /// until the winning close() finishes, which is the semantics close()
   /// documents.
   std::once_flag close_once_;
-  /// Pool declared last so members outlive the threads if close() was
-  /// never reached; close() joins through these futures.
-  std::future<void> ingest_done_;
-  std::future<void> repartition_done_;
-  std::unique_ptr<runtime::ThreadPool> pool_;
+  /// Threads declared last so every member they touch is constructed
+  /// before they start and outlives them; close() joins both.
+  std::thread ingest_thread_;
+  std::thread repartition_thread_;
 };
 
 }  // namespace pigp

@@ -40,7 +40,7 @@ constexpr bool has_exactly_n_fields =
     brace_constructible<T>(std::make_index_sequence<N>{}) &&
     !brace_constructible<T>(std::make_index_sequence<N + 1>{});
 
-static_assert(has_exactly_n_fields<core::AssignOptions, 1>,
+static_assert(has_exactly_n_fields<core::AssignOptions, 0>,
               "AssignOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<lp::NetworkOptions, 3>,
               "NetworkOptions changed — update SessionConfig::resolve()");
@@ -167,8 +167,6 @@ ResolvedConfig SessionConfig::resolve() const {
 
   ResolvedConfig resolved;
   resolved.session = *this;
-
-  resolved.assign.num_threads = num_threads;
 
   core::IgpOptions& igp = resolved.igp;
   igp.refine = true;  // backends without a refinement pass clear this

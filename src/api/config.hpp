@@ -72,7 +72,7 @@ struct SessionConfig {
   /// Backend registry key: "igp", "igpr", "multilevel", "spmd", "scratch",
   /// or any name registered through BackendRegistry.
   std::string backend = "igpr";
-  /// Worker threads for assignment, layering and refinement analysis.
+  /// Worker threads for layering and refinement analysis.
   int num_threads = 1;
 
   // --- balance (step 3) knobs ---
@@ -175,6 +175,8 @@ struct SessionConfig {
 /// A validated SessionConfig plus the fully-propagated core options.
 struct ResolvedConfig {
   SessionConfig session;
+  /// Empty; kept only while the benchmark harness passes it to
+  /// extend_assignment_state (ROADMAP item 1 drops both).
   core::AssignOptions assign;
   /// igp.refine is true here; backends that skip refinement clear it.
   core::IgpOptions igp;

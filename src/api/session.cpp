@@ -345,8 +345,7 @@ SessionReport Session::finish_update(const runtime::WallTimer& started,
     // queryable between repartitions, then check the imbalance trigger.
     // Only the placements are folded into the state — O(Σ deg(new)).
     runtime::WallTimer assign_timer;
-    core::extend_assignment_state(graph_, old, n_old, state_, workspace_,
-                                  resolved_.assign);
+    core::extend_assignment_state(graph_, old, n_old, state_, workspace_);
     partitioning_ = std::move(old);
     counters_.update_seconds += assign_timer.seconds();
     if (batch_due(config, pending_vertex_changes_, state_)) {
@@ -393,7 +392,7 @@ void Session::run_backend(SessionReport& report, graph::Partitioning old,
     window.undo(graph_, partitioning_);
     partitioning_.part.resize(static_cast<std::size_t>(n_old));
     core::extend_assignment_state(graph_, partitioning_, n_old, state_,
-                                  workspace_, resolved_.assign);
+                                  workspace_);
     throw;
   }
 

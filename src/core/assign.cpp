@@ -6,72 +6,21 @@
 #include "graph/components.hpp"
 #include "graph/partition_state.hpp"
 #include "graph/subgraph.hpp"
-#include "graph/traversal.hpp"
 #include "support/check.hpp"
 
 namespace pigp::core {
 
 graph::Partitioning extend_assignment(
     const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-    graph::VertexId n_old, const AssignOptions& options) {
-  const graph::VertexId n = g_new.num_vertices();
-  PIGP_CHECK(n_old >= 0 && n_old <= n, "n_old out of range");
+    graph::VertexId n_old) {
   PIGP_CHECK(static_cast<graph::VertexId>(old_partitioning.part.size()) ==
                  n_old,
              "old partitioning must cover exactly the old vertices");
-  PIGP_CHECK(n_old > 0, "need at least one previously partitioned vertex");
-
-  graph::Partitioning result;
-  result.num_parts = old_partitioning.num_parts;
-  result.part.assign(static_cast<std::size_t>(n), graph::kUnassigned);
-
-  // Multi-source BFS with the old vertices as labeled seeds.
-  std::vector<std::int32_t> seeds(static_cast<std::size_t>(n), -1);
-  for (graph::VertexId v = 0; v < n_old; ++v) {
-    seeds[static_cast<std::size_t>(v)] =
-        old_partitioning.part[static_cast<std::size_t>(v)];
-  }
-  const graph::NearestSourceResult near =
-      graph::nearest_source_labels(g_new, seeds, options.num_threads);
-
-  for (graph::VertexId v = 0; v < n; ++v) {
-    result.part[static_cast<std::size_t>(v)] =
-        near.label[static_cast<std::size_t>(v)];
-  }
-
-  // Fallback for new vertices unreachable from any old vertex: cluster them
-  // (connected components of the leftover set) and assign each cluster to
-  // the partition with the least current weight.
-  std::vector<graph::VertexId> orphans;
-  for (graph::VertexId v = n_old; v < n; ++v) {
-    if (result.part[static_cast<std::size_t>(v)] < 0) orphans.push_back(v);
-  }
-  if (!orphans.empty()) {
-    std::vector<double> load(
-        static_cast<std::size_t>(result.num_parts), 0.0);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      const graph::PartId q = result.part[static_cast<std::size_t>(v)];
-      if (q >= 0) load[static_cast<std::size_t>(q)] += g_new.vertex_weight(v);
-    }
-
-    const graph::Subgraph sub = graph::induced_subgraph(g_new, orphans);
-    const graph::Components comps = graph::connected_components(sub.graph);
-    const auto groups = comps.members();
-    for (const auto& group : groups) {
-      double cluster_weight = 0.0;
-      for (const graph::VertexId local : group) {
-        cluster_weight += sub.graph.vertex_weight(local);
-      }
-      const auto lightest = static_cast<graph::PartId>(std::distance(
-          load.begin(), std::min_element(load.begin(), load.end())));
-      for (const graph::VertexId local : group) {
-        result.part[static_cast<std::size_t>(
-            sub.to_global[static_cast<std::size_t>(local)])] = lightest;
-      }
-      load[static_cast<std::size_t>(lightest)] += cluster_weight;
-    }
-  }
-
+  graph::Partitioning result = old_partitioning;
+  graph::PartitionState state;
+  seed_extension_state(g_new, result, state);
+  Workspace ws;
+  extend_assignment_state(g_new, result, n_old, state, ws);
   result.validate(g_new);
   return result;
 }
@@ -96,9 +45,7 @@ void extend_assignment_state(const graph::Graph& g_new, graph::Partitioning& p,
   PIGP_CHECK(static_cast<graph::VertexId>(p.part.size()) == n_old,
              "partitioning must cover exactly the old vertices");
   PIGP_CHECK(n_old > 0, "need at least one previously partitioned vertex");
-  // The seeded frontier is O(delta shell); the batch entry point keeps the
-  // OpenMP multi-source sweep for its O(V)-seeded formulation.
-  (void)options;
+  (void)options;  // AssignOptions has no fields
 
   if (n_old == n) return;  // pure repartition tick — nothing to place
 
@@ -141,7 +88,7 @@ void extend_assignment_state(const graph::Graph& g_new, graph::Partitioning& p,
     }
     // Pass 2: label each discovered vertex from its level-`level`
     // neighbors; the min-label rule makes the outcome independent of
-    // discovery order, exactly like nearest_source_labels.
+    // discovery order.
     for (const graph::VertexId v : next) {
       graph::PartId best = -1;
       for (const graph::VertexId u : g_new.neighbors(v)) {
@@ -158,18 +105,16 @@ void extend_assignment_state(const graph::Graph& g_new, graph::Partitioning& p,
   }
 
   // Fallback for appended components containing no old vertex: cluster the
-  // orphans and send each cluster to the least-loaded partition, exactly
-  // like the batch entry point.  This sub-path allocates (it is rare and
-  // never on the steady-state stream).
+  // orphans and send each cluster, in ascending component order, to the
+  // least-loaded partition.  This sub-path allocates (it is rare and never
+  // on the steady-state stream).
   bool any_orphan = false;
   for (graph::VertexId v = n_old; v < n && !any_orphan; ++v) {
     any_orphan = !ws.assign_label.contains(static_cast<std::size_t>(v));
   }
   if (any_orphan) {
-    // Loads over everything assigned so far (old weights come from the
-    // maintained state, labeled appendees are added in ascending order,
-    // mirroring the batch path's ascending full scan; exact for integer
-    // weights).
+    // Loads over everything assigned so far: old weights come from the
+    // maintained state, labeled appendees are added in ascending order.
     std::vector<double> load = state.weights();
     std::vector<graph::VertexId> orphans;
     for (graph::VertexId v = n_old; v < n; ++v) {

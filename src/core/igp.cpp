@@ -15,13 +15,10 @@ IgpResult igp_repartition_in_place(const graph::Graph& g_new,
   IgpResult result;
 
   // Step 1: seeded assignment of the appended vertices, folded straight
-  // into the maintained state — O(Σ deg(new) + shell), not an O(V+E)
-  // multi-source sweep, and allocation-free once the workspace is warm.
+  // into the maintained state — O(Σ deg(new) + shell), and allocation-free
+  // once the workspace is warm.
   runtime::WallTimer timer;
-  AssignOptions assign_options;
-  assign_options.num_threads = options.num_threads;
-  extend_assignment_state(g_new, partitioning, n_old, state, ws,
-                          assign_options);
+  extend_assignment_state(g_new, partitioning, n_old, state, ws);
   result.timings.assign = timer.seconds();
 
   // Steps 2–3: layering + LP balancing (multi-stage, boundary-local, with

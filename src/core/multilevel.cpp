@@ -117,10 +117,8 @@ IgpResult multilevel_repartition(const graph::Graph& g_new,
 
   // Step 1 on the fine graph, as in the flat algorithm.
   runtime::WallTimer timer;
-  AssignOptions assign_options;
-  assign_options.num_threads = options.igp.num_threads;
   graph::Partitioning current =
-      extend_assignment(g_new, old_partitioning, n_old, assign_options);
+      extend_assignment(g_new, old_partitioning, n_old);
   result.timings.assign = timer.seconds();
 
   // Build the coarsening hierarchy of the new graph.

@@ -97,10 +97,7 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
                                     std::vector<Workspace>& rank_ws) {
   // Step 1: seeded in-place assignment through the maintained state (the
   // SPMD engine replicates the graph, so step 1 is a single global pass).
-  AssignOptions assign_options;
-  assign_options.num_threads = 1;
-  extend_assignment_state(g_new, partitioning, n_old, state, ws,
-                          assign_options);
+  extend_assignment_state(g_new, partitioning, n_old, state, ws);
 
   rank_ws.resize(static_cast<std::size_t>(executor.num_ranks()));
   const auto parts = static_cast<std::size_t>(partitioning.num_parts);

@@ -36,11 +36,9 @@ struct Partitioning {
   void validate(const Graph& g) const;
 };
 
-/// Scalar quality summary of a partitioning — the per-report companion of
-/// PartitionMetrics.  Field names match PartitionMetrics' scalars exactly;
-/// only the O(P) per-partition vectors are dropped, so producing one (e.g.
-/// per absorbed delta in a SessionReport) allocates nothing.  Callers that
-/// need the per-partition breakdown ask for a full PartitionMetrics.
+/// Scalar quality summary of a partitioning.  Producing one (e.g. per
+/// absorbed delta in a SessionReport) allocates nothing; callers that need
+/// the per-partition breakdown ask for a full PartitionMetrics.
 struct PartitionSummary {
   double cut_total = 0.0;   ///< cross edges, each counted once (weighted)
   double cut_max = 0.0;     ///< max over partitions of boundary cost C(q)
@@ -52,18 +50,11 @@ struct PartitionSummary {
   double imbalance = 0.0;
 };
 
-/// Quality summary of a partitioning.
-struct PartitionMetrics {
-  double cut_total = 0.0;   ///< cross edges, each counted once (weighted)
-  double cut_max = 0.0;     ///< max over partitions of boundary cost C(q)
-  double cut_min = 0.0;     ///< min over partitions of boundary cost C(q)
+/// Quality summary of a partitioning: the scalars plus the O(P)
+/// per-partition vectors.
+struct PartitionMetrics : PartitionSummary {
   std::vector<double> boundary_cost;  ///< C(q) per partition
   std::vector<double> weight;         ///< W(q) per partition
-  double max_weight = 0.0;
-  double min_weight = 0.0;
-  double avg_weight = 0.0;
-  /// max W(q) / average W — 1.0 is perfect balance.
-  double imbalance = 0.0;
 };
 
 /// Full O(V+E) rescan; implemented as PartitionState::rebuild + snapshot

@@ -371,18 +371,7 @@ void PartitionState::RollbackWindow::undo(const Graph& g, Partitioning& p,
 
 PartitionMetrics PartitionState::snapshot() const {
   PIGP_CHECK(num_parts_ >= 1, "snapshot of an empty PartitionState");
-  const PartitionSummary s = summary();
-  PartitionMetrics m;
-  m.boundary_cost = boundary_cost_;
-  m.weight = weight_;
-  m.cut_total = s.cut_total;
-  m.cut_max = s.cut_max;
-  m.cut_min = s.cut_min;
-  m.max_weight = s.max_weight;
-  m.min_weight = s.min_weight;
-  m.avg_weight = s.avg_weight;
-  m.imbalance = s.imbalance;
-  return m;
+  return PartitionMetrics{summary(), boundary_cost_, weight_};
 }
 
 // pigp:steady-state

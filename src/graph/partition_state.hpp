@@ -163,8 +163,7 @@ class PartitionState {
   void remap_vertices(const std::vector<VertexId>& old_to_new,
                       VertexId new_num_vertices);
 
-  /// Full PartitionMetrics in O(P): copies W/C, derives max/min/avg/
-  /// imbalance with exactly compute_metrics()'s formulas.
+  /// Full PartitionMetrics in O(P): summary() plus copies of W and C.
   [[nodiscard]] PartitionMetrics snapshot() const;
 
   /// The scalar fields of snapshot() without the per-partition vector

@@ -1,10 +1,9 @@
 #pragma once
 
 /// \file traversal.hpp
-/// Breadth-first traversals: distances, nearest-labeled-source propagation,
-/// and BFS vertex orders.  These implement the d(v, x) shortest-distance
-/// machinery of §2.1/§2.2 of the paper and are the parallel building block
-/// for Step 1 (initial assignment of new vertices).
+/// Breadth-first traversals: distances and BFS vertex orders.  These
+/// implement the d(v, x) shortest-distance machinery of §2.1/§2.2 of the
+/// paper.
 
 #include <cstdint>
 #include <span>
@@ -20,22 +19,6 @@ inline constexpr std::int32_t kUnreached = -1;
 /// other components.
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(
     const Graph& g, std::span<const VertexId> sources);
-
-/// Result of nearest_source_labels().
-struct NearestSourceResult {
-  std::vector<std::int32_t> distance;  ///< BFS distance to nearest source
-  std::vector<std::int32_t> label;     ///< label of that source, or -1
-};
-
-/// Multi-source BFS label propagation.  \p seed_labels has one entry per
-/// vertex: >= 0 marks a source with that label, < 0 a plain vertex.  Every
-/// reachable vertex receives the label of its nearest source; equidistant
-/// ties resolve to the smallest label, which makes the result independent of
-/// traversal order and hence identical for the serial and parallel paths.
-/// \p num_threads > 1 runs the frontier expansion with OpenMP.
-[[nodiscard]] NearestSourceResult nearest_source_labels(
-    const Graph& g, std::span<const std::int32_t> seed_labels,
-    int num_threads = 1);
 
 /// Vertices of \p g in BFS order from \p root (used by recursive graph
 /// bisection and pseudo-peripheral vertex search).  Only the component of

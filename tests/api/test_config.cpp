@@ -32,7 +32,6 @@ TEST(SessionConfigResolve, PropagatesThreadCountIntoEveryNestedStruct) {
   // Every num_threads field in the option tree.  When a new nested struct
   // appears, the static_asserts in config.cpp force resolve() to be
   // updated, and its thread field belongs in this list.
-  EXPECT_EQ(resolved.assign.num_threads, 7);
   EXPECT_EQ(resolved.igp.num_threads, 7);
   EXPECT_EQ(resolved.igp.balance.num_threads, 7);
   EXPECT_EQ(resolved.igp.refinement.num_threads, 7);

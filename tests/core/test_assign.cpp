@@ -1,4 +1,5 @@
-// Step 1: initial assignment of new vertices (§2.1).
+// Step 1: initial assignment of new vertices (§2.1), checked against an
+// eq. (7) oracle built on bfs_distances.
 
 #include "core/assign.hpp"
 
@@ -12,6 +13,7 @@
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition_state.hpp"
+#include "graph/traversal.hpp"
 #include "support/check.hpp"
 
 namespace pigp::core {
@@ -19,6 +21,7 @@ namespace {
 
 using graph::Graph;
 using graph::GraphBuilder;
+using graph::PartId;
 using graph::Partitioning;
 using graph::VertexId;
 
@@ -111,74 +114,116 @@ TEST(ExtendAssignment, MultipleClustersBalanceGreedily) {
   EXPECT_EQ(p.part[4], p.part[5]);
 }
 
-TEST(ExtendAssignment, ParallelMatchesSerial) {
-  const Graph base = graph::random_geometric_graph(2000, 0.04, 3);
-  // Treat the first 1500 vertices as old with a striped partitioning.
-  graph::GraphBuilder b(base.num_vertices());
-  for (VertexId v = 0; v < base.num_vertices(); ++v) {
-    for (VertexId u : base.neighbors(v)) {
-      if (u > v) b.add_edge(v, u);
+/// Eq. (7) read literally, independent of the step-1 implementation: an
+/// appended vertex takes the smallest partition among the old vertices at
+/// minimum BFS distance from it.  Appended vertices that reach no old
+/// vertex form orphan clusters (their connected components); the clusters,
+/// in ascending order of their smallest id, go greedily to the
+/// least-loaded partition, the smaller id on load ties.
+std::vector<PartId> eq7_oracle(const Graph& g, const Partitioning& old_p,
+                               VertexId n_old) {
+  const VertexId n = g.num_vertices();
+  std::vector<PartId> part = old_p.part;
+  part.resize(static_cast<std::size_t>(n), graph::kUnassigned);
+  std::vector<std::vector<VertexId>> clusters;
+  std::vector<char> clustered(static_cast<std::size_t>(n), 0);
+  for (VertexId v = n_old; v < n; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const std::vector<VertexId> source = {v};
+    const std::vector<std::int32_t> dist = graph::bfs_distances(g, source);
+    std::int32_t nearest = graph::kUnreached;
+    for (VertexId x = 0; x < n_old; ++x) {
+      const std::int32_t d = dist[static_cast<std::size_t>(x)];
+      const PartId label = old_p.part[static_cast<std::size_t>(x)];
+      if (d == graph::kUnreached) continue;
+      if (nearest == graph::kUnreached || d < nearest ||
+          (d == nearest && label < part[vi])) {
+        nearest = d;
+        part[vi] = label;
+      }
+    }
+    if (nearest != graph::kUnreached || clustered[vi] != 0) continue;
+    // v's whole component is appended: one orphan cluster.
+    clusters.emplace_back();
+    for (VertexId u = 0; u < n; ++u) {
+      if (dist[static_cast<std::size_t>(u)] == graph::kUnreached) continue;
+      clusters.back().push_back(u);
+      clustered[static_cast<std::size_t>(u)] = 1;
     }
   }
-  const Graph g = b.build();
-  Partitioning old_p;
-  old_p.num_parts = 8;
-  for (VertexId v = 0; v < 1500; ++v) {
-    old_p.part.push_back(v % 8);
+
+  std::vector<double> load(static_cast<std::size_t>(old_p.num_parts), 0.0);
+  for (VertexId v = 0; v < n; ++v) {
+    const PartId q = part[static_cast<std::size_t>(v)];
+    if (q != graph::kUnassigned) {
+      load[static_cast<std::size_t>(q)] += g.vertex_weight(v);
+    }
   }
-  AssignOptions serial;
-  AssignOptions parallel;
-  parallel.num_threads = 8;
-  const Partitioning a = extend_assignment(g, old_p, 1500, serial);
-  const Partitioning c = extend_assignment(g, old_p, 1500, parallel);
-  EXPECT_EQ(a.part, c.part);
+  for (const std::vector<VertexId>& cluster : clusters) {
+    std::size_t lightest = 0;
+    for (std::size_t q = 1; q < load.size(); ++q) {
+      if (load[q] < load[lightest]) lightest = q;
+    }
+    for (const VertexId u : cluster) {
+      part[static_cast<std::size_t>(u)] = static_cast<PartId>(lightest);
+      load[lightest] += g.vertex_weight(u);
+    }
+  }
+  return part;
 }
 
-/// The seeded in-place path must place every appended vertex exactly like
-/// the batch multi-source sweep, and leave the maintained state equal to a
-/// fresh rebuild — across graph shapes, old/new splits, and a reused
-/// workspace (the hot configuration: one Workspace across many calls).
+/// Run the in-place path from the mid-update state shape Session::apply
+/// hands a backend (old prefix assigned, appended tail unassigned), built
+/// by retiring the tail of \p full one vertex at a time.  Checks that the
+/// state ends equal to a fresh rebuild and returns the placements.
+std::vector<PartId> place_in_place(const Graph& g, VertexId n_old,
+                                   const Partitioning& full, Workspace& ws) {
+  graph::PartitionState state(g, full);
+  Partitioning working = full;
+  for (VertexId v = g.num_vertices() - 1; v >= n_old; --v) {
+    state.move_vertex(g, working, v, graph::kUnassigned);
+  }
+  working.part.resize(static_cast<std::size_t>(n_old));
+
+  extend_assignment_state(g, working, n_old, state, ws);
+
+  const graph::PartitionState fresh(g, working);
+  EXPECT_EQ(state.weights(), fresh.weights());
+  EXPECT_DOUBLE_EQ(state.cut_total(), fresh.cut_total());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(state.external_degree(v), fresh.external_degree(v))
+        << "vertex " << v;
+  }
+  return working.part;
+}
+
+/// Both step-1 entry points — the in-place path on a Session-shaped state
+/// and the batch adapter — place every appended vertex as eq. (7) says,
+/// across graph shapes, old/new splits, and a reused workspace (the hot
+/// configuration: one Workspace across many calls).
 TEST(ExtendAssignmentState, MatchesBatchAssignmentOnRandomGraphs) {
   Workspace ws;  // deliberately shared across all cases: reuse is the point
   for (const int seed : {3, 11, 29, 57}) {
     for (const int n_old_permille : {500, 900, 990}) {
       const Graph g = graph::random_geometric_graph(
           600, 0.06, static_cast<std::uint64_t>(seed));
-      const auto n = g.num_vertices();
-      const auto n_old =
-          static_cast<VertexId>(static_cast<std::int64_t>(n) *
-                                n_old_permille / 1000);
+      const auto n_old = static_cast<VertexId>(
+          static_cast<std::int64_t>(g.num_vertices()) * n_old_permille /
+          1000);
       Partitioning old_p;
       old_p.num_parts = 8;
       for (VertexId v = 0; v < n_old; ++v) {
         old_p.part.push_back((v * 7 + seed) % 8);
       }
 
-      const Partitioning expected = extend_assignment(g, old_p, n_old);
+      Partitioning expected;
+      expected.num_parts = old_p.num_parts;
+      expected.part = eq7_oracle(g, old_p, n_old);
 
-      // Build the mid-update state shape Session::apply hands the backend
-      // (old prefix assigned, appended tail unassigned): rebuild over the
-      // full assignment, then retire the tail one vertex at a time.
-      graph::PartitionState tail_state(g, expected);
-      Partitioning working = expected;
-      for (VertexId v = n - 1; v >= n_old; --v) {
-        tail_state.move_vertex(g, working, v, graph::kUnassigned);
-      }
-      working.part.resize(static_cast<std::size_t>(n_old));
-      working.num_parts = old_p.num_parts;
-
-      extend_assignment_state(g, working, n_old, tail_state, ws);
-
-      EXPECT_EQ(working.part, expected.part)
+      EXPECT_EQ(place_in_place(g, n_old, expected, ws), expected.part)
           << "seed " << seed << " n_old " << n_old;
-      // The state must equal a fresh rebuild over the final assignment.
-      const graph::PartitionState fresh(g, expected);
-      EXPECT_EQ(tail_state.weights(), fresh.weights());
-      EXPECT_DOUBLE_EQ(tail_state.cut_total(), fresh.cut_total());
-      for (VertexId v = 0; v < n; ++v) {
-        EXPECT_EQ(tail_state.external_degree(v), fresh.external_degree(v))
-            << "vertex " << v;
-      }
+      EXPECT_EQ(extend_assignment(g, old_p, n_old).part, expected.part)
+          << "seed " << seed << " n_old " << n_old;
     }
   }
 }
@@ -199,17 +244,48 @@ TEST(ExtendAssignmentState, OrphanClustersMatchBatchFallback) {
   old_p.num_parts = 2;
   old_p.part = {0, 0, 1};
 
-  const Partitioning expected = extend_assignment(g, old_p, 3);
+  Partitioning expected;
+  expected.num_parts = old_p.num_parts;
+  expected.part = eq7_oracle(g, old_p, 3);
+  // The chain follows vertex 2 into partition 1 (load 3 against 2), so
+  // the orphan cluster goes to partition 0.
+  ASSERT_EQ(expected.part, (std::vector<PartId>{0, 0, 1, 1, 1, 0, 0, 0}));
 
-  graph::PartitionState state(g, expected);
-  Partitioning working = expected;
-  for (VertexId v = 7; v >= 3; --v) {
-    state.move_vertex(g, working, v, graph::kUnassigned);
-  }
-  working.part.resize(3);
   Workspace ws;
-  extend_assignment_state(g, working, 3, state, ws);
-  EXPECT_EQ(working.part, expected.part);
+  EXPECT_EQ(place_in_place(g, 3, expected, ws), expected.part);
+  EXPECT_EQ(extend_assignment(g, old_p, 3).part, expected.part);
+}
+
+TEST(ExtendAssignmentState, OrphanClustersWeighNonIntegerLoads) {
+  // Old path 0-1-2 in partitions 0, 1, 2; appended vertex 3 hangs off 1.
+  // Three orphan clusters follow: {4, 5}, {6}, {7, 8}.  The weights make
+  // the greedy order depend on weight, not vertex count.
+  GraphBuilder b(9);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(1, 3);
+  b.add_edge(4, 5);
+  b.add_edge(7, 8);
+  const double weight[] = {1.5, 1.25, 2.0, 0.75, 0.5, 0.25, 1.0, 0.125, 0.25};
+  for (VertexId v = 0; v < 9; ++v) {
+    b.set_vertex_weight(v, weight[v]);
+  }
+  const Graph g = b.build();
+  Partitioning old_p;
+  old_p.num_parts = 3;
+  old_p.part = {0, 1, 2};
+
+  Partitioning expected;
+  expected.num_parts = old_p.num_parts;
+  expected.part = eq7_oracle(g, old_p, 3);
+  // Loads before the orphans: 1.5, 2.0, 2.0.  {4, 5} (0.75) goes to 0
+  // (now 2.25); {6} (1.0) to 1, the smaller id of the 2.0 tie (now 3.0);
+  // {7, 8} (0.375) to 2.
+  ASSERT_EQ(expected.part, (std::vector<PartId>{0, 1, 2, 1, 0, 0, 1, 2, 2}));
+
+  Workspace ws;
+  EXPECT_EQ(place_in_place(g, 3, expected, ws), expected.part);
+  EXPECT_EQ(extend_assignment(g, old_p, 3).part, expected.part);
 }
 
 TEST(ExtendAssignmentState, NoAppendedTailIsANoOp) {

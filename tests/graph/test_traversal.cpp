@@ -1,5 +1,4 @@
-// BFS distances, nearest-source labeling (serial vs parallel determinism),
-// BFS orders, pseudo-peripheral vertices.
+// BFS distances, BFS orders, pseudo-peripheral vertices.
 
 #include "graph/traversal.hpp"
 
@@ -49,51 +48,6 @@ TEST(BfsDistances, GridDistanceIsManhattanFromCorner) {
     for (int c = 0; c < n; ++c) {
       EXPECT_EQ(dist[static_cast<std::size_t>(r * n + c)], r + c);
     }
-  }
-}
-
-TEST(NearestSourceLabels, LabelsFollowNearestSource) {
-  const Graph g = path_graph(10);
-  std::vector<std::int32_t> seeds(10, -1);
-  seeds[0] = 100;
-  seeds[9] = 200;
-  const auto result = nearest_source_labels(g, seeds);
-  EXPECT_EQ(result.label[1], 100);
-  EXPECT_EQ(result.label[8], 200);
-  // Vertex 4 is distance 4 from source 0 and 5 from source 9.
-  EXPECT_EQ(result.label[4], 100);
-  // Equidistant vertex (none on even path of 10: v=4 is 4 vs 5) — vertex at
-  // index 4/5 check tie rule below.
-}
-
-TEST(NearestSourceLabels, TieBreaksToSmallerLabel) {
-  const Graph g = path_graph(9);
-  std::vector<std::int32_t> seeds(9, -1);
-  seeds[0] = 7;
-  seeds[8] = 3;
-  const auto result = nearest_source_labels(g, seeds);
-  // Vertex 4 is equidistant (4 hops) from both sources; smaller label wins.
-  EXPECT_EQ(result.label[4], 3);
-}
-
-TEST(NearestSourceLabels, ParallelMatchesSerial) {
-  const Graph g = random_connected_graph(5000, 1.5, 42);
-  std::vector<std::int32_t> seeds(5000, -1);
-  for (int i = 0; i < 16; ++i) seeds[static_cast<std::size_t>(i * 311)] = i;
-
-  const auto serial = nearest_source_labels(g, seeds, 1);
-  const auto parallel = nearest_source_labels(g, seeds, 8);
-  EXPECT_EQ(serial.distance, parallel.distance);
-  EXPECT_EQ(serial.label, parallel.label);
-}
-
-TEST(NearestSourceLabels, NoSourcesLeavesEverythingUnreached) {
-  const Graph g = path_graph(4);
-  std::vector<std::int32_t> seeds(4, -1);
-  const auto result = nearest_source_labels(g, seeds);
-  for (int v = 0; v < 4; ++v) {
-    EXPECT_EQ(result.distance[static_cast<std::size_t>(v)], kUnreached);
-    EXPECT_EQ(result.label[static_cast<std::size_t>(v)], -1);
   }
 }
 
