@@ -283,9 +283,12 @@ bool AsyncSession::rebalance_due() const {
                                            front_->partition_state());
 }
 
+// pigp:steady-state
 void AsyncSession::dispatch_job() {
   // Recycle the previous round's buffers: copy-assignment reuses their
   // capacity, so at steady state a snapshot costs copies, not allocations.
+  // The state copy carries the front's cached vertex analyses, which the
+  // last clean commit handed over, so the rear starts warm.
   Job job = std::move(spare_job_);
   job.graph = front_->graph();
   job.partitioning = front_->partitioning();
@@ -301,8 +304,34 @@ void AsyncSession::dispatch_job() {
   job_in_flight_ = true;
 }
 
+// pigp:steady-state
 void AsyncSession::handle_commit(Commit commit) {
   job_in_flight_ = false;
+  const bool current = commit.job.remap_tag == front_->remap_epoch();
+  if (commit.success && current) {
+    try {
+      if (pending_updates_ == 0) {
+        // Nothing was absorbed since the snapshot (dispatch zeroed the
+        // counter), so the job's graph is the live graph: the front takes
+        // the rebalanced buffers whole in O(1), with the vertex analyses
+        // the rear cached, and its old buffers become the spare below.
+        front_->swap_in_rebalance(commit.job.graph, commit.job.partitioning,
+                                  commit.job.state, commit.job.remap_tag);
+      } else {
+        // Ids are stable since the snapshot, so the rebalanced assignment
+        // is a valid prefix of the live session: adopt it (O(moved
+        // vertices)).  Vertices absorbed after the snapshot keep their
+        // step-1 placement until the next round, and vertices removed
+        // after it stay retired.
+        front_->adopt_rebalance(commit.job.partitioning);
+      }
+    } catch (...) {
+      // Both commits check before they change anything, so a refused one
+      // leaves the front untouched: the tick is lost like a failed one.
+      commit.success = false;
+      commit.error = std::current_exception();
+    }
+  }
   if (!commit.success) {
     // Tick lost: the primary failed and there was no fallback (or it
     // failed too).  The live session was never touched (the snapshot
@@ -315,7 +344,7 @@ void AsyncSession::handle_commit(Commit commit) {
     record_error(commit.error);
     pending_updates_ += commit.job.pending_updates;
     pending_vertex_changes_ += commit.job.pending_vertex_changes;
-  } else if (commit.job.remap_tag != front_->remap_epoch()) {
+  } else if (!current) {
     // A compaction renumbered the id space after the snapshot was taken:
     // the rebalanced assignment addresses stale ids.  Discard it and
     // re-trigger on the current state.  (Under deferred compaction a
@@ -325,11 +354,6 @@ void AsyncSession::handle_commit(Commit commit) {
     pending_updates_ += commit.job.pending_updates;
     pending_vertex_changes_ += commit.job.pending_vertex_changes;
   } else {
-    // Ids are append-only since the snapshot, so the rebalanced
-    // assignment is a valid prefix of the live session: adopt it (O(moved
-    // vertices)); vertices absorbed after the snapshot keep their step-1
-    // placement until the next round.
-    front_->adopt_rebalance(commit.job.partitioning);
     rebalances_committed_.fetch_add(1, std::memory_order_relaxed);
     if (commit.used_fallback) {
       // Degraded tick: published, readers got a fresh epoch, but the

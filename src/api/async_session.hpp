@@ -22,11 +22,18 @@
 ///   * The repartition thread runs the configured backend on the snapshot
 ///     (the same in-place Workspace-pooled entry point the synchronous
 ///     session uses, as a pure rebalance tick) and mails the rebalanced
-///     Partitioning back.  The ingest thread adopts it into the live
-///     session through Session::adopt_rebalance — O(moved vertices), not a
-///     rescan — and publishes the new epoch.  Snapshot buffers shuttle
-///     back and forth between the two threads, so the steady state reuses
-///     two generations of capacity instead of reallocating per rebalance.
+///     snapshot back.  The ingest thread commits it and publishes the new
+///     epoch.  A clean commit — no delta absorbed since the snapshot —
+///     goes through Session::swap_in_rebalance: the live session swaps in
+///     the rebalanced (graph, partitioning, state) in O(1), keeping the
+///     vertex analyses the rear cached, so the next snapshot hands the
+///     rear a warm cache and its reseed analyses only what changed.  Any
+///     other commit goes through Session::adopt_rebalance — O(moved
+///     vertices), not a rescan: ids removed since the snapshot stay
+///     retired, and every analysis the moves leave valid is kept.
+///     Snapshot buffers shuttle back and forth between the two threads,
+///     so the steady state reuses two generations of capacity instead of
+///     reallocating per rebalance.
 ///
 /// Readers never touch any of this machinery: view() hands out an
 /// immutable epoch-stamped PartitionView (api/view.hpp) whose part_of() is
@@ -223,8 +230,10 @@ class AsyncSession {
 
   /// Snapshot handed to the repartition thread.  The buffers shuttle:
   /// ingest copy-assigns into them (reusing capacity), the repartition
-  /// thread rebalances `partitioning` in place, and the whole struct rides
-  /// the commit back to the ingest thread for the next round.
+  /// thread rebalances `partitioning` and `state` in place, and the whole
+  /// struct rides the commit back to the ingest thread — where a clean
+  /// commit swaps it with the front session's buffers — for the next
+  /// round.
   struct Job {
     graph::Graph graph;
     graph::Partitioning partitioning;

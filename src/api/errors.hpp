@@ -20,8 +20,9 @@
 ///                            applied to the session's current graph
 ///                            (apply_extended with a non-matching n_old,
 ///                            adopt_rebalance with an incompatible
-///                            partitioning, submissions to a closed
-///                            AsyncSession).
+///                            partitioning, swap_in_rebalance with buffers
+///                            that are not a copy of the current graph,
+///                            submissions to a closed AsyncSession).
 ///   * TransportError       — the SPMD wire failed (peer closed, socket
 ///                            timeout, malformed frame).  Defined in
 ///                            runtime/net/error.hpp, re-exported here.

@@ -296,15 +296,13 @@ void Session::adopt_rebalance(const graph::Partitioning& rebalanced) {
   runtime::WallTimer timer;
   const graph::VertexId covered = rebalanced.num_vertices();
   // Validate before mutating: a mid-loop throw must not leave a
-  // half-adopted assignment behind.
+  // half-adopted assignment behind.  Ids dead in the session's graph are
+  // skipped in both loops: under deferred compaction a vertex removed
+  // after the snapshot is still assigned there, and must stay retired.
   for (graph::VertexId v = 0; v < covered; ++v) {
+    if (!graph_.is_live(v)) continue;
     const graph::PartId target =
         rebalanced.part[static_cast<std::size_t>(v)];
-    if (target == graph::kUnassigned &&
-        partitioning_.part[static_cast<std::size_t>(v)] ==
-            graph::kUnassigned) {
-      continue;  // dead id in a deferred-compaction snapshot: stays retired
-    }
     if (target < 0 || target >= partitioning_.num_parts) {
       throw DeltaError(
           "adopt_rebalance: assignment out of range for vertex " +
@@ -312,6 +310,7 @@ void Session::adopt_rebalance(const graph::Partitioning& rebalanced) {
     }
   }
   for (graph::VertexId v = 0; v < covered; ++v) {
+    if (!graph_.is_live(v)) continue;
     const graph::PartId target =
         rebalanced.part[static_cast<std::size_t>(v)];
     if (target == partitioning_.part[static_cast<std::size_t>(v)]) continue;
@@ -319,6 +318,40 @@ void Session::adopt_rebalance(const graph::Partitioning& rebalanced) {
     // adoption costs O(moved vertices x their degree), not a rescan.
     state_.move_vertex(graph_, partitioning_, v, target);
   }
+  counters_.repartitions += 1;
+  counters_.repartition_seconds += timer.seconds();
+  pending_updates_ = 0;
+  pending_vertex_changes_ = 0;
+}
+
+// pigp:steady-state
+void Session::swap_in_rebalance(graph::Graph& g, graph::Partitioning& p,
+                                graph::PartitionState& state,
+                                std::uint64_t remap_tag) {
+  throw_if_failed();
+  // Every check runs before the first swap, so a mismatch leaves both
+  // sides as they were.
+  if (remap_tag != remap_epoch() ||
+      g.num_vertices() != graph_.num_vertices() ||
+      g.num_edges() != graph_.num_edges() ||
+      p.num_parts != partitioning_.num_parts ||
+      p.num_vertices() != g.num_vertices() ||
+      state.num_parts() != p.num_parts) {
+    throw DeltaError(
+        "swap_in_rebalance: the rebalanced buffers are not a copy of the "
+        "session's current graph");
+  }
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+  if (!(g == graph_)) {
+    throw DeltaError(
+        "swap_in_rebalance: the rebalanced graph differs from the "
+        "session's");
+  }
+#endif
+  runtime::WallTimer timer;
+  std::swap(graph_, g);
+  std::swap(partitioning_, p);
+  std::swap(state_, state);
   counters_.repartitions += 1;
   counters_.repartition_seconds += timer.seconds();
   pending_updates_ = 0;

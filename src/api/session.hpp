@@ -224,14 +224,31 @@ class Session {
   void clear_error() noexcept { transport_failure_ = nullptr; }
 
   /// Adopt the result of an out-of-session rebalance computed on a
-  /// snapshot of this session's current graph: every vertex below
+  /// snapshot of this session's current graph: every live vertex below
   /// \p rebalanced.num_vertices() whose assignment differs is moved (O(Δ)
   /// through the maintained state), the batch counters reset, and one
   /// repartition is counted.  \p rebalanced must have the session's part
   /// count and must not cover more vertices than the current graph —
   /// vertices the session gained after the snapshot keep their step-1
-  /// placement.  This is the commit half of the AsyncSession protocol.
+  /// placement, and ids it removed after the snapshot stay retired.  This
+  /// is the AsyncSession commit for a snapshot the session has moved past.
   void adopt_rebalance(const graph::Partitioning& rebalanced);
+
+  /// Take a rebalance computed out of session on an exact copy of this
+  /// session's current graph: the session swaps its graph, partitioning
+  /// and state with \p g, \p p and \p state in O(1) — keeping every vertex
+  /// analysis the rebalance cached — and the arguments receive the
+  /// session's previous buffers.  The batch counters reset and one
+  /// repartition is counted, as in adopt_rebalance.  \p remap_tag is the
+  /// remap_epoch() the copy was taken at.  Throws DeltaError, leaving the
+  /// session and the arguments untouched, when the copy does not match:
+  /// every build compares the vertex, edge and part counts and the remap
+  /// epoch, and Debug and PIGP_VALIDATE builds also compare the graphs.
+  /// This is the AsyncSession commit when nothing was absorbed since the
+  /// snapshot.
+  void swap_in_rebalance(graph::Graph& g, graph::Partitioning& p,
+                         graph::PartitionState& state,
+                         std::uint64_t remap_tag);
 
   /// Return every pooled buffer to the allocator — the session workspace
   /// and anything the backend owns (the SPMD backend's per-rank

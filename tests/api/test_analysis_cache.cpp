@@ -18,17 +18,26 @@
 // shows that the remap carried them: the twin analyses every seed, and so
 // would a remap that dropped the cache.  (Refinement's count cannot show
 // it: the stage's reseed has already refilled the cache on both sides.)
+//
+// The same pair of backends then runs behind two AsyncSessions.  There the
+// rebalance runs on the rear thread's snapshot, so the cache helps only if
+// each commit hands the rear's analysed state back to the front: every
+// rebalance but the first and the first after a compaction must seed from
+// under a quarter of its boundary, and never more than the cold twin.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/async_session.hpp"
 #include "api/backend.hpp"
 #include "api/session.hpp"
 #include "graph/builder.hpp"
@@ -76,6 +85,53 @@ class ColdStateBackend final : public Backend {
   std::unique_ptr<Backend> inner_;
 };
 
+std::int64_t boundary_size(const graph::PartitionState& state) {
+  std::int64_t total = 0;
+  for (graph::PartId q = 0; q < state.num_parts(); ++q) {
+    total += static_cast<std::int64_t>(state.boundary_vertices(q).size());
+  }
+  return total;
+}
+
+/// What one rebalance analysed, against the boundary it started from.
+struct RebalanceRecord {
+  std::int64_t seeds_analyzed = 0;
+  std::int64_t boundary = 0;
+};
+
+/// Rebalances of each "rec:" backend, by backend name, in run order.
+/// Written on AsyncSession's rear thread, read by the test after flush().
+std::mutex records_mutex;
+std::map<std::string, std::vector<RebalanceRecord>> records;
+
+/// Runs \p inner and records its seed analyses under \p log.
+class RecordingBackend final : public Backend {
+ public:
+  RecordingBackend(std::string log, std::unique_ptr<Backend> inner)
+      : log_(std::move(log)), inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "recording";
+  }
+
+  [[nodiscard]] BackendResult repartition(const Graph& g_new,
+                                          Partitioning& partitioning,
+                                          VertexId n_old,
+                                          graph::PartitionState& state,
+                                          core::Workspace& ws) override {
+    const std::int64_t boundary = boundary_size(state);
+    BackendResult result =
+        inner_->repartition(g_new, partitioning, n_old, state, ws);
+    const std::lock_guard<std::mutex> lock(records_mutex);
+    records[log_].push_back({result.balance_result.seeds_analyzed, boundary});
+    return result;
+  }
+
+ private:
+  std::string log_;
+  std::unique_ptr<Backend> inner_;
+};
+
 void register_cold_backends() {
   static const bool once = [] {
     for (const std::string inner : {"igpr", "spmd"}) {
@@ -84,6 +140,14 @@ void register_cold_backends() {
             return std::make_unique<ColdStateBackend>(
                 BackendRegistry::global().create(inner, config));
           });
+      for (const std::string& recorded : {inner, "cold:" + inner}) {
+        BackendRegistry::global().add(
+            "rec:" + recorded, [recorded](const ResolvedConfig& config) {
+              return std::make_unique<RecordingBackend>(
+                  "rec:" + recorded,
+                  BackendRegistry::global().create(recorded, config));
+            });
+      }
     }
     return true;
   }();
@@ -117,6 +181,11 @@ Graph hub_graph(int n, int m, std::uint64_t seed) {
   }
   return b.build();
 }
+
+/// AsyncSession has no compact(): its run compacts once, when one large
+/// removal delta pushes the adjacency slack past this fraction (the
+/// script's churn reaches 0.40 before that delta and 0.53 with it).
+constexpr double kAsyncSlack = 0.45;
 
 SessionConfig churn_config(const std::string& backend) {
   SessionConfig c;
@@ -195,15 +264,6 @@ GraphDelta churn_delta(const Graph& g, int step, SplitMix64& rng) {
   return delta;
 }
 
-std::int64_t boundary_size(const Session& s) {
-  std::int64_t total = 0;
-  for (graph::PartId q = 0; q < s.config().num_parts; ++q) {
-    total += static_cast<std::int64_t>(
-        s.partition_state().boundary_vertices(q).size());
-  }
-  return total;
-}
-
 class AnalysisCacheDifferential
     : public ::testing::TestWithParam<const char*> {};
 
@@ -227,7 +287,7 @@ TEST_P(AnalysisCacheDifferential, RebalancesMatchAColdStateTwin) {
       compacted = true;
     }
     const GraphDelta delta = churn_delta(live.graph(), step, rng);
-    const std::int64_t boundary = boundary_size(live);
+    const std::int64_t boundary = boundary_size(live.partition_state());
     const SessionReport a = live.apply(delta);
     const SessionReport b = cold.apply(delta);
 
@@ -262,6 +322,95 @@ TEST_P(AnalysisCacheDifferential, RebalancesMatchAColdStateTwin) {
   }
   EXPECT_GE(rebalances, 20);
   EXPECT_GE(checked_after_compaction, 4);
+}
+
+/// One removal delta of about \p count live vertices of \p g, evenly
+/// spread over the id space.
+GraphDelta purge_delta(const Graph& g, int count) {
+  GraphDelta delta;
+  const VertexId stride = g.num_vertices() / count;
+  for (VertexId v = 0; v < g.num_vertices(); v += stride) {
+    if (g.is_live(v)) delta.removed_vertices.push_back(v);
+  }
+  return delta;
+}
+
+TEST_P(AnalysisCacheDifferential, AsyncRebalancesStartWarm) {
+  register_cold_backends();
+  const std::string backend = GetParam();
+  const std::string warm_name = "rec:" + backend;
+  const std::string cold_name = "rec:cold:" + backend;
+  {
+    const std::lock_guard<std::mutex> lock(records_mutex);
+    records[warm_name].clear();
+    records[cold_name].clear();
+  }
+  const Graph base = hub_graph(900, 3, 0x5eed);
+  // Start from a rebalanced partitioning: the first rebalance of a fresh
+  // bisection refines a third of the boundary away, and the one after it
+  // would re-analyse all of that, warm or not.
+  Session settle(churn_config(backend), base,
+                 spectral::recursive_graph_bisection(base, 6));
+  (void)settle.repartition();
+  const Partitioning initial = settle.partitioning();
+  SessionConfig config = churn_config(warm_name);
+  config.compaction_slack = kAsyncSlack;
+  AsyncSession warm(config, base, initial);
+  config.backend = cold_name;
+  AsyncSession cold(config, base, initial);
+  // The same deltas on a session that never rebalances: it compacts
+  // exactly when the async fronts do, and its graph is the id space the
+  // next delta is written in.
+  config.backend = backend;
+  config.batch_vertex_limit = 1000000;
+  Session mirror(config, base, initial);
+
+  SplitMix64 rng(0xf00d);
+  std::vector<bool> after_compaction;
+  int compactions = 0;
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE(backend + " async step " + std::to_string(step));
+    const GraphDelta delta = step == 24
+                                 ? purge_delta(mirror.graph(), 120)
+                                 : churn_delta(mirror.graph(), step, rng);
+    const bool compacted = mirror.apply(delta).compacted;
+    compactions += compacted ? 1 : 0;
+    warm.submit(delta);
+    warm.flush();
+    cold.submit(delta);
+    cold.flush();
+    after_compaction.push_back(compacted);
+
+    const std::shared_ptr<const PartitionView> a = warm.view();
+    const std::shared_ptr<const PartitionView> b = cold.view();
+    ASSERT_EQ(a->assignment(), b->assignment());
+    EXPECT_EQ(a->summary().cut_total, b->summary().cut_total);
+    EXPECT_EQ(a->summary().cut_max, b->summary().cut_max);
+    EXPECT_EQ(a->summary().cut_min, b->summary().cut_min);
+    EXPECT_EQ(a->summary().max_weight, b->summary().max_weight);
+    EXPECT_EQ(a->summary().min_weight, b->summary().min_weight);
+    EXPECT_EQ(a->summary().imbalance, b->summary().imbalance);
+  }
+  EXPECT_EQ(compactions, 1);
+  EXPECT_EQ(warm.stats().commits_discarded, 0);
+  warm.close();
+  cold.close();
+
+  const std::lock_guard<std::mutex> lock(records_mutex);
+  const std::vector<RebalanceRecord>& live = records[warm_name];
+  const std::vector<RebalanceRecord>& twin = records[cold_name];
+  // flush() after every submit: exactly one rebalance per delta.
+  ASSERT_EQ(live.size(), after_compaction.size());
+  ASSERT_EQ(twin.size(), after_compaction.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    SCOPED_TRACE(backend + " async rebalance " + std::to_string(i));
+    EXPECT_EQ(live[i].boundary, twin[i].boundary);
+    EXPECT_LE(live[i].seeds_analyzed, twin[i].seeds_analyzed);
+    if (i > 0 && !after_compaction[i]) {
+      EXPECT_LT(4 * live[i].seeds_analyzed, live[i].boundary)
+          << "the rear started cold";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, AnalysisCacheDifferential,

@@ -14,11 +14,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "api/backend.hpp"
 #include "api/errors.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
@@ -261,6 +265,130 @@ TEST(AsyncSession, RemovalsNeverCorruptTheView) {
                                           stats.commits_discarded +
                                           stats.rebalance_failures);
   EXPECT_EQ(stats.rebalance_failures, 0);
+  session.close();
+}
+
+/// A gate the test arms before a rebalance: the next rebalance that
+/// enters a "held:" backend reports its entry and waits for the release.
+struct JobHold {
+  std::mutex mutex;
+  bool armed = false;
+  std::promise<void> entered;
+  std::shared_future<void> release;
+};
+
+JobHold& job_hold() {
+  static JobHold hold;
+  return hold;
+}
+
+/// Arms the gate; returns the future that is ready once a job is held.
+std::future<void> arm_job_hold(std::shared_future<void> release) {
+  JobHold& hold = job_hold();
+  const std::lock_guard<std::mutex> lock(hold.mutex);
+  hold.armed = true;
+  hold.entered = std::promise<void>();
+  hold.release = std::move(release);
+  return hold.entered.get_future();
+}
+
+/// Runs \p inner, first waiting at the gate when it is armed.
+class HeldBackend final : public Backend {
+ public:
+  explicit HeldBackend(std::unique_ptr<Backend> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "held";
+  }
+
+  [[nodiscard]] BackendResult repartition(const Graph& g_new,
+                                          Partitioning& partitioning,
+                                          graph::VertexId n_old,
+                                          graph::PartitionState& state,
+                                          core::Workspace& ws) override {
+    std::shared_future<void> release;
+    {
+      JobHold& hold = job_hold();
+      const std::lock_guard<std::mutex> lock(hold.mutex);
+      if (hold.armed) {
+        hold.armed = false;
+        hold.entered.set_value();
+        release = hold.release;
+      }
+    }
+    if (release.valid()) release.wait();
+    return inner_->repartition(g_new, partitioning, n_old, state, ws);
+  }
+
+ private:
+  std::unique_ptr<Backend> inner_;
+};
+
+void register_held_backend() {
+  static const bool once = [] {
+    BackendRegistry::global().add("held:igpr", [](const ResolvedConfig& c) {
+      return std::make_unique<HeldBackend>(
+          BackendRegistry::global().create("igpr", c));
+    });
+    return true;
+  }();
+  (void)once;
+}
+
+TEST(AsyncSession, VertexRemovedWhileARebalanceIsHeldStaysRetired) {
+  // Under deferred compaction a removal keeps ids stable, so the rebalance
+  // in flight across it is committed, not discarded.  The delta was
+  // absorbed after the snapshot, so the commit must take the adopt path
+  // (a swap would drop the delta), and the adoption must not hand the
+  // removed id, still assigned in the snapshot, a part again.
+  register_held_backend();
+  const Graph g = graph::random_geometric_graph(300, 0.1, 53);
+  const Partitioning initial = spectral::recursive_graph_bisection(g, 4);
+  SessionConfig config = async_config(4);  // every_delta
+  config.backend = "held:igpr";
+  config.graph_compaction = GraphCompaction::deferred;
+  AsyncSession session(config, g, initial);
+  // The same deltas on a session that never rebalances: its graph is the
+  // deferred (tombstoned) id space the view must be valid on.
+  SessionConfig mirror_config = async_config(4);
+  mirror_config.batch_policy = BatchPolicy::vertex_count;
+  mirror_config.batch_vertex_limit = 1000000;
+  mirror_config.graph_compaction = GraphCompaction::deferred;
+  Session mirror(mirror_config, g, initial);
+
+  std::promise<void> release;
+  std::future<void> held = arm_job_hold(release.get_future().share());
+  const GraphDelta first = append_delta(g.num_vertices(), 2, 0);
+  session.submit(first);
+  (void)mirror.apply(first);
+  held.wait();  // the rear holds the snapshot taken after `first`
+
+  const graph::VertexId removed = 42;
+  GraphDelta removal = append_delta(mirror.graph().num_vertices(), 1, 1);
+  removal.removed_vertices = {removed};
+  session.submit(removal);
+  ASSERT_FALSE(mirror.apply(removal).compacted);
+  while (session.stats().deltas_absorbed < 2) std::this_thread::yield();
+  release.set_value();
+  session.flush();
+
+  const std::shared_ptr<const PartitionView> view = session.view();
+  EXPECT_EQ(view->part_of(removed), graph::kUnassigned);
+  ASSERT_EQ(view->num_vertices(), mirror.graph().num_vertices());
+  Partitioning published;
+  published.num_parts = view->num_parts();
+  published.part = view->assignment();
+  published.validate(mirror.graph());
+  const graph::PartitionMetrics fresh =
+      graph::compute_metrics(mirror.graph(), published);
+  EXPECT_EQ(view->summary().cut_total, fresh.cut_total);
+  EXPECT_EQ(view->summary().max_weight, fresh.max_weight);
+  EXPECT_EQ(view->summary().min_weight, fresh.min_weight);
+  const AsyncStats stats = session.stats();
+  EXPECT_EQ(stats.commits_discarded, 0);
+  EXPECT_EQ(stats.rebalance_failures, 0);
+  EXPECT_GE(stats.rebalances_committed, 2);  // the held one, then flush's
   session.close();
 }
 

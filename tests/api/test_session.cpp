@@ -214,6 +214,116 @@ TEST(Session, AdoptRebalanceFoldsAnExternalResultIn) {
   EXPECT_THROW(session.adopt_rebalance(longer), DeltaError);
 }
 
+/// The session's summary equals a full recount of its assignment (unit
+/// weights keep every aggregate an exact integer).
+void expect_summary_matches_recount(const Session& session) {
+  const graph::PartitionMetrics fresh =
+      graph::compute_metrics(session.graph(), session.partitioning());
+  const graph::PartitionSummary summary = session.summary();
+  EXPECT_EQ(summary.cut_total, fresh.cut_total);
+  EXPECT_EQ(summary.cut_max, fresh.cut_max);
+  EXPECT_EQ(summary.cut_min, fresh.cut_min);
+  EXPECT_EQ(summary.max_weight, fresh.max_weight);
+  EXPECT_EQ(summary.min_weight, fresh.min_weight);
+  EXPECT_EQ(summary.imbalance, fresh.imbalance);
+}
+
+SessionConfig deferred_config() {
+  SessionConfig config = basic_config(4, "igpr");
+  config.batch_policy = BatchPolicy::vertex_count;
+  config.batch_vertex_limit = 1000;  // never self-triggers
+  config.graph_compaction = GraphCompaction::deferred;
+  return config;
+}
+
+TEST(Session, AdoptRebalanceKeepsAVertexRemovedAfterTheSnapshotRetired) {
+  const Graph g = graph::random_geometric_graph(300, 0.1, 43);
+  const Partitioning initial = spectral::recursive_graph_bisection(g, 4);
+  Session session(deferred_config(), g, initial);
+
+  // The rebalance is computed on a snapshot taken before the removal, so
+  // it still assigns the removed id.
+  Session oracle(basic_config(4, "igpr"), g, initial);
+  (void)oracle.repartition();
+  const graph::VertexId removed = 42;
+  ASSERT_NE(oracle.partitioning().part[removed], graph::kUnassigned);
+
+  GraphDelta removal;
+  removal.removed_vertices = {removed};
+  const SessionReport report = session.apply(removal);
+  ASSERT_FALSE(report.compacted);  // deferred: the id stays, dead
+  ASSERT_FALSE(session.graph().is_live(removed));
+
+  session.adopt_rebalance(oracle.partitioning());
+  EXPECT_EQ(session.partitioning().part[removed], graph::kUnassigned);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (v == removed) continue;
+    EXPECT_EQ(session.partitioning().part[v], oracle.partitioning().part[v]);
+  }
+  session.partitioning().validate(session.graph());
+  expect_summary_matches_recount(session);
+}
+
+TEST(Session, SwapInRebalanceTakesAnExactCopyAndRejectsAnyOther) {
+  const Graph g = graph::random_geometric_graph(300, 0.1, 47);
+  const Partitioning initial = spectral::recursive_graph_bisection(g, 4);
+  const SessionConfig config = deferred_config();
+  Session session(config, g, initial);
+  GraphDelta grow;
+  grow.added_vertices.resize(3);
+  for (int i = 0; i < 3; ++i) grow.added_vertices[i].edges = {{5 * i, 1.0}};
+  (void)session.apply(grow);
+  ASSERT_EQ(session.pending_updates(), 1);
+
+  // Rebalance a copy out of session, the way AsyncSession's rear does.
+  Graph copy = session.graph();
+  Partitioning rebalanced = session.partitioning();
+  graph::PartitionState state = session.partition_state();
+  const std::uint64_t tag = session.remap_epoch();
+  core::Workspace ws;
+  (void)BackendRegistry::global()
+      .create("igpr", config.resolve())
+      ->repartition(copy, rebalanced, copy.num_vertices(), state, ws);
+  const Partitioning expected = rebalanced;
+  const Partitioning before = session.partitioning();
+
+  // A stale remap tag or a copy of another graph is refused untouched.
+  EXPECT_THROW(session.swap_in_rebalance(copy, rebalanced, state, tag + 1),
+               DeltaError);
+  Graph smaller = g;
+  Partitioning smaller_p = initial;
+  graph::PartitionState smaller_state(smaller, smaller_p);
+  EXPECT_THROW(
+      session.swap_in_rebalance(smaller, smaller_p, smaller_state, tag),
+      DeltaError);
+#ifndef NDEBUG
+  // Same counts, different edge: only the Debug graph comparison sees it.
+  Graph rewired = copy;
+  const graph::VertexId u = 0;
+  const graph::VertexId old_end = rewired.neighbors(u)[0];
+  graph::VertexId new_end = 1;
+  while (new_end == u || rewired.has_edge(u, new_end)) ++new_end;
+  (void)rewired.remove_edge(u, old_end);
+  (void)rewired.insert_edge(u, new_end, 1.0);
+  EXPECT_THROW(session.swap_in_rebalance(rewired, rebalanced, state, tag),
+               DeltaError);
+#endif
+  EXPECT_EQ(session.partitioning().part, before.part);
+  EXPECT_EQ(rebalanced.part, expected.part);
+  EXPECT_EQ(session.counters().repartitions, 0);
+  EXPECT_EQ(session.pending_updates(), 1);
+
+  session.swap_in_rebalance(copy, rebalanced, state, tag);
+  EXPECT_EQ(session.partitioning().part, expected.part);
+  EXPECT_EQ(session.counters().repartitions, 1);
+  EXPECT_EQ(session.pending_updates(), 0);
+  // The arguments now hold the session's previous buffers.
+  EXPECT_EQ(rebalanced.part, before.part);
+  EXPECT_TRUE(copy == session.graph());
+  session.partitioning().validate(session.graph());
+  expect_summary_matches_recount(session);
+}
+
 TEST(Session, InvalidConfigRejectedWithClearError) {
   const Graph g = graph::random_geometric_graph(200, 0.12, 5);
 
