@@ -3,11 +3,9 @@
 /// \file bench_common.hpp
 /// Shared helpers for the paper-table reproduction binaries.
 
-#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "api/backend.hpp"
@@ -22,15 +20,6 @@ namespace pigp::bench {
 
 /// Number of partitions used throughout the paper's evaluation.
 inline constexpr graph::PartId kPaperPartitions = 32;
-
-/// Number of hardware threads, at least 1.
-inline int hardware_threads() {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-}
-
-/// Threads for the "Time-p" columns (the paper used a 32-node CM-5; we use
-/// min(32, hardware) worker threads).
-inline int parallel_threads() { return std::min(32, hardware_threads()); }
 
 struct TimedPartition {
   graph::Partitioning partitioning;
@@ -57,12 +46,10 @@ inline std::unique_ptr<Backend> make_backend(const SessionConfig& config) {
 /// front end (copy + state seed + pipeline), timed.
 inline TimedPartition run_igp(const graph::Graph& g_new,
                               const graph::Partitioning& old_p,
-                              graph::VertexId n_old, bool refine,
-                              int threads) {
+                              graph::VertexId n_old, bool refine) {
   SessionConfig config;
   config.num_parts = old_p.num_parts;
   config.backend = refine ? "igpr" : "igp";
-  config.num_threads = threads;
   const std::unique_ptr<Backend> backend = make_backend(config);
   runtime::WallTimer timer;
   TimedPartition out;

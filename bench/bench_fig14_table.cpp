@@ -10,7 +10,10 @@
 //  * larger increments need more balancing stages (1, 1, 2, 3);
 //  * IGP's cut degrades with increment size (max cut inflates) and IGPR
 //    recovers most of the gap to SB.
+// Time-p is the paper's parallel time; ours is "-" until it is measured on
+// the SPMD ranks.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <vector>
@@ -61,8 +64,8 @@ std::string fmt_time(double seconds) {
 int main(int argc, char** argv) {
   // --smoke: CI-sized run — the from-scratch rows use the cheap BFS
   // bisection instead of spectral, only the first (smallest) refinement is
-  // repartitioned, and Time-p uses 2 threads.  Rot-checks every code path
-  // of the full table in seconds.
+  // repartitioned.  Rot-checks every code path of the full table in
+  // seconds.
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -82,11 +85,9 @@ int main(int argc, char** argv) {
             << " ===\n";
   mesh::MeshFamily family = mesh::make_paper_mesh_b();
   if (smoke && family.refined.size() > 1) family.refined.resize(1);
-  const int threads = smoke ? 2 : bench::parallel_threads();
   std::cout << "base mesh: |V|=" << family.base.num_vertices()
             << " |E|=" << family.base.num_edges()
-            << " (paper: 10166/30471)\n"
-            << "parallel threads for Time-p: " << threads << "\n\n";
+            << " (paper: 10166/30471)\n\n";
 
   const bench::TimedPartition initial =
       run_scratch(family.base);
@@ -106,13 +107,9 @@ int main(int argc, char** argv) {
 
     const bench::TimedPartition sb = run_scratch(g);
     const bench::TimedPartition igp_s =
-        bench::run_igp(g, initial.partitioning, n_old, false, 1);
-    const bench::TimedPartition igp_p =
-        bench::run_igp(g, initial.partitioning, n_old, false, threads);
+        bench::run_igp(g, initial.partitioning, n_old, false);
     const bench::TimedPartition igpr_s =
-        bench::run_igp(g, initial.partitioning, n_old, true, 1);
-    const bench::TimedPartition igpr_p =
-        bench::run_igp(g, initial.partitioning, n_old, true, threads);
+        bench::run_igp(g, initial.partitioning, n_old, true);
 
     const auto m_sb = graph::compute_metrics(g, sb.partitioning);
     const auto m_igp = graph::compute_metrics(g, igp_s.partitioning);
@@ -131,11 +128,10 @@ int main(int argc, char** argv) {
     table.add_row("SB (ours)", fmt_time(sb.seconds), "-", m_sb.cut_total,
                   m_sb.cut_max, m_sb.cut_min);
     table.add_row("IGP(" + std::to_string(igp_s.stages) + ") (ours)",
-                  fmt_time(igp_s.seconds), fmt_time(igp_p.seconds),
-                  m_igp.cut_total, m_igp.cut_max, m_igp.cut_min);
-    table.add_row("IGPR (ours)", fmt_time(igpr_s.seconds),
-                  fmt_time(igpr_p.seconds), m_igpr.cut_total, m_igpr.cut_max,
-                  m_igpr.cut_min);
+                  fmt_time(igp_s.seconds), "-", m_igp.cut_total,
+                  m_igp.cut_max, m_igp.cut_min);
+    table.add_row("IGPR (ours)", fmt_time(igpr_s.seconds), "-",
+                  m_igpr.cut_total, m_igpr.cut_max, m_igpr.cut_min);
     table.print(std::cout);
 
     std::cout << "shape check: SB/IGP time ratio = "

@@ -1,6 +1,6 @@
 // Layering and assignment micro-benchmarks (google-benchmark): the
 // per-partition BFS of Figure 3 is the paper's "inherently parallel" step;
-// these benches measure its scaling with graph size, thread count and part
+// these benches measure its scaling with graph size and part
 // count, and the seeded BFS of the initial assignment step.
 
 #include <benchmark/benchmark.h>
@@ -38,25 +38,13 @@ void BM_LayeringSerial(benchmark::State& state) {
   const Workload w =
       make_workload(static_cast<int>(state.range(0)), 32);
   for (auto _ : state) {
-    const core::LayeringResult r = core::layer_partitions(w.g, w.p, 1);
+    const core::LayeringResult r = core::layer_partitions(w.g, w.p);
     benchmark::DoNotOptimize(r.eps.data());
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_LayeringSerial)->Arg(1000)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oN);
-
-void BM_LayeringThreads(benchmark::State& state) {
-  const Workload w = make_workload(16000, 32);
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const core::LayeringResult r =
-        core::layer_partitions(w.g, w.p, threads);
-    benchmark::DoNotOptimize(r.eps.data());
-  }
-}
-BENCHMARK(BM_LayeringThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
 
 /// Boundary-fraction sweep: full batch layering vs boundary-seeded,
 /// depth-capped layering as the dirty-boundary share grows.  Starting from
@@ -94,7 +82,7 @@ void BM_LayeringFullAtBoundaryFraction(benchmark::State& state) {
   const FractionWorkload w =
       make_fraction_workload(16000, 32, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const core::LayeringResult r = core::layer_partitions(w.g, w.p, 1);
+    const core::LayeringResult r = core::layer_partitions(w.g, w.p);
     benchmark::DoNotOptimize(r.eps.data());
   }
   std::int64_t boundary = 0;
@@ -117,8 +105,8 @@ void BM_LayeringBoundarySeededAtBoundaryFraction(benchmark::State& state) {
   // growth O(shell).
   core::BoundaryLayering layering(w.g, w.p);
   for (auto _ : state) {
-    layering.reseed(w.state, 1);
-    layering.grow(4, 1);
+    layering.reseed(w.state);
+    layering.grow(4);
     benchmark::DoNotOptimize(layering.eps().data());
   }
   std::int64_t boundary = 0;
@@ -143,8 +131,8 @@ void BM_LayeringParts(benchmark::State& state) {
   core::BoundaryLayering layering(w.g, w.p);
   std::int64_t labelled = 0;
   for (auto _ : state) {
-    layering.reseed(pstate, 1);
-    layering.grow(-1, 1);
+    layering.reseed(pstate);
+    layering.grow(-1);
     benchmark::DoNotOptimize(layering.eps().data());
   }
   for (graph::PartId q = 0; q < w.p.num_parts; ++q) {
@@ -167,7 +155,7 @@ void BM_LayeringSeedShellParts(benchmark::State& state) {
   const graph::PartitionState pstate(w.g, w.p);
   core::BoundaryLayering layering(w.g, w.p);
   for (auto _ : state) {
-    layering.reseed(pstate, 1);
+    layering.reseed(pstate);
     benchmark::DoNotOptimize(layering.eps().data());
   }
   std::int64_t seeds = 0;

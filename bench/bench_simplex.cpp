@@ -9,7 +9,7 @@
 //    with |V| — the paper's key scalability point);
 //  * dense vs bounded-variable simplex vs network simplex on identical
 //    programs;
-//  * serial vs OpenMP-parallel pivoting on a large dense LP.
+//  * dense-tableau pivoting on a large dense LP.
 //
 // The fixture also prints the v/c accounting for the paper's workload once.
 
@@ -107,7 +107,7 @@ void BM_BalanceLpNetwork(benchmark::State& state) {
 }
 BENCHMARK(BM_BalanceLpNetwork)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-/// Dense random LP big enough for parallel pivoting to matter.
+/// Dense random LP big enough for pivot cost to dominate.
 lp::LinearProgram make_dense_lp(int vars, int rows, std::uint64_t seed) {
   SplitMix64 rng(seed);
   lp::LinearProgram program(lp::Sense::maximize);
@@ -128,18 +128,14 @@ lp::LinearProgram make_dense_lp(int vars, int rows, std::uint64_t seed) {
 }
 
 void BM_DensePivot(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
   const lp::LinearProgram program = make_dense_lp(320, 260, 7);
-  lp::SimplexOptions options;
-  options.num_threads = threads;
-  lp::DenseSimplex solver(options);
+  const lp::DenseSimplex solver;
   for (auto _ : state) {
     const lp::Solution s = solver.solve(program);
     benchmark::DoNotOptimize(s.objective);
   }
 }
-BENCHMARK(BM_DensePivot)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DensePivot)->Unit(benchmark::kMillisecond);
 
 /// One-time printout of the paper's §3 LP-size accounting for mesh A.
 void print_paper_lp_accounting() {

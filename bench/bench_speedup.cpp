@@ -1,23 +1,22 @@
 // Reproduction of the paper's parallel-speedup claim (§3): "The algorithm
 // provides speedup of around 15 to 20 on a 32 node CM-5."
 //
-// Three experiments, all through the pigp::Session API:
-//  1. shared-memory engine: IGPR wall time vs thread count on the largest
-//     paper workload (mesh B, +672 nodes);
-//  2. SPMD engine: the same pipeline over the in-process message-passing
-//     carrier vs rank count (the communication structure of the CM-5 code),
-//     selected via the "spmd" backend;
-//  3. session streaming throughput: deltas absorbed per second on the
+// Experiments, all through the pigp::Session API:
+//  1. SPMD engine: IGPR over the in-process message-passing carrier vs
+//     rank count (the communication structure of the CM-5 code) on the
+//     largest paper workload (mesh B, +672 nodes), selected via the "spmd"
+//     backend — the library's only parallel model;
+//  2. session streaming throughput: deltas absorbed per second on the
 //     scaled 400k-vertex workload, with and without batching — the
 //     baseline number for streaming-path perf PRs;
-//  4. concurrent ingest/serve: the same stream through an AsyncSession
+//  3. concurrent ingest/serve: the same stream through an AsyncSession
 //     while reader threads hammer part_of on the epoch-published view —
 //     sustained deltas/s with readers attached should stay close to the
 //     single-threaded vertex_count row.
 //
 // Absolute speedups differ from a 1994 CM-5 (this problem is tiny for a
 // modern core, so Amdahl effects bite sooner); the shape to verify is that
-// parallel time is well below serial time and scales with workers.
+// parallel time is well below serial time and scales with ranks.
 
 #include <algorithm>
 #include <atomic>
@@ -44,15 +43,13 @@ namespace {
 
 using namespace pigp;
 
-/// One timed IGPR repartition through a Session with \p threads workers.
+/// One timed repartition through a Session with \p spmd_ranks ranks.
 double timed_session_extend(const graph::Graph& base,
                             const graph::Partitioning& initial,
-                            const graph::Graph& g_new, int threads,
-                            const char* backend, int spmd_ranks = 1) {
+                            const graph::Graph& g_new, int spmd_ranks) {
   SessionConfig config;
   config.num_parts = initial.num_parts;
-  config.backend = backend;
-  config.num_threads = threads;
+  config.backend = "spmd";
   config.spmd_ranks = spmd_ranks;
   Session session(config, base, initial);
   graph::Graph extended = g_new;  // copy outside the timed region
@@ -89,7 +86,7 @@ graph::GraphDelta make_stream_delta(graph::VertexId current_vertices,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --smoke: seconds-scale CI run — single rep, {1,2} workers, and a much
+  // --smoke: seconds-scale CI run — single rep, {1,2} ranks, and a much
   // smaller "scaled" graph; the full sweep is for real measurements.
   // --json <file>: additionally emit the streaming-throughput section as
   // machine-readable JSON so CI can archive the perf trajectory.
@@ -102,12 +99,8 @@ int main(int argc, char** argv) {
     }
   }
   const int reps = smoke ? 1 : 3;
-  const std::vector<int> thread_points =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8, 16, 24, 32};
   const std::vector<int> rank_points =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8, 16, 32};
-  const std::vector<int> big_thread_points =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8, 16, 24};
   std::cout << "=== Speedup: IGPR on mesh B +672 nodes, P = "
             << bench::kPaperPartitions << " ===\n";
   std::cout << "(paper: 15-20x on a 32-node CM-5)\n\n";
@@ -118,38 +111,17 @@ int main(int argc, char** argv) {
       spectral::recursive_spectral_bisection(family.base,
                                              bench::kPaperPartitions);
 
-  const int hw = bench::hardware_threads();
-  std::cout << "hardware threads: " << hw << "\n\n";
+  std::cout << "hardware threads: " << std::thread::hardware_concurrency()
+            << "\n\n";
 
-  // Warm-up + serial baseline (best of `reps` to de-noise).
-  const auto measure = [&](int threads) {
-    double best = 1e9;
-    for (int rep = 0; rep < reps; ++rep) {
-      best = std::min(best, timed_session_extend(family.base, initial, g,
-                                                 threads, "igpr"));
-    }
-    return best;
-  };
-  const double serial = measure(1);
-
-  TextTable table({"threads", "time (s)", "speedup"});
-  for (const int threads : thread_points) {
-    if (threads > 2 * hw) break;
-    const double t = measure(threads);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.2fx", serial / t);
-    table.add_row(threads, t, buf);
-  }
-  table.print(std::cout);
-
-  std::cout << "\n=== SPMD (message-passing) backend, same workload ===\n";
+  std::cout << "=== SPMD (message-passing) backend ===\n";
   TextTable spmd_table({"ranks", "time (s)", "speedup vs 1 rank"});
   double spmd_serial = 0.0;
   for (const int ranks : rank_points) {
     double best = 1e9;
     for (int rep = 0; rep < std::min(reps, 2); ++rep) {
-      best = std::min(best, timed_session_extend(family.base, initial, g, 1,
-                                                 "spmd", ranks));
+      best = std::min(best,
+                      timed_session_extend(family.base, initial, g, ranks));
     }
     if (ranks == 1) spmd_serial = best;
     char buf[32];
@@ -158,41 +130,11 @@ int main(int argc, char** argv) {
   }
   spmd_table.print(std::cout);
 
-  // The 1994 workload is tiny for a 2020s core (the whole repartition runs
-  // in tens of milliseconds), so Amdahl limits the speedup above.  To show
-  // the parallel phases scale when the problem is large enough — the
-  // regime the paper's CM-5 was actually in relative to its CPUs — repeat
-  // on a 40x larger mesh-like graph.
+  // The streaming experiments run on a 40x larger mesh-like graph than the
+  // paper's: the 1994 workload is tiny for a 2020s core.
   const int big_n = smoke ? 20000 : 400000;
-  std::cout << "\n=== Scaled workload: " << big_n
-            << "-vertex geometric graph, P = 32, 5% new vertices ===\n";
   const graph::Graph big = graph::random_geometric_graph(
       big_n, 1.2 / std::sqrt(static_cast<double>(big_n)), 9);
-  const graph::VertexId big_old = big_n - big_n / 20;
-  graph::Partitioning big_initial;
-  {
-    const graph::Partitioning full =
-        spectral::recursive_graph_bisection(big, bench::kPaperPartitions);
-    big_initial.num_parts = full.num_parts;
-    big_initial.part.assign(full.part.begin(), full.part.begin() + big_old);
-  }
-  // This sweep isolates the repartition kernel (no session bookkeeping), so
-  // it stays on run_igp — the same pipeline the Session backends call.
-  const auto measure_big = [&](int threads) {
-    const bench::TimedPartition t = bench::run_igp(
-        big, big_initial, big_old, /*refine=*/true, threads);
-    return t.seconds;
-  };
-  const double big_serial = measure_big(1);
-  TextTable big_table({"threads", "time (s)", "speedup"});
-  for (const int threads : big_thread_points) {
-    if (threads > hw) break;
-    const double t = threads == 1 ? big_serial : measure_big(threads);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.2fx", big_serial / t);
-    big_table.add_row(threads, t, buf);
-  }
-  big_table.print(std::cout);
 
   // ---------------------------------------------------------------------
   // Session streaming throughput: the delta-stream path the Session API
@@ -201,7 +143,6 @@ int main(int argc, char** argv) {
   // rebalance, so cheap absorption amortizes the repartition cost.
   const int stream_deltas = smoke ? 8 : 64;
   const int burst = smoke ? 32 : 128;
-  const int threads = std::min(smoke ? 2 : 8, hw);
   std::cout << "\n=== Session streaming throughput: " << stream_deltas
             << " deltas x " << burst << " new vertices on the " << big_n
             << "-vertex graph ===\n";
@@ -237,7 +178,6 @@ int main(int argc, char** argv) {
     SessionConfig config;
     config.num_parts = bench::kPaperPartitions;
     config.backend = "igpr";
-    config.num_threads = threads;
     config.batch_policy = point.policy;
     config.batch_vertex_limit = point.vertex_limit;
     Session session(config, big, stream_initial);
@@ -393,7 +333,6 @@ int main(int argc, char** argv) {
     SessionConfig config;
     config.num_parts = bench::kPaperPartitions;
     config.backend = "igpr";
-    config.num_threads = threads;
     config.batch_policy = BatchPolicy::vertex_count;
     config.batch_vertex_limit =
         struct_deltas * (kRemovedVertices + kAddedVertices) / 4;
@@ -493,7 +432,6 @@ int main(int argc, char** argv) {
     SessionConfig config;
     config.num_parts = bench::kPaperPartitions;
     config.backend = "igpr";
-    config.num_threads = threads;
     config.batch_policy = BatchPolicy::vertex_count;
     config.batch_vertex_limit = 8 * burst;
     AsyncSession session(config, big, stream_initial);
@@ -692,7 +630,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < sweep_reps; ++rep) {
       runtime::WallTimer timer;
       const core::LayeringResult r =
-          core::layer_partitions(sweep_graph, sweep_p, 1);
+          core::layer_partitions(sweep_graph, sweep_p);
       full_s = std::min(full_s, timer.seconds());
       if (r.label.empty()) return 1;  // keep the optimizer honest
       if (full_budget.seconds() > sweep_budget_s) break;
@@ -705,8 +643,8 @@ int main(int argc, char** argv) {
     runtime::WallTimer seeded_budget;
     for (int rep = 0; rep < sweep_reps; ++rep) {
       runtime::WallTimer timer;
-      layering.reseed(sweep_state, 1);
-      layering.grow(4, 1);
+      layering.reseed(sweep_state);
+      layering.grow(4);
       seeded_s = std::min(seeded_s, timer.seconds());
       if (seeded_budget.seconds() > sweep_budget_s) break;
     }
@@ -734,7 +672,6 @@ int main(int argc, char** argv) {
         << "      \"num_parts\": " << bench::kPaperPartitions << ",\n"
         << "      \"deltas\": " << stream_deltas << ",\n"
         << "      \"burst\": " << burst << ",\n"
-        << "      \"threads\": " << threads << ",\n"
         << "      \"policies\": [\n";
     for (std::size_t i = 0; i < stream_rows.size(); ++i) {
       const StreamRow& r = stream_rows[i];

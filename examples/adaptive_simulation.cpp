@@ -32,7 +32,6 @@ int main() {
   SessionConfig config;
   config.num_parts = kParts;
   config.backend = "igpr";
-  config.num_threads = 4;
   config.scratch_method = "rsb";
 
   runtime::WallTimer timer;

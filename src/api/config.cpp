@@ -20,10 +20,9 @@ void config_check(bool ok, std::string message) {
 // ------------------------------------------------------------------ guards
 //
 // resolve() must touch every nested option struct field that carries a
-// derived value (num_threads, knobs).  These field-count asserts
-// fire at compile time when someone adds a field to one of the structs, so
-// the new field cannot be silently skipped the way IgpOptions::set_threads
-// used to skip future nested structs.
+// derived value.  These field-count asserts fire at compile time when
+// someone adds a field to one of the structs, so the new field cannot be
+// silently skipped.
 
 struct AnyField {
   template <typename T>
@@ -44,11 +43,11 @@ static_assert(has_exactly_n_fields<core::AssignOptions, 0>,
               "AssignOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<lp::NetworkOptions, 3>,
               "NetworkOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<core::BalanceOptions, 6>,
+static_assert(has_exactly_n_fields<core::BalanceOptions, 5>,
               "BalanceOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<core::RefineOptions, 3>,
+static_assert(has_exactly_n_fields<core::RefineOptions, 2>,
               "RefineOptions changed — update SessionConfig::resolve()");
-static_assert(has_exactly_n_fields<core::IgpOptions, 4>,
+static_assert(has_exactly_n_fields<core::IgpOptions, 3>,
               "IgpOptions changed — update SessionConfig::resolve()");
 static_assert(has_exactly_n_fields<core::MultilevelOptions, 3>,
               "MultilevelOptions changed — update SessionConfig::resolve()");
@@ -68,9 +67,11 @@ ResolvedConfig SessionConfig::resolve() const {
                "SessionConfig.num_parts must be >= 1 (got " +
                    std::to_string(num_parts) + ")");
   config_check(!backend.empty(), "SessionConfig.backend must not be empty");
-  config_check(num_threads >= 1,
-               "SessionConfig.num_threads must be >= 1 (got " +
-                   std::to_string(num_threads) + ")");
+  config_check(num_threads == 1,
+               "SessionConfig.num_threads must be 1 (got " +
+                   std::to_string(num_threads) +
+                   "); to rebalance in parallel, use backend \"spmd\" "
+                   "with spmd_ranks > 1");
   config_check(alpha_max >= 1.0,
                "SessionConfig.alpha_max must be >= 1.0 (got " +
                    std::to_string(alpha_max) + ")");
@@ -170,15 +171,12 @@ ResolvedConfig SessionConfig::resolve() const {
 
   core::IgpOptions& igp = resolved.igp;
   igp.refine = true;  // backends without a refinement pass clear this
-  igp.num_threads = num_threads;
 
   igp.balance.alpha_max = alpha_max;
   igp.balance.max_stages = max_balance_stages;
   igp.balance.tolerance = balance_tolerance;
-  igp.balance.num_threads = num_threads;
 
   igp.refinement.max_rounds = max_refine_rounds;
-  igp.refinement.num_threads = num_threads;
 
   resolved.multilevel.igp = igp;
   resolved.multilevel.coarsest_size = multilevel_coarsest_size;

@@ -4,7 +4,7 @@
 /// Declarative configuration for a pigp::Session.
 ///
 /// SessionConfig is the single place a user states what they want — part
-/// count, backend, threads, balance/refine knobs, batching policy —
+/// count, backend, balance/refine knobs, batching policy —
 /// and resolve() is the single place those wishes are validated and
 /// propagated into the nested option structs the core drivers consume
 /// (IgpOptions, BalanceOptions, RefineOptions, NetworkOptions,
@@ -72,7 +72,9 @@ struct SessionConfig {
   /// Backend registry key: "igp", "igpr", "multilevel", "spmd", "scratch",
   /// or any name registered through BackendRegistry.
   std::string backend = "igpr";
-  /// Worker threads for layering and refinement analysis.
+  /// Must be 1: a rank rebalances serially, and backend "spmd" with
+  /// spmd_ranks > 1 is the way to rebalance in parallel.  Removed with
+  /// ROADMAP item 1.
   int num_threads = 1;
 
   // --- balance (step 3) knobs ---
@@ -159,7 +161,7 @@ struct SessionConfig {
   int async_queue_capacity = 256;
 
   /// Validate every field (throws pigp::ConfigError naming the offending
-  /// field) and propagate threads/solver/knobs into the core option
+  /// field) and propagate the knobs into the core option
   /// structs.  The one and only derivation path.
   [[nodiscard]] ResolvedConfig resolve() const;
 };

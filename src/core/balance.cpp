@@ -346,13 +346,13 @@ BalanceResult balance_load(const graph::Graph& g,
     // made on the seed shell (budget 0 grows nothing), so a mildly
     // imbalanced stream labels only its boundary; deeper layers are
     // labelled only while decide_stage cannot accept.
-    result.seeds_analyzed += layering.reseed(state, options.num_threads);
+    result.seeds_analyzed += layering.reseed(state);
     LayerDepth depth(options.max_layers);
-    layering.grow(depth.budget, options.num_threads);
+    layering.grow(depth.budget);
     decide_stage(layering.eps(), excess, layering.exhausted(), depth.budget,
                  options, flow_ws);
     while (flow_ws.decision.deepen) {
-      layering.grow(depth.deepen(), options.num_threads);
+      layering.grow(depth.deepen());
       decide_stage(layering.eps(), excess, layering.exhausted(), depth.budget,
                    options, flow_ws);
     }

@@ -53,7 +53,8 @@ struct BalanceOptions {
   /// Not a setting: kept for perfbench's LP probe until its next migration.
   static constexpr LpSolverKind solver = LpSolverKind::network;
   lp::NetworkOptions simplex;
-  int num_threads = 1;
+  /// Not a setting: perfbench's probes, until ROADMAP item 1.
+  static constexpr int num_threads = 1;
   /// Depth of the first deepened shell of the boundary-seeded layering.
   /// Each stage is first decided on the layer-0 seeds alone; only when
   /// they cannot carry the staged excess does the layering grow to this

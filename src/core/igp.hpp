@@ -27,8 +27,8 @@ namespace pigp::core {
 
 struct Workspace;
 
-/// Plain-data options for every pipeline driver.  Thread-count and knob
-/// propagation into the nested structs lives in SessionConfig::resolve()
+/// Plain-data options for every pipeline driver.  Knob propagation into
+/// the nested structs lives in SessionConfig::resolve()
 /// (src/api/config.hpp) — the single derivation path, guarded by
 /// compile-time field-count asserts so new fields cannot be skipped.
 struct IgpOptions {
@@ -36,7 +36,6 @@ struct IgpOptions {
   bool refine = true;
   BalanceOptions balance;
   RefineOptions refinement;
-  int num_threads = 1;
 };
 
 /// Wall-clock breakdown of one repartitioning (seconds).

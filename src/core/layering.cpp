@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.hpp"
-#include "support/omp.hpp"
 
 namespace pigp::core {
 namespace {
@@ -152,19 +151,10 @@ graph::PartitionState::VertexAnalysis cached_analysis(
   return *a;
 }
 
-int scratch_slot(bool parallel) {
-#ifdef _OPENMP
-  return parallel ? omp_get_thread_num() : 0;
-#else
-  (void)parallel;
-  return 0;
-#endif
-}
-
 /// Layer partition \p target to exhaustion from a full scan of its
 /// \p members, writing only its entries of \p label / \p layer and the eps
 /// row \p eps_row (size num_parts) — the batch oracle's per-partition
-/// BFS.  \p scratch is reused across partitions of one thread.
+/// BFS.  \p scratch is reused across partitions.
 void layer_one_partition(const graph::Graph& g, const graph::Partitioning& p,
                          graph::PartId target,
                          const std::vector<graph::VertexId>& members,
@@ -238,20 +228,11 @@ std::int64_t refresh_analyses(const graph::Graph& g,
                               const graph::Partitioning& p,
                               const graph::PartitionState& state,
                               std::span<const graph::VertexId> vertices,
-                              int num_threads,
-                              std::vector<PartTally>& tallies) {
-  const bool parallel = num_threads > 1 && vertices.size() > 4096;
-  tallies.resize(static_cast<std::size_t>(std::max(1, num_threads)));
+                              PartTally& tally) {
+  tally.resize(static_cast<std::size_t>(p.num_parts));
   std::int64_t analysed = 0;
-  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
-  {
-    PartTally& tally =
-        tallies[static_cast<std::size_t>(scratch_slot(parallel))];
-    tally.resize(static_cast<std::size_t>(p.num_parts));
-    PIGP_OMP(for schedule(static) reduction(+ : analysed))
-    for (std::size_t i = 0; i < vertices.size(); ++i) {
-      (void)cached_analysis(g, p, state, vertices[i], tally, analysed);
-    }
+  for (const graph::VertexId v : vertices) {
+    (void)cached_analysis(g, p, state, v, tally, analysed);
   }
   return analysed;
 }
@@ -287,8 +268,7 @@ std::vector<std::vector<graph::VertexId>> partition_members(
 }
 
 LayeringResult layer_partitions(const graph::Graph& g,
-                                const graph::Partitioning& p,
-                                int num_threads) {
+                                const graph::Partitioning& p) {
   p.validate(g);
   LayeringResult result;
   const auto n = static_cast<std::size_t>(g.num_vertices());
@@ -299,21 +279,12 @@ LayeringResult layer_partitions(const graph::Graph& g,
       static_cast<std::size_t>(p.num_parts), 0);
 
   const auto members = partition_members(p);
-  const bool parallel = num_threads > 1 && p.num_parts > 1;
-  std::vector<LayerScratch> scratch(
-      static_cast<std::size_t>(std::max(1, parallel ? num_threads : 1)));
-  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
-  {
-    const auto tid = static_cast<std::size_t>(scratch_slot(parallel));
-    PIGP_OMP(for schedule(dynamic, 1))
-    for (graph::PartId q = 0; q < p.num_parts; ++q) {
-      // Partitions are vertex-disjoint, so the shared label/layer/eps
-      // arrays are written without races.
-      layer_one_partition(g, p, q, members[static_cast<std::size_t>(q)],
-                          result.label, result.layer,
-                          result.eps.row(static_cast<std::size_t>(q)).data(),
-                          scratch[tid]);
-    }
+  LayerScratch scratch;
+  for (graph::PartId q = 0; q < p.num_parts; ++q) {
+    layer_one_partition(g, p, q, members[static_cast<std::size_t>(q)],
+                        result.label, result.layer,
+                        result.eps.row(static_cast<std::size_t>(q)).data(),
+                        scratch);
   }
   return result;
 }
@@ -355,7 +326,7 @@ void BoundaryLayering::bind(const graph::Graph& g,
 }
 
 std::int64_t BoundaryLayering::reseed(
-    const graph::PartitionState& state, int num_threads,
+    const graph::PartitionState& state,
     const std::vector<graph::PartId>* owned_parts) {
   PIGP_CHECK(label_.size() ==
                  static_cast<std::size_t>(g_->num_vertices()),
@@ -396,38 +367,26 @@ std::int64_t BoundaryLayering::reseed(
   });
 
   // Seeds read their cached label; only a slot a mutator invalidated
-  // since the last analysis is recomputed.  Each partition's vertices are
-  // its own, so the threads fill disjoint slots.
-  const bool parallel = num_threads > 1 && seeded_.size() > 1;
-  scratch_.resize(static_cast<std::size_t>(
-      std::max(1, parallel ? num_threads : 1)));
+  // since the last analysis is recomputed.
+  scratch_.tally.resize(static_cast<std::size_t>(p_->num_parts));
   std::int64_t analysed = 0;
-  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
-  {
-    const auto tid = static_cast<std::size_t>(scratch_slot(parallel));
-    LayerScratch& scratch = scratch_[tid];
-    PIGP_OMP(for schedule(dynamic, 1) reduction(+ : analysed))
-    for (std::size_t k = 0; k < seeded_.size(); ++k) {
-      const graph::PartId q = seeded_[k];
-      const auto qi = static_cast<std::size_t>(q);
-      scratch.tally.resize(static_cast<std::size_t>(p_->num_parts));
-      const auto& seeds = labeled_[qi];
-      for (const graph::VertexId v : seeds) {
-        const auto a =
-            cached_analysis(*g_, *p_, state, v, scratch.tally, analysed);
-        label_seed(v, a.seed, label_, layer_, eps_.row(qi).data());
-      }
-      frontier_[qi] = seeds;
+  for (const graph::PartId q : seeded_) {
+    const auto qi = static_cast<std::size_t>(q);
+    const auto& seeds = labeled_[qi];
+    for (const graph::VertexId v : seeds) {
+      const auto a =
+          cached_analysis(*g_, *p_, state, v, scratch_.tally, analysed);
+      label_seed(v, a.seed, label_, layer_, eps_.row(qi).data());
     }
+    frontier_[qi] = seeds;
   }
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
   // Debug / PIGP_VALIDATE auditor: every seed's cached analysis equals a
-  // from-scratch one.  Once warm, sizing thread 0's tally allocates
-  // nothing, so neither does the audit.
-  scratch_.front().tally.resize(static_cast<std::size_t>(p_->num_parts));
+  // from-scratch one.  The tally is already sized, so the audit allocates
+  // nothing.
   for (const graph::PartId q : seeded_) {
     audit_analysis(*g_, *p_, state, labeled_[static_cast<std::size_t>(q)],
-                   scratch_.front().tally);
+                   scratch_.tally);
   }
 #endif
   return analysed;
@@ -442,35 +401,25 @@ void BoundaryLayering::release() {
   std::vector<std::int32_t>().swap(depth_);
   std::vector<graph::PartId>().swap(seeded_);
   std::vector<std::uint8_t>().swap(seeded_mask_);
-  std::vector<LayerScratch>().swap(scratch_);
+  scratch_ = LayerScratch();
   dirty_ = true;
 }
 
-void BoundaryLayering::grow(int levels, int num_threads) {
+void BoundaryLayering::grow(int levels) {
   if (levels == 0) return;
-  const bool parallel = num_threads > 1 && seeded_.size() > 1;
-  scratch_.resize(static_cast<std::size_t>(
-      std::max(1, parallel ? num_threads : 1)));
-  PIGP_OMP(parallel num_threads(num_threads) if (parallel))
-  {
-    const auto tid = static_cast<std::size_t>(scratch_slot(parallel));
-    LayerScratch& scratch = scratch_[tid];
-    PIGP_OMP(for schedule(dynamic, 1))
-    for (std::size_t k = 0; k < seeded_.size(); ++k) {
-      const graph::PartId q = seeded_[k];
-      const auto qi = static_cast<std::size_t>(q);
-      scratch.tally.resize(static_cast<std::size_t>(p_->num_parts));
-      int remaining = levels;
-      while (!frontier_[qi].empty() && remaining != 0) {
-        advance_one_level(*g_, *p_, q, frontier_[qi], depth_[qi], label_,
-                          layer_, eps_.row(qi).data(), scratch.tally,
-                          scratch.next);
-        labeled_[qi].insert(labeled_[qi].end(), scratch.next.begin(),
-                            scratch.next.end());
-        frontier_[qi].swap(scratch.next);
-        ++depth_[qi];
-        if (remaining > 0) --remaining;
-      }
+  scratch_.tally.resize(static_cast<std::size_t>(p_->num_parts));
+  for (const graph::PartId q : seeded_) {
+    const auto qi = static_cast<std::size_t>(q);
+    int remaining = levels;
+    while (!frontier_[qi].empty() && remaining != 0) {
+      advance_one_level(*g_, *p_, q, frontier_[qi], depth_[qi], label_,
+                        layer_, eps_.row(qi).data(), scratch_.tally,
+                        scratch_.next);
+      labeled_[qi].insert(labeled_[qi].end(), scratch_.next.begin(),
+                          scratch_.next.end());
+      frontier_[qi].swap(scratch_.next);
+      ++depth_[qi];
+      if (remaining > 0) --remaining;
     }
   }
 }
@@ -497,11 +446,10 @@ LayeringResult BoundaryLayering::take_result() {
 
 LayeringResult layer_partitions_from(const graph::Graph& g,
                                      const graph::Partitioning& p,
-                                     const graph::PartitionState& state,
-                                     int num_threads) {
+                                     const graph::PartitionState& state) {
   BoundaryLayering layering(g, p);
-  layering.reseed(state, num_threads);
-  layering.grow(-1, num_threads);
+  layering.reseed(state);
+  layering.grow(-1);
   return layering.take_result();
 }
 

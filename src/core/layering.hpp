@@ -15,9 +15,9 @@
 /// so transfers peel from the boundary inward.
 ///
 /// Layering is embarrassingly parallel across partitions — this is the
-/// heart of the paper's parallelization — so both entry points run each
-/// partition's BFS on its own OpenMP thread, and an SPMD rank layers only
-/// the partitions it owns (BoundaryLayering::reseed's owned_parts).
+/// heart of the paper's parallelization — so an SPMD rank layers only the
+/// partitions it owns (BoundaryLayering::reseed's owned_parts); within a
+/// rank the partitions are layered one after another.
 ///
 /// Two entry points share one BFS:
 ///   * layer_partitions() — the batch oracle: seeds layer 0 by scanning
@@ -57,16 +57,20 @@ struct LayeringResult {
   pigp::DenseMatrix<std::int64_t> eps;
 };
 
-/// Layer every partition; \p num_threads > 1 processes partitions in
-/// parallel (results are identical to the serial run).
+/// Layer every partition.
 [[nodiscard]] LayeringResult layer_partitions(const graph::Graph& g,
-                                              const graph::Partitioning& p,
-                                              int num_threads = 1);
+                                              const graph::Partitioning& p);
 
-/// Reusable per-thread working buffers for the layering BFS — one
-/// partition's BFS allocates nothing when handed a scratch that has been
-/// used before.  The sparse tally makes each labelled vertex's vote cost
-/// O(deg), whatever the part count.
+/// Not a setting: perfbench's probes, until ROADMAP item 1.
+[[nodiscard]] inline LayeringResult layer_partitions(
+    const graph::Graph& g, const graph::Partitioning& p, int /*threads*/) {
+  return layer_partitions(g, p);
+}
+
+/// Reusable working buffers for the layering BFS — one partition's BFS
+/// allocates nothing when handed a scratch that has been used before.  The
+/// sparse tally makes each labelled vertex's vote cost O(deg), whatever the
+/// part count.
 struct LayerScratch {
   PartTally tally;
   std::vector<graph::VertexId> frontier;
@@ -87,16 +91,12 @@ analyze_vertex(const graph::Graph& g, const graph::Partitioning& p,
 
 /// Analyse each boundary vertex of \p vertices whose cached analysis in
 /// \p state is invalid and store the result; returns how many were
-/// analysed.  Each vertex writes only its own slot, so a list longer than
-/// 4096 is refreshed on \p num_threads OpenMP threads, with results
-/// independent of the thread count.  \p tallies holds one pooled tally
-/// per thread (grown and sized here).
+/// analysed.  \p tally is pooled by the caller and sized here.
 std::int64_t refresh_analyses(const graph::Graph& g,
                               const graph::Partitioning& p,
                               const graph::PartitionState& state,
                               std::span<const graph::VertexId> vertices,
-                              int num_threads,
-                              std::vector<PartTally>& tallies);
+                              PartTally& tally);
 
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
 /// Debug / PIGP_VALIDATE auditor: each of \p vertices must have a valid
@@ -163,12 +163,18 @@ class BoundaryLayering {
   /// changed since the last analysis).  Debug / PIGP_VALIDATE builds
   /// audit every seed's cached analysis.
   std::int64_t reseed(const graph::PartitionState& state,
-                      int num_threads = 1,
                       const std::vector<graph::PartId>* owned_parts = nullptr);
 
   /// Grow every non-exhausted seeded partition by up to \p levels more BFS
-  /// levels (\p levels < 0: to exhaustion).  Parallel across partitions.
-  void grow(int levels, int num_threads = 1);
+  /// levels (\p levels < 0: to exhaustion).
+  void grow(int levels);
+
+  /// Not a setting: perfbench's probes, until ROADMAP item 1.
+  std::int64_t reseed(const graph::PartitionState& state, int /*threads*/) {
+    return reseed(state);
+  }
+  /// Not a setting: perfbench's probes, until ROADMAP item 1.
+  void grow(int levels, int /*threads*/) { grow(levels); }
 
   /// True when every seeded partition's BFS has run out of vertices —
   /// eps() equals the batch layering's eps.
@@ -210,7 +216,7 @@ class BoundaryLayering {
   std::vector<std::int32_t> depth_;
   std::vector<graph::PartId> seeded_;  ///< partitions seeded this stage
   std::vector<std::uint8_t> seeded_mask_;  ///< [q] = 1 iff q is seeded
-  std::vector<LayerScratch> scratch_;  ///< per OpenMP thread
+  LayerScratch scratch_;
 };
 
 /// Boundary-seeded layering of every partition to exhaustion — the
@@ -219,6 +225,6 @@ class BoundaryLayering {
 /// an O(V) member scan per partition.
 [[nodiscard]] LayeringResult layer_partitions_from(
     const graph::Graph& g, const graph::Partitioning& p,
-    const graph::PartitionState& state, int num_threads = 1);
+    const graph::PartitionState& state);
 
 }  // namespace pigp::core

@@ -96,16 +96,14 @@ RefineStats refine_partitioning(const graph::Graph& g,
   // round restores the index exactly, so the retry reuses it.
   state.boundary_ascending(boundary);
   for (int round = 0; round < options.max_rounds; ++round) {
-    stats.vertices_analyzed += refresh_analyses(
-        g, partitioning, state, boundary, options.num_threads,
-        w.refine_tallies);
+    stats.vertices_analyzed += refresh_analyses(g, partitioning, state,
+                                                boundary, w.refine_tally);
     assemble_candidates(partitioning, state, boundary, candidates);
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
     // Debug / PIGP_VALIDATE auditor: every boundary vertex's cached
     // analysis is exact, which pins the state's invalidation rule.
-    // refresh_analyses sized thread 0's tally for num_parts.
-    audit_analysis(g, partitioning, state, boundary,
-                   w.refine_tallies.front());
+    // refresh_analyses sized the tally for num_parts.
+    audit_analysis(g, partitioning, state, boundary, w.refine_tally);
 #endif
     // No candidates at all: the flow would have no arcs — skip building
     // it entirely (same terminal decision, and a converged call allocates

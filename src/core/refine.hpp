@@ -35,7 +35,6 @@ struct Workspace;
 struct RefineOptions {
   int max_rounds = 8;
   lp::NetworkOptions simplex;
-  int num_threads = 1;
 };
 
 struct RefineStats {
@@ -89,8 +88,8 @@ void refinement_flow_into(
 /// must describe (g, partitioning) on entry and is left consistent with
 /// the refined partitioning.  A non-null \p ws supplies the tally,
 /// boundary and candidate buffers, so a converged call (no positive-gain
-/// candidates) allocates nothing; decisions are identical either way, for
-/// every num_threads and whatever the state's cache holds.
+/// candidates) allocates nothing; decisions are identical either way, and
+/// whatever the state's cache holds.
 [[nodiscard]] RefineStats refine_partitioning(
     const graph::Graph& g, graph::Partitioning& partitioning,
     graph::PartitionState& state, const RefineOptions& options = {},

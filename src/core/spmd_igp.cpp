@@ -31,7 +31,7 @@ SpmdStageOutcome spmd_balance_handshake(
   std::vector<std::int64_t>& eps_rows = ws.spmd_eps_rows;
   std::vector<std::int64_t>& moves_flat = ws.spmd_moves_flat;
   LayerDepth depth(options.max_layers);
-  layering.grow(depth.budget, 1);
+  layering.grow(depth.budget);
 
   // Allgather (exhausted flag, owned eps rows); rank 0 applies the stage
   // rule to the assembled capacities and broadcasts either "deepen"
@@ -77,7 +77,7 @@ SpmdStageOutcome spmd_balance_handshake(
     }
     Packet received = transport.broadcast(0, std::move(decision_packet));
     if (received.unpack<int>() != 0) {  // deepen
-      layering.grow(depth.deepen(), 1);
+      layering.grow(depth.deepen());
       continue;
     }
     SpmdStageOutcome outcome;
@@ -148,7 +148,7 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
       }
       // Each rank fills only its owned partitions' slots of the shared
       // state's analysis cache.
-      seeds_analyzed += layering.reseed(state, 1, &owned);
+      seeds_analyzed += layering.reseed(state, &owned);
       const SpmdStageOutcome outcome =
           spmd_balance_handshake(ctx, owned, excess, options.balance, mine_ws);
       if (!outcome.progress) break;
@@ -215,8 +215,8 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
   }
 
   // ---------------------------------------------------- refinement
-  // The refinement LP is identical to the shared-memory path; candidate
-  // gathering is the parallel part and reuses the OpenMP implementation.
+  // Refinement runs the shared-memory path unchanged, after the ranks'
+  // balance stages.
   if (options.refine) {
     result.refine_stats = refine_partitioning(g_new, partitioning, state,
                                               options.refinement, &ws);

@@ -137,7 +137,7 @@ SpmdWorkerStats spmd_worker_rebalance(net::Transport& transport,
     // The owned partitions' seed shell, then the shared deepen-vs-decide
     // handshake; this engine needs only the agreed moves, not rank 0's
     // stage statistics.
-    layering.reseed(state, 1, &owned);
+    layering.reseed(state, &owned);
     check_residency(shard, state, layering);
     const SpmdStageOutcome outcome =
         spmd_balance_handshake(transport, owned, excess, options.balance, ws);

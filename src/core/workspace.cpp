@@ -18,7 +18,7 @@ void Workspace::release_memory() {
   transfer = TransferScratch();
   flow = FlowWorkspace();
   std::vector<graph::VertexId>().swap(refine_boundary);
-  std::vector<PartTally>().swap(refine_tallies);
+  refine_tally = PartTally();
   refine_candidates = pigp::DenseMatrix<std::vector<GainCandidate>>();
   std::vector<GainCandidate>().swap(refine_selection);
   std::vector<graph::PartId>().swap(spmd_owned);

@@ -132,8 +132,8 @@ struct Workspace {
   // Each boundary vertex's best move lives in the PartitionState's
   // vertex-analysis cache, beside its seed label, and survives across
   // rebalances: the state's mutators invalidate what they change.
-  /// Per-OpenMP-thread sparse out(v, j) tallies.
-  std::vector<PartTally> refine_tallies;
+  /// Sparse out(v, j) tally of the vertex being analysed.
+  PartTally refine_tally;
   pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
   /// apply_gain_transfers' per-pair best-first selection.
   std::vector<GainCandidate> refine_selection;

@@ -348,9 +348,10 @@ class PartitionState {
   std::vector<std::int64_t> boundary_count_;
 
   /// One VertexAnalysis per vertex id in 16 bytes, its validity in the
-  /// slot itself (never in a word shared with other vertices), so threads
-  /// may fill different slots at once.  Invalidation clears only `valid`
-  /// and keeps the value, which undo_keeping_analysis relies on.
+  /// slot itself (never in a word shared with other vertices), so
+  /// in-process SPMD ranks may fill different slots at once.  Invalidation
+  /// clears only `valid` and keeps the value, which undo_keeping_analysis
+  /// relies on.
   struct AnalysisSlot {
     double gain = 0.0;
     PartId best : 31 = -1;

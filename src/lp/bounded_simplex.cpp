@@ -99,7 +99,7 @@ IterateStatus iterate(Tableau& tab, std::vector<char>& flipped,
         flipped[static_cast<std::size_t>(lcol)] ^= 1;
       }
       const int leaving = tab.basis[static_cast<std::size_t>(leave_row)];
-      detail::pivot(tab, leave_row, entering, opt.num_threads);
+      detail::pivot(tab, leave_row, entering);
       in_basis[static_cast<std::size_t>(leaving)] = 0;
       in_basis[static_cast<std::size_t>(entering)] = 1;
     }
@@ -176,7 +176,7 @@ Solution BoundedSimplex::solve(const LinearProgram& lp) const {
       if (!tab.is_artificial(tab.basis[static_cast<std::size_t>(r)])) continue;
       for (int j = 0; j < tab.first_artificial; ++j) {
         if (std::abs(tab.t(r, j)) > 1e-7) {
-          detail::pivot(tab, r, j, options_.num_threads);
+          detail::pivot(tab, r, j);
           break;
         }
       }

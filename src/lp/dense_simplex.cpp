@@ -54,7 +54,7 @@ IterateStatus iterate(Tableau& tab, const std::vector<char>& allowed,
     }
     if (leave_row < 0) return IterateStatus::unbounded;
 
-    detail::pivot(tab, leave_row, entering, opt.num_threads);
+    detail::pivot(tab, leave_row, entering);
     if (++iterations > opt.max_iterations) {
       return IterateStatus::iteration_limit;
     }
@@ -112,7 +112,7 @@ Solution DenseSimplex::solve(const LinearProgram& lp) const {
       if (!tab.is_artificial(tab.basis[static_cast<std::size_t>(r)])) continue;
       for (int j = 0; j < tab.first_artificial; ++j) {
         if (std::abs(tab.t(r, j)) > 1e-7) {
-          detail::pivot(tab, r, j, options_.num_threads);
+          detail::pivot(tab, r, j);
           break;
         }
       }

@@ -3,9 +3,8 @@
 /// \file dense_simplex.hpp
 /// Two-phase primal simplex on a dense tableau — the solver the paper's
 /// implementation used ("We have used a dense version of simplex algorithm",
-/// Ou & Ranka §2.3, footnote 1).  Row eliminations are OpenMP-parallel,
-/// mirroring the paper's parallelization of the simplex step across CM-5
-/// nodes.
+/// Ou & Ranka §2.3, footnote 1).  It runs serially: libpigp's parallelism
+/// is its SPMD ranks'.
 
 #include <cstdint>
 
@@ -21,7 +20,6 @@ struct SimplexOptions {
   std::int64_t max_iterations = 200000;
   bool always_bland = false;     ///< Bland's rule from the first pivot
   std::int64_t stall_limit = 128;  ///< non-improving pivots before Bland kicks in
-  int num_threads = 1;           ///< OpenMP threads for tableau updates
 };
 
 /// Dense two-phase tableau simplex.  Upper bounds are handled as explicit

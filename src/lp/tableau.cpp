@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "support/check.hpp"
-#include "support/omp.hpp"
 
 namespace pigp::lp::detail {
 
@@ -101,7 +100,7 @@ void rebuild_objective(Tableau& tab, const std::vector<double>& cost) {
   }
 }
 
-void pivot(Tableau& tab, int row, int col, int num_threads) {
+void pivot(Tableau& tab, int row, int col) {
   const double piv = tab.t(row, col);
   PIGP_CHECK(std::abs(piv) > 1e-12, "pivot element too small");
   const double inv = 1.0 / piv;
@@ -110,14 +109,6 @@ void pivot(Tableau& tab, int row, int col, int num_threads) {
   for (int j = 0; j < width; ++j) prow[j] *= inv;
   prow[col] = 1.0;  // exact
 
-  const bool parallel =
-      num_threads > 1 &&
-      static_cast<std::int64_t>(tab.nrows) * width > 1 << 16;
-#ifndef _OPENMP
-  (void)parallel;
-#endif
-  PIGP_OMP(parallel for schedule(static) if (parallel)
-               num_threads(num_threads))
   for (int i = 0; i <= tab.nrows; ++i) {
     if (i == row) continue;
     double* irow = tab.t.row(static_cast<std::size_t>(i)).data();

@@ -3,7 +3,7 @@
 /// \file tableau.hpp
 /// Dense simplex tableau shared by DenseSimplex and BoundedSimplex: initial
 /// basis construction (slack / surplus / artificial columns), objective-row
-/// maintenance, and the OpenMP-parallel pivot kernel.
+/// maintenance, and the pivot kernel.
 ///
 /// Layout: rows 0..m-1 are constraints, row m is the reduced-cost row; the
 /// last column holds the basic-variable values (constraints) and the negated
@@ -45,9 +45,8 @@ struct Tableau {
 void rebuild_objective(Tableau& tab, const std::vector<double>& cost);
 
 /// Gaussian pivot on (row, col): scales the pivot row and eliminates the
-/// column from every other row including the cost row.  Uses OpenMP when
-/// \p num_threads > 1 and the tableau is large enough to amortize it.
-void pivot(Tableau& tab, int row, int col, int num_threads);
+/// column from every other row including the cost row.
+void pivot(Tableau& tab, int row, int col);
 
 /// Extract the canonical solution (structural columns only, zero for
 /// nonbasic) — bound flips must already be undone by the caller.

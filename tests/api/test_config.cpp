@@ -1,10 +1,8 @@
 // SessionConfig::resolve() — the single derivation path from the
 // declarative config to every nested core option struct.  Compile-time
 // field-count asserts live in src/api/config.cpp; these tests pin the
-// runtime behaviour: every num_threads field receives the configured
-// value (the bug class the old IgpOptions::set_threads helper was prone
-// to), knobs land where they should, and
-// invalid values are rejected naming the offending field.
+// runtime behaviour: knobs land where they should, and invalid values are
+// rejected naming the offending field.
 
 #include "api/config.hpp"
 
@@ -22,22 +20,6 @@ SessionConfig valid_config() {
   SessionConfig config;
   config.num_parts = 8;
   return config;
-}
-
-TEST(SessionConfigResolve, PropagatesThreadCountIntoEveryNestedStruct) {
-  SessionConfig config = valid_config();
-  config.num_threads = 7;
-  const ResolvedConfig resolved = config.resolve();
-
-  // Every num_threads field in the option tree.  When a new nested struct
-  // appears, the static_asserts in config.cpp force resolve() to be
-  // updated, and its thread field belongs in this list.
-  EXPECT_EQ(resolved.igp.num_threads, 7);
-  EXPECT_EQ(resolved.igp.balance.num_threads, 7);
-  EXPECT_EQ(resolved.igp.refinement.num_threads, 7);
-  EXPECT_EQ(resolved.multilevel.igp.num_threads, 7);
-  EXPECT_EQ(resolved.multilevel.igp.balance.num_threads, 7);
-  EXPECT_EQ(resolved.multilevel.igp.refinement.num_threads, 7);
 }
 
 TEST(SessionConfigResolve, PropagatesBalanceRefineAndMultilevelKnobs) {
@@ -93,6 +75,11 @@ TEST(SessionConfigResolve, RejectsEachInvalidFieldNamingIt) {
 
   SessionConfig bad = valid_config();
   bad.num_threads = 0;
+  expect_rejection(bad, "num_threads");
+
+  // A rank rebalances serially; the spmd backend's ranks run in parallel.
+  bad = valid_config();
+  bad.num_threads = 2;
   expect_rejection(bad, "num_threads");
 
   bad = valid_config();

@@ -152,7 +152,6 @@ Session make_quiescent_session() {
   SessionConfig config;
   config.num_parts = kParts;
   config.backend = "igpr";
-  config.num_threads = 1;
   config.batch_policy = BatchPolicy::every_delta;
   return Session(config, clique_ring(), clique_partitioning());
 }

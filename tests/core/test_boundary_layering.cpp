@@ -316,17 +316,6 @@ TEST(BoundaryLayeringParity, BindRevivesAfterTakeResult) {
   EXPECT_EQ(layering.eps(), taken.eps);
 }
 
-TEST(BoundaryLayeringParity, ThreadedMatchesSerial) {
-  const Graph g = graph::random_geometric_graph(500, 0.07, 83);
-  const Partitioning p = spectral::recursive_graph_bisection(g, 8);
-  const PartitionState state(g, p);
-  const LayeringResult serial = layer_partitions_from(g, p, state, 1);
-  const LayeringResult threaded = layer_partitions_from(g, p, state, 8);
-  EXPECT_EQ(serial.label, threaded.label);
-  EXPECT_EQ(serial.layer, threaded.layer);
-  EXPECT_EQ(serial.eps, threaded.eps);
-}
-
 TEST(BoundaryLayeringParity, StateDrivenBalanceMatchesBatchBalance) {
   // With unlimited depth the state-driven balance driver must reproduce
   // the batch driver bit for bit; with the default cap it must still land

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "api/config.hpp"
 #include "copying_repartition.hpp"
 #include "graph/delta.hpp"
 #include "graph/partition.hpp"
@@ -118,24 +117,6 @@ TEST(Igp, DeterministicAcrossRuns) {
                                             seq.graphs[0].num_vertices());
   const IgpResult b = test::igp_repartition(seq.graphs[1], initial,
                                             seq.graphs[0].num_vertices());
-  EXPECT_EQ(a.partitioning.part, b.partitioning.part);
-}
-
-TEST(Igp, ThreadedMatchesSerial) {
-  const mesh::MeshSequence seq =
-      mesh::make_small_mesh_sequence(900, {100}, 59);
-  const Partitioning initial =
-      spectral::recursive_spectral_bisection(seq.graphs[0], 16);
-
-  IgpOptions serial;
-  SessionConfig threaded_config;
-  threaded_config.num_parts = 16;
-  threaded_config.num_threads = 8;
-  const IgpOptions threaded = threaded_config.resolve().igp;
-  const IgpResult a = test::igp_repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices(), serial);
-  const IgpResult b = test::igp_repartition(
-      seq.graphs[1], initial, seq.graphs[0].num_vertices(), threaded);
   EXPECT_EQ(a.partitioning.part, b.partitioning.part);
 }
 

@@ -241,21 +241,6 @@ TEST(Layering, InteriorOnlyPartitionStaysUnlabeled) {
   EXPECT_EQ(r.eps(0, 1), 0);
 }
 
-TEST(Layering, ParallelMatchesSerial) {
-  const Graph g = graph::random_geometric_graph(1500, 0.05, 29);
-  Partitioning p;
-  p.num_parts = 16;
-  p.part.resize(1500);
-  for (VertexId v = 0; v < 1500; ++v) {
-    p.part[static_cast<std::size_t>(v)] = v % 16;
-  }
-  const LayeringResult serial = layer_partitions(g, p, 1);
-  const LayeringResult parallel = layer_partitions(g, p, 8);
-  EXPECT_EQ(serial.label, parallel.label);
-  EXPECT_EQ(serial.layer, parallel.layer);
-  EXPECT_EQ(serial.eps, parallel.eps);
-}
-
 TEST(Layering, MatchesPaperFigure4Shape) {
   // Reproduce the microscopic structure of Figure 4(a): a partition whose
   // vertices peel layer by layer toward the closest neighbor partitions.
@@ -485,21 +470,19 @@ TEST(Layering, SparseTallyMatchesDenseReference) {
       }
     }
 
-    for (const int threads : {1, 3}) {
-      const LayeringResult batch = layer_partitions(g, p, threads);
-      EXPECT_EQ(batch.label, want.label) << parts << " parts";
-      EXPECT_EQ(batch.layer, want.layer) << parts << " parts";
-      EXPECT_EQ(batch.eps, want.eps) << parts << " parts";
+    const LayeringResult batch = layer_partitions(g, p);
+    EXPECT_EQ(batch.label, want.label) << parts << " parts";
+    EXPECT_EQ(batch.layer, want.layer) << parts << " parts";
+    EXPECT_EQ(batch.eps, want.eps) << parts << " parts";
 
-      // The boundary-seeded, resumable path, one level per grow().
-      const graph::PartitionState state(g, p);
-      BoundaryLayering layering(g, p);
-      layering.reseed(state, threads);
-      while (!layering.exhausted()) layering.grow(1, threads);
-      EXPECT_EQ(layering.label(), want.label) << parts << " parts";
-      EXPECT_EQ(layering.layer(), want.layer) << parts << " parts";
-      EXPECT_EQ(layering.eps(), want.eps) << parts << " parts";
-    }
+    // The boundary-seeded, resumable path, one level per grow().
+    const graph::PartitionState state(g, p);
+    BoundaryLayering layering(g, p);
+    layering.reseed(state);
+    while (!layering.exhausted()) layering.grow(1);
+    EXPECT_EQ(layering.label(), want.label) << parts << " parts";
+    EXPECT_EQ(layering.layer(), want.layer) << parts << " parts";
+    EXPECT_EQ(layering.eps(), want.eps) << parts << " parts";
   }
 }
 

@@ -157,29 +157,11 @@ TEST(Refine, SinglePartitionIsNoop) {
   EXPECT_EQ(stats.vertices_moved, 0);
 }
 
-TEST(Refine, ParallelCandidateCollectionMatchesSerial) {
-  const Graph g = graph::random_geometric_graph(5000, 0.025, 111);
-  Partitioning base;
-  base.num_parts = 8;
-  base.part.resize(5000);
-  for (int v = 0; v < 5000; ++v) {
-    base.part[static_cast<std::size_t>(v)] = v % 8;
-  }
-  Partitioning a = base;
-  Partitioning b = base;
-  RefineOptions serial;
-  RefineOptions parallel;
-  parallel.num_threads = 8;
-  (void)refine_partitioning(g, a, serial);
-  (void)refine_partitioning(g, b, parallel);
-  EXPECT_EQ(a.part, b.part);
-}
-
 // ---------------------------------------------------------------------------
 // Golden decisions, captured from the network simplex on eight inputs.
 // hub and hub_sparse take the revert path (rounds_reverted = 1): a round
 // that raises the cut is undone and the batch cap halves;
-// geometric_large has a boundary above the parallel-analysis threshold.
+// geometric_large is the largest input.
 // geometric_p64 and hub_p64 run at 64 parts, where most analysed vertices
 // touch a few parts out of many and tie on gain.  The table was captured
 // from the two-lane refinement model (positive- and zero-gain lanes) run
@@ -204,7 +186,6 @@ std::uint64_t fnv1a(const std::vector<graph::PartId>& part) {
 
 struct GoldenCase {
   const char* name;
-  int threads;
   std::uint64_t part_hash;
   int rounds;
   int rounds_reverted;
@@ -214,13 +195,14 @@ struct GoldenCase {
   double cut_after;
 };
 
+// The "_t1" suffix and "with 1 thread(s)" keep each case's test name from
+// when every input also ran at 4 threads.
 void PrintTo(const GoldenCase& c, std::ostream* os) {
-  *os << c.name << " with " << c.threads << " thread(s)";
+  *os << c.name << " with 1 thread(s)";
 }
 
 std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
-  return std::string(info.param.name) + "_t" +
-         std::to_string(info.param.threads);
+  return std::string(info.param.name) + "_t1";
 }
 
 /// Refine \p want's input through the batch entry and twice through the
@@ -229,7 +211,6 @@ std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
 void expect_golden(const GoldenCase& want) {
   GoldenInput in = golden_input(want.name);
   ASSERT_GT(in.g.num_vertices(), 0) << want.name;
-  in.opt.num_threads = want.threads;
 
   // Batch entry (call-local buffers) and the state-driven entry with a
   // warm session workspace must both land on the captured result.
@@ -256,24 +237,14 @@ void expect_golden(const GoldenCase& want) {
 }
 
 const GoldenCase kGoldenNetwork[] = {
-    {"grid_banded", 1, 0x4ad63f9390bdc285ULL, 1, 0, 160, 8, 552, 240},
-    {"grid_banded", 4, 0x4ad63f9390bdc285ULL, 1, 0, 160, 8, 552, 240},
-    {"grid_shuffled", 1, 0xe50c61689616ce21ULL, 12, 0, 8496, 176, 3356, 1569},
-    {"grid_shuffled", 4, 0xe50c61689616ce21ULL, 12, 0, 8496, 176, 3356, 1569},
-    {"geometric", 1, 0xdb274eb05917ffe7ULL, 11, 0, 3823, 254, 13824, 2962},
-    {"geometric", 4, 0xdb274eb05917ffe7ULL, 11, 0, 3823, 254, 13824, 2962},
-    {"geometric_large", 1, 0x6fbfbc1086fddc63ULL, 8, 0, 16213, 554, 63016,
-     14398},
-    {"geometric_large", 4, 0x6fbfbc1086fddc63ULL, 8, 0, 16213, 554, 63016,
-     14398},
-    {"hub", 1, 0xf545d7a68c9702a3ULL, 12, 1, 15196, 173, 9009, 5453},
-    {"hub", 4, 0xf545d7a68c9702a3ULL, 12, 1, 15196, 173, 9009, 5453},
-    {"hub_sparse", 1, 0x892b2552a30a1451ULL, 12, 1, 5361, 77, 4008, 1974},
-    {"hub_sparse", 4, 0x892b2552a30a1451ULL, 12, 1, 5361, 77, 4008, 1974},
-    {"geometric_p64", 1, 0xde9c13666ca518ddULL, 5, 0, 2175, 4327, 31658, 9012},
-    {"geometric_p64", 4, 0xde9c13666ca518ddULL, 5, 0, 2175, 4327, 31658, 9012},
-    {"hub_p64", 1, 0x0165c991ea5f4753ULL, 10, 0, 13964, 18893, 17713, 14527},
-    {"hub_p64", 4, 0x0165c991ea5f4753ULL, 10, 0, 13964, 18893, 17713, 14527},
+    {"grid_banded", 0x4ad63f9390bdc285ULL, 1, 0, 160, 8, 552, 240},
+    {"grid_shuffled", 0xe50c61689616ce21ULL, 12, 0, 8496, 176, 3356, 1569},
+    {"geometric", 0xdb274eb05917ffe7ULL, 11, 0, 3823, 254, 13824, 2962},
+    {"geometric_large", 0x6fbfbc1086fddc63ULL, 8, 0, 16213, 554, 63016, 14398},
+    {"hub", 0xf545d7a68c9702a3ULL, 12, 1, 15196, 173, 9009, 5453},
+    {"hub_sparse", 0x892b2552a30a1451ULL, 12, 1, 5361, 77, 4008, 1974},
+    {"geometric_p64", 0xde9c13666ca518ddULL, 5, 0, 2175, 4327, 31658, 9012},
+    {"hub_p64", 0x0165c991ea5f4753ULL, 10, 0, 13964, 18893, 17713, 14527},
 };
 
 class RefineGoldenNetwork : public ::testing::TestWithParam<GoldenCase> {};

@@ -190,31 +190,5 @@ TEST(DenseSimplex, EmptyObjectiveFindsFeasiblePoint) {
   EXPECT_NEAR(s.x[static_cast<std::size_t>(x)], 4.0, kTol);
 }
 
-TEST(DenseSimplex, ParallelPivotMatchesSerial) {
-  LinearProgram lp(Sense::maximize);
-  // A moderately sized random-ish LP built deterministically.
-  std::vector<int> vars;
-  for (int j = 0; j < 40; ++j) {
-    vars.push_back(lp.add_variable(1.0 + 0.1 * j, 0.0, 5.0 + j % 7));
-  }
-  for (int i = 0; i < 30; ++i) {
-    std::vector<std::pair<int, double>> coeffs;
-    for (int j = 0; j < 40; ++j) {
-      const double c = ((i * 37 + j * 17) % 11) - 3.0;
-      if (c != 0.0) coeffs.emplace_back(vars[static_cast<std::size_t>(j)], c);
-    }
-    lp.add_row(RowType::less_equal, coeffs, 50.0 + i);
-  }
-
-  SimplexOptions serial;
-  SimplexOptions parallel;
-  parallel.num_threads = 4;
-  const Solution a = DenseSimplex(serial).solve(lp);
-  const Solution b = DenseSimplex(parallel).solve(lp);
-  ASSERT_EQ(a.status, SolveStatus::optimal);
-  ASSERT_EQ(b.status, SolveStatus::optimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-6);
-}
-
 }  // namespace
 }  // namespace pigp::lp
