@@ -87,7 +87,10 @@ class MultilevelBackend final : public Backend {
 /// picks the carrier: "in_process" runs the ranks over in-process
 /// mailboxes (the reference carrier), "tcp" runs the same ranks over real
 /// loopback sockets with the configured filter chain and timeouts —
-/// decisions are bit-identical either way.
+/// decisions are bit-identical either way.  The executor's rank threads
+/// and their mailboxes or connected mesh start on the first rebalance (a
+/// warm-up repartition() pays for them) and serve every later one; a
+/// session that only absorbs never starts them.
 ///
 /// This is the one backend that talks to a network, so it also owns the
 /// failure-domain machinery: config.spmd_fault_spec wraps every rank's
@@ -96,11 +99,12 @@ class MultilevelBackend final : public Backend {
 /// exponential backoff under rebalance_retry_deadline_ms.  The in-place
 /// tick runs inside its own PartitionState::RollbackWindow: each retry
 /// undoes it (O(moves + P), not O(V+E)) and full-resets the rank
-/// workspaces — so a retried tick starts from input bit-identical to a
-/// fault-free one.  Fatal errors and exhausted budgets
-/// propagate to the caller (the Session latches them, sticky) with the
-/// window closed but *not* undone — the Session's outer window performs
-/// the final rollback.
+/// workspaces, and the failed run has already discarded the executor's
+/// rank group, so the retry runs on fresh threads over fresh connections
+/// — a retried tick starts from input bit-identical to a fault-free one.
+/// Fatal errors and exhausted budgets propagate to the caller (the
+/// Session latches them, sticky) with the window closed but *not* undone
+/// — the Session's outer window performs the final rollback.
 class SpmdBackend final : public Backend {
  public:
   explicit SpmdBackend(const ResolvedConfig& config)

@@ -218,9 +218,10 @@ class Session {
   /// mutating calls work again.  Safe because the failed run was rolled
   /// back — graph/partitioning/state are consistent — but the *caller*
   /// asserts the transport is worth trusting again (peers restarted,
-  /// network healed); the session cannot know that.  The next repartition
-  /// builds fresh connections, so nothing else needs resetting.  A no-op
-  /// when no error is latched.
+  /// network healed); the session cannot know that.  The failed run
+  /// discarded the spmd backend's rank group, so the next repartition
+  /// builds fresh threads and connections and nothing else needs
+  /// resetting.  A no-op when no error is latched.
   void clear_error() noexcept { transport_failure_ = nullptr; }
 
   /// Adopt the result of an out-of-session rebalance computed on a

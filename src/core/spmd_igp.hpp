@@ -17,14 +17,16 @@
 /// protocol.
 ///
 /// An SpmdExecutor decides what carries the messages: MachineExecutor runs
-/// the ranks as threads over in-process mailboxes (net::run_in_process,
-/// the reference carrier), TcpLoopbackExecutor runs them as threads
-/// speaking real TCP over loopback sockets (net::run_tcp_loopback: the
-/// full wire path — framing, filters, timeouts — without managing
-/// processes).  Both carriers share one rank-thread runner and the
-/// collectives of net::Transport.  The fully distributed
-/// one-process-per-rank shape lives in core/spmd_worker.hpp, which shards
-/// the graph instead of replicating it.
+/// the ranks as threads over in-process mailboxes (the reference carrier),
+/// TcpLoopbackExecutor runs them as threads speaking real TCP over
+/// loopback sockets (the full wire path — framing, filters, timeouts —
+/// without managing processes).  Each executor owns one net::RankGroup,
+/// the one rank-thread runner: its first run starts the rank threads and
+/// builds their mailboxes or TCP mesh, and later runs — one per
+/// rebalance — reuse them, as the paper's CM-5 nodes stay up for the
+/// whole run.  A failed run discards the group and the next run builds a
+/// fresh one.  The fully distributed one-process-per-rank shape lives in
+/// core/spmd_worker.hpp, which shards the graph instead of replicating it.
 
 #include <cstdint>
 #include <functional>
@@ -35,6 +37,7 @@
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "runtime/net/fault_transport.hpp"
+#include "runtime/net/rank_group.hpp"
 #include "runtime/net/tcp_transport.hpp"
 #include "runtime/net/transport.hpp"
 
@@ -54,40 +57,44 @@ class SpmdExecutor {
   virtual void run(const std::function<void(net::Transport&)>& body) = 0;
 };
 
-/// Ranks as threads over in-process mailboxes (net::run_in_process) — the
-/// reference carrier of the parity tests and the default backend shape.
+/// Ranks as threads over in-process mailboxes — the reference carrier of
+/// the parity tests and the default backend shape.  The threads and
+/// mailboxes start on the first run and stay up, parked, between runs
+/// (net::RankGroup); the destructor stops them.
 class MachineExecutor final : public SpmdExecutor {
  public:
-  explicit MachineExecutor(int num_ranks) : num_ranks_(num_ranks) {}
+  explicit MachineExecutor(int num_ranks) : group_(num_ranks) {}
 
   [[nodiscard]] int num_ranks() const noexcept override {
-    return num_ranks_;
+    return group_.num_ranks();
   }
   void run(const std::function<void(net::Transport&)>& body) override {
-    net::run_in_process(num_ranks_, body);
+    group_.run(body);
   }
 
  private:
-  int num_ranks_;
+  net::RankGroup group_;
 };
 
 /// Ranks as threads speaking real TCP over loopback sockets — the whole
 /// wire path (framing, filter chain, socket timeouts) under one process.
+/// The threads and their connected mesh start on the first run and stay
+/// up between runs (net::RankGroup), so a rebalance pays no listener,
+/// handshake or thread start; the destructor stops them.
 class TcpLoopbackExecutor final : public SpmdExecutor {
  public:
   explicit TcpLoopbackExecutor(int num_ranks, net::TcpOptions options = {})
-      : num_ranks_(num_ranks), options_(std::move(options)) {}
+      : group_(num_ranks, std::move(options)) {}
 
   [[nodiscard]] int num_ranks() const noexcept override {
-    return num_ranks_;
+    return group_.num_ranks();
   }
   void run(const std::function<void(net::Transport&)>& body) override {
-    net::run_tcp_loopback(num_ranks_, options_, body);
+    group_.run(body);
   }
 
  private:
-  int num_ranks_;
-  net::TcpOptions options_;
+  net::RankGroup group_;
 };
 
 /// Decorator: wraps every rank's transport of an inner executor in a

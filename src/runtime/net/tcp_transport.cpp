@@ -20,9 +20,13 @@ namespace {
 
 constexpr std::uint32_t kFrameMagic = 0x50494750;  // "PIGP"
 constexpr std::uint8_t kFrameVersion = 1;
-// A frame claiming more than this is corruption, not a real message; the
-// cap keeps a flipped length byte from demanding a terabyte allocation.
+// A frame claiming more than this is corruption, not a real message.
 constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 40;
+// A payload is read into a buffer of at most this size first; a longer one
+// grows its buffer only as its bytes arrive, at most doubling per step.  A
+// corrupt length below the cap therefore costs at most twice the bytes the
+// peer really sent, never the allocation the header claims.
+constexpr std::size_t kPayloadStepBytes = std::size_t{1} << 20;
 
 [[noreturn]] void throw_errno(const std::string& what, int err) {
   // generic_category().message instead of strerror: rank threads can fail
@@ -351,9 +355,14 @@ Packet TcpTransport::recv(int from) {
     throw TransportError("frame claims implausible payload of " +
                          std::to_string(payload_len) + " bytes");
   }
-  std::vector<std::uint8_t> payload(
-      static_cast<std::size_t>(payload_len));
+  const auto total = static_cast<std::size_t>(payload_len);
+  std::vector<std::uint8_t> payload(std::min(total, kPayloadStepBytes));
   if (!payload.empty()) read_exact(fd, payload.data(), payload.size());
+  while (payload.size() < total) {
+    const std::size_t have = payload.size();
+    payload.resize(have + std::min(total - have, have));
+    read_exact(fd, payload.data() + have, payload.size() - have);
+  }
   bytes_received_ += sizeof(fixed) + filter_ids.size() + 8 + payload_len;
   return Packet::from_bytes(decode_through(filter_ids, std::move(payload)));
 }
@@ -366,6 +375,20 @@ void TcpTransport::close() noexcept {
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
+}
+
+bool TcpTransport::quiescent() const noexcept {
+  if (closed_ || !self_queue_.empty()) return false;
+  for (const int fd : peer_fds_) {
+    if (fd < 0) continue;
+    std::uint8_t byte = 0;
+    ssize_t n = 0;
+    do {
+      n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    } while (n < 0 && errno == EINTR);
+    if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
+  }
+  return true;
 }
 
 // ---------------------------------------------------------- LocalTcpGroup

@@ -13,8 +13,11 @@
 /// chain (filters.hpp) has been applied; the header records the applied
 /// filter ids so the receiver decodes with exactly the sender's chain.
 /// A frame with a bad magic/version, an unknown filter id, or an
-/// implausible payload length is rejected with TransportError before any
-/// large allocation.
+/// implausible payload length (over 1 TiB) is rejected with TransportError
+/// before any large allocation.  Below that cap the reader grows the
+/// payload buffer only as bytes arrive, so a corrupt length that the peer
+/// does not back with bytes ends in a TransportError (the peer closes or
+/// the recv timeout fires), never in a huge allocation.
 ///
 /// Connection mesh: rank r binds a listener at endpoints[r] (or adopts a
 /// pre-bound fd, see below), then actively connects to every LOWER rank
@@ -93,6 +96,13 @@ class TcpTransport final : public Transport {
   /// recv on this rank observe an orderly peer-closed failure.
   void close() noexcept;
 
+  /// True when the transport is open and nothing is left to read: no
+  /// packet queued to self, and every peer socket would block on read (a
+  /// non-blocking MSG_PEEK).  Bytes pending, or a peer that closed its
+  /// end, make it false.  A connection kept for another run is only
+  /// reused when this holds.
+  [[nodiscard]] bool quiescent() const noexcept;
+
   /// Bytes written to / read from sockets (filter effectiveness metrics).
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
     return bytes_sent_;
@@ -128,22 +138,22 @@ struct LocalTcpGroup {
 /// Bind \p num_ranks ephemeral-port listeners on 127.0.0.1.
 [[nodiscard]] LocalTcpGroup make_local_tcp_group(int num_ranks);
 
-/// Run an SPMD body on \p num_ranks threads in THIS process, each rank
-/// speaking real TCP over loopback sockets.  This is the hybrid executor
-/// used by tests, the bench harness, and the session backend's "tcp"
-/// transport: the full wire path (framing, filters, socket timeouts) is
-/// exercised without managing worker processes.
+/// Run an SPMD body once on \p num_ranks threads in THIS process, each
+/// rank speaking real TCP over loopback sockets: a one-shot RankGroup
+/// (rank_group.hpp) that builds the mesh, runs \p body once and tears the
+/// mesh down.  The full wire path (framing, filters, socket timeouts) is
+/// exercised without managing worker processes; core::TcpLoopbackExecutor
+/// keeps such a group, and its mesh, up from one run to the next.
 ///
 /// Because the rank threads share the process address space (the in-process
 /// engine mutates one shared PartitionState), each rank's transport is
 /// wrapped so every collective additionally passes a process-local barrier
 /// — TCP alone establishes no happens-before between threads of one
-/// process, while run_in_process's mailboxes do through their mutexes.
-/// Failures are handled by the runner run_in_process shares: a rank that
-/// throws takes its arrival ticket before its sockets close, then aborts
-/// the group — closing its sockets releases peers blocked in recv and the
-/// local barrier wakes and fails peers waiting there — and the failing
-/// rank's exception (the first by arrival time) is rethrown.
+/// process, while the in-process mailboxes do through their mutexes.  A
+/// rank that throws takes its arrival ticket before its sockets close,
+/// then aborts the group — closing its sockets releases peers blocked in
+/// recv and the local barrier wakes and fails peers waiting there — and
+/// the failing rank's exception (the first by arrival time) is rethrown.
 void run_tcp_loopback(int num_ranks, const TcpOptions& options,
                       const std::function<void(Transport&)>& body);
 

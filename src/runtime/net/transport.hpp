@@ -9,11 +9,12 @@
 /// recv; the collectives are the defaults below, so every carrier runs the
 /// same collective code.  The carriers are
 ///
-///   * run_in_process (below): one thread per rank over per-run mailboxes
-///     in this process — the reference carrier of the parity tests.
+///   * in-process mailboxes: one thread per rank in this process — the
+///     reference carrier of the parity tests (run_in_process below, or a
+///     net::RankGroup that keeps its threads and mailboxes between runs).
 ///   * TcpTransport (tcp_transport.hpp): length-prefixed frames over
 ///     localhost/LAN sockets, one process per rank, or one thread per rank
-///     under run_tcp_loopback.
+///     of a loopback RankGroup (run_tcp_loopback).
 ///
 /// The base class provides the collectives over point-to-point send/recv,
 /// with rank 0 as the hub.  The reduction is applied in rank order
@@ -61,13 +62,15 @@ class Transport {
   [[nodiscard]] virtual Packet broadcast(int root, Packet packet);
 };
 
-/// Run \p body on \p num_ranks threads of this process, each rank
-/// speaking over per-run mailboxes (FIFO per sender/receiver pair).  A
-/// rank that throws aborts the run: peers blocked in recv — and so in any
-/// collective — fail with a TransportError, every rank is joined, and the
-/// failing rank's exception (the first by arrival time) is rethrown.  A
-/// rank outside the group in send/recv/broadcast is a fatal
-/// TransportError.
+/// Run \p body once on \p num_ranks threads of this process, each rank
+/// speaking over in-process mailboxes (FIFO per sender/receiver pair): a
+/// one-shot net::RankGroup (rank_group.hpp) that builds the threads and
+/// mailboxes, runs once and tears them down; core::MachineExecutor keeps
+/// such a group up between runs.  A rank that throws aborts the run:
+/// peers blocked in recv — and so in any collective — fail with a
+/// TransportError, every rank is joined, and the failing rank's exception
+/// (the first by arrival time) is rethrown.  A rank outside the group in
+/// send/recv/broadcast is a fatal TransportError.
 void run_in_process(int num_ranks,
                     const std::function<void(Transport&)>& body);
 

@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "api/backend.hpp"
 #include "api/errors.hpp"
@@ -113,6 +116,10 @@ TEST(SessionTransport, SpmdOverTcpMatchesInProcessThroughTheApi) {
   const Partitioning initial =
       spectral::recursive_spectral_bisection(base, 6);
 
+  // Twenty rebalances on one backend, so one rank group serves them all:
+  // every third delta also removes a vertex, and a compaction midway
+  // renumbers the ids, so the group serves rebalances on both sides of
+  // the backend's per-rank workspace invalidation.
   const auto run = [&](const std::string& transport,
                        const std::string& filters) {
     SessionConfig config;
@@ -121,16 +128,30 @@ TEST(SessionTransport, SpmdOverTcpMatchesInProcessThroughTheApi) {
     config.spmd_ranks = 2;
     config.spmd_transport = transport;
     config.spmd_wire_filters = filters;
+    config.graph_compaction = GraphCompaction::deferred;
     Session session(config, base, initial);
-    for (int step = 0; step < 2; ++step) {
-      (void)session.apply(one_vertex_delta());
+    std::vector<double> cuts;
+    for (int step = 0; step < 20; ++step) {
+      if (step == 10) (void)session.compact();
+      GraphDelta delta = one_vertex_delta();
+      if (step % 3 == 2) {
+        delta.removed_vertices = {static_cast<graph::VertexId>(20 + 7 * step)};
+      }
+      const SessionReport report = session.apply(delta);
+      EXPECT_TRUE(report.repartitioned) << transport << " step " << step;
+      cuts.push_back(session.summary().cut_total);
     }
-    return session.partitioning();
+    EXPECT_EQ(session.graph().num_dead_vertices(), 3) << transport;
+    return std::make_pair(session.partitioning(), cuts);
   };
 
-  const Partitioning expected = run("in_process", "");
-  EXPECT_EQ(expected.part, run("tcp", "").part);
-  EXPECT_EQ(expected.part, run("tcp", "delta").part);
+  const auto expected = run("in_process", "");
+  const auto tcp = run("tcp", "");
+  const auto tcp_delta = run("tcp", "delta");
+  EXPECT_EQ(expected.first.part, tcp.first.part);
+  EXPECT_EQ(expected.second, tcp.second);
+  EXPECT_EQ(expected.first.part, tcp_delta.first.part);
+  EXPECT_EQ(expected.second, tcp_delta.second);
 }
 
 }  // namespace

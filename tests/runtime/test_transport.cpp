@@ -4,11 +4,15 @@
 
 #include "runtime/net/tcp_transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -207,6 +211,46 @@ TEST(TcpTransport, PeerClosingReleasesBlockedRecv) {
       }
     }
   });
+}
+
+TEST(TcpTransport, CorruptLengthUnderTheCapFailsTypedWithoutItsAllocation) {
+  // A raw peer sends its hello and a well-formed header claiming 2^39
+  // payload bytes (under the 1 TiB cap), then closes.  The reader must
+  // fail typed when the bytes run out — not allocate what the header
+  // claims, which ends in std::bad_alloc instead of a TransportError.
+  const LocalTcpGroup group = make_local_tcp_group(2);
+  ::close(group.listen_fds[1]);  // rank 1 is the raw peer
+  const int peer = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(peer, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(group.endpoints[0].port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  // Completes in rank 0's listen backlog before rank 0 accepts.
+  ASSERT_EQ(::connect(peer, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::vector<std::uint8_t> frame = {1};  // hello: "I am rank 1"
+  const std::uint32_t magic = 0x50494750;
+  const std::uint64_t claimed = std::uint64_t{1} << 39;
+  frame.resize(1 + 4 + 2 + 8);
+  std::memcpy(frame.data() + 1, &magic, 4);
+  frame[5] = 1;  // version
+  frame[6] = 0;  // no filters
+  std::memcpy(frame.data() + 7, &claimed, 8);
+  frame.insert(frame.end(), 64, std::uint8_t{0xAB});  // a few real bytes
+  ASSERT_EQ(::send(peer, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  ::close(peer);
+
+  TcpTransport rank0(0, group.endpoints, group.listen_fds[0]);
+  try {
+    (void)rank0.recv(1);
+    FAIL() << "a frame cut short must not decode";
+  } catch (const TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("peer closed"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TcpLoopback, RankFailureAbortsCollectivePeers) {
