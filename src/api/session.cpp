@@ -246,6 +246,15 @@ SessionReport Session::apply_extended(graph::Graph g_new,
   const graph::PartitionState::EdgeDiff diff =
       state_.reconcile_extension(graph_, g_new, partitioning_, n_old);
   graph::Partitioning old = std::move(partitioning_);  // covers [0, n_old)
+  // The old vertices keep their keys and the appended ones are numbered
+  // from the session graph's counter, as add_vertex would number them, so
+  // the analyses the state carries stay exact.
+  std::vector<std::uint32_t> keys(graph_.vertex_keys());
+  std::uint32_t next_key = graph_.next_vertex_key();
+  for (graph::VertexId v = n_old; v < g_new.num_vertices(); ++v) {
+    keys.push_back(next_key++);
+  }
+  g_new.set_vertex_keys(std::move(keys), next_key);
   graph_ = std::move(g_new);
 
   counters_.extensions_applied += 1;
@@ -342,7 +351,9 @@ void Session::swap_in_rebalance(graph::Graph& g, graph::Partitioning& p,
         "session's current graph");
   }
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
-  if (!(g == graph_)) {
+  // operator== is structural; the cached analyses also read the keys.
+  if (!(g == graph_) || g.vertex_keys() != graph_.vertex_keys() ||
+      g.next_vertex_key() != graph_.next_vertex_key()) {
     throw DeltaError(
         "swap_in_rebalance: the rebalanced graph differs from the "
         "session's");

@@ -39,14 +39,16 @@ void note_tally(TallyTop& top, graph::PartId q, double sum) {
 
 /// The label with the largest tally (-1 when no tally is positive); the
 /// paper breaks ties "arbitrarily" — we spread tied vertices across the
-/// tied partitions by hashed vertex id (the pick-th tied part in ascending
-/// id order), which is deterministic but avoids piling all tied capacity
-/// onto one partition (that can make the balance LP structurally
-/// infeasible, e.g. on striped partitionings).  The first and last tied
-/// parts come straight from \p top; only a middle pick scans \p tally.
+/// tied partitions by the hash of their vertex key (the pick-th tied part
+/// in ascending id order), which is deterministic but avoids piling all
+/// tied capacity onto one partition (that can make the balance LP
+/// structurally infeasible, e.g. on striped partitionings).  The key, not
+/// the id, so that a compaction's renumbering picks nothing differently.
+/// The first and last tied parts come straight from \p top; only a middle
+/// pick scans \p tally.
 graph::PartId pick_label(const PartTally& tally, const TallyTop& top,
-                         graph::VertexId v) {
-  const std::uint64_t h = mix(static_cast<std::uint64_t>(v));
+                         std::uint32_t key) {
+  const std::uint64_t h = mix(key);
   // No tie (lo == hi) or a two-way one, the common cases: h % 2 == h & 1,
   // and a select instead of a hard-to-predict branch on the tie.
   if (top.tied <= 2) return (h & 1) != 0 ? top.hi : top.lo;
@@ -68,12 +70,12 @@ graph::PartId pick_label(const PartTally& tally, const TallyTop& top,
 
 /// pick_label over the whole tally, then clear the tally.  O(parts
 /// touched).
-graph::PartId majority_label(PartTally& tally, graph::VertexId v) {
+graph::PartId majority_label(PartTally& tally, std::uint32_t key) {
   TallyTop top;
   for (const graph::PartId q : tally.touched()) {
     note_tally(top, q, tally.sum(q));
   }
-  const graph::PartId chosen = pick_label(tally, top, v);
+  const graph::PartId chosen = pick_label(tally, top, key);
   tally.clear();
   return chosen;
 }
@@ -114,7 +116,7 @@ void advance_one_level(const graph::Graph& g, const graph::Partitioning& p,
         tally.add(label[static_cast<std::size_t>(u)], weights[i]);
       }
     }
-    const graph::PartId best = majority_label(tally, w);
+    const graph::PartId best = majority_label(tally, g.vertex_key(w));
     // best == -1 is only reachable when every edge into the previous
     // layer has weight zero; such a vertex stays unlabeled (and counts
     // toward no eps entry), exactly like the batch member sweep did.
@@ -217,8 +219,7 @@ std::optional<graph::PartitionState::VertexAnalysis> analyze_vertex(
     }
     note_tally(top, q, out);
   }
-  a.seed = pick_label(tally, top, v);
-  a.seed_hashed = top.tied > 1;
+  a.seed = pick_label(tally, top, g.vertex_key(v));
   tally.clear();
   return a;
 }
@@ -247,7 +248,6 @@ void audit_analysis(const graph::Graph& g, const graph::Partitioning& p,
     const auto cached = state.analysis(v);
     const auto fresh = analyze_vertex(g, p, v, tally);
     PIGP_CHECK(cached && fresh && cached->seed == fresh->seed &&
-                   cached->seed_hashed == fresh->seed_hashed &&
                    cached->best == fresh->best && cached->gain == fresh->gain,
                "cached vertex analysis is out of date");
   }

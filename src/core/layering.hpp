@@ -79,11 +79,12 @@ struct LayerScratch {
 
 /// One O(deg) pass over the tally out(v, ·) of \p v's edge weight per
 /// outside partition decides both the layer-0 seed label (the largest
-/// tally; ties spread by hashed vertex id) and the best refinement move
-/// (the largest gain out(v, j) - in(v) over tallies > 0; ties to the
-/// smaller id).  nullopt when no neighbour lies in another partition.
-/// Reads only the assignments of v and its neighbours and v's edge
-/// weights — the PartitionState's invalidation rule rests on that.
+/// tally; ties spread by v's hashed vertex key) and the best refinement
+/// move (the largest gain out(v, j) - in(v) over tallies > 0; ties to the
+/// smaller part).  nullopt when no neighbour lies in another partition.
+/// Reads only the assignments of v and its neighbours, v's edge weights
+/// and v's key, which never changes — the PartitionState's invalidation
+/// rule rests on that, and so does its remap keeping every analysis.
 /// \p tally is sized for p.num_parts, all-zero, and left all-zero.
 [[nodiscard]] std::optional<graph::PartitionState::VertexAnalysis>
 analyze_vertex(const graph::Graph& g, const graph::Partitioning& p,

@@ -161,6 +161,19 @@ DeltaResult apply_delta(const Graph& g, const GraphDelta& delta) {
   }
 
   result.graph = builder.build();
+  // Survivors keep their vertex keys and the additions take \p g's next
+  // keys in order: the keys add_vertex, remove_vertex and compact() give
+  // the mutable graph for the same delta.
+  std::vector<std::uint32_t> keys;
+  keys.reserve(static_cast<std::size_t>(result.graph.num_vertices()));
+  for (VertexId v = 0; v < n_old; ++v) {
+    if (!removed[static_cast<std::size_t>(v)]) keys.push_back(g.vertex_key(v));
+  }
+  std::uint32_t next_key = g.next_vertex_key();
+  for (std::size_t i = 0; i < delta.added_vertices.size(); ++i) {
+    keys.push_back(next_key++);
+  }
+  result.graph.set_vertex_keys(std::move(keys), next_key);
   return result;
 }
 

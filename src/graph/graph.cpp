@@ -25,8 +25,11 @@ Graph::Graph(std::vector<EdgeIndex> xadj, std::vector<VertexId> adjncy,
   row_len_.resize(n);
   row_cap_.resize(n);
   live_.assign(n, 1);
+  key_.resize(n);
+  next_key_ = static_cast<std::uint32_t>(n);
   for (std::size_t v = 0; v < n; ++v) {
     PIGP_CHECK(xadj[v] <= xadj[v + 1], "xadj must be non-decreasing");
+    key_[v] = static_cast<std::uint32_t>(v);
     row_begin_[v] = xadj[v];
     row_len_[v] = xadj[v + 1] - xadj[v];
     row_cap_[v] = row_len_[v];
@@ -68,6 +71,12 @@ double Graph::edge_weight(VertexId u, VertexId v) const {
       row_begin_[u] + std::distance(nbrs.begin(), it))];
 }
 
+void Graph::set_vertex_keys(std::vector<std::uint32_t> keys,
+                            std::uint32_t next_key) {
+  key_ = std::move(keys);
+  next_key_ = next_key;
+}
+
 bool Graph::has_unit_weights() const {
   const VertexId n = num_vertices();
   for (VertexId v = 0; v < n; ++v) {
@@ -88,6 +97,7 @@ VertexId Graph::add_vertex(double weight) {
   row_cap_.push_back(0);
   vertex_weights_.push_back(weight);
   live_.push_back(1);
+  key_.push_back(next_key_++);
   total_vertex_weight_ += weight;
   return v;
 }
@@ -209,6 +219,8 @@ VertexId Graph::compact(std::vector<VertexId>& old_to_new) {
     begin[static_cast<std::size_t>(nv)] = static_cast<EdgeIndex>(adj.size());
     len[static_cast<std::size_t>(nv)] = row_len_[v];
     vw[static_cast<std::size_t>(nv)] = vertex_weights_[static_cast<std::size_t>(v)];
+    // Keys move down in place: nv <= v, so none is overwritten unread.
+    key_[static_cast<std::size_t>(nv)] = key_[static_cast<std::size_t>(v)];
     const auto nbrs = neighbors(v);
     const auto ws = incident_edge_weights(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -225,6 +237,7 @@ VertexId Graph::compact(std::vector<VertexId>& old_to_new) {
   ew_ = std::move(ew);
   vertex_weights_ = std::move(vw);
   live_.assign(static_cast<std::size_t>(new_n), 1);
+  key_.resize(static_cast<std::size_t>(new_n));
   num_dead_ = 0;
   return new_n;
 }
@@ -234,7 +247,8 @@ void Graph::validate() const {
   PIGP_CHECK(row_len_.size() == static_cast<std::size_t>(n) &&
                  row_cap_.size() == static_cast<std::size_t>(n) &&
                  vertex_weights_.size() == static_cast<std::size_t>(n) &&
-                 live_.size() == static_cast<std::size_t>(n),
+                 live_.size() == static_cast<std::size_t>(n) &&
+                 key_.size() == static_cast<std::size_t>(n),
              "per-vertex array size mismatch");
   PIGP_CHECK(adj_.size() == ew_.size(), "slab size mismatch");
   EdgeIndex half_edges = 0;

@@ -37,7 +37,21 @@
 ///   * compact(): O(V + E) — rewrites the graph tightly, dropping dead ids
 ///     and garbage slots.  The mapping is order-preserving (surviving
 ///     vertices keep their relative order), matching the id-compaction
-///     convention of apply_delta since PR 1.
+///     convention of apply_delta.
+///
+/// Vertex keys.  Every vertex also carries a *birth key*: its id at the
+/// moment it was created.  The CSR constructor gives vertex v key v and
+/// sets the key counter to n; add_vertex takes the counter and advances
+/// it; compact() moves each key with its vertex and leaves the counter
+/// alone.  A key therefore never changes while its vertex lives, no two
+/// vertices created by one graph's history share a key (until 2^32
+/// creations wrap the counter), and on a graph that never compacted the
+/// key equals the id.  Copies carry the keys.  The layering's tie-break
+/// hashes the key, not the id, so a compaction cannot change a decision.
+/// Anything that rebuilds a graph from an existing one and must keep its
+/// decisions carries the keys explicitly (apply_delta, Session's
+/// extension path, make_shard); a graph read back from a METIS file
+/// starts over with key = id.
 ///
 /// Aggregates (num_edges, total_vertex_weight, adjacency_slack) are
 /// maintained incrementally and count live vertices/edges only.
@@ -135,6 +149,25 @@ class Graph {
   /// Weight of edge {u, v}, or 0.0 if the edge does not exist.
   [[nodiscard]] double edge_weight(VertexId u, VertexId v) const;
 
+  /// Birth key of \p v (see the file comment).  O(1).
+  [[nodiscard]] std::uint32_t vertex_key(VertexId v) const {
+    return key_[static_cast<std::size_t>(v)];
+  }
+  /// Every id's birth key (dead ids keep theirs until compact()).
+  [[nodiscard]] const std::vector<std::uint32_t>& vertex_keys()
+      const noexcept {
+    return key_;
+  }
+  /// The key the next add_vertex() takes.
+  [[nodiscard]] std::uint32_t next_vertex_key() const noexcept {
+    return next_key_;
+  }
+  /// Replace every id's key and the key counter — for a graph rebuilt
+  /// from another one that must keep that graph's keys.  \p keys has one
+  /// entry per id; validate() rejects any other size.
+  void set_vertex_keys(std::vector<std::uint32_t> keys,
+                       std::uint32_t next_key);
+
   /// True when every live vertex and edge weight equals 1 (the paper's
   /// default).  O(V + E).
   [[nodiscard]] bool has_unit_weights() const;
@@ -148,7 +181,8 @@ class Graph {
 
   // --- O(Δ) mutators -----------------------------------------------------
 
-  /// Append one live vertex with no edges; returns its id.  Amortized O(1).
+  /// Append one live vertex with no edges; returns its id.  It takes the
+  /// next vertex key.  Amortized O(1).
   VertexId add_vertex(double weight);
 
   /// Insert the undirected edge {u, v} (both endpoints live, u != v).
@@ -169,18 +203,21 @@ class Graph {
   /// Drop dead ids and garbage slots: surviving vertices are renumbered
   /// order-preservingly, rows become tight, and \p old_to_new receives the
   /// mapping (size = the old id space; removed ids map to kInvalidVertex).
-  /// Returns the new vertex count.  O(V + E).
+  /// Every survivor keeps its vertex key.  Returns the new vertex count.
+  /// O(V + E).
   VertexId compact(std::vector<VertexId>& old_to_new);
 
   /// Throws pigp::CheckError if the structure is malformed: out-of-range or
   /// dead neighbors, self-loops, unsorted or duplicate row entries,
   /// asymmetric edges or weights, rows escaping the slab, non-empty dead
-  /// rows, or maintained counters that disagree with a recount.
+  /// rows, a per-vertex array (the keys included) of the wrong size, or
+  /// maintained counters that disagree with a recount.
   void validate() const;
 
   /// Semantic equality: same id space, same liveness, and identical
   /// weights and sorted adjacency per live vertex.  Slot layout (capacity
-  /// slack, relocation history) is not observable.
+  /// slack, relocation history) is not observable, and neither are the
+  /// vertex keys: compare vertex_keys() where they matter.
   friend bool operator==(const Graph& a, const Graph& b);
 
  private:
@@ -200,6 +237,8 @@ class Graph {
   std::vector<double> ew_;     ///< edge-weight slab, parallel to adj_
   std::vector<double> vertex_weights_;
   std::vector<std::uint8_t> live_;
+  std::vector<std::uint32_t> key_;  ///< birth key per id
+  std::uint32_t next_key_ = 0;      ///< key of the next add_vertex()
   VertexId num_dead_ = 0;
   EdgeIndex num_half_edges_ = 0;
   double total_vertex_weight_ = 0.0;

@@ -225,8 +225,8 @@ void PartitionState::remap_vertices(const std::vector<VertexId>& old_to_new,
   // place, in ascending order, so no boundary slot is overwritten before
   // it is read.  An interior vertex's slot may keep a stale value: it is
   // never read before the mutator that makes the vertex boundary
-  // invalidates it.  A boundary analysis survives the renumbering unless
-  // its seed tie-break hashed the old id.
+  // invalidates it.  Every boundary analysis survives the renumbering: it
+  // reads the vertex key, never the id.
   for_each_boundary([&](VertexId old_v) {
     PIGP_CHECK(old_v < static_cast<VertexId>(old_to_new.size()),
                "remap_vertices: boundary vertex out of range");
@@ -240,11 +240,7 @@ void PartitionState::remap_vertices(const std::vector<VertexId>& old_to_new,
         ext_degree_[static_cast<std::size_t>(old_v)];
     const auto vi = static_cast<std::size_t>(new_v);
     bits[vi / 64] |= std::uint64_t{1} << (vi % 64);
-    AnalysisSlot slot = analysis_[static_cast<std::size_t>(old_v)];
-    // Branch-free: whether a seed was hashed is close to a coin flip.
-    const auto renumbered = static_cast<std::uint32_t>(new_v != old_v);
-    slot.valid &= ~(slot.seed_hashed & renumbered);
-    analysis_[vi] = slot;
+    analysis_[vi] = analysis_[static_cast<std::size_t>(old_v)];
   });
   ext_degree_ = std::move(ext);
   boundary_bits_ = std::move(bits);

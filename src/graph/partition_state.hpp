@@ -55,8 +55,10 @@
 /// every mutator invalidates the slots whose tally it can change —
 /// move_vertex the mover and its neighbours, the edge methods both
 /// endpoints, rebuild/grow_vertices the ids they (re)create — and
-/// remap_vertices carries the boundary's slots, so a rebalance
-/// re-analyses only what changed since the last one.
+/// remap_vertices carries every boundary slot: an analysis reads no id
+/// (the seed tie-break hashes Graph::vertex_key, which a compaction
+/// keeps), so a renumbered vertex's analysis is still exact, and a
+/// rebalance re-analyses only what changed since the last one.
 
 #include <bit>
 #include <cstddef>
@@ -219,10 +221,7 @@ class PartitionState {
 
   /// What one O(deg) pass over a boundary vertex's neighbourhood decides.
   struct VertexAnalysis {
-    PartId seed = -1;  ///< layer-0 label (-1: all external weight is 0)
-    /// The seed came from the hashed tie-break, which reads v's id: a
-    /// remap that renumbers v invalidates it.
-    bool seed_hashed = false;
+    PartId seed = -1;   ///< layer-0 label (-1: all external weight is 0)
     PartId best = -1;   ///< refinement destination (-1: none)
     double gain = 0.0;  ///< out(v, best) - in(v)
   };
@@ -231,15 +230,14 @@ class PartitionState {
   [[nodiscard]] std::optional<VertexAnalysis> analysis(VertexId v) const {
     const AnalysisSlot& s = analysis_[static_cast<std::size_t>(v)];
     if (s.valid == 0) return std::nullopt;
-    return VertexAnalysis{s.seed, s.seed_hashed != 0, s.best, s.gain};
+    return VertexAnalysis{s.seed, s.best, s.gain};
   }
   /// Cache \p a, which must be v's exact analysis for the current graph
   /// and partitioning.  The cache is logically const, so this is a const
   /// member; calls for different vertices may run concurrently (each slot
   /// holds its own validity), calls for one vertex may not.  O(1).
   void store_analysis(VertexId v, const VertexAnalysis& a) const {
-    analysis_[static_cast<std::size_t>(v)] = {a.gain, a.best, a.seed_hashed,
-                                              a.seed, 1};
+    analysis_[static_cast<std::size_t>(v)] = {a.gain, a.best, a.seed, 1};
   }
 
   // --- O(Δ) undo journal ---
@@ -354,8 +352,7 @@ class PartitionState {
   /// relies on.
   struct AnalysisSlot {
     double gain = 0.0;
-    PartId best : 31 = -1;
-    std::uint32_t seed_hashed : 1 = 0;
+    PartId best = -1;
     PartId seed : 31 = -1;
     std::uint32_t valid : 1 = 0;
   };

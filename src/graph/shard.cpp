@@ -200,6 +200,8 @@ GraphShard make_shard(const Graph& g, const Partitioning& p, int rank,
     assembler.add_row(v, g.vertex_weight(v), nbrs, weights);
   }
   GraphShard shard = assembler.finish();
+  // The shard keeps the full graph's ids, so it keeps its keys too.
+  shard.graph.set_vertex_keys(g.vertex_keys(), g.next_vertex_key());
   shard.graph.validate();  // freshly cut shards are symmetric by design
   return shard;
 }

@@ -24,8 +24,10 @@
 /// Parity invariants (the reason the shard keeps GLOBAL vertex ids and
 /// whole rows rather than compacting):
 ///   * resident rows are byte-identical to the full graph's rows — the
-///     layering's floating tally sums follow stored row order, and its
-///     tie-breaks hash the global vertex id;
+///     layering's floating tally sums follow stored row order — and every
+///     id keeps the full graph's vertex key, which its tie-breaks hash
+///     (make_shard copies the keys; a shard loaded from a METIS file,
+///     like the full graph read from it, has key = id);
 ///   * a vertex in an owned partition always has its full row resident
 ///     (the worker maintains this across migrations);
 ///   * halo rows keep only edges into resident vertices, which preserves

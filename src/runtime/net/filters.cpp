@@ -153,6 +153,9 @@ class DeltaVarintFilter final : public Filter {
 };
 
 #ifdef PIGP_HAVE_ZLIB
+/// Deflate's largest expansion ratio (a run of one byte).
+constexpr std::uint64_t kMaxZlibRatio = 1032;
+
 class ZlibFilter final : public Filter {
  public:
   [[nodiscard]] std::uint8_t id() const noexcept override { return 2; }
@@ -183,7 +186,10 @@ class ZlibFilter final : public Filter {
     std::size_t cursor = 0;
     const std::uint64_t original =
         read_varint(bytes.data(), bytes.size(), cursor);
-    if (original > (1ULL << 40)) {
+    // A claim deflate cannot reach from these bytes is a corrupt or
+    // hostile frame: refuse it before allocating the output.
+    const std::uint64_t compressed = bytes.size() - cursor;
+    if (original > kMaxZlibRatio * compressed + 64) {
       throw TransportError("zlib frame claims implausible size");
     }
     std::vector<std::uint8_t> out(static_cast<std::size_t>(original));

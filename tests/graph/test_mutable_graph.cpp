@@ -1,10 +1,14 @@
-// Slotted mutable Graph: O(Δ) mutators, overflow relocation, compaction.
+// Slotted mutable Graph: O(Δ) mutators, overflow relocation, compaction,
+// and the vertex keys that compaction carries.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <vector>
 
 #include "graph/builder.hpp"
+#include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "support/check.hpp"
 
@@ -193,6 +197,124 @@ TEST(MutableGraph, ValidateCatchesCounterDrift) {
   std::vector<VertexId> old_to_new;
   g.compact(old_to_new);
   g.validate();
+}
+
+TEST(MutableGraphKeys, FreshGraphKeysAreIds) {
+  const Graph g = square();
+  EXPECT_EQ(g.vertex_keys(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(g.next_vertex_key(), 4u);
+  EXPECT_EQ(Graph().next_vertex_key(), 0u);
+}
+
+TEST(MutableGraphKeys, KeysSurviveCompaction) {
+  Graph g = square();
+  const VertexId added = g.add_vertex(1.0);  // id 4, key 4
+  g.insert_edge(added, 1, 1.0);
+  g.remove_vertex(0);
+  g.remove_vertex(2);
+  std::vector<VertexId> old_to_new;
+  ASSERT_EQ(g.compact(old_to_new), 3);
+  // Survivors 1, 3, 4 become 0, 1, 2 and keep the keys they were born with.
+  EXPECT_EQ(g.vertex_keys(), (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_EQ(g.next_vertex_key(), 5u);
+  g.validate();
+}
+
+TEST(MutableGraphKeys, AddAfterCompactionNeverReusesALiveKey) {
+  Graph g = square();
+  std::vector<VertexId> old_to_new;
+  for (int round = 0; round < 4; ++round) {
+    g.remove_vertex(0);
+    g.compact(old_to_new);
+    for (int i = 0; i < 3; ++i) {
+      const VertexId v = g.add_vertex(1.0);
+      g.insert_edge(v, 0, 1.0);
+    }
+    std::set<std::uint32_t> live;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_LT(g.vertex_key(v), g.next_vertex_key());
+      EXPECT_TRUE(live.insert(g.vertex_key(v)).second)
+          << "key " << g.vertex_key(v) << " reused in round " << round;
+    }
+  }
+  // The ids were recycled down to [0, n); the keys only ever grew.
+  EXPECT_EQ(g.num_vertices(), 12);
+  EXPECT_EQ(g.next_vertex_key(), 16u);
+}
+
+TEST(MutableGraphKeys, CopiesCarryKeys) {
+  Graph g = square();
+  g.remove_vertex(1);
+  std::vector<VertexId> old_to_new;
+  g.compact(old_to_new);
+  g.add_vertex(2.0);
+  const Graph copy = g;
+  EXPECT_EQ(copy.vertex_keys(), g.vertex_keys());
+  EXPECT_EQ(copy.next_vertex_key(), g.next_vertex_key());
+  Graph assigned;
+  assigned = g;
+  EXPECT_EQ(assigned.vertex_keys(), (std::vector<std::uint32_t>{0, 2, 3, 4}));
+  EXPECT_EQ(assigned.next_vertex_key(), 5u);
+}
+
+/// \p delta applied in place: removals, additions (taking ids after the
+/// current id space, as the delta numbers them), added edges, compact().
+void apply_in_place(Graph& g, const GraphDelta& delta) {
+  for (const auto& [u, v] : delta.removed_edges) g.remove_edge(u, v);
+  for (const VertexId v : delta.removed_vertices) g.remove_vertex(v);
+  for (const VertexAddition& add : delta.added_vertices) {
+    const VertexId self = g.add_vertex(add.weight);
+    for (const auto& [u, w] : add.edges) g.insert_edge(self, u, w);
+  }
+  for (const auto& [u, v] : delta.added_edges) g.insert_edge(u, v, 1.0);
+  std::vector<VertexId> old_to_new;
+  g.compact(old_to_new);
+}
+
+TEST(MutableGraphKeys, ApplyDeltaGivesTheMutablePathsKeys) {
+  GraphBuilder b(8);
+  for (VertexId v = 0; v < 8; ++v) b.add_edge(v, (v + 1) % 8);
+  Graph rebuilt = b.build();
+  Graph mutated = rebuilt;
+  // Two rounds, so the second delta starts from keys that are not ids.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    GraphDelta delta;
+    delta.removed_vertices = {1, 4};
+    // The first edge whose endpoints both survive.
+    for (VertexId u = 0; delta.removed_edges.empty(); ++u) {
+      for (const VertexId v : rebuilt.neighbors(u)) {
+        if (u != 1 && u != 4 && v != 1 && v != 4) {
+          delta.removed_edges = {{u, v}};
+          break;
+        }
+      }
+    }
+    const VertexId n = rebuilt.num_vertices();
+    delta.added_vertices.push_back({1.0, {{0, 1.0}, {2, 1.0}}});
+    delta.added_vertices.push_back({1.0, {{n, 1.0}, {6, 1.0}}});
+    delta.added_edges = {{3, n + 1}};
+    rebuilt = apply_delta(rebuilt, delta).graph;
+    apply_in_place(mutated, delta);
+    EXPECT_EQ(rebuilt, mutated);
+    EXPECT_EQ(rebuilt.vertex_keys(), mutated.vertex_keys());
+    EXPECT_EQ(rebuilt.next_vertex_key(), mutated.next_vertex_key());
+    rebuilt.validate();
+  }
+  EXPECT_EQ(rebuilt.vertex_keys(),
+            (std::vector<std::uint32_t>{0, 3, 5, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(rebuilt.next_vertex_key(), 12u);
+}
+
+TEST(MutableGraphKeys, ValidateRejectsAKeyArrayOfTheWrongSize) {
+  Graph g = square();
+  g.set_vertex_keys({0, 1, 2}, 4);
+  EXPECT_THROW(g.validate(), CheckError);
+  g.set_vertex_keys({0, 1, 2, 3, 4}, 5);
+  EXPECT_THROW(g.validate(), CheckError);
+  g.set_vertex_keys({7, 1, 2, 3}, 8);
+  g.validate();
+  EXPECT_EQ(g.vertex_key(0), 7u);
 }
 
 }  // namespace

@@ -268,5 +268,25 @@ TEST(Filters, ZlibRoundTripWhenAvailable) {
   EXPECT_EQ(decode_through(ids, std::move(encoded)), original);
 }
 
+TEST(Filters, ZlibFrameClaimingTooMuchIsATransportError) {
+  if (!zlib_filter_available()) GTEST_SKIP() << "built without zlib";
+  const Filter* zlib = find_filter("zlib");
+  ASSERT_NE(zlib, nullptr);
+  // A real frame whose size prefix is rewritten to claim 2^39 bytes: the
+  // filter must refuse it before allocating, not end in bad_alloc.
+  std::vector<std::uint8_t> payload(4096, 7);
+  const std::vector<std::uint8_t> encoded = zlib->encode(payload);
+  std::size_t cursor = 0;
+  (void)read_varint(encoded.data(), encoded.size(), cursor);
+  std::vector<std::uint8_t> hostile;
+  append_varint(hostile, std::uint64_t{1} << 39);
+  hostile.insert(hostile.end(),
+                 encoded.begin() + static_cast<std::ptrdiff_t>(cursor),
+                 encoded.end());
+  EXPECT_THROW((void)zlib->decode(hostile), TransportError);
+  // The true claim still decodes.
+  EXPECT_EQ(zlib->decode(encoded), payload);
+}
+
 }  // namespace
 }  // namespace pigp::net
