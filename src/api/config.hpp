@@ -53,10 +53,12 @@ enum class GraphCompaction {
   /// after apply() are exactly the ids the historical rebuild path
   /// produced — the drop-in-compatible default.
   eager,
-  /// Defer compaction until dead ids or adjacency-slab slack exceed
-  /// compaction_slack (or Session::compact() is called).  Ids stay stable
-  /// across removal deltas and apply() cost drops to O(Δ) even for the
-  /// remap bookkeeping.  Requires an in-place backend ("igp", "igpr",
+  /// Defer compaction until dead ids or abandoned adjacency slots exceed
+  /// compaction_slack (or Session::compact() is called).  Only relocated
+  /// and removed rows abandon slots; the free reserve that compact()
+  /// leaves in every row does not count.  Ids stay stable across removal
+  /// deltas and apply() cost drops to O(Δ) even for the remap
+  /// bookkeeping.  Requires an in-place backend ("igp", "igpr",
   /// "spmd") — batch backends rebuild from the full graph each tick and
   /// cannot see tombstones.
   deferred,
@@ -151,8 +153,10 @@ struct SessionConfig {
   // --- graph compaction (deltas with removals) ---
   GraphCompaction graph_compaction = GraphCompaction::eager;
   /// GraphCompaction::deferred trigger: compact when dead vertices exceed
-  /// this fraction of the id space, or unused adjacency slots exceed this
-  /// fraction of the adjacency slab.  In (0, 1].
+  /// this fraction of the id space, or abandoned adjacency slots (the old
+  /// blocks of relocated rows and the rows of removed vertices, i.e.
+  /// Graph::adjacency_slack()) exceed this fraction of the adjacency slab.
+  /// Free slots in a live row's reserve are not abandoned.  In (0, 1].
   double compaction_slack = 0.5;
 
   // --- async session (AsyncSession only; ignored by Session) ---

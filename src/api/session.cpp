@@ -151,9 +151,12 @@ SessionReport Session::apply(const graph::GraphDelta& delta) {
 
   // Compaction policy.  Eager reclaims dead ids at the end of every delta
   // that removed something — ids after apply() are exactly what the
-  // historical rebuild path produced.  Deferred waits until dead ids or
-  // adjacency slack exceed the configured fraction, keeping ids stable and
-  // the per-delta cost at O(Δ).
+  // historical rebuild path produced.  Deferred waits until dead ids exceed
+  // the configured fraction of the id space, or abandoned adjacency slots
+  // (relocated and removed rows, not row reserve) that fraction of the
+  // slab, keeping ids stable and the per-delta cost at O(Δ).  A row's
+  // reserve never counts, so the reserve that a relocation or a compaction
+  // opens cannot bring the next compaction closer.
   bool compacted = false;
   if (resolved_.session.graph_compaction == GraphCompaction::eager) {
     if (delta.has_removals()) {
@@ -195,6 +198,11 @@ const std::vector<graph::VertexId>& Session::compact() {
 }
 
 void Session::compact_now() {
+#if defined(PIGP_VALIDATE) || !defined(NDEBUG)
+  // The full audit recounts the abandoned-slot counter the deferred
+  // trigger reads, before compact() resets it.  O(V + E), like compact().
+  graph_.validate();
+#endif
   const graph::VertexId n = graph_.num_vertices();
   const graph::VertexId new_n = graph_.compact(last_compaction_);
   // Forward rewrite is safe in place: the order-preserving mapping never

@@ -106,6 +106,7 @@ void Graph::relocate_row(VertexId u, EdgeIndex new_cap) {
   const auto len = static_cast<std::size_t>(row_len_[u]);
   const auto old_begin = static_cast<std::size_t>(row_begin_[u]);
   const auto new_begin = adj_.size();
+  garbage_ += row_cap_[u];
   adj_.resize(new_begin + static_cast<std::size_t>(new_cap));
   ew_.resize(new_begin + static_cast<std::size_t>(new_cap));
   std::copy_n(adj_.begin() + static_cast<std::ptrdiff_t>(old_begin), len,
@@ -189,6 +190,7 @@ void Graph::remove_vertex(VertexId v) {
     half_remove(u, v);
   }
   num_half_edges_ -= 2 * row_len_[v];
+  garbage_ += row_cap_[v];
   row_len_[v] = 0;
   row_cap_[v] = 0;
   total_vertex_weight_ -= vertex_weights_[static_cast<std::size_t>(v)];
@@ -206,39 +208,59 @@ VertexId Graph::compact(std::vector<VertexId>& old_to_new) {
   }
   const VertexId new_n = next;
 
-  std::vector<VertexId> adj;
-  std::vector<double> ew;
-  adj.reserve(static_cast<std::size_t>(num_half_edges_));
-  ew.reserve(static_cast<std::size_t>(num_half_edges_));
+  // Each survivor gets len + len/4 slots, so the inserts that follow a
+  // compaction fill the reserve before any row relocates again, and the
+  // slabs keep a quarter more capacity for the overflow arena, so the
+  // relocations that do follow append instead of reallocating (and
+  // copying) the whole slab.
   std::vector<EdgeIndex> begin(static_cast<std::size_t>(new_n));
   std::vector<EdgeIndex> len(static_cast<std::size_t>(new_n));
+  std::vector<EdgeIndex> cap(static_cast<std::size_t>(new_n));
   std::vector<double> vw(static_cast<std::size_t>(new_n));
+  EdgeIndex slab = 0;
   for (VertexId v = 0; v < n; ++v) {
     if (!is_live(v)) continue;
-    const VertexId nv = old_to_new[static_cast<std::size_t>(v)];
-    begin[static_cast<std::size_t>(nv)] = static_cast<EdgeIndex>(adj.size());
-    len[static_cast<std::size_t>(nv)] = row_len_[v];
-    vw[static_cast<std::size_t>(nv)] = vertex_weights_[static_cast<std::size_t>(v)];
+    const auto nv =
+        static_cast<std::size_t>(old_to_new[static_cast<std::size_t>(v)]);
+    begin[nv] = slab;
+    len[nv] = row_len_[v];
+    cap[nv] = row_len_[v] + row_len_[v] / kCompactReserveDivisor;
+    slab += cap[nv];
+  }
+  const auto arena = static_cast<std::size_t>(slab / kCompactReserveDivisor);
+  std::vector<VertexId> adj;
+  std::vector<double> ew;
+  adj.reserve(static_cast<std::size_t>(slab) + arena);
+  ew.reserve(static_cast<std::size_t>(slab) + arena);
+  adj.resize(static_cast<std::size_t>(slab));
+  ew.resize(static_cast<std::size_t>(slab));
+  for (VertexId v = 0; v < n; ++v) {
+    if (!is_live(v)) continue;
+    const auto nv =
+        static_cast<std::size_t>(old_to_new[static_cast<std::size_t>(v)]);
+    vw[nv] = vertex_weights_[static_cast<std::size_t>(v)];
     // Keys move down in place: nv <= v, so none is overwritten unread.
-    key_[static_cast<std::size_t>(nv)] = key_[static_cast<std::size_t>(v)];
+    key_[nv] = key_[static_cast<std::size_t>(v)];
     const auto nbrs = neighbors(v);
     const auto ws = incident_edge_weights(v);
+    const auto out = static_cast<std::size_t>(begin[nv]);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       // Order-preserving mapping keeps rows sorted after renumbering.
-      adj.push_back(old_to_new[static_cast<std::size_t>(nbrs[i])]);
-      ew.push_back(ws[i]);
+      adj[out + i] = old_to_new[static_cast<std::size_t>(nbrs[i])];
+      ew[out + i] = ws[i];
     }
   }
 
   row_begin_ = std::move(begin);
   row_len_ = std::move(len);
-  row_cap_ = row_len_;
+  row_cap_ = std::move(cap);
   adj_ = std::move(adj);
   ew_ = std::move(ew);
   vertex_weights_ = std::move(vw);
   live_.assign(static_cast<std::size_t>(new_n), 1);
   key_.resize(static_cast<std::size_t>(new_n));
   num_dead_ = 0;
+  garbage_ = 0;
   return new_n;
 }
 
@@ -252,17 +274,19 @@ void Graph::validate() const {
              "per-vertex array size mismatch");
   PIGP_CHECK(adj_.size() == ew_.size(), "slab size mismatch");
   EdgeIndex half_edges = 0;
+  EdgeIndex row_slots = 0;
   VertexId dead = 0;
   double total_weight = 0.0;
   for (VertexId v = 0; v < n; ++v) {
     PIGP_CHECK(row_len_[v] >= 0 && row_len_[v] <= row_cap_[v],
                "row length exceeds capacity");
+    row_slots += row_cap_[v];
     PIGP_CHECK(row_begin_[v] >= 0 &&
                    row_begin_[v] + row_cap_[v] <=
                        static_cast<EdgeIndex>(adj_.size()),
                "row escapes the adjacency slab");
     if (!is_live(v)) {
-      PIGP_CHECK(row_len_[v] == 0, "dead vertex has a non-empty row");
+      PIGP_CHECK(row_cap_[v] == 0, "dead vertex holds adjacency slots");
       PIGP_CHECK(vertex_weights_[static_cast<std::size_t>(v)] == 0.0,
                  "dead vertex has non-zero weight");
       ++dead;
@@ -286,6 +310,8 @@ void Graph::validate() const {
   }
   PIGP_CHECK(half_edges == num_half_edges_, "half-edge counter out of sync");
   PIGP_CHECK(dead == num_dead_, "dead-vertex counter out of sync");
+  PIGP_CHECK(garbage_ == static_cast<EdgeIndex>(adj_.size()) - row_slots,
+             "abandoned-slot counter out of sync");
   PIGP_CHECK(total_weight == total_vertex_weight_ ||
                  std::abs(total_weight - total_vertex_weight_) <=
                      1e-9 * (1.0 + std::abs(total_weight)),

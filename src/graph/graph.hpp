@@ -13,11 +13,15 @@
 /// path's O(V+E) wall was the rebuild a structural delta forced.  The graph
 /// is now *slotted*: every vertex owns a row [row_begin_[v],
 /// row_begin_[v] + row_len_[v]) inside shared adjacency slabs, with
-/// row_cap_[v] >= row_len_[v] slots of capacity.  Construction from CSR
-/// produces tight rows (cap == len, slabs == CSR arrays, no overhead); a
-/// row that outgrows its capacity is relocated to the end of the slab with
-/// doubled capacity (the *overflow arena*), leaving its old slots behind as
-/// garbage.  Rows stay sorted by neighbor id, so every read-side guarantee
+/// row_cap_[v] >= row_len_[v] slots of capacity; the cap - len free slots
+/// of a row are its *reserve*.  Construction from CSR produces tight rows
+/// (cap == len, slabs == CSR arrays, no overhead); compact() leaves each
+/// row a reserve of len/4.  A row that outgrows its capacity is relocated
+/// to the end of the slab with doubled capacity (the *overflow arena*),
+/// leaving its old slots behind as *garbage*, and a removed vertex leaves
+/// its whole row behind the same way.  Garbage is the only memory the
+/// graph loses: a slot freed by remove_edge stays in its row's reserve.
+/// Rows stay sorted by neighbor id, so every read-side guarantee
 /// of the CSR era still holds: neighbors()/incident_edge_weights() return
 /// contiguous sorted spans, has_edge()/edge_weight() binary-search.
 ///
@@ -34,10 +38,23 @@
 ///     completely isolated — no adjacency walk can ever reach one — which
 ///     is the invariant that lets every boundary-local pipeline phase run
 ///     unmodified over a graph with tombstones.
-///   * compact(): O(V + E) — rewrites the graph tightly, dropping dead ids
-///     and garbage slots.  The mapping is order-preserving (surviving
-///     vertices keep their relative order), matching the id-compaction
-///     convention of apply_delta.
+///   * compact(): O(V + E) — rewrites the graph into fresh slabs, dropping
+///     dead ids and garbage, with a reserve of len/4 per row so that the
+///     next inserts do not all relocate, and slab capacity for a quarter
+///     more slots so that the next relocations do not reallocate the
+///     slab.  The mapping is order-preserving (surviving vertices keep
+///     their relative order), matching the id-compaction convention of
+///     apply_delta.
+///
+/// Memory bound.  adjacency_slack() counts garbage only, so a caller that
+/// compacts once garbage exceeds a fraction s < 1 of the slab (Session's
+/// deferred trigger) has slab <= (Σ_v row_cap(v)) / (1 - s) after every
+/// check.  A row's capacity is at most max(4, 2 · its peak degree since
+/// the last compaction): compaction leaves 1.25 · len, and a row relocates
+/// only when full, to twice its capacity (an empty row goes to 4).  A
+/// relocation of a full row abandons as many slots as the reserve it
+/// opens, so the reserve that relocations create never outgrows the
+/// garbage the trigger already bounds.
 ///
 /// Vertex keys.  Every vertex also carries a *birth key*: its id at the
 /// moment it was created.  The CSR constructor gives vertex v key v and
@@ -54,7 +71,7 @@
 /// starts over with key = id.
 ///
 /// Aggregates (num_edges, total_vertex_weight, adjacency_slack) are
-/// maintained incrementally and count live vertices/edges only.
+/// maintained incrementally; the first two count live vertices/edges only.
 ///
 /// Thread safety: const member functions are safe to call concurrently;
 /// any mutation requires exclusive access (same rule as the containers it
@@ -115,14 +132,16 @@ class Graph {
     return num_half_edges_;
   }
 
-  /// Adjacency slots currently held but not storing a live half-edge:
-  /// per-row capacity slack plus the garbage left behind by row
-  /// relocations and removals.  The deferred-compaction trigger watches
-  /// this against the slab size.  O(1).
+  /// Abandoned adjacency slots (garbage): the old blocks of relocated rows
+  /// and the rows of removed vertices, since the last compact().  A row's
+  /// own reserve (cap - len) is not counted — it is not lost, the row's
+  /// next inserts use it.  The deferred-compaction trigger watches this
+  /// against adjacency_capacity().  O(1).
   [[nodiscard]] EdgeIndex adjacency_slack() const noexcept {
-    return static_cast<EdgeIndex>(adj_.size()) - num_half_edges_;
+    return garbage_;
   }
-  /// Total allocated adjacency slots (live + slack).  O(1).
+  /// Total allocated adjacency slots: live half-edges, row reserves and
+  /// garbage.  O(1).
   [[nodiscard]] EdgeIndex adjacency_capacity() const noexcept {
     return static_cast<EdgeIndex>(adj_.size());
   }
@@ -192,26 +211,30 @@ class Graph {
   bool insert_edge(VertexId u, VertexId v, double w);
 
   /// Remove the undirected edge {u, v} (must exist); returns its weight.
-  /// O(deg(u) + deg(v)).
+  /// The freed slots stay in the two rows' reserves.  O(deg(u) + deg(v)).
   double remove_edge(VertexId u, VertexId v);
 
   /// Remove \p v (must be live): every incident edge goes too, the id
-  /// becomes dead with weight 0 and an empty row.  Ids do not shift — use
-  /// compact() to reclaim them.  O(Σ_{u ∈ N(v)} deg(u)).
+  /// becomes dead with weight 0 and an empty row, and the row's capacity
+  /// becomes garbage.  Ids do not shift — use compact() to reclaim them.
+  /// O(Σ_{u ∈ N(v)} deg(u)).
   void remove_vertex(VertexId v);
 
-  /// Drop dead ids and garbage slots: surviving vertices are renumbered
-  /// order-preservingly, rows become tight, and \p old_to_new receives the
-  /// mapping (size = the old id space; removed ids map to kInvalidVertex).
-  /// Every survivor keeps its vertex key.  Returns the new vertex count.
-  /// O(V + E).
+  /// Drop dead ids and garbage: surviving vertices are renumbered
+  /// order-preservingly into slabs sized exactly to Σ cap, each row with
+  /// cap = len + len/4 (the slabs' allocations hold a quarter more for
+  /// the overflow arena), and \p old_to_new receives the mapping (size =
+  /// the old id space; removed ids map to kInvalidVertex).
+  /// adjacency_slack() is 0 afterwards.  Every survivor keeps its vertex
+  /// key.  Returns the new vertex count.  O(V + E).
   VertexId compact(std::vector<VertexId>& old_to_new);
 
   /// Throws pigp::CheckError if the structure is malformed: out-of-range or
   /// dead neighbors, self-loops, unsorted or duplicate row entries,
-  /// asymmetric edges or weights, rows escaping the slab, non-empty dead
-  /// rows, a per-vertex array (the keys included) of the wrong size, or
-  /// maintained counters that disagree with a recount.
+  /// asymmetric edges or weights, rows escaping the slab, dead rows that
+  /// hold slots, a per-vertex array (the keys included) of the wrong size,
+  /// or maintained counters that disagree with a recount (the garbage
+  /// counter against slab size - Σ row_cap).
   void validate() const;
 
   /// Semantic equality: same id space, same liveness, and identical
@@ -227,13 +250,18 @@ class Graph {
   /// Remove \p v from \p u's sorted row (must be present).  Returns the
   /// stored weight.
   double half_remove(VertexId u, VertexId v);
-  /// Move \p u's row to the end of the slab with capacity \p new_cap.
+  /// Move \p u's row to the end of the slab with capacity \p new_cap; its
+  /// old block becomes garbage.
   void relocate_row(VertexId u, EdgeIndex new_cap);
+
+  /// compact() gives each row len / kCompactReserveDivisor spare slots,
+  /// and the overflow arena slab / kCompactReserveDivisor.
+  static constexpr EdgeIndex kCompactReserveDivisor = 4;
 
   std::vector<EdgeIndex> row_begin_;
   std::vector<EdgeIndex> row_len_;
   std::vector<EdgeIndex> row_cap_;
-  std::vector<VertexId> adj_;  ///< adjacency slab (rows + slack + garbage)
+  std::vector<VertexId> adj_;  ///< adjacency slab (rows + reserve + garbage)
   std::vector<double> ew_;     ///< edge-weight slab, parallel to adj_
   std::vector<double> vertex_weights_;
   std::vector<std::uint8_t> live_;
@@ -241,6 +269,7 @@ class Graph {
   std::uint32_t next_key_ = 0;      ///< key of the next add_vertex()
   VertexId num_dead_ = 0;
   EdgeIndex num_half_edges_ = 0;
+  EdgeIndex garbage_ = 0;  ///< abandoned slots since the last compact()
   double total_vertex_weight_ = 0.0;
 };
 

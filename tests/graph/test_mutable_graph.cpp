@@ -1,5 +1,5 @@
 // Slotted mutable Graph: O(Δ) mutators, overflow relocation, compaction,
-// and the vertex keys that compaction carries.
+// the abandoned-slot counter, and the vertex keys that compaction carries.
 
 #include <gtest/gtest.h>
 
@@ -196,6 +196,78 @@ TEST(MutableGraph, ValidateCatchesCounterDrift) {
   g.validate();  // tombstoned state is well-formed
   std::vector<VertexId> old_to_new;
   g.compact(old_to_new);
+  g.validate();
+}
+
+// adjacency_slack() counts abandoned slots only: the old blocks of
+// relocated rows and the rows of removed vertices.  A row's reserve is not
+// abandoned.
+TEST(MutableGraphSlack, RelocationAbandonsTheOldCapacity) {
+  Graph g = square();  // every row tight: len 2, cap 2
+  const VertexId v = g.add_vertex(1.0);  // cap 0
+  g.insert_edge(0, v, 1.0);  // row 0 moves 2 -> 4, row v 0 -> 4
+  EXPECT_EQ(g.adjacency_slack(), 2);
+  EXPECT_EQ(g.adjacency_capacity(), 8 + 4 + 4);
+  g.insert_edge(0, 2, 1.0);  // row 0 has room; row 2 moves 2 -> 4
+  EXPECT_EQ(g.adjacency_slack(), 4);
+  g.validate();
+}
+
+TEST(MutableGraphSlack, RemoveVertexAbandonsItsRow) {
+  Graph g = square();
+  g.insert_edge(0, 2, 1.0);  // rows 0 and 2 move 2 -> 4
+  ASSERT_EQ(g.adjacency_slack(), 4);
+  g.remove_vertex(0);  // its cap-4 row; the neighbours keep theirs
+  EXPECT_EQ(g.adjacency_slack(), 8);
+  g.remove_vertex(3);  // a tight row of 2
+  EXPECT_EQ(g.adjacency_slack(), 10);
+  g.validate();
+}
+
+TEST(MutableGraphSlack, RemoveEdgeAbandonsNothing) {
+  Graph g = square();
+  const EdgeIndex capacity = g.adjacency_capacity();
+  g.remove_edge(0, 1);
+  EXPECT_EQ(g.adjacency_slack(), 0);  // the slots stay in the rows' reserve
+  EXPECT_EQ(g.adjacency_capacity(), capacity);
+  g.insert_edge(0, 1, 1.0);  // and the reinsert takes them back in place
+  EXPECT_EQ(g.adjacency_slack(), 0);
+  EXPECT_EQ(g.adjacency_capacity(), capacity);
+  g.validate();
+}
+
+TEST(MutableGraphSlack, CompactResetsTheCounter) {
+  Graph g = square();
+  g.insert_edge(0, 2, 1.0);
+  g.remove_vertex(1);
+  ASSERT_GT(g.adjacency_slack(), 0);
+  std::vector<VertexId> old_to_new;
+  g.compact(old_to_new);
+  EXPECT_EQ(g.adjacency_slack(), 0);
+  g.validate();
+}
+
+TEST(MutableGraphSlack, CompactedRowKeepsAQuarterInReserve) {
+  // Hub 0 has degree 16; vertices 17..21 form a K5, so each has degree 4.
+  GraphBuilder b(22);
+  for (VertexId v = 1; v <= 16; ++v) b.add_edge(0, v);
+  for (VertexId u = 17; u <= 21; ++u) {
+    for (VertexId v = u + 1; v <= 21; ++v) b.add_edge(u, v);
+  }
+  Graph g = b.build();
+  std::vector<VertexId> old_to_new;
+  g.compact(old_to_new);
+  // Rows of degree d hold d + d/4 slots: 20 for the hub, 5 in the K5.
+  const EdgeIndex capacity = g.adjacency_capacity();
+  EXPECT_EQ(capacity, 20 + 16 * 1 + 5 * 5);
+  for (VertexId v = 17; v <= 20; ++v) {  // 16 / 4 inserts, all in place
+    g.insert_edge(0, v, 1.0);
+    EXPECT_EQ(g.adjacency_capacity(), capacity);
+    EXPECT_EQ(g.adjacency_slack(), 0);
+  }
+  g.insert_edge(0, 21, 1.0);  // the fifth relocates the hub's 20 slots
+  EXPECT_EQ(g.adjacency_slack(), 20);
+  EXPECT_EQ(g.adjacency_capacity(), capacity + 40);
   g.validate();
 }
 
