@@ -20,10 +20,13 @@ blocking-under-lock  A blocking queue/transport call (BoundedQueue
                      holder and invite lock-order deadlocks.
 steady-state-alloc   An explicitly allocating expression (new, make_unique/
                      make_shared, malloc family, std::to_string,
-                     std::string(...)) inside a function marked with the
-                     `// pigp:steady-state` contract comment.  Amortized
-                     container growth (push_back into pooled buffers) is
-                     allowed; naked allocations are not.
+                     std::string(...), and the algorithms that take a
+                     temporary buffer from the heap: std::inplace_merge,
+                     std::stable_sort, std::stable_partition) inside a
+                     function marked with the `// pigp:steady-state`
+                     contract comment.  Amortized container growth
+                     (push_back into pooled buffers) is allowed; naked
+                     allocations are not.
 
 Engines
 -------
@@ -89,7 +92,9 @@ ALLOC_RE = re.compile(
     r"\bnew\b(?!\s*\()|\bnew\s*\(|"  # new expressions (incl. placement)
     r"\bmake_unique\s*<|\bmake_shared\s*<|"
     r"\bmalloc\s*\(|\bcalloc\s*\(|\brealloc\s*\(|\bstrdup\s*\(|"
-    r"\bto_string\s*\(|\bstd\s*::\s*string\s*\("
+    r"\bto_string\s*\(|\bstd\s*::\s*string\s*\(|"
+    # buffered algorithms: each takes a temporary buffer from the heap
+    r"\b(?:inplace_merge|stable_sort|stable_partition)\s*\("
 )
 SYNC_HPP_SUFFIX = os.path.join("runtime", "sync.hpp")
 

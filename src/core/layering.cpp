@@ -139,20 +139,6 @@ void label_seed(graph::VertexId v, graph::PartId seed,
   }
 }
 
-/// Boundary vertex \p v's analysis from \p state; an invalid slot is
-/// analysed and filled first, and counted in \p analysed.
-graph::PartitionState::VertexAnalysis cached_analysis(
-    const graph::Graph& g, const graph::Partitioning& p,
-    const graph::PartitionState& state, graph::VertexId v, PartTally& tally,
-    std::int64_t& analysed) {
-  if (const auto cached = state.analysis(v)) return *cached;
-  const auto a = analyze_vertex(g, p, v, tally);
-  PIGP_ASSERT(a);  // the boundary holds no interior vertex
-  state.store_analysis(v, *a);
-  ++analysed;
-  return *a;
-}
-
 /// Layer partition \p target to exhaustion from a full scan of its
 /// \p members, writing only its entries of \p label / \p layer and the eps
 /// row \p eps_row (size num_parts) — the batch oracle's per-partition
@@ -222,20 +208,6 @@ std::optional<graph::PartitionState::VertexAnalysis> analyze_vertex(
   a.seed = pick_label(tally, top, g.vertex_key(v));
   tally.clear();
   return a;
-}
-
-// pigp:steady-state
-std::int64_t refresh_analyses(const graph::Graph& g,
-                              const graph::Partitioning& p,
-                              const graph::PartitionState& state,
-                              std::span<const graph::VertexId> vertices,
-                              PartTally& tally) {
-  tally.resize(static_cast<std::size_t>(p.num_parts));
-  std::int64_t analysed = 0;
-  for (const graph::VertexId v : vertices) {
-    (void)cached_analysis(g, p, state, v, tally, analysed);
-  }
-  return analysed;
 }
 
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
@@ -354,31 +326,29 @@ std::int64_t BoundaryLayering::reseed(
   }
 
   // One ascending walk of the state's boundary hands every seeded
-  // partition its seeds already sorted (the batch member scan's order).
-  // The undo above left every labeled list empty.
+  // partition its seeds already sorted (the batch member scan's order)
+  // and labels them on the way: a seed reads its cached label, and only a
+  // slot a mutator invalidated since the last analysis is recomputed.
+  // Analysis is a pure function of (g, p), so interleaving the partitions
+  // changes nothing.  The undo above left every labeled list empty.
   seeded_mask_.assign(static_cast<std::size_t>(p_->num_parts), 0);
   for (const graph::PartId q : seeded_) {
     seeded_mask_[static_cast<std::size_t>(q)] = 1;
   }
-  state.for_each_boundary([this](graph::VertexId v) {
-    const auto q =
-        static_cast<std::size_t>(p_->part[static_cast<std::size_t>(v)]);
-    if (seeded_mask_[q] != 0) labeled_[q].push_back(v);
-  });
-
-  // Seeds read their cached label; only a slot a mutator invalidated
-  // since the last analysis is recomputed.
   scratch_.tally.resize(static_cast<std::size_t>(p_->num_parts));
   std::int64_t analysed = 0;
+  state.for_each_boundary([&](graph::VertexId v) {
+    const auto q =
+        static_cast<std::size_t>(p_->part[static_cast<std::size_t>(v)]);
+    if (seeded_mask_[q] == 0) return;
+    labeled_[q].push_back(v);
+    const auto a =
+        cached_analysis(*g_, *p_, state, v, scratch_.tally, analysed);
+    label_seed(v, a.seed, label_, layer_, eps_.row(q).data());
+  });
   for (const graph::PartId q : seeded_) {
     const auto qi = static_cast<std::size_t>(q);
-    const auto& seeds = labeled_[qi];
-    for (const graph::VertexId v : seeds) {
-      const auto a =
-          cached_analysis(*g_, *p_, state, v, scratch_.tally, analysed);
-      label_seed(v, a.seed, label_, layer_, eps_.row(qi).data());
-    }
-    frontier_[qi] = seeds;
+    frontier_[qi] = labeled_[qi];
   }
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
   // Debug / PIGP_VALIDATE auditor: every seed's cached analysis equals a

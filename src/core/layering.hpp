@@ -42,6 +42,7 @@
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
+#include "support/check.hpp"
 #include "support/dense_matrix.hpp"
 
 namespace pigp::core {
@@ -90,14 +91,21 @@ struct LayerScratch {
 analyze_vertex(const graph::Graph& g, const graph::Partitioning& p,
                graph::VertexId v, PartTally& tally);
 
-/// Analyse each boundary vertex of \p vertices whose cached analysis in
-/// \p state is invalid and store the result; returns how many were
-/// analysed.  \p tally is pooled by the caller and sized here.
-std::int64_t refresh_analyses(const graph::Graph& g,
-                              const graph::Partitioning& p,
-                              const graph::PartitionState& state,
-                              std::span<const graph::VertexId> vertices,
-                              PartTally& tally);
+/// Boundary vertex \p v's analysis from \p state; an invalid slot is
+/// analysed and filled first, and counted in \p analysed.  \p tally as
+/// for analyze_vertex.  Inline: the boundary walks call it per vertex,
+/// and a valid slot costs one load.
+inline graph::PartitionState::VertexAnalysis cached_analysis(
+    const graph::Graph& g, const graph::Partitioning& p,
+    const graph::PartitionState& state, graph::VertexId v, PartTally& tally,
+    std::int64_t& analysed) {
+  if (const auto cached = state.analysis(v)) return *cached;
+  const auto a = analyze_vertex(g, p, v, tally);
+  PIGP_ASSERT(a);  // the boundary holds no interior vertex
+  state.store_analysis(v, *a);
+  ++analysed;
+  return *a;
+}
 
 #if defined(PIGP_VALIDATE) || !defined(NDEBUG)
 /// Debug / PIGP_VALIDATE auditor: each of \p vertices must have a valid
@@ -155,10 +163,11 @@ class BoundaryLayering {
 
   /// Reset the previous stage (O(labeled)) and seed layer 0 of every
   /// partition — or only of \p owned_parts when non-null (an SPMD rank
-  /// owns a subset) — from one ascending walk of \p state's boundary, so
-  /// every partition's seeds arrive in id order without a sort.  \p state
-  /// must describe (g, p).  A seed's label is its cached analysis's seed;
-  /// a seed whose slot is invalid is analysed and its slot filled, so
+  /// owns a subset) — in one ascending walk of \p state's boundary, so
+  /// every partition's seeds arrive in id order without a sort.  The same
+  /// walk labels each seed with its cached analysis's seed; a seed whose
+  /// slot is invalid is analysed and its slot filled.  \p state must
+  /// describe (g, p).  Only seeds of owned partitions are analysed, so
   /// SPMD ranks owning disjoint partitions may reseed off one shared
   /// state at once.  Returns the number of seeds analysed (0 when nothing
   /// changed since the last analysis).  Debug / PIGP_VALIDATE builds

@@ -74,22 +74,24 @@ void refinement_flow_into(
 
 /// Boundary-local refinement over a maintained state.  Each boundary
 /// vertex's best move (destination, gain) is read from the state's vertex
-/// analysis cache (PartitionState::analysis), which outlives the call: a
-/// round re-analyses only the boundary vertices whose slot a mutator
-/// invalidated — after a kept round the moved vertices and their
-/// neighbours, after a reverted round nothing (the undo re-validates the
-/// slots it invalidated) — so a round costs O(Σ deg(moved)) plus one
-/// ordered walk of the state's boundary bitset that assembles the
-/// candidate buckets.  One analysis (core::analyze_vertex) sums the
-/// vertex's out(v, j) in a sparse PartTally: O(deg), whatever the part
-/// count.  Per-round cuts come from
-/// the O(deg)-per-move bookkeeping, and a regressing round is undone
-/// through its PartitionState::RollbackWindow (O(moved + P)).  \p state
-/// must describe (g, partitioning) on entry and is left consistent with
-/// the refined partitioning.  A non-null \p ws supplies the tally,
-/// boundary and candidate buffers, so a converged call (no positive-gain
-/// candidates) allocates nothing; decisions are identical either way, and
-/// whatever the state's cache holds.
+/// analysis cache (PartitionState::analysis), which outlives the call.
+/// The first round assembles the candidate buckets in one ordered walk of
+/// the state's boundary bitset, analysing only the slots a mutator
+/// invalidated.  The buckets then live across rounds: after a kept round
+/// only its movers and their neighbours are re-analysed and re-bucketed,
+/// so the round costs O(Σ deg(moved) + candidates) — or one more walk
+/// when they exceed a quarter of the boundary; after a reverted round
+/// nothing changes (the undo restores the partitioning and re-validates
+/// the slots it invalidated).  One analysis (core::analyze_vertex) sums
+/// the vertex's out(v, j) in a sparse PartTally: O(deg), whatever the
+/// part count.  Per-round cuts come from the O(deg)-per-move
+/// bookkeeping, and a regressing round is undone through its
+/// PartitionState::RollbackWindow (O(moved + P)).  \p state must
+/// describe (g, partitioning) on entry and is left consistent with the
+/// refined partitioning.  A non-null \p ws supplies the tally, bucket
+/// and touched-vertex buffers, so a call whose buffers are warm
+/// allocates nothing; decisions are identical either way, and whatever
+/// the state's cache holds.
 [[nodiscard]] RefineStats refine_partitioning(
     const graph::Graph& g, graph::Partitioning& partitioning,
     graph::PartitionState& state, const RefineOptions& options = {},

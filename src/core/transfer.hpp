@@ -81,6 +81,9 @@ void apply_balance_transfers(const graph::Graph& g,
 struct GainCandidate {
   graph::VertexId vertex = graph::kInvalidVertex;
   double gain = 0.0;
+
+  friend bool operator==(const GainCandidate&,
+                         const GainCandidate&) = default;
 };
 
 /// Move moves(i, j) vertices using the candidate lists produced by the

@@ -17,9 +17,12 @@ void Workspace::release_memory() {
   layering.release();
   transfer = TransferScratch();
   flow = FlowWorkspace();
-  std::vector<graph::VertexId>().swap(refine_boundary);
   refine_tally = PartTally();
   refine_candidates = pigp::DenseMatrix<std::vector<GainCandidate>>();
+  std::vector<graph::VertexId>().swap(refine_touched);
+  std::vector<std::uint8_t>().swap(refine_touched_mark);
+  std::vector<std::pair<std::size_t, GainCandidate>>().swap(refine_rebucket);
+  refine_audit = pigp::DenseMatrix<std::vector<GainCandidate>>();
   std::vector<GainCandidate>().swap(refine_selection);
   std::vector<graph::PartId>().swap(spmd_owned);
   std::vector<std::int64_t>().swap(spmd_eps_rows);

@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/balance.hpp"
@@ -127,14 +128,27 @@ struct Workspace {
   FlowWorkspace flow;
 
   // --- step 4: refinement (core/refine.cpp) ---
-  /// Boundary in ascending id order (PartitionState::boundary_ascending).
-  std::vector<graph::VertexId> refine_boundary;
   // Each boundary vertex's best move lives in the PartitionState's
   // vertex-analysis cache, beside its seed label, and survives across
   // rebalances: the state's mutators invalidate what they change.
   /// Sparse out(v, j) tally of the vertex being analysed.
   PartTally refine_tally;
+  /// The (i, j) candidate buckets, each ascending by vertex id; kept
+  /// across the rounds of one refine call and updated from the moves.
   pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
+  /// The vertices the last kept round touched (its movers and their
+  /// neighbours), each once.  refine_touched_mark[v] is 1 exactly for
+  /// the listed ids — the next collection unmarks them through the list,
+  /// in O(touched) — so the mark dedups the list and tells the bucket
+  /// filter which entries to drop.  One byte per id, not an EpochArray's
+  /// five: the mark spans every vertex id.
+  std::vector<graph::VertexId> refine_touched;
+  std::vector<std::uint8_t> refine_touched_mark;
+  /// The touched vertices' new bucket entries as (cell i * P + j,
+  /// candidate), sorted before they are merged into the buckets.
+  std::vector<std::pair<std::size_t, GainCandidate>> refine_rebucket;
+  /// The Debug / PIGP_VALIDATE auditor's fresh-walk buckets.
+  pigp::DenseMatrix<std::vector<GainCandidate>> refine_audit;
   /// apply_gain_transfers' per-pair best-first selection.
   std::vector<GainCandidate> refine_selection;
   // Undo buffers live in the PartitionState, not here: a refine round, an

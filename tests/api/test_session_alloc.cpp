@@ -36,6 +36,7 @@
 #include "graph/generators.hpp"
 #include "graph/partition_state.hpp"
 #include "support/check.hpp"
+#include "../core/refine_golden_inputs.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PIGP_ALLOC_COUNTING_DISABLED 1
@@ -403,6 +404,37 @@ TEST(SessionAlloc, WarmBalanceTransferPerformsZeroHeapAllocations) {
     EXPECT_EQ(moved, total);
   }
   EXPECT_EQ(p.part, before_part);
+#endif
+}
+
+TEST(SessionAlloc, WarmIncrementalRefinePerformsZeroHeapAllocations) {
+#ifdef PIGP_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocator interposed by a sanitizer";
+#else
+  // The refine golden "hub" input: its rounds walk the boundary, re-bucket
+  // kept rounds' moves and reuse a reverted round's buckets.  Each call
+  // runs in a rollback window and is undone, so every call sees the same
+  // input; once the workspace, the journal and the flow solver are warm,
+  // none of that touches the heap.
+  core::golden::GoldenInput in = core::golden::golden_input("hub");
+  graph::PartitionState state(in.g, in.p);
+  core::Workspace ws;
+  core::RefineStats stats;
+  const auto refine = [&] {
+    graph::PartitionState::RollbackWindow window(state);
+    stats = core::refine_partitioning(in.g, in.p, state, in.opt, &ws);
+    window.undo(in.g, in.p);
+  };
+  refine();  // warm-up
+  ASSERT_GE(stats.rounds - stats.rounds_reverted, 2);
+  ASSERT_EQ(stats.rounds_reverted, 1);
+  for (int i = 0; i < 2; ++i) {
+    const long long before = allocation_count();
+    refine();
+    EXPECT_EQ(allocation_count() - before, 0)
+        << "warm refine #" << i << " touched the heap";
+    EXPECT_EQ(stats.rounds_reverted, 1);
+  }
 #endif
 }
 

@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "core/layering.hpp"
+#include "core/part_tally.hpp"
 #include "core/workspace.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -299,6 +302,93 @@ TEST(Refine, RoundsAfterTheFirstAnalyseOnlyWhatTheLastRoundTouched) {
       prev_analyzed = analyzed;
     }
   }
+}
+
+/// The buckets a full walk of \p p's boundary assembles from fresh
+/// analyses: every boundary vertex whose best gain is > 0, in the cell
+/// (part, best), ascending by id.
+pigp::DenseMatrix<std::vector<GainCandidate>> walked_buckets(
+    const Graph& g, const Partitioning& p) {
+  const auto parts = static_cast<std::size_t>(p.num_parts);
+  const graph::PartitionState state(g, p);
+  PartTally tally;
+  tally.resize(parts);
+  pigp::DenseMatrix<std::vector<GainCandidate>> buckets(parts, parts);
+  state.for_each_boundary([&](VertexId v) {
+    const auto a = analyze_vertex(g, p, v, tally);
+    if (!a || a->best < 0 || a->gain <= 0.0) return;
+    buckets(static_cast<std::size_t>(p.part[static_cast<std::size_t>(v)]),
+            static_cast<std::size_t>(a->best))
+        .push_back(GainCandidate{v, a->gain});
+  });
+  return buckets;
+}
+
+std::size_t boundary_size(const Graph& g, const Partitioning& p) {
+  std::size_t n = 0;
+  graph::PartitionState(g, p).for_each_boundary([&n](VertexId) { ++n; });
+  return n;
+}
+
+TEST(Refine, IncrementalBucketsEqualAFullWalkEveryRound) {
+  // Refinement capped at r rounds leaves in the workspace the buckets its
+  // last round solved on, which it began from the result capped at r - 1.
+  // They must equal a full walk of that partitioning, whichever way they
+  // were reached: the first round's walk, re-bucketing a kept round's
+  // moves, reusing a reverted round's buckets, or walking again because a
+  // kept round touched more than a quarter of the boundary the last walk
+  // counted (the size rule, replayed here to show that both update paths
+  // ran).
+  int reused = 0;
+  int rebucketed = 0;
+  int rewalked = 0;
+  for (const char* name : {"geometric", "hub"}) {
+    GoldenInput in = golden_input(name);
+    Partitioning start = in.p;  // where round r begins
+    std::size_t walked = boundary_size(in.g, start);
+    int* pending = nullptr;  // how round r's buckets were reached
+    int reverted_before = 0;
+    for (int r = 1; r <= in.opt.max_rounds; ++r) {
+      Partitioning p = in.p;
+      graph::PartitionState state(in.g, p);
+      Workspace ws;
+      RefineOptions opt = in.opt;
+      opt.max_rounds = r;
+      const RefineStats s = refine_partitioning(in.g, p, state, opt, &ws);
+      if (s.rounds < r) break;  // refinement ended before round r
+      EXPECT_TRUE(ws.refine_candidates == walked_buckets(in.g, start))
+          << name << " round " << r;
+      if (pending != nullptr) ++*pending;
+
+      if (s.rounds_reverted > reverted_before) {
+        EXPECT_EQ(p.part, start.part) << name << " round " << r;
+        pending = &reused;
+      } else {
+        std::vector<char> touched(p.part.size(), 0);
+        for (VertexId v = 0; v < in.g.num_vertices(); ++v) {
+          const auto vi = static_cast<std::size_t>(v);
+          if (p.part[vi] == start.part[vi]) continue;
+          touched[vi] = 1;
+          for (const VertexId u : in.g.neighbors(v)) {
+            touched[static_cast<std::size_t>(u)] = 1;
+          }
+        }
+        const auto count = static_cast<std::size_t>(
+            std::count(touched.begin(), touched.end(), 1));
+        if (count > walked / 4) {
+          walked = boundary_size(in.g, p);
+          pending = &rewalked;
+        } else {
+          pending = &rebucketed;
+        }
+        start = p;
+      }
+      reverted_before = s.rounds_reverted;
+    }
+  }
+  EXPECT_GT(reused, 0);
+  EXPECT_GT(rebucketed, 0);
+  EXPECT_GT(rewalked, 0);
 }
 
 }  // namespace
